@@ -12,11 +12,9 @@ from .collapse import (CollapseCertificate, CollapseSpec, check_phi_fin_image,
                        phi_fin, phi_pair, pointed_groupoid_iso_check,
                        validate_collapsible)
 from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
-                       boundary_tails, compose_pairs, disjointify,
-                       enumerate_probes, expand, intersect_bisections,
-                       intersect_pairs, invert, invert_pair, is_empty, member,
-                       pair_contains, probes_in, subtract_bisections,
-                       subtract_pairs)
+                       boundary_tails, compose_pairs, enumerate_probes, expand,
+                       intersect_pairs, invert, invert_pair, member,
+                       pair_contains, pairs_to_depth, probes_in)
 from .graph import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                     enumerate_paths, is_acyclic, is_prefix, load_graph,
                     load_graph_file, serialize_graph, sources, strip_prefix,
@@ -27,7 +25,7 @@ from .morita import (Corner, CornerSupportError, LinkingElement,
                      LinkingInvariantError, MoritaWitness, Transversal,
                      check_transversal, corner_of, embed, eq_ops_check,
                      least_connectors, linking_add, linking_convolve,
-                     linking_zero, morita_report, pairs_to_depth, phi, psi,
+                     linking_zero, morita_report, phi, psi,
                      surjectivity_witness)
 from .report import Report
 from .rings import (CoefficientRing, IntegerRing, IntegersMod, RationalRing,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cylinder import GroupoidProbe, PathPair, boundary_tails, pair_contains
+from .cylinder import (GroupoidProbe, PathPair, boundary_tails, enumerate_probes,
+                       pair_contains, pairs_to_depth)
 from .graph import (Edge, Graph, Path, VertexSubset, concat, enumerate_paths,
                     is_acyclic, is_prefix, sources, subgraph, vertex_path)
 from .report import Report
@@ -85,19 +86,18 @@ def first_hit_extensions(graph: Graph, t0: VertexSubset, v):
         return [vertex_path(graph, v)]
     bound = len(graph.vertices) + 1
     out = []
-
-    def walk(path):
-        u = path.source_vertex
+    # Depth first on an explicit stack of edge-id tuples, so long collapsed
+    # paths do not reach the recursion limit; each hit becomes a Path once.
+    stack = [(e.id,) for e in reversed(graph.edges_with_range(v))]
+    while stack:
+        edges = stack.pop()
+        u = graph.edge(edges[-1]).source_vertex
         if u in f0:
-            out.append(path)
-            return
-        if len(path) >= bound:
+            out.append(Path(graph, edges))
+            continue
+        if len(edges) >= bound:
             raise ValueError("collapsed region contains a cycle through %r" % (u,))
-        for e in graph.edges_with_range(u):
-            walk(Path(graph, path.edges + (e.id,)))
-
-    for e in graph.edges_with_range(v):
-        walk(Path(graph, (e.id,)))
+        stack.extend(edges + (e.id,) for e in reversed(graph.edges_with_range(u)))
     out.sort(key=Path.sort_key)
     return out
 
@@ -236,19 +236,6 @@ def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
     return rep
 
 
-def _retained_pairs(g: Graph, f0, depth: int):
-    """Pairs with both ranges retained, in canonical order."""
-    by_source = {}
-    for p in enumerate_paths(g, max_len=depth):
-        if p.range_vertex in f0:
-            by_source.setdefault(p.source_vertex, []).append(p)
-    pairs = []
-    for v in g.vertices:
-        group = by_source.get(v, [])
-        pairs.extend(PathPair(a, b) for a in group for b in group)
-    return pairs
-
-
 def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     """Certify the collapsed groupoid sits inside the original one.
 
@@ -268,14 +255,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     g, F, f0, t0 = cert.original, cert.collapsed, cert.f0, cert.t0
 
     # (a) transport of probes is defined and fixes the pointed units.
-    fprobes = []
-    by_source = {}
-    for p in enumerate_paths(F, max_len=depth):
-        by_source.setdefault(p.source_vertex, []).append(p)
-    for v in F.vertices:
-        group = by_source.get(v, [])
-        fprobes.extend(GroupoidProbe(a, b) for a in group for b in group)
-    fprobes = fprobes[:_INJECTIVITY_PROBE_CAP]
+    fprobes = enumerate_probes(F, depth)[:_INJECTIVITY_PROBE_CAP]
     images = []
     defect = None
     for pr in fprobes:
@@ -299,7 +279,9 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
 
     # (c) every basic set with retained ranges splits into transported
     # pieces along the first retained-vertex visits of its continuations.
-    pairs = _retained_pairs(g, f0, depth)[:_COVERAGE_PAIR_CAP]
+    pairs = [p for p in pairs_to_depth(g, depth)
+             if p.mu.range_vertex in f0 and p.nu.range_vertex in f0]
+    pairs = pairs[:_COVERAGE_PAIR_CAP]
     rep.add("coverage", "pairs", len(pairs))
     hit_sets = {}
     cover_defect = None
@@ -348,10 +330,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
 
     mult_depth = depth
     while True:
-        fpairs = []
-        for v in F.vertices:
-            group = [p for p in by_source.get(v, []) if len(p) <= mult_depth]
-            fpairs.extend(PathPair(a, b) for a in group for b in group)
+        fpairs = pairs_to_depth(F, mult_depth)
         if len(fpairs) ** 2 <= _MULTIPLICATIVE_COMBO_BUDGET or mult_depth == 0:
             break
         mult_depth -= 1

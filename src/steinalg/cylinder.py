@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, Path, concat, is_prefix, strip_prefix, vertex_path
+from .graph import Graph, Path, concat, enumerate_paths, is_prefix, strip_prefix
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,16 @@ class GroupoidProbe:
 
     mu_full: Path
     nu_full: Path
-    degree: int
 
-    def __init__(self, mu_full, nu_full, degree=None):
-        if mu_full.graph is not nu_full.graph:
+    def __post_init__(self):
+        if self.mu_full.graph is not self.nu_full.graph:
             raise ValueError("probe paths live on different graphs")
-        if mu_full.source_vertex != nu_full.source_vertex:
+        if self.mu_full.source_vertex != self.nu_full.source_vertex:
             raise ValueError("probe truncations need a common source vertex")
-        forced = len(mu_full) - len(nu_full)
-        if degree is None:
-            degree = forced
-        if degree != forced:
-            raise ValueError("probe degree %d inconsistent with truncations" % degree)
-        object.__setattr__(self, "mu_full", mu_full)
-        object.__setattr__(self, "nu_full", nu_full)
-        object.__setattr__(self, "degree", degree)
+
+    @property
+    def degree(self):
+        return len(self.mu_full) - len(self.nu_full)
 
     def invert(self) -> "GroupoidProbe":
         return GroupoidProbe(self.nu_full, self.mu_full)
@@ -175,23 +170,6 @@ def intersect_pairs(p: PathPair, q: PathPair):
     return None
 
 
-def subtract_pairs(p: PathPair, q: PathPair):
-    """Z(p) minus Z(q) as a BasicBisection, or None when the result is empty.
-
-    Three cases: q extends p by tau (record tau as an exclusion; empty tau
-    removes everything), p extends q (p is swallowed), or the sets are
-    disjoint (p unchanged).
-    """
-    tau = pair_extension(q, p)
-    if tau is not None:
-        if len(tau) == 0:
-            return None
-        return BasicBisection(p, (tau,))
-    if pair_extension(p, q) is not None:
-        return None
-    return BasicBisection(p, ())
-
-
 def compose_pairs(p: PathPair, q: PathPair):
     """The set product Z(p) . Z(q), a single pair or None when empty.
 
@@ -225,54 +203,24 @@ def expand(p: PathPair, target_depth: int):
 
     One expansion step replaces a pair by its extensions along every edge
     ranging at the source vertex; at a source vertex the pair is already a
-    single truncated element and stays as it is.
+    single truncated element and stays as it is.  Splitting one level at a
+    time, edges in declaration order, yields the pieces in sort_key order.
     """
     if target_depth < p.min_depth:
         raise ValueError("target depth %d below pair depth %d" % (target_depth, p.min_depth))
     done = []
-    todo = [p]
-    while todo:
-        cur = todo.pop()
-        if cur.min_depth >= target_depth or cur.is_source_terminated():
-            done.append(cur)
-            continue
-        for e in cur.graph.edges_with_range(cur.source_vertex):
-            todo.append(cur.extend(Path(cur.graph, (e.id,))))
-    done.sort(key=PathPair.sort_key)
+    level = [p]
+    while level:
+        deeper = []
+        for cur in level:
+            if cur.min_depth >= target_depth or cur.is_source_terminated():
+                done.append(cur)
+                continue
+            g = cur.graph
+            for e in g.edges_with_range(cur.source_vertex):
+                deeper.append(cur.extend(Path(g, (e.id,))))
+        level = deeper
     return done
-
-
-# -- emptiness ------------------------------------------------------------
-
-
-def is_empty(b) -> bool:
-    """Decide whether Z((mu,nu) \\ F) contains no element.
-
-    The set is nonempty iff some boundary continuation avoids every path in
-    F as a prefix.  Search the continuation tree from the source vertex to
-    depth max |alpha| pruning excluded branches; a surviving node at full
-    depth extends to a boundary path, and a surviving node at a source
-    vertex already is one.
-    """
-    b = as_bisection(b)
-    if not b.excluded:
-        return False
-    g = b.graph
-    horizon = max(len(a) for a in b.excluded)
-    # Each stack entry: (vertex, remaining suffixes of excluded paths, depth).
-    stack = [(b.pair.source_vertex, [a.edges for a in b.excluded], 0)]
-    while stack:
-        v, active, depth = stack.pop()
-        if depth == horizon or g.is_source(v):
-            return False
-        for e in g.edges_with_range(v):
-            nxt = [suf[1:] for suf in active if suf[0] == e.id]
-            if any(len(suf) == 0 for suf in nxt):
-                continue  # this branch is excluded outright
-            if not nxt:
-                return False  # no exclusion can reach this branch any more
-            stack.append((e.source_vertex, nxt, depth + 1))
-    return True
 
 
 # -- membership -----------------------------------------------------------
@@ -301,26 +249,8 @@ def member(b, probe: GroupoidProbe) -> bool:
     return not any(is_prefix(a, tail) for a in b.excluded)
 
 
-def enumerate_probes(g: Graph, max_len: int):
-    """All probes with truncations of length <= max_len, canonically ordered."""
-    from .graph import enumerate_paths
-
-    by_source = {}
-    for p in enumerate_paths(g, max_len=max_len):
-        by_source.setdefault(p.source_vertex, []).append(p)
-    probes = []
-    for v in g.vertices:
-        group = by_source.get(v, [])
-        for a in group:
-            for b in group:
-                probes.append(GroupoidProbe(a, b))
-    return probes
-
-
 def boundary_tails(g: Graph, v, depth: int):
     """Continuation truncations from v: length == depth, or source terminated."""
-    from .graph import enumerate_paths
-
     out = []
     for w in enumerate_paths(g, from_range=v, max_len=depth):
         if len(w) == depth or g.is_source(w.source_vertex):
@@ -339,95 +269,26 @@ def probes_in(b, depth: int):
     return out
 
 
-# -- bisection-level boolean operations ------------------------------------
+# -- the pair window --------------------------------------------------------
 
 
-def intersect_bisections(b1, b2):
-    """Meet of two basic bisections, a single bisection or None when empty.
+def pairs_to_depth(g: Graph, depth: int):
+    """Every pair Z(mu, nu) with legs of length <= depth, canonically ordered.
 
-    The pairs must nest; the exclusions of both operands are rebased onto
-    the deeper pair, and an exclusion that swallows the whole result makes
-    it empty.
+    Paths are grouped by source vertex in declaration order, and each group
+    pairs every leg with every leg in lexicographic order.  The windowed
+    checks of the collapse move and the context report all read this list.
     """
-    b1, b2 = as_bisection(b1), as_bisection(b2)
-    base = intersect_pairs(b1.pair, b2.pair)
-    if base is None:
-        return None
-    excluded = []
-    for b in (b1, b2):
-        tau = pair_extension(base, b.pair)
-        for alpha in b.excluded:
-            # Z(pair.extend(alpha)) relative to Z(base = pair.extend(tau)).
-            rho = strip_prefix(alpha, tau)
-            if rho is not None:
-                if len(rho) == 0:
-                    return None  # base lies inside an excluded branch
-                excluded.append(rho)
-            elif is_prefix(alpha, tau):
-                return None
-    return BasicBisection(base, excluded)
+    by_source = {}
+    for p in enumerate_paths(g, max_len=depth):
+        by_source.setdefault(p.source_vertex, []).append(p)
+    pairs = []
+    for v in g.vertices:
+        group = by_source.get(v, ())
+        pairs.extend(PathPair(a, b) for a in group for b in group)
+    return pairs
 
 
-def subtract_pair_from_bisection(b, q: PathPair):
-    """Z((mu,nu) \\ F) minus the plain pair Z(q); None when empty."""
-    b = as_bisection(b)
-    tau = pair_extension(q, b.pair)
-    if tau is not None:
-        if len(tau) == 0:
-            return None
-        return BasicBisection(b.pair, b.excluded + (tau,))
-    if pair_extension(b.pair, q) is not None:
-        return None
-    return b
-
-
-def subtract_bisections(b, c):
-    """b minus c as a list of pairwise disjoint basic bisections.
-
-    Removing Z((eta,zeta) \\ Q) removes Z(eta,zeta) but puts back the
-    excluded branches: b \\ c = (b \\ Z(eta,zeta)) plus b meet Z(eta zeta
-    extended by alpha) for alpha in Q.  The antichain property of Q makes
-    those put-back pieces pairwise disjoint.
-    """
-    b, c = as_bisection(b), as_bisection(c)
-    pieces = []
-    core = subtract_pair_from_bisection(b, c.pair)
-    if core is not None and not is_empty(core):
-        pieces.append(core)
-    for alpha in c.excluded:
-        back = intersect_bisections(b, BasicBisection(c.pair.extend(alpha), ()))
-        if back is not None and not is_empty(back):
-            pieces.append(back)
-    return pieces
-
-
-def disjointify(bs):
-    """Rewrite a finite union of basic bisections as a disjoint union.
-
-    Inclusion-exclusion over the nonempty subfamilies: the piece indexed by
-    a subfamily is the meet of its members minus the union of the rest, so
-    every point lands in exactly one piece.  Pieces are pruned by the
-    emptiness decision and returned in canonical order.
-    """
-    bs = [as_bisection(b) for b in bs]
-    bs = [b for b in bs if not is_empty(b)]
-    out = []
-    n = len(bs)
-    for mask in range(1, 1 << n):
-        chosen = [bs[i] for i in range(n) if mask >> i & 1]
-        rest = [bs[i] for i in range(n) if not mask >> i & 1]
-        piece = chosen[0]
-        for b in chosen[1:]:
-            piece = intersect_bisections(piece, b)
-            if piece is None:
-                break
-        if piece is None or is_empty(piece):
-            continue
-        pieces = [piece]
-        for c in rest:
-            pieces = [q for p in pieces for q in subtract_bisections(p, c)]
-            if not pieces:
-                break
-        out.extend(pieces)
-    out = sorted(set(out), key=BasicBisection.sort_key)
-    return out
+def enumerate_probes(g: Graph, max_len: int):
+    """All probes with truncations of length <= max_len, canonically ordered."""
+    return [GroupoidProbe(p.mu, p.nu) for p in pairs_to_depth(g, max_len)]

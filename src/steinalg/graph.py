@@ -234,35 +234,40 @@ class VertexSubset:
 
 
 def load_graph(text: str) -> Graph:
-    """Parse graph text; raises GraphFormatError with a line number."""
-    vertices = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if vertices is None:
-            if not line.startswith("vertices:"):
-                raise GraphFormatError("expected 'vertices:' declaration first", lineno)
-            body = line[len("vertices:"):].strip()
-            vertices = [v.strip() for v in body.split(",") if v.strip()] if body else []
-            continue
-        if not line.startswith("edge:"):
-            raise GraphFormatError("expected 'edge:' declaration", lineno)
-        fields = line[len("edge:"):].split()
-        if len(fields) != 4 or fields[2] != "<-":
-            raise GraphFormatError("edge syntax is 'edge: <id> <range> <- <source>'", lineno)
-        eid, rng, _, src = fields
-        if any(e.id == eid for e in edges):
-            raise GraphFormatError("duplicate edge id %r" % (eid,), lineno)
-        for endpoint in (rng, src):
-            if endpoint not in vertices:
-                raise GraphFormatError(
-                    "edge %r uses undeclared vertex %r" % (eid, endpoint), lineno)
-        edges.append(Edge(eid, rng, src))
-    if vertices is None:
+    """Parse graph text; raises GraphFormatError with a line number.
+
+    Parsing checks the syntax of each line; ``Graph`` checks the ids, and
+    its errors are tagged with the line of the edge it was reading.
+    """
+    lines = ((n, raw.split("#", 1)[0].strip())
+             for n, raw in enumerate(text.splitlines(), start=1))
+    lines = ((n, line) for n, line in lines if line)
+    lineno, line = next(lines, (None, None))
+    if line is None:
         raise GraphFormatError("missing 'vertices:' declaration")
-    return Graph(vertices, edges)
+    if not line.startswith("vertices:"):
+        raise GraphFormatError("expected 'vertices:' declaration first", lineno)
+    body = line[len("vertices:"):].strip()
+    vertices = [v.strip() for v in body.split(",") if v.strip()] if body else []
+
+    def edges():
+        nonlocal lineno
+        for lineno, line in lines:
+            if not line.startswith("edge:"):
+                raise GraphFormatError("expected 'edge:' declaration", lineno)
+            fields = line[len("edge:"):].split()
+            if len(fields) != 4 or fields[2] != "<-":
+                raise GraphFormatError(
+                    "edge syntax is 'edge: <id> <range> <- <source>'", lineno)
+            eid, rng, _, src = fields
+            yield Edge(eid, rng, src)
+
+    try:
+        return Graph(vertices, edges())
+    except GraphFormatError as exc:
+        if exc.line is not None:
+            raise
+        raise GraphFormatError(str(exc), lineno) from None
 
 
 def serialize_graph(g: Graph) -> str:
@@ -315,21 +320,26 @@ def is_acyclic(g: Graph) -> bool:
     """True when no path of positive length returns to its range vertex."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in g.vertices}
-
-    def visit(v):
-        color[v] = GRAY
-        for e in g.edges_with_range(v):
-            u = e.source_vertex
-            if color[u] == GRAY:
-                return False
-            if color[u] == WHITE and not visit(u):
-                return False
-        color[v] = BLACK
-        return True
-
-    for v in g.vertices:
-        if color[v] == WHITE and not visit(v):
-            return False
+    for root in g.vertices:
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        # An explicit stack of (vertex, edges left), so that long paths do
+        # not reach the interpreter's recursion limit.
+        stack = [(root, iter(g.edges_with_range(root)))]
+        while stack:
+            v, todo = stack[-1]
+            for e in todo:
+                u = e.source_vertex
+                if color[u] == GRAY:
+                    return False
+                if color[u] == WHITE:
+                    color[u] = GRAY
+                    stack.append((u, iter(g.edges_with_range(u))))
+                    break
+            else:
+                color[v] = BLACK
+                stack.pop()
     return True
 
 

@@ -16,12 +16,12 @@ off-diagonal blocks, so the diagonal algebras form a surjective context.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .collapse import (CollapseSpec, collapse, pointed_groupoid_iso_check,
-                       validate_collapsible)
-from .cylinder import PathPair, compose_pairs, intersect_pairs, invert_pair
-from .graph import Graph, Path, VertexSubset, concat, enumerate_paths, vertex_path
+from .collapse import CollapseSpec, collapse, pointed_groupoid_iso_check
+from .cylinder import (PathPair, compose_pairs, intersect_pairs, invert_pair,
+                       pairs_to_depth)
+from .graph import Graph, Path, VertexSubset, concat, vertex_path
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, indicator, zero
 
@@ -55,10 +55,15 @@ _REQUIRES = {c: flags for flags, c in _CELLS.items()}
 
 @dataclass(frozen=True)
 class Transversal:
-    """A graph with a retained vertex set acting as the orbit transversal."""
+    """A graph with a retained vertex set acting as the orbit transversal.
+
+    The least connectors into the retained set are computed once here; they
+    follow from the other two fields, so equality and hashing ignore them.
+    """
 
     graph: Graph
     f0: VertexSubset
+    _connectors: dict = field(compare=False, repr=False)
 
     def __init__(self, graph, f0):
         if not isinstance(f0, VertexSubset):
@@ -67,6 +72,7 @@ class Transversal:
             raise ValueError("vertex subset belongs to a different graph")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "_connectors", least_connectors(graph, f0))
 
 
 def least_connectors(graph: Graph, f0):
@@ -325,7 +331,7 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
         v1 = PathPair(pair.mu, pair.mu)
         pieces = [(v1, compose_pairs(invert_pair(v1), pair))]
     else:
-        conn = least_connectors(g, f0).get(pair.source_vertex)
+        conn = transversal._connectors.get(pair.source_vertex)
         if not rep.check("target", "connector-exists", conn is not None,
                          "vertex %s cannot reach the retained set"
                          % pair.source_vertex):
@@ -380,17 +386,6 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
 # -- the end-to-end report -----------------------------------------------------
 
 
-def pairs_to_depth(g: Graph, depth: int):
-    by_source = {}
-    for p in enumerate_paths(g, max_len=depth):
-        by_source.setdefault(p.source_vertex, []).append(p)
-    pairs = []
-    for v in g.vertices:
-        group = by_source.get(v, [])
-        pairs.extend(PathPair(a, b) for a in group for b in group)
-    return pairs
-
-
 def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Report:
     """The full pipeline certifying the context over a collapse instance.
 
@@ -401,9 +396,7 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     from . import sampling
 
     spec = CollapseSpec(graph, t0)
-    pre = validate_collapsible(spec)
-    if not pre.ok:
-        raise ValueError("collapse preconditions failed: %s" % ", ".join(pre.failures()))
+    cert = collapse(spec)
     f0 = spec.f0
     transversal = Transversal(graph, f0)
     rep = Report("morita context")
@@ -458,7 +451,6 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     rep.add("eq-ops", "tuples", tuples)
     rep.check("eq-ops", "identities", eq_bad is None, eq_bad or "")
 
-    cert = collapse(spec)
     rep.add("collapse", "collapsed-graph", "%d vertices, %d edges"
             % (len(cert.collapsed.vertices), len(cert.collapsed.edges)))
     iso = pointed_groupoid_iso_check(cert, depth)

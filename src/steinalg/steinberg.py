@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cylinder import (GroupoidProbe, PathPair, as_bisection, compose_pairs,
-                       pair_contains)
+                       expand, pair_contains)
 from .graph import concat, strip_prefix
 
 
@@ -82,21 +82,6 @@ class SteinbergElement:
         return convolve(self, other)
 
 
-def _expand_raw(pair, target_depth):
-    """Expansion splits without re-sorting; used only inside normalization."""
-    from .graph import Path
-
-    todo = [pair]
-    while todo:
-        cur = todo.pop()
-        if cur.min_depth >= target_depth or cur.is_source_terminated():
-            yield cur
-            continue
-        g = cur.graph
-        for e in g.edges_with_range(cur.source_vertex):
-            todo.append(cur.extend(Path(g, (e.id,))))
-
-
 def _canonical_terms(graph, ring, raw_terms):
     merged = {}
     for pair, coeff in raw_terms:
@@ -111,7 +96,7 @@ def _canonical_terms(graph, ring, raw_terms):
     depth = max(p.min_depth for p in merged)
     flat = {}
     for pair, coeff in merged.items():
-        for piece in _expand_raw(pair, depth):
+        for piece in expand(pair, depth):
             acc = flat.get(piece)
             flat[piece] = coeff if acc is None else ring.add(acc, coeff)
     flat = {p: c for p, c in flat.items() if not ring.is_zero(c)}
@@ -137,9 +122,11 @@ def _contract(graph, ring, terms):
             first = coeffs[0]
             if not all(ring.eq(first, c) for c in coeffs[1:]):
                 continue
+            if parent in terms:
+                raise RuntimeError("contraction of %s collided with a live term"
+                                   % parent.render())
             for k in kids:
                 del terms[k]
-            assert parent not in terms, "contraction collided with a live term"
             terms[parent] = first
             changed = True
     return terms

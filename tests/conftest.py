@@ -3,7 +3,7 @@ seeded corpora the randomized tests draw from."""
 
 import pytest
 
-from steinalg import IntegerRing, IntegersMod, RationalRing, load_graph
+from steinalg import Graph, IntegerRing, IntegersMod, RationalRing, load_graph
 from steinalg import sampling
 
 LOOP_TEXT = "vertices: v\nedge: e v <- v\n"
@@ -13,6 +13,13 @@ OUTSPLIT_TEXT = ("vertices: u, ua, ub\n"
                  "edge: sa u <- ua\nedge: sb u <- ub\n")
 LINE_TEXT = "vertices: a, b, c\nedge: f1 a <- b\nedge: f2 b <- c\n"
 ROSE2_TEXT = "vertices: v\nedge: a v <- v\nedge: b v <- v\n"
+
+
+def long_line(n):
+    """Vertices x0 <- x1 <- ... <- x(n-1); only x(n-1) is a source."""
+    vertices = ["x%d" % i for i in range(n)]
+    edges = [("f%d" % i, vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    return Graph(vertices, edges)
 
 
 @pytest.fixture

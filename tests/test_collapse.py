@@ -1,6 +1,7 @@
 """The collapse move: preconditions, the path map, windowed certification."""
 
 import dataclasses
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -12,7 +13,7 @@ from steinalg import (CollapseSpec, Graph, Path, PathPair, VertexSubset,
                       pointed_groupoid_iso_check, serialize_graph,
                       validate_collapsible, vertex_path)
 from steinalg import sampling
-from tests.conftest import ROSE2_TEXT
+from tests.conftest import ROSE2_TEXT, long_line
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -116,6 +117,17 @@ def test_collapse_nothing_is_identity(rose2):
 def test_collapse_rejects_invalid_spec(loop_graph):
     with pytest.raises(ValueError, match="collapse preconditions failed"):
         collapse(CollapseSpec(loop_graph, ["v"]))
+
+
+def test_collapse_line_beyond_recursion_limit():
+    """Collapsing the interior of a long line leaves one edge end to end;
+    neither the acyclicity check nor the first-hit walk recurses."""
+    n = sys.getrecursionlimit() + 200
+    g = long_line(n)
+    cert = collapse(CollapseSpec(g, g.vertices[1:-1]))
+    assert cert.collapsed.vertices == ("x0", "x%d" % (n - 1))
+    [edge] = cert.collapsed.edges
+    assert cert.edge_paths[edge.id].edges == tuple("f%d" % i for i in range(n - 1))
 
 
 # -- the path map ------------------------------------------------------------------

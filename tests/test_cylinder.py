@@ -1,4 +1,4 @@
-"""Basic bisections and their boolean calculus.
+"""Path pairs, basic bisections, probes and the pair window.
 
 The independent oracle throughout: a compact set built from pairs whose
 legs fit inside depth L is faithfully represented by its probes at the
@@ -13,28 +13,12 @@ import pytest
 
 from steinalg import (BasicBisection, GroupoidProbe, Path, PathPair,
                       as_bisection, boundary_tails, compose_pairs, concat,
-                      disjointify, enumerate_probes, expand,
-                      intersect_bisections, intersect_pairs, invert,
-                      invert_pair, is_empty, member, pair_contains, probes_in,
-                      subtract_bisections, subtract_pairs, vertex_path)
+                      enumerate_paths, enumerate_probes, expand,
+                      intersect_pairs, invert, invert_pair, member,
+                      pair_contains, pairs_to_depth, probes_in, vertex_path)
 from steinalg import sampling
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
-
-
-def probe_names(b, horizon):
-    """Render-keyed probe set of a bisection at a uniform mu-leg horizon."""
-    b = as_bisection(b)
-    depth = horizon - len(b.pair.mu)
-    assert depth >= 0, "horizon below the pair"
-    return {pr.render() for pr in probes_in(b, depth)}
-
-
-def union_probe_names(bs, horizon):
-    out = set()
-    for b in bs:
-        out |= probe_names(b, horizon)
-    return out
 
 
 def horizon_for(*bs):
@@ -110,6 +94,15 @@ def test_probe_degree_is_forced(loop_graph):
     assert pr.degree == 1
     assert pr.render() == "(e, 1, v)"
     assert pr.invert() == GroupoidProbe(v, e)
+    assert pr == GroupoidProbe(e, v) and hash(pr) == hash(GroupoidProbe(e, v))
+
+
+def test_probe_rejects_mismatched_truncations(line_graph, loop_graph):
+    f1 = Path(line_graph, ("f1",))
+    with pytest.raises(ValueError, match="common source"):
+        GroupoidProbe(f1, vertex_path(line_graph, "c"))
+    with pytest.raises(ValueError, match="different graphs"):
+        GroupoidProbe(vertex_path(loop_graph, "v"), vertex_path(line_graph, "a"))
 
 
 def test_member_and_pair_contains(loop_graph):
@@ -130,6 +123,9 @@ def test_boundary_tails_stop_at_sources(line_graph, loop_graph):
     assert [t.render() for t in boundary_tails(line_graph, "a", 5)] == ["f1.f2"]
     assert [t.render() for t in boundary_tails(line_graph, "a", 1)] == ["f1"]
     assert [t.render() for t in boundary_tails(loop_graph, "v", 3)] == ["e.e.e"]
+    # Excluding the one continuation of b leaves no probe below Z(b,b).
+    b, f2 = vertex_path(line_graph, "b"), Path(line_graph, ("f2",))
+    assert probes_in(BasicBisection(PathPair(b, b), [f2]), 1) == []
 
 
 def test_enumerate_probes_groups_by_source(rose2):
@@ -137,6 +133,22 @@ def test_enumerate_probes_groups_by_source(rose2):
     names = [pr.render() for pr in got]
     assert "(v, 0, v)" in names and "(a, 0, b)" in names and "(a, 1, v)" in names
     assert len(names) == 9  # three paths, all sharing the source vertex
+
+
+def test_pairs_to_depth_groups_by_source(outsplit_graph):
+    g = outsplit_graph
+    paths = enumerate_paths(g, max_len=2)
+
+    def key(path):
+        return (g.vertex_index(path.range_vertex), path.sort_key())
+
+    want = sorted(((a, b) for a in paths for b in paths
+                   if a.source_vertex == b.source_vertex),
+                  key=lambda ab: (g.vertex_index(ab[0].source_vertex),
+                                  key(ab[0]), key(ab[1])))
+    got = pairs_to_depth(g, 2)
+    assert [(p.mu, p.nu) for p in got] == want
+    assert enumerate_probes(g, 2) == [GroupoidProbe(p.mu, p.nu) for p in got]
 
 
 # -- pair-level operations ----------------------------------------------------
@@ -183,33 +195,22 @@ def test_expand_partitions(rose2, line_graph):
         expand(PathPair(Path(rose2, ("a",)), Path(rose2, ("a",))), 0)
 
 
-# -- emptiness ----------------------------------------------------------------
-
-
-def test_is_empty_full_fan(rose2, line_graph):
-    v = vertex_path(rose2, "v")
-    a, b = Path(rose2, ("a",)), Path(rose2, ("b",))
-    assert is_empty(BasicBisection(PathPair(v, v), [a, b]))
-    assert not is_empty(BasicBisection(PathPair(v, v), [a]))
-    # b is not a source, so excluding its one continuation empties the set;
-    # only a probe window reaching the exclusion depth can see that.
-    bb = vertex_path(line_graph, "b")
-    f2 = Path(line_graph, ("f2",))
-    assert is_empty(BasicBisection(PathPair(bb, bb), [f2]))
-    assert len(probes_in(BasicBisection(PathPair(bb, bb), [f2]), 1)) == 0
-
-
-@given(seeds)
+@given(seeds, st.integers(min_value=0, max_value=3))
 @settings(max_examples=80, deadline=None)
-def test_is_empty_matches_probe_search(seed):
+def test_expand_yields_sorted_partition(seed, extra):
+    """Pieces come in sort_key order and split the pair's probes exactly."""
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
-    b = sampling.random_bisection(rng, g, max_len=2, max_excluded=3)
-    depth = max((len(a) for a in b.excluded), default=0)
-    assert is_empty(b) == (len(probes_in(b, depth)) == 0)
+    p = sampling.random_pair(rng, g)
+    pieces = expand(p, p.min_depth + extra)
+    assert pieces == sorted(pieces, key=PathPair.sort_key)
+    assert len(set(pieces)) == len(pieces)
+    depth = extra + max(len(q.mu) for q in pieces) - len(p.mu)
+    for pr in probes_in(p, depth):
+        assert sum(1 for q in pieces if pair_contains(q, pr)) == 1
 
 
-# -- set semantics of the boolean calculus ------------------------------------
+# -- set semantics ------------------------------------------------------------
 
 
 def test_invert_bisection(loop_graph):
@@ -231,67 +232,6 @@ def test_invert_matches_probe_inversion(seed):
     depth = horizon - len(b.pair.mu)
     for pr in probes_in(b, depth):
         assert member(invert(b), pr.invert())
-
-
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_intersect_bisections_is_set_intersection(seed):
-    rng = sampling.rng_from_seed(seed)
-    g = sampling.random_graph(rng)
-    b1 = sampling.random_bisection(rng, g)
-    b2 = sampling.random_bisection(rng, g)
-    got = intersect_bisections(b1, b2)
-    horizon = horizon_for(b1, b2)
-    want = probe_names(b1, horizon) & probe_names(b2, horizon)
-    if got is None:
-        assert not want
-    else:
-        assert probe_names(got, max(horizon, horizon_for(got))) == want
-
-
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_subtract_bisections_is_set_difference(seed):
-    rng = sampling.rng_from_seed(seed)
-    g = sampling.random_graph(rng)
-    b = sampling.random_bisection(rng, g)
-    c = sampling.random_bisection(rng, g)
-    pieces = subtract_bisections(b, c)
-    horizon = horizon_for(b, c, *pieces)
-    want = probe_names(b, horizon) - probe_names(c, horizon)
-    assert union_probe_names(pieces, horizon) == want
-    for i, p in enumerate(pieces):
-        for q in pieces[i + 1:]:
-            assert not probe_names(p, horizon) & probe_names(q, horizon)
-
-
-def test_subtract_pairs_cases(loop_graph, rose2):
-    v = vertex_path(loop_graph, "v")
-    e = Path(loop_graph, ("e",))
-    got = subtract_pairs(PathPair(v, v), PathPair(e, e))
-    assert got.pair == PathPair(v, v)
-    assert [a.render() for a in got.excluded] == ["e"]
-    # p inside q vanishes; disjoint pairs pass through untouched.
-    assert subtract_pairs(PathPair(e, e), PathPair(v, v)) is None
-    a, b = Path(rose2, ("a",)), Path(rose2, ("b",))
-    assert subtract_pairs(PathPair(a, a), PathPair(b, b)) == \
-        BasicBisection(PathPair(a, a), ())
-
-
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_disjointify_partitions_the_union(seed):
-    rng = sampling.rng_from_seed(seed)
-    g = sampling.random_graph(rng)
-    bs = [sampling.random_bisection(rng, g) for _ in range(rng.randint(1, 3))]
-    pieces = disjointify(bs)
-    horizon = horizon_for(*bs, *pieces)
-    assert union_probe_names(pieces, horizon) == union_probe_names(bs, horizon)
-    names = [probe_names(p, horizon) for p in pieces]
-    for i, a in enumerate(names):
-        assert a, "disjointify kept an empty piece"
-        for b in names[i + 1:]:
-            assert not a & b
 
 
 @given(seeds)

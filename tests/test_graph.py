@@ -1,12 +1,14 @@
 """Graph files, paths, and the bounded path enumerator."""
 
+import sys
+
 import pytest
 
 from steinalg import (Graph, GraphFormatError, Path, VertexSubset, concat,
                       enumerate_paths, is_acyclic, is_prefix, load_graph,
                       serialize_graph, sources, strip_prefix, subgraph,
                       vertex_path)
-from tests.conftest import LINE_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT
+from tests.conftest import LINE_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line
 
 
 def test_load_serialize_roundtrip(two_cycle):
@@ -22,18 +24,25 @@ def test_load_ignores_blank_lines_and_comments():
     assert g.vertices == ("v",) and len(g.edges) == 1
 
 
-@pytest.mark.parametrize("text,fragment", [
-    ("edge: e v <- v", "vertices"),
-    ("vertices: v\nedge: e v <- w", "undeclared"),
-    ("vertices: v, v\nedge: e v <- v", "duplicate vertex"),
-    ("vertices: v\nedge: e v <- v\nedge: e v <- v", "duplicate edge"),
-    ("vertices: v\nbogus line", "edge"),
-    ("vertices: v\nedge: e v -> v", "edge syntax"),
-])
-def test_format_errors(text, fragment):
+FORMAT_ERRORS = [
+    ("edge: e v <- v", "vertices", 1),
+    ("vertices: v\nedge: e v <- w", "undeclared", 2),
+    ("vertices: v, v\nedge: e v <- v", "duplicate vertex", 1),
+    ("vertices: v\nedge: e v <- v\nedge: e v <- v", "duplicate edge", 3),
+    ("# header\n\nvertices: v\nedge: e v <- v\n\nedge: e v <- v", "duplicate edge", 6),
+    ("vertices: v\nbogus line", "edge", 2),
+    ("vertices: v\nedge: e v -> v", "edge syntax", 2),
+    ("# nothing here\n", "missing", None),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line", FORMAT_ERRORS,
+                         ids=["%s-%s" % case[:2] for case in FORMAT_ERRORS])
+def test_format_errors(text, fragment, line):
     with pytest.raises(GraphFormatError) as exc:
         load_graph(text)
     assert fragment in str(exc.value)
+    assert exc.value.line == line
 
 
 def test_edge_lookup_maps(two_cycle):
@@ -103,6 +112,14 @@ def test_is_acyclic(line_graph, loop_graph, two_cycle):
     assert is_acyclic(line_graph)
     assert not is_acyclic(loop_graph)
     assert not is_acyclic(two_cycle)
+
+
+def test_is_acyclic_beyond_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    g = long_line(n)
+    assert is_acyclic(g)
+    closed = Graph(g.vertices, list(g.edges) + [("back", "x%d" % (n - 1), "x0")])
+    assert not is_acyclic(closed)
 
 
 def test_subgraph(two_cycle):

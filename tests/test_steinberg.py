@@ -10,6 +10,7 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       indicator, negate, oracle_convolve_at, scale,
                       vertex_path, zero)
 from steinalg import sampling
+from steinalg.steinberg import _contract
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
@@ -29,6 +30,16 @@ def test_complete_fans_contract(loop_graph, zring):
     f = from_terms(loop_graph, zring, [(PathPair(e, e), 1)])
     assert f == indicator(PathPair(v, v), zring)
     assert f.render() == "1 * Z(v,v)"
+
+
+def test_contraction_collision_is_an_internal_error(rose2, zring):
+    """The fan under Z(v,v) would contract onto a live Z(v,v); canonical
+    input never does that, and the guard is a raise that python -O keeps."""
+    v = vertex_path(rose2, "v")
+    a, b = Path(rose2, ("a",)), Path(rose2, ("b",))
+    terms = {PathPair(v, v): 1, PathPair(a, a): 1, PathPair(b, b): 1}
+    with pytest.raises(RuntimeError, match="collided"):
+        _contract(rose2, zring, terms)
 
 
 def test_partial_fans_do_not_contract(rose2, zring):
