@@ -13,20 +13,19 @@ from .collapse import (CollapseCertificate, CollapseSpec, check_phi_fin_image,
                        validate_collapsible)
 from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
                        boundary_tails, compose_pairs, enumerate_probes, expand,
-                       intersect_pairs, invert, invert_pair, member,
-                       pair_contains, pairs_to_depth, probes_in)
+                       invert, invert_pair, member, pair_contains,
+                       pairs_to_depth, probes_in)
 from .graph import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                     enumerate_paths, is_acyclic, is_prefix, load_graph,
                     load_graph_file, serialize_graph, sources, strip_prefix,
                     subgraph, vertex_path)
 from .leavitt import (WordSyntaxError, check_ck_relations, eval_word,
-                      generator, indicator_as_word, parse_word, render_word)
+                      generator, indicator_as_word, parse_word)
 from .morita import (Corner, CornerSupportError, LinkingElement,
                      LinkingInvariantError, MoritaWitness, Transversal,
-                     check_transversal, corner_of, embed, eq_ops_check,
-                     least_connectors, linking_add, linking_convolve,
-                     linking_zero, morita_report, phi, psi,
-                     surjectivity_witness)
+                     corner_of, embed, eq_ops_check, least_connectors,
+                     linking_add, linking_convolve, linking_zero,
+                     morita_report, phi, psi, surjectivity_witness)
 from .report import Report
 from .rings import (CoefficientRing, IntegerRing, IntegersMod, RationalRing,
                     ring_from_spec)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .collapse import CollapseSpec, check_phi_fin_image, collapse, \
     pointed_groupoid_iso_check, validate_collapsible
-from .graph import GraphFormatError, load_graph_file
-from .leavitt import WordSyntaxError, check_ck_relations, eval_word
+from .graph import load_graph_file
+from .leavitt import check_ck_relations, eval_word
 from .morita import morita_report
 from .report import Report
 from .rings import ring_from_spec
@@ -33,18 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; the seed pins all sampling."""
+def _vertex_list(text):
+    """The --t0 value: comma-separated vertex ids, blanks dropped."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
-    command: str
-    graph: str
-    t0: tuple = None
-    ring: str = "z"
-    depth: int = 3
-    seed: int = 0
-    fmt: str = "text"
-    words: tuple = ()
+
+def _depth(text):
+    """The --depth value: a window depth, which cannot be negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("depth must be >= 0, got %d" % n)
+    return n
 
 
 def build_parser() -> _Parser:
@@ -55,12 +56,12 @@ def build_parser() -> _Parser:
     def common(sp, t0=False, ring=False, depth=False, seed=False):
         sp.add_argument("--graph", required=True, help="graph file")
         if t0:
-            sp.add_argument("--t0", default=None,
+            sp.add_argument("--t0", type=_vertex_list, default=None,
                             help="comma-separated vertices to collapse")
         if ring:
             sp.add_argument("--ring", default="z", help="z, q, or zmod:N")
         if depth:
-            sp.add_argument("--depth", type=int, default=3,
+            sp.add_argument("--depth", type=_depth, default=3,
                             help="window depth for bounded checks")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
@@ -84,18 +85,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    t0 = getattr(ns, "t0", None)
-    if t0 is not None:
-        t0 = tuple(v.strip() for v in t0.split(",") if v.strip())
-    return RunConfig(command=ns.command, graph=ns.graph, t0=t0,
-                     ring=getattr(ns, "ring", "z"),
-                     depth=getattr(ns, "depth", 3),
-                     seed=getattr(ns, "seed", 0),
-                     fmt=ns.fmt, words=tuple(getattr(ns, "words", ())))
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -105,12 +94,12 @@ def _graph_section(rep, g):
     rep.check("graph", "well-formed", True)
 
 
-def cmd_validate(config) -> Report:
-    g = load_graph_file(config.graph)
+def cmd_validate(args) -> Report:
+    g = load_graph_file(args.graph)
     rep = Report("validate")
     _graph_section(rep, g)
-    if config.t0 is not None:
-        rep.absorb(validate_collapsible(CollapseSpec(g, config.t0)))
+    if args.t0 is not None:
+        rep.absorb(validate_collapsible(CollapseSpec(g, args.t0)))
     return rep
 
 
@@ -122,26 +111,26 @@ def _element_rows(rep, section, f):
     return decomposition
 
 
-def cmd_mul(config) -> Report:
-    g = load_graph_file(config.graph)
-    ring = ring_from_spec(config.ring)
+def cmd_mul(args) -> Report:
+    g = load_graph_file(args.graph)
+    ring = ring_from_spec(args.ring)
     rep = Report("mul")
-    rep.add("inputs", "left", config.words[0])
-    rep.add("inputs", "right", config.words[1])
+    rep.add("inputs", "left", args.words[0])
+    rep.add("inputs", "right", args.words[1])
     rep.add("inputs", "ring", ring.name)
-    product = convolve(eval_word(g, config.words[0], ring),
-                       eval_word(g, config.words[1], ring))
+    product = convolve(eval_word(g, args.words[0], ring),
+                       eval_word(g, args.words[1], ring))
     _element_rows(rep, "product", product)
     return rep
 
 
-def cmd_grade(config) -> Report:
-    g = load_graph_file(config.graph)
-    ring = ring_from_spec(config.ring)
+def cmd_grade(args) -> Report:
+    g = load_graph_file(args.graph)
+    ring = ring_from_spec(args.ring)
     rep = Report("grade")
-    rep.add("inputs", "word", config.words[0])
+    rep.add("inputs", "word", args.words[0])
     rep.add("inputs", "ring", ring.name)
-    f = eval_word(g, config.words[0], ring)
+    f = eval_word(g, args.words[0], ring)
     decomposition = _element_rows(rep, "element", f)
     total = None
     for n in decomposition.degrees():
@@ -152,9 +141,9 @@ def cmd_grade(config) -> Report:
     return rep
 
 
-def cmd_relations(config) -> Report:
-    g = load_graph_file(config.graph)
-    ring = ring_from_spec(config.ring)
+def cmd_relations(args) -> Report:
+    g = load_graph_file(args.graph)
+    ring = ring_from_spec(args.ring)
     rep = Report("relations")
     _graph_section(rep, g)
     rep.add("graph", "ring", ring.name)
@@ -162,9 +151,9 @@ def cmd_relations(config) -> Report:
     return rep
 
 
-def cmd_collapse(config) -> Report:
-    g = load_graph_file(config.graph)
-    spec = CollapseSpec(g, config.t0 or ())
+def cmd_collapse(args) -> Report:
+    g = load_graph_file(args.graph)
+    spec = CollapseSpec(g, args.t0 or ())
     rep = Report("collapse")
     rep.absorb(validate_collapsible(spec))
     if not rep.ok:
@@ -173,19 +162,19 @@ def cmd_collapse(config) -> Report:
     rep.add("collapsed-graph", "vertices", ", ".join(cert.collapsed.vertices))
     for e in cert.collapsed.edges:
         rep.add("collapsed-graph", e.id, "%s <- %s" % (e.range_vertex, e.source_vertex))
-    rep.absorb(check_phi_fin_image(cert, max_len=config.depth + 2), prefix="paths.")
-    rep.absorb(pointed_groupoid_iso_check(cert, depth=config.depth), prefix="groupoid.")
+    rep.absorb(check_phi_fin_image(cert, max_len=args.depth + 2), prefix="paths.")
+    rep.absorb(pointed_groupoid_iso_check(cert, depth=args.depth), prefix="groupoid.")
     return rep
 
 
-def cmd_morita(config) -> Report:
-    g = load_graph_file(config.graph)
-    ring = ring_from_spec(config.ring)
-    spec = CollapseSpec(g, config.t0 or ())
+def cmd_morita(args) -> Report:
+    g = load_graph_file(args.graph)
+    ring = ring_from_spec(args.ring)
+    spec = CollapseSpec(g, args.t0 or ())
     pre = validate_collapsible(spec)
     if not pre.ok:
         return pre
-    return morita_report(g, spec.t0, ring, depth=config.depth, seed=config.seed)
+    return morita_report(g, spec.t0, ring, depth=args.depth, seed=args.seed)
 
 
 _COMMANDS = {"validate": cmd_validate, "mul": cmd_mul, "grade": cmd_grade,
@@ -195,25 +184,20 @@ _COMMANDS = {"validate": cmd_validate, "mul": cmd_mul, "grade": cmd_grade,
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        rep = _COMMANDS[config.command](config)
-    except (GraphFormatError, WordSyntaxError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        rep = _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        # Malformed graph files and words raise ValueError subclasses.
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
-    sys.stdout.write(rep.render(config.fmt))
+    sys.stdout.write(rep.render(args.fmt))
     return 0 if rep.ok else 3
 
 

@@ -149,27 +149,6 @@ class GroupoidProbe:
 # -- pair-level case analysis ---------------------------------------------
 
 
-def pair_extension(inner: PathPair, outer: PathPair):
-    """The common tau with inner == outer.extend(tau), or None.
-
-    When it exists, Z(inner) is contained in Z(outer).
-    """
-    t1 = strip_prefix(inner.mu, outer.mu)
-    t2 = strip_prefix(inner.nu, outer.nu)
-    if t1 is None or t2 is None or t1 != t2:
-        return None
-    return t1
-
-
-def intersect_pairs(p: PathPair, q: PathPair):
-    """Z(p) meet Z(q): the deeper pair when one extends the other, else None."""
-    if pair_extension(q, p) is not None:
-        return q
-    if pair_extension(p, q) is not None:
-        return p
-    return None
-
-
 def compose_pairs(p: PathPair, q: PathPair):
     """The set product Z(p) . Z(q), a single pair or None when empty.
 

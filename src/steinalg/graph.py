@@ -290,8 +290,8 @@ def sources(g: Graph) -> VertexSubset:
     return VertexSubset(g, [v for v in g.vertices if g.is_source(v)])
 
 
-def enumerate_paths(g: Graph, from_range=None, to_source=None, max_len=0):
-    """All paths of length <= max_len matching the endpoint filters.
+def enumerate_paths(g: Graph, from_range=None, max_len=0):
+    """All paths of length <= max_len ranging at from_range (or anywhere).
 
     Paths appear in lexicographic declaration order (vertex paths first),
     which makes the unfiltered output closed under taking prefixes.
@@ -300,19 +300,19 @@ def enumerate_paths(g: Graph, from_range=None, to_source=None, max_len=0):
         raise ValueError("max_len must be >= 0")
     roots = [from_range] if from_range is not None else list(g.vertices)
     out = []
-
-    def walk(path):
-        if to_source is None or path.source_vertex == to_source:
-            out.append(path)
-        if len(path) >= max_len:
-            return
-        for e in g.edges_with_range(path.source_vertex):
-            walk(Path(g, path.edges + (e.id,)) if path.edges else Path(g, (e.id,)))
-
     for v in roots:
         if not g.has_vertex(v):
             raise ValueError("unknown vertex %r" % (v,))
-        walk(vertex_path(g, v))
+        # An explicit stack, children pushed last edge first, pops paths in
+        # the same pre-order a recursive walk would visit them in, without
+        # reaching the interpreter's recursion limit on long paths.
+        stack = [vertex_path(g, v)]
+        while stack:
+            path = stack.pop()
+            out.append(path)
+            if len(path) < max_len:
+                stack.extend(Path(g, path.edges + (e.id,))
+                             for e in reversed(g.edges_with_range(path.source_vertex)))
     return out
 
 

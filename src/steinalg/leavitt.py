@@ -165,11 +165,6 @@ def parse_word(text):
     return word
 
 
-def render_word(word) -> str:
-    """Word text that parses back to the same tree shape."""
-    return word.render()
-
-
 # -- generators and evaluation ---------------------------------------------
 
 
@@ -179,9 +174,7 @@ def generator(graph, symbol, ring) -> SteinbergElement:
     p(v) is the indicator of the unit set at v; s(e) moves along e, so its
     set pairs the edge with its source vertex, and st(e) is the inverse set.
     """
-    if isinstance(symbol, tuple):
-        symbol = SymbolWord(*symbol)
-    elif isinstance(symbol, str):
+    if isinstance(symbol, str):
         parsed = parse_word(symbol)
         if not isinstance(parsed, SymbolWord):
             raise ValueError("%r is not a single generator symbol" % (symbol,))

@@ -1,14 +1,15 @@
 """Matrix calculus over a retained vertex set, with surjectivity witnesses.
 
 Fix a set of retained vertices meeting every orbit of the path groupoid
-(``check_transversal`` decides this by reverse reachability).  Basic pairs
-then sort into a 2x2 block pattern by whether the range vertices of the two
-legs are retained, and a ``LinkingElement`` holds one algebra element per
-block.  Block (1,1) constrains both legs, the off-diagonal blocks constrain
-one leg each, and block (2,2) constrains nothing, so the blocks overlap as
-supports even though ``corner_of`` classifies each single pair into exactly
-one cell.  Convolution becomes 2x2 matrix multiplication, ``psi`` and
-``phi`` are the off-diagonal products landing in the diagonal blocks, and
+(a ``Transversal`` decides this by reverse reachability: its ``unreachable``
+vertices are empty).  Basic pairs then sort into a 2x2 block pattern by
+whether the range vertices of the two legs are retained, and a
+``LinkingElement`` holds one algebra element per block.  Block (1,1)
+constrains both legs, the off-diagonal blocks constrain one leg each, and
+block (2,2) constrains nothing, so the blocks overlap as supports even
+though ``corner_of`` classifies each single pair into exactly one cell.
+Convolution becomes 2x2 matrix multiplication, ``psi`` and ``phi`` are the
+off-diagonal products landing in the diagonal blocks, and
 ``surjectivity_witness`` factors any single-pair indicator through the
 off-diagonal blocks, so the diagonal algebras form a surjective context.
 """
@@ -19,8 +20,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .collapse import CollapseSpec, collapse, pointed_groupoid_iso_check
-from .cylinder import (PathPair, compose_pairs, intersect_pairs, invert_pair,
-                       pairs_to_depth)
+from .cylinder import PathPair, compose_pairs, invert_pair, pairs_to_depth
 from .graph import Graph, Path, VertexSubset, concat, vertex_path
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, indicator, zero
@@ -74,6 +74,16 @@ class Transversal:
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "_connectors", least_connectors(graph, f0))
 
+    @property
+    def unreachable(self):
+        """The vertices with no path into the retained set, in declaration
+        order; the retained set meets every orbit exactly when this is empty.
+
+        A vertex with a connector lands its orbit over the retained set:
+        shift any boundary path to a visited vertex and prepend the connector.
+        """
+        return tuple(v for v in self.graph.vertices if self._connectors[v] is None)
+
 
 def least_connectors(graph: Graph, f0):
     """For each vertex v, the least path with source v ranging at a retained
@@ -100,31 +110,6 @@ def least_connectors(graph: Graph, f0):
                 best[e.source_vertex] = cand
                 changed = True
     return {v: best.get(v) for v in graph.vertices}
-
-
-@dataclass(frozen=True)
-class TransversalCheck:
-    ok: bool
-    unreachable: tuple
-    connectors: dict
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_transversal(graph: Graph, f0) -> TransversalCheck:
-    """Decide whether every vertex connects into the retained set.
-
-    A vertex passes when some path with that source ranges at a retained
-    vertex; shifting any boundary path to a visited vertex and prepending
-    such a connector then lands its orbit over the retained set.  The
-    witnesses double as the connectors the surjectivity construction uses.
-    """
-    if not isinstance(f0, VertexSubset):
-        f0 = VertexSubset(graph, f0)
-    connectors = least_connectors(graph, f0)
-    unreachable = tuple(v for v in graph.vertices if connectors[v] is None)
-    return TransversalCheck(not unreachable, unreachable, connectors)
 
 
 # -- corners ----------------------------------------------------------------
@@ -293,10 +278,11 @@ def eq_ops_check(transversal, m, m_prime, n, n_prime) -> bool:
 
 @dataclass(frozen=True)
 class MoritaWitness:
-    """Off-diagonal factor pairs reconstructing a single-pair indicator.
+    """The off-diagonal factor pair reconstructing a single-pair indicator.
 
-    Each piece is (v_i, n_i) with v_i in the (1,2) block and n_i in the
-    (2,1) block; the psi side sums v_i * n_i and the phi side n_i * v_i.
+    ``pieces`` is ((v, n),) with v in the (1,2) block and n in the (2,1)
+    block, or () when the target admits no factorisation; the psi side
+    multiplies v * n and the phi side n * v.
     """
 
     side: str
@@ -315,21 +301,20 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
     The psi side covers the range unit set of the pair by itself (already
     over the retained set); the phi side routes through the least connector
     from the pair's source vertex into the retained set, which exists
-    whenever check_transversal passes.
+    whenever that vertex is not among the transversal's unreachable ones.
     """
     if side not in ("psi", "phi"):
         raise ValueError("side must be 'psi' or 'phi'")
-    g, f0 = transversal.graph, transversal.f0
+    f0 = transversal.f0
     rep = Report("surjectivity witness (%s side)" % side)
     rep.add("target", "pair", pair.render())
     rep.add("target", "cell", corner_of(pair, f0).render())
-    pieces = []
     if side == "psi":
         if not rep.check("target", "supported", corner_of(pair, f0) == Corner.GG,
                          "psi targets need both legs retained"):
             return MoritaWitness(side, pair, (), rep)
-        v1 = PathPair(pair.mu, pair.mu)
-        pieces = [(v1, compose_pairs(invert_pair(v1), pair))]
+        v = PathPair(pair.mu, pair.mu)
+        n = compose_pairs(invert_pair(v), pair)
     else:
         conn = transversal._connectors.get(pair.source_vertex)
         if not rep.check("target", "connector-exists", conn is not None,
@@ -337,50 +322,34 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
                          % pair.source_vertex):
             return MoritaWitness(side, pair, (), rep)
         rep.add("target", "connector", conn.render())
-        v1 = PathPair(conn, pair.nu)
-        pieces = [(v1, compose_pairs(pair, invert_pair(v1)))]
+        v = PathPair(conn, pair.nu)
+        n = compose_pairs(pair, invert_pair(v))
 
-    for i, (v, n) in enumerate(pieces, start=1):
-        rep.check("factors", "piece-%d-blocks" % i,
-                  pair_supported_in(v, f0, Corner.GZ)
-                  and pair_supported_in(n, f0, Corner.ZG))
-    if len(pieces) > 1:
-        rep.check("factors", "pieces-disjoint",
-                  all(intersect_pairs(a[0], b[0]) is None
-                      for i, a in enumerate(pieces) for b in pieces[i + 1:]))
+    rep.check("factors", "piece-1-blocks",
+              pair_supported_in(v, f0, Corner.GZ)
+              and pair_supported_in(n, f0, Corner.ZG))
+    rep.check("factors", "pieces-disjoint", "vacuous", "single piece")
+
+    # The unit set of the (1,2) factor is the matching unit set of the
+    # target: range units on the psi side, source units on the phi side.
+    v_ind, v_inv, n_ind = (indicator(v, ring), indicator(invert_pair(v), ring),
+                           indicator(n, ring))
+    target = indicator(pair, ring)
+    if side == "psi":
+        unit, direct = convolve(v_ind, v_inv), convolve(v_ind, n_ind)
+        unit_target = PathPair(pair.mu, pair.mu)
     else:
-        rep.check("factors", "pieces-disjoint", "vacuous", "single piece")
+        unit, direct = convolve(v_inv, v_ind), convolve(n_ind, v_ind)
+        unit_target = PathPair(pair.nu, pair.nu)
+    rep.check("verification", "unit-cover", unit == indicator(unit_target, ring))
+    rep.check("verification", "reconstructs", direct == target)
 
-    # The unit sets of the off-diagonal factors tile the matching unit set
-    # of the target: range units on the psi side, source units on the phi.
-    unit_sum = zero(g, ring)
-    for v, _ in pieces:
-        if side == "psi":
-            unit_sum = add(unit_sum, convolve(indicator(v, ring),
-                                              indicator(invert_pair(v), ring)))
-        else:
-            unit_sum = add(unit_sum, convolve(indicator(invert_pair(v), ring),
-                                              indicator(v, ring)))
-    unit_target = PathPair(pair.mu, pair.mu) if side == "psi" \
-        else PathPair(pair.nu, pair.nu)
-    rep.check("verification", "unit-cover", unit_sum == indicator(unit_target, ring))
-
-    direct = zero(g, ring)
-    for v, n in pieces:
-        left, right = (v, n) if side == "psi" else (n, v)
-        direct = add(direct, convolve(indicator(left, ring), indicator(right, ring)))
-    rep.check("verification", "reconstructs", direct == indicator(pair, ring))
-
-    total = linking_zero(transversal, ring)
-    for v, n in pieces:
-        mv = LinkingElement(transversal, ring, f12=indicator(v, ring))
-        mn = LinkingElement(transversal, ring, f21=indicator(n, ring))
-        prod = linking_convolve(mv, mn) if side == "psi" else linking_convolve(mn, mv)
-        total = linking_add(total, prod)
-    want = embed(transversal, indicator(pair, ring),
-                 Corner.GG if side == "psi" else Corner.HH)
-    rep.check("verification", "matrix-reconstructs", total == want)
-    return MoritaWitness(side, pair, tuple(pieces), rep)
+    mv = LinkingElement(transversal, ring, f12=v_ind)
+    mn = LinkingElement(transversal, ring, f21=n_ind)
+    prod = linking_convolve(mv, mn) if side == "psi" else linking_convolve(mn, mv)
+    want = embed(transversal, target, Corner.GG if side == "psi" else Corner.HH)
+    rep.check("verification", "matrix-reconstructs", prod == want)
+    return MoritaWitness(side, pair, ((v, n),), rep)
 
 
 # -- the end-to-end report -----------------------------------------------------
@@ -408,9 +377,9 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     rep.add("setup", "depth", depth)
     rep.add("setup", "seed", seed)
 
-    trans = check_transversal(graph, f0)
-    rep.check("transversal", "meets-every-orbit", trans.ok,
-              "" if trans.ok else "unreachable: %s" % ",".join(trans.unreachable))
+    unreachable = transversal.unreachable
+    rep.check("transversal", "meets-every-orbit", not unreachable,
+              "unreachable: %s" % ",".join(unreachable) if unreachable else "")
 
     pairs = pairs_to_depth(graph, depth)
     cells = {c: 0 for c in Corner}
@@ -419,7 +388,7 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     for c in Corner:
         rep.add("corners", c.render(), cells[c])
 
-    if trans.ok:
+    if not unreachable:
         for side in ("psi", "phi"):
             targets = [p for p in pairs
                        if side == "phi" or corner_of(p, f0) == Corner.GG]

@@ -54,18 +54,23 @@ class CoefficientRing:
         return str(a)
 
     def selftest(self, rng, rounds=200):
-        """Assert the commutative-ring axioms on sampled triples."""
+        """Check the commutative-ring axioms on sampled triples; returns
+        False at the first round where an axiom fails, True otherwise."""
         for _ in range(rounds):
             a, b, c = (self.sample(rng) for _ in range(3))
-            assert self.eq(self.add(a, b), self.add(b, a))
-            assert self.eq(self.add(self.add(a, b), c), self.add(a, self.add(b, c)))
-            assert self.eq(self.add(a, self.zero()), a)
-            assert self.eq(self.add(a, self.negate(a)), self.zero())
-            assert self.eq(self.mul(a, b), self.mul(b, a))
-            assert self.eq(self.mul(self.mul(a, b), c), self.mul(a, self.mul(b, c)))
-            assert self.eq(self.mul(a, self.one()), a)
-            assert self.eq(self.mul(a, self.add(b, c)),
-                           self.add(self.mul(a, b), self.mul(a, c)))
+            axioms = (
+                (self.add(a, b), self.add(b, a)),
+                (self.add(self.add(a, b), c), self.add(a, self.add(b, c))),
+                (self.add(a, self.zero()), a),
+                (self.add(a, self.negate(a)), self.zero()),
+                (self.mul(a, b), self.mul(b, a)),
+                (self.mul(self.mul(a, b), c), self.mul(a, self.mul(b, c))),
+                (self.mul(a, self.one()), a),
+                (self.mul(a, self.add(b, c)),
+                 self.add(self.mul(a, b), self.mul(a, c))),
+            )
+            if not all(self.eq(lhs, rhs) for lhs, rhs in axioms):
+                return False
         return True
 
     def __repr__(self):

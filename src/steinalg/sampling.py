@@ -13,7 +13,7 @@ import random
 from .collapse import CollapseSpec, collapse, validate_collapsible
 from .cylinder import BasicBisection, GroupoidProbe, PathPair
 from .graph import Graph, Path, VertexSubset, concat, vertex_path
-from .morita import Corner, check_transversal
+from .morita import Corner, Transversal
 from .steinberg import SteinbergElement, from_terms
 
 
@@ -134,13 +134,13 @@ def random_adequate_probe(rng, g, pair: PathPair, depth) -> GroupoidProbe:
 
 
 def random_transversal(rng, g) -> VertexSubset:
-    """A retained vertex set passing check_transversal; the full vertex set
-    is the always-valid fallback."""
+    """A retained vertex set that every vertex can reach; the full vertex
+    set is the always-valid fallback."""
     for _ in range(20):
         k = rng.randint(1, len(g.vertices))
-        f0 = VertexSubset(g, rng.sample(g.vertices, k))
-        if check_transversal(g, f0).ok:
-            return f0
+        t = Transversal(g, rng.sample(g.vertices, k))
+        if not t.unreachable:
+            return t.f0
     return VertexSubset(g, g.vertices)
 
 

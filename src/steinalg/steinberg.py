@@ -42,10 +42,6 @@ class SteinbergElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
-    def canonical_depth(self):
-        """The largest min depth among stored pairs (0 for the zero element)."""
-        return max((p.min_depth for p in self.terms), default=0)
-
     def max_path_len(self):
         return max((max(len(p.mu), len(p.nu)) for p in self.terms), default=0)
 
@@ -155,7 +151,15 @@ def indicator(b, ring) -> SteinbergElement:
 
 
 def from_terms(graph, ring, pairs_and_coeffs) -> SteinbergElement:
-    return SteinbergElement(graph, ring, pairs_and_coeffs)
+    """The element sum c * 1_Z(p) over (p, c) pairs.
+
+    Each coefficient is first reduced into the ring by adding it to zero
+    (a residue mod n, a Fraction over q), so equal functions compare equal
+    whatever form their coefficients were given in.
+    """
+    z = ring.zero()
+    return SteinbergElement(graph, ring,
+                            [(p, ring.add(z, c)) for p, c in pairs_and_coeffs])
 
 
 # -- module operations -----------------------------------------------------

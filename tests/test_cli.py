@@ -104,6 +104,14 @@ def test_missing_required_flag(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("command", ["collapse", "morita-check"])
+def test_negative_depth_is_a_usage_error(command, graph_file, capsys):
+    code, out, err = run(capsys, command, "--graph", graph_file(TWO_CYCLE_TEXT),
+                         "--t0", "w", "--depth", "-1")
+    assert code == 1 and out == ""
+    assert "usage error" in err and "depth must be >= 0" in err
+
+
 def test_wrong_word_count(graph_file, capsys):
     code, _, err = run(capsys, "mul", "--graph", graph_file(LOOP_TEXT), "p(v)")
     assert code == 1

@@ -13,9 +13,9 @@ import pytest
 
 from steinalg import (BasicBisection, GroupoidProbe, Path, PathPair,
                       as_bisection, boundary_tails, compose_pairs, concat,
-                      enumerate_paths, enumerate_probes, expand,
-                      intersect_pairs, invert, invert_pair, member,
-                      pair_contains, pairs_to_depth, probes_in, vertex_path)
+                      enumerate_paths, enumerate_probes, expand, invert,
+                      invert_pair, member, pair_contains, pairs_to_depth,
+                      probes_in, vertex_path)
 from steinalg import sampling
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -167,21 +167,6 @@ def test_compose_pairs_incompatible(line_graph):
     f1 = Path(line_graph, ("f1",))
     f2 = Path(line_graph, ("f2",))
     assert compose_pairs(PathPair(f1, f1), PathPair(f2, f2)) is None
-
-
-def test_intersect_pairs_nesting(loop_graph):
-    e = Path(loop_graph, ("e",))
-    v = vertex_path(loop_graph, "v")
-    # The deeper pair wins when one pair is a common extension of the other.
-    assert intersect_pairs(PathPair(e, e), PathPair(v, v)) == PathPair(e, e)
-    assert intersect_pairs(PathPair(v, v), PathPair(e, e)) == PathPair(e, e)
-    assert intersect_pairs(PathPair(e, v), PathPair(v, v)) is None  # degree 1 vs 0
-
-
-def test_intersect_pairs_disjoint_branches(rose2):
-    a = Path(rose2, ("a",))
-    b = Path(rose2, ("b",))
-    assert intersect_pairs(PathPair(a, a), PathPair(b, b)) is None
 
 
 def test_expand_partitions(rose2, line_graph):

@@ -103,9 +103,13 @@ def test_enumerate_paths(rose2, line_graph):
         ["v", "a", "a.a", "a.b", "b", "b.a", "b.b"]
     assert [p.render() for p in enumerate_paths(line_graph, from_range="a", max_len=3)] == \
         ["a", "f1", "f1.f2"]
-    assert [p.render() for p in
-            enumerate_paths(line_graph, from_range="a", to_source="c", max_len=3)] == \
-        ["f1.f2"]
+
+
+def test_enumerate_paths_beyond_recursion_limit(loop_graph):
+    limit = sys.getrecursionlimit() + 200
+    paths = enumerate_paths(loop_graph, max_len=limit)
+    assert len(paths) == limit + 1
+    assert [len(p) for p in paths] == list(range(limit + 1))
 
 
 def test_is_acyclic(line_graph, loop_graph, two_cycle):

@@ -9,8 +9,8 @@ import pytest
 from steinalg import (BasicBisection, IntegerRing, IntegersMod, Path,
                       PathPair, RationalRing, WordSyntaxError, add,
                       check_ck_relations, convolve, eval_word, generator,
-                      indicator, indicator_as_word, parse_word, render_word,
-                      scale, vertex_path)
+                      indicator, indicator_as_word, parse_word, scale,
+                      vertex_path)
 from steinalg import sampling
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -30,7 +30,7 @@ RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
 ])
 def test_render_parse_roundtrip(text, loop_graph, zring):
     word = parse_word(text)
-    again = parse_word(render_word(word))
+    again = parse_word(word.render())
     assert again == word
     assert eval_word(loop_graph, again, zring) == eval_word(loop_graph, word, zring)
 
@@ -70,8 +70,8 @@ def test_syntax_errors(text, fragment):
 
 def test_sum_factors_keep_parens_when_rendered(rose2, zring):
     word = parse_word("(p(v) + s(a)) * st(b)")
-    assert render_word(word) == "(p(v) + s(a)) * st(b)"
-    assert parse_word(render_word(word)) == word
+    assert word.render() == "(p(v) + s(a)) * st(b)"
+    assert parse_word(word.render()) == word
 
 
 # -- generators ------------------------------------------------------------------
@@ -166,10 +166,10 @@ def test_indicator_as_word_frozen(rose2, zring):
     b = Path(rose2, ("b",))
     v = vertex_path(rose2, "v")
     word = indicator_as_word(PathPair(a, b))
-    assert render_word(word) == "s(a) * st(b)"
+    assert word.render() == "s(a) * st(b)"
     excl = BasicBisection(PathPair(v, v), [a])
     word = indicator_as_word(excl)
-    assert render_word(word) == "p(v) + -(s(a) * st(a))"
+    assert word.render() == "p(v) + -(s(a) * st(a))"
     assert eval_word(rose2, word, zring) == indicator(excl, zring)
 
 
@@ -178,14 +178,14 @@ def test_indicator_as_word_star_order(two_cycle, zring):
     e12 = Path(two_cycle, ("e1", "e2"))
     v = vertex_path(two_cycle, "v")
     word = indicator_as_word(PathPair(v, e12))
-    assert render_word(word) == "st(e2) * st(e1)"
+    assert word.render() == "st(e2) * st(e1)"
     assert eval_word(two_cycle, word, zring) == indicator(PathPair(v, e12), zring)
 
 
 def test_indicator_as_word_unit_pair(rose2, zring):
     v = vertex_path(rose2, "v")
     word = indicator_as_word(PathPair(v, v))
-    assert render_word(word) == "p(v)"
+    assert word.render() == "p(v)"
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)

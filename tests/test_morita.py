@@ -6,11 +6,11 @@ import pytest
 
 from steinalg import (Corner, CornerSupportError, Graph, IntegerRing,
                       IntegersMod, LinkingElement, Path, PathPair,
-                      RationalRing, Transversal, add, check_transversal,
-                      convolve, embed, eq_ops_check, indicator,
-                      least_connectors, linking_add, linking_convolve,
-                      linking_zero, morita_report, pairs_to_depth, phi, psi,
-                      surjectivity_witness, vertex_path, zero)
+                      RationalRing, Transversal, add, convolve, embed,
+                      eq_ops_check, indicator, least_connectors, linking_add,
+                      linking_convolve, linking_zero, morita_report,
+                      pairs_to_depth, phi, psi, surjectivity_witness,
+                      vertex_path, zero)
 from steinalg import sampling
 from steinalg.morita import element_supported_in, pair_supported_in
 
@@ -63,18 +63,16 @@ def test_supports_overlap(two_cycle):
 
 
 def test_transversal_accepts_two_cycle(two_cycle):
-    res = check_transversal(two_cycle, ["v"])
-    assert res.ok and res.unreachable == ()
-    assert res.connectors["v"].render() == "v"
-    assert res.connectors["w"].render() == "e1"
+    assert Transversal(two_cycle, ["v"]).unreachable == ()
+    conn = least_connectors(two_cycle, ["v"])
+    assert conn["v"].render() == "v"
+    assert conn["w"].render() == "e1"
 
 
 def test_transversal_rejects_unreachable_vertex():
     g = one_way_graph()
-    res = check_transversal(g, ["u"])
-    assert not res.ok
-    assert res.unreachable == ("v",)
-    assert res.connectors["v"] is None
+    assert Transversal(g, ["u"]).unreachable == ("v",)
+    assert least_connectors(g, ["u"])["v"] is None
     # The same split is a perfectly valid collapse instance.
     from steinalg import CollapseSpec, validate_collapsible
     assert validate_collapsible(CollapseSpec(g, ["v"])).ok

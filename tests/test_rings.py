@@ -14,6 +14,15 @@ def test_axioms(ring):
     assert ring.selftest(rng_from_seed(0))
 
 
+def test_selftest_reports_a_broken_axiom():
+    # A plain False, not an assertion, so the check also runs under -O.
+    class OffByOne(IntegerRing):
+        def add(self, a, b):
+            return a + b + 1
+
+    assert OffByOne().selftest(rng_from_seed(0)) is False
+
+
 def test_mod_normalizes():
     ring = IntegersMod(4)
     assert ring.add(3, 3) == 2

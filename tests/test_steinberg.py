@@ -1,5 +1,7 @@
 """The convolution algebra: canonical forms, the pointwise oracle, grading."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
@@ -40,6 +42,17 @@ def test_contraction_collision_is_an_internal_error(rose2, zring):
     terms = {PathPair(v, v): 1, PathPair(a, a): 1, PathPair(b, b): 1}
     with pytest.raises(RuntimeError, match="collided"):
         _contract(rose2, zring, terms)
+
+
+def test_from_terms_reduces_coefficients(loop_graph, qring):
+    v = vertex_path(loop_graph, "v")
+    p = PathPair(v, v)
+    mod4 = IntegersMod(4)
+    assert from_terms(loop_graph, mod4, [(p, 4)]).is_zero()
+    assert from_terms(loop_graph, mod4, [(p, 5)]) == \
+        from_terms(loop_graph, mod4, [(p, 1)])
+    [coeff] = from_terms(loop_graph, qring, [(p, 3)]).terms.values()
+    assert type(coeff) is Fraction and coeff == 3
 
 
 def test_partial_fans_do_not_contract(rose2, zring):
