@@ -15,6 +15,7 @@ from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
                        boundary_tails, compose_pairs, enumerate_probes, expand,
                        invert, invert_pair, member, pair_contains,
                        pairs_to_depth, probes_in)
+from .errors import InputError
 from .graph import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                     enumerate_paths, is_acyclic, is_prefix, load_graph,
                     load_graph_file, serialize_graph, sources, strip_prefix,

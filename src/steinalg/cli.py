@@ -5,7 +5,8 @@ Every run is a pure function of (input files, flags, seed) and the reports
 are rendered deterministically, so repeated runs are byte-identical.
 
 Exit codes: 0 all checks pass, 1 usage error, 2 unreadable or invalid
-input, 3 a certified check failed, 4 internal invariant failure.
+input, 3 a certified check failed, 4 internal failure (a broken invariant,
+or a ValueError that is not rejected input).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 
 from .collapse import CollapseSpec, check_phi_fin_image, collapse, \
     pointed_groupoid_iso_check, validate_collapsible
+from .errors import InputError
 from .graph import load_graph_file
 from .leavitt import check_ck_relations, eval_word
 from .morita import morita_report
@@ -190,11 +192,10 @@ def main(argv=None) -> int:
         return 1
     try:
         rep = _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
-        # Malformed graph files and words raise ValueError subclasses.
+    except (OSError, InputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, ValueError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
     sys.stdout.write(rep.render(args.fmt))

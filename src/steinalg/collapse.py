@@ -179,7 +179,7 @@ def collapsed_preimage(cert: CollapseCertificate, epath: Path):
             start = i
     try:
         return Path(F, tuple(ids))
-    except (KeyError, ValueError):
+    except ValueError:
         return None
 
 

@@ -7,27 +7,62 @@ set the elements whose continuation starts with one of finitely many
 excluded paths.  All operations below are symbolic and exact; nothing
 infinite is ever materialized.  ``GroupoidProbe`` truncations stand in for
 actual groupoid elements in membership tests.
+
+Validation happens once, at the boundary.  The public ``PathPair`` and
+``GroupoidProbe`` constructors check that both legs live on one graph and
+share their source vertex.  Operations on valid pairs (``compose_pairs``,
+``PathPair.extend``, ``invert_pair``, ``expand``) build their results with
+the private ``_pair``, which checks nothing: each result shares its source
+by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, Path, concat, enumerate_paths, is_prefix, strip_prefix
+from .graph import (Graph, Path, _path, concat, enumerate_paths, is_prefix,
+                    strip_prefix)
 
 
-@dataclass(frozen=True)
 class PathPair:
-    """The basic set Z(mu, nu); requires source(mu) == source(nu)."""
+    """The basic set Z(mu, nu); requires source(mu) == source(nu).
 
-    mu: Path
-    nu: Path
+    Immutable: assigning to ``mu`` or ``nu`` raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if self.mu.graph is not self.nu.graph:
+    __slots__ = ("mu", "nu")
+
+    def __init__(self, mu: Path, nu: Path):
+        if mu.graph is not nu.graph:
             raise ValueError("paths live on different graphs")
-        if self.mu.source_vertex != self.nu.source_vertex:
-            raise ValueError("pair %r needs a common source vertex" % (self,))
+        if mu.source_vertex != nu.source_vertex:
+            raise ValueError("pair Z(%s,%s) needs a common source vertex"
+                             % (mu.render(), nu.render()))
+        _set_mu(self, mu)
+        _set_nu(self, nu)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PathPair is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PathPair is immutable")
+
+    def __reduce__(self):
+        return (PathPair, (self.mu, self.nu))
+
+    # Both legs of a pair live on one graph and end at one source vertex,
+    # so the edge sequences and that vertex decide equality of the legs.
+
+    def __eq__(self, other):
+        if other.__class__ is not PathPair:
+            return NotImplemented
+        mu, other_mu = self.mu, other.mu
+        return (mu.graph is other_mu.graph and mu.edges == other_mu.edges
+                and self.nu.edges == other.nu.edges
+                and mu.source_vertex == other_mu.source_vertex)
+
+    def __hash__(self):
+        return hash((self.mu.edges, self.nu.edges, self.mu.source_vertex))
 
     @property
     def graph(self) -> Graph:
@@ -39,17 +74,17 @@ class PathPair:
 
     @property
     def degree(self):
-        return len(self.mu) - len(self.nu)
+        return len(self.mu.edges) - len(self.nu.edges)
 
     @property
     def min_depth(self):
-        return min(len(self.mu), len(self.nu))
+        return min(len(self.mu.edges), len(self.nu.edges))
 
     def is_source_terminated(self):
         return self.graph.is_source(self.source_vertex)
 
     def extend(self, tau: Path) -> "PathPair":
-        return PathPair(concat(self.mu, tau), concat(self.nu, tau))
+        return _pair(concat(self.mu, tau), concat(self.nu, tau))
 
     def sort_key(self):
         return (len(self.mu), self.mu.sort_key(), self.nu.sort_key())
@@ -59,6 +94,20 @@ class PathPair:
 
     def __repr__(self):
         return self.render()
+
+
+_new_pair = object.__new__
+_set_mu = PathPair.mu.__set__
+_set_nu = PathPair.nu.__set__
+
+
+def _pair(mu: Path, nu: Path) -> PathPair:
+    """A pair whose legs are known to share their graph and source vertex;
+    nothing is checked."""
+    p = _new_pair(PathPair)
+    _set_mu(p, mu)
+    _set_nu(p, nu)
+    return p
 
 
 @dataclass(frozen=True)
@@ -158,15 +207,15 @@ def compose_pairs(p: PathPair, q: PathPair):
     """
     tau = strip_prefix(q.mu, p.nu)
     if tau is not None:
-        return PathPair(concat(p.mu, tau), q.nu)
+        return _pair(concat(p.mu, tau), q.nu)
     tau = strip_prefix(p.nu, q.mu)
     if tau is not None:
-        return PathPair(p.mu, concat(q.nu, tau))
+        return _pair(p.mu, concat(q.nu, tau))
     return None
 
 
 def invert_pair(p: PathPair) -> PathPair:
-    return PathPair(p.nu, p.mu)
+    return _pair(p.nu, p.mu)
 
 
 def invert(b):
@@ -197,7 +246,8 @@ def expand(p: PathPair, target_depth: int):
                 continue
             g = cur.graph
             for e in g.edges_with_range(cur.source_vertex):
-                deeper.append(cur.extend(Path(g, (e.id,))))
+                deeper.append(cur.extend(
+                    _path(g, (e.id,), e.range_vertex, e.source_vertex)))
         level = deeper
     return done
 

@@ -8,14 +8,23 @@ end and source(x_n) at the right end, and it extends at the source end.  A
 Vertices and edges keep their declaration order, and every enumeration and
 tie-break in the package derives from that order, so all outputs are
 reproducible byte for byte.
+
+Validation happens once, at the boundary.  The public ``Path`` constructor
+checks that every edge id exists and that the edges compose, and computes
+both endpoints.  Operations on valid paths (``concat``, ``strip_prefix``,
+``Path.prefix``, ``enumerate_paths``) build their results with the private
+``_path``, which trusts the edges and endpoints it is given: each caller
+knows them from the paths it started from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
 
-class GraphFormatError(ValueError):
+
+class GraphFormatError(InputError):
     """Malformed graph text; carries the offending line number when known."""
 
     def __init__(self, message, line=None):
@@ -100,45 +109,51 @@ class Graph:
 
 
 class Path:
-    """A finite path: a single vertex, or a composable edge-id sequence."""
+    """A finite path: a single vertex, or a composable edge-id sequence.
 
-    __slots__ = ("graph", "edges", "vertex")
+    Both endpoints are computed once, when the path is built; ``vertex`` is
+    the vertex of a vertex path and None for an edge path.
+    """
+
+    __slots__ = ("graph", "edges", "range_vertex", "source_vertex")
 
     def __init__(self, graph, edges=(), vertex=None):
         edges = tuple(edges)
         if edges:
-            prev = None
-            for eid in edges:
-                e = graph.edge(eid)
-                if prev is not None and prev.source_vertex != e.range_vertex:
+            first = prev = _known_edge(graph, edges[0])
+            for eid in edges[1:]:
+                e = _known_edge(graph, eid)
+                if prev.source_vertex != e.range_vertex:
                     raise ValueError(
                         "edges %r and %r are not composable" % (prev.id, e.id))
                 prev = e
-            vertex = None
+            range_vertex, source_vertex = first.range_vertex, prev.source_vertex
         else:
             if vertex is None or not graph.has_vertex(vertex):
-                raise ValueError("vertex path needs a declared vertex, got %r" % (vertex,))
+                raise InputError(
+                    "vertex path needs a declared vertex, got %r" % (vertex,))
+            range_vertex = source_vertex = vertex
         self.graph = graph
         self.edges = edges
-        self.vertex = vertex
+        self.range_vertex = range_vertex
+        self.source_vertex = source_vertex
 
     @property
-    def range_vertex(self):
-        return self.vertex if not self.edges else self.graph.edge(self.edges[0]).range_vertex
-
-    @property
-    def source_vertex(self):
-        return self.vertex if not self.edges else self.graph.edge(self.edges[-1]).source_vertex
+    def vertex(self):
+        return None if self.edges else self.range_vertex
 
     def __len__(self):
         return len(self.edges)
 
     def __eq__(self, other):
+        # Equal edge sequences on one graph share their range vertex, so
+        # the range comparison only separates vertex paths.
         return (isinstance(other, Path) and self.graph is other.graph
-                and self.edges == other.edges and self.vertex == other.vertex)
+                and self.edges == other.edges
+                and self.range_vertex == other.range_vertex)
 
     def __hash__(self):
-        return hash((id(self.graph), self.edges, self.vertex))
+        return hash(self.edges) if self.edges else hash(self.range_vertex)
 
     def sort_key(self):
         # Lexicographic in declaration order; vertex paths precede edge paths.
@@ -148,15 +163,40 @@ class Path:
 
     def prefix(self, n):
         """The first n edges as a path (the vertex path at the range for n == 0)."""
+        if n >= len(self.edges):
+            return self
         if n == 0:
-            return Path(self.graph, (), self.range_vertex)
-        return Path(self.graph, self.edges[:n])
+            return _path(self.graph, (), self.range_vertex, self.range_vertex)
+        edges = self.edges[:n]
+        return _path(self.graph, edges, self.range_vertex,
+                     self.graph._by_id[edges[-1]].source_vertex)
 
     def render(self):
         return self.vertex if not self.edges else ".".join(self.edges)
 
     def __repr__(self):
         return "Path(%s)" % self.render()
+
+
+def _known_edge(graph, edge_id) -> Edge:
+    try:
+        return graph.edge(edge_id)
+    except KeyError:
+        raise InputError("unknown edge id %r" % (edge_id,)) from None
+
+
+_new_path = object.__new__
+
+
+def _path(graph, edges, range_vertex, source_vertex) -> Path:
+    """A path from edges already known to compose, with known endpoints;
+    nothing is checked."""
+    p = _new_path(Path)
+    p.graph = graph
+    p.edges = edges
+    p.range_vertex = range_vertex
+    p.source_vertex = source_vertex
+    return p
 
 
 def vertex_path(graph, v) -> Path:
@@ -173,18 +213,24 @@ def concat(p: Path, q: Path) -> Path:
         return p
     if not p.edges:
         return q
-    return Path(p.graph, p.edges + q.edges)
+    return _path(p.graph, p.edges + q.edges, p.range_vertex, q.source_vertex)
 
 
 def strip_prefix(full: Path, prefix: Path):
     """The remainder tau with full == concat(prefix, tau), or None."""
-    if len(prefix) > len(full) or full.edges[:len(prefix)] != prefix.edges:
+    edges = full.edges
+    n = len(prefix.edges)
+    # A longer prefix fails the comparison: the slice stops at len(edges).
+    if edges[:n] != prefix.edges or prefix.range_vertex != full.range_vertex:
         return None
-    if prefix.range_vertex != full.range_vertex:
-        return None
-    if len(prefix) == len(full):
-        return Path(full.graph, (), full.source_vertex)
-    return Path(full.graph, full.edges[len(prefix):])
+    if n == 0:
+        return full
+    if n == len(edges):
+        return _path(full.graph, (), full.source_vertex, full.source_vertex)
+    # The remainder ranges where its first edge does, in full's own graph.
+    rest = edges[n:]
+    return _path(full.graph, rest, full.graph._by_id[rest[0]].range_vertex,
+                 full.source_vertex)
 
 
 def is_prefix(prefix: Path, full: Path) -> bool:
@@ -202,7 +248,7 @@ class VertexSubset:
         members = set(members)
         for v in members:
             if not graph.has_vertex(v):
-                raise ValueError("unknown vertex %r" % (v,))
+                raise InputError("unknown vertex %r" % (v,))
         ordered = tuple(v for v in graph.vertices if v in members)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "members", ordered)
@@ -302,7 +348,7 @@ def enumerate_paths(g: Graph, from_range=None, max_len=0):
     out = []
     for v in roots:
         if not g.has_vertex(v):
-            raise ValueError("unknown vertex %r" % (v,))
+            raise InputError("unknown vertex %r" % (v,))
         # An explicit stack, children pushed last edge first, pops paths in
         # the same pre-order a recursive walk would visit them in, without
         # reaching the interpreter's recursion limit on long paths.
@@ -311,7 +357,9 @@ def enumerate_paths(g: Graph, from_range=None, max_len=0):
             path = stack.pop()
             out.append(path)
             if len(path) < max_len:
-                stack.extend(Path(g, path.edges + (e.id,))
+                # Each edge e ranging at the path's source extends it.
+                stack.extend(_path(g, path.edges + (e.id,), path.range_vertex,
+                                   e.source_vertex)
                              for e in reversed(g.edges_with_range(path.source_vertex)))
     return out
 

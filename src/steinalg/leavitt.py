@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cylinder import PathPair, as_bisection
+from .errors import InputError
 from .graph import Path, concat, vertex_path
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, indicator, negate, scale, zero
@@ -67,7 +68,7 @@ class NegWord:
         return "-(%s)" % self.inner.render()
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(InputError):
     pass
 
 
@@ -177,23 +178,23 @@ def generator(graph, symbol, ring) -> SteinbergElement:
     if isinstance(symbol, str):
         parsed = parse_word(symbol)
         if not isinstance(parsed, SymbolWord):
-            raise ValueError("%r is not a single generator symbol" % (symbol,))
+            raise InputError("%r is not a single generator symbol" % (symbol,))
         symbol = parsed
     if symbol.kind == "p":
         if not graph.has_vertex(symbol.name):
-            raise ValueError("unknown vertex %r" % (symbol.name,))
+            raise InputError("unknown vertex %r" % (symbol.name,))
         v = vertex_path(graph, symbol.name)
         return indicator(PathPair(v, v), ring)
     if symbol.kind in ("s", "st"):
         try:
             e = graph.edge(symbol.name)
         except KeyError:
-            raise ValueError("unknown edge %r" % (symbol.name,)) from None
+            raise InputError("unknown edge %r" % (symbol.name,)) from None
         edge = Path(graph, (e.id,))
         src = vertex_path(graph, e.source_vertex)
         pair = PathPair(edge, src) if symbol.kind == "s" else PathPair(src, edge)
         return indicator(pair, ring)
-    raise ValueError("unknown symbol kind %r" % (symbol.kind,))
+    raise InputError("unknown symbol kind %r" % (symbol.kind,))
 
 
 def _scalar_value(word):
@@ -229,7 +230,7 @@ def eval_word(graph, word, ring) -> SteinbergElement:
     if _scalar_value(word) is not None:
         # The algebra has no unit in general, so scalars only make sense as
         # multipliers of a symbol-bearing subword.
-        raise ValueError("a bare scalar is not an algebra element; multiply it by a symbol")
+        raise InputError("a bare scalar is not an algebra element; multiply it by a symbol")
     if isinstance(word, SymbolWord):
         return generator(graph, word, ring)
     if isinstance(word, NegWord):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
 
 class CoefficientRing:
     name = "ring"
@@ -144,7 +146,7 @@ class IntegersMod(CoefficientRing):
 
     def __init__(self, n):
         if n < 2:
-            raise ValueError("modulus must be >= 2")
+            raise InputError("modulus must be >= 2")
         self.n = n
         self.name = "zmod:%d" % n
 
@@ -186,6 +188,6 @@ def ring_from_spec(spec: str) -> CoefficientRing:
         try:
             n = int(spec.split(":", 1)[1])
         except ValueError:
-            raise ValueError("bad modulus in %r" % (spec,)) from None
+            raise InputError("bad modulus in %r" % (spec,)) from None
         return IntegersMod(n)
-    raise ValueError("unknown ring spec %r (want z, q, or zmod:N)" % (spec,))
+    raise InputError("unknown ring spec %r (want z, q, or zmod:N)" % (spec,))

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cylinder import (GroupoidProbe, PathPair, as_bisection, compose_pairs,
-                       expand, pair_contains)
+from .cylinder import GroupoidProbe, _pair, as_bisection, compose_pairs, expand
 from .graph import concat, strip_prefix
 
 
@@ -107,8 +106,10 @@ def _contract(graph, ring, terms):
         by_parent = {}
         for p in terms:
             if p.mu.edges and p.nu.edges and p.mu.edges[-1] == p.nu.edges[-1]:
-                parent = PathPair(p.mu.prefix(len(p.mu) - 1),
-                                  p.nu.prefix(len(p.nu) - 1))
+                # Both legs drop the same last edge, so they keep a common
+                # source: that edge's range.
+                parent = _pair(p.mu.prefix(len(p.mu) - 1),
+                               p.nu.prefix(len(p.nu) - 1))
                 by_parent.setdefault(parent, []).append(p)
         for parent, kids in by_parent.items():
             fan = graph.edges_with_range(parent.source_vertex)
@@ -214,13 +215,25 @@ def canonicalize(f) -> SteinbergElement:
 
 def evaluate(f, probe: GroupoidProbe):
     """The coefficient sum over terms containing the probe (at most one term
-    in canonical form).  Probes too shallow to meet any stored pair read 0."""
+    in canonical form).  Probes too shallow to meet any stored pair read 0.
+
+    A pair contains the probe (mu x, nu x) exactly when it is the probe's
+    two truncations with a common tail cut off, so the candidates are looked
+    up, shortest common tail first, instead of scanning every term.
+    """
     ring = f.ring
+    terms = f.terms
     total = ring.zero()
-    for p, c in f.terms.items():
-        if pair_contains(p, probe):
+    mu, nu = probe.mu_full, probe.nu_full
+    k, j = len(mu.edges), len(nu.edges)
+    while True:
+        c = terms.get(_pair(mu.prefix(k), nu.prefix(j)))
+        if c is not None:
             total = ring.add(total, c)
-    return total
+        if not k or not j or mu.edges[k - 1] != nu.edges[j - 1]:
+            return total
+        k -= 1
+        j -= 1
 
 
 def oracle_convolve_at(f, g, probe: GroupoidProbe):

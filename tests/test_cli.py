@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from steinalg import cli
+from steinalg import (InputError, IntegerRing, Path, VertexSubset, cli,
+                      enumerate_paths, eval_word, generator, load_graph,
+                      parse_word, ring_from_spec, vertex_path)
 from tests.conftest import LOOP_TEXT, OUTSPLIT_TEXT, TWO_CYCLE_TEXT
 
 
@@ -151,6 +153,30 @@ def test_unknown_vertex_in_t0(graph_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("reject", [
+    lambda g: ring_from_spec("gf:9"),
+    lambda g: ring_from_spec("zmod:x"),
+    lambda g: ring_from_spec("zmod:1"),
+    lambda g: VertexSubset(g, ["zz"]),
+    lambda g: vertex_path(g, "zz"),
+    lambda g: Path(g, ("nope",)),
+    lambda g: enumerate_paths(g, from_range="zz", max_len=1),
+    lambda g: load_graph("vertices: v\nedge: e v <- nope\n"),
+    lambda g: parse_word("q(v)"),
+    lambda g: eval_word(g, "p(zz)", IntegerRing()),
+    lambda g: eval_word(g, "s(nope)", IntegerRing()),
+    lambda g: eval_word(g, "3", IntegerRing()),
+    lambda g: generator(g, "p(v) + p(v)", IntegerRing()),
+], ids=["ring-spec", "modulus-text", "modulus-value", "subset-vertex",
+        "path-vertex", "edge-id", "enumerate-vertex", "graph-text", "word",
+        "word-vertex", "word-edge", "bare-scalar", "symbol"])
+def test_rejected_input_is_an_input_error(reject):
+    """Every site that rejects caller input raises InputError, the one
+    error the command line reports as invalid input (exit 2)."""
+    with pytest.raises(InputError):
+        reject(load_graph(LOOP_TEXT))
+
+
 # -- exit code 3: certified failures ---------------------------------------------------
 
 
@@ -187,6 +213,16 @@ def test_internal_error_exit_code(graph_file, capsys, monkeypatch):
     code, out, err = run(capsys, "validate", "--graph", graph_file(LOOP_TEXT))
     assert code == 4 and out == ""
     assert "internal error: invariant broke" in err
+
+
+def test_other_value_errors_are_internal(graph_file, capsys, monkeypatch):
+    """A ValueError that is not an InputError is a bug, not bad input."""
+    def boom(args):
+        raise ValueError("boom")
+    monkeypatch.setitem(cli._COMMANDS, "validate", boom)
+    code, out, err = run(capsys, "validate", "--graph", graph_file(LOOP_TEXT))
+    assert code == 4 and out == ""
+    assert "internal error: boom" in err
 
 
 # -- determinism and packaging -----------------------------------------------------------

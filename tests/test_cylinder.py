@@ -7,15 +7,18 @@ truncated element).  Construction-level results are compared against plain
 set operations on those probe sets.
 """
 
+import copy
+
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
-from steinalg import (BasicBisection, GroupoidProbe, Path, PathPair,
-                      as_bisection, boundary_tails, compose_pairs, concat,
-                      enumerate_paths, enumerate_probes, expand, invert,
-                      invert_pair, member, pair_contains, pairs_to_depth,
-                      probes_in, vertex_path)
+from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, Path,
+                      PathPair, add, as_bisection, boundary_tails,
+                      compose_pairs, concat, convolve, enumerate_paths,
+                      enumerate_probes, expand, invert, invert_pair, member,
+                      pair_contains, pairs_to_depth, probes_in, strip_prefix,
+                      vertex_path)
 from steinalg import sampling
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -51,6 +54,18 @@ def test_pair_extend(loop_graph):
     q = PathPair(e, v).extend(e)
     assert q.render() == "Z(e.e,e)"
     assert q.degree == 1
+
+
+def test_pair_is_immutable(loop_graph):
+    e = Path(loop_graph, ("e",))
+    v = vertex_path(loop_graph, "v")
+    p = PathPair(e, v)
+    with pytest.raises(AttributeError):
+        p.mu = v
+    with pytest.raises(AttributeError):
+        del p.nu
+    assert copy.copy(p) == p and copy.deepcopy(p).render() == "Z(e,v)"
+    assert p != (e, v) and hash(p) == hash(PathPair(e, v))
 
 
 def test_invert_pair(loop_graph):
@@ -193,6 +208,75 @@ def test_expand_yields_sorted_partition(seed, extra):
     depth = extra + max(len(q.mu) for q in pieces) - len(p.mu)
     for pr in probes_in(p, depth):
         assert sum(1 for q in pieces if pair_contains(q, pr)) == 1
+
+
+# -- trusted construction ------------------------------------------------------
+#
+# Operations on valid paths and pairs build their results without checking
+# them again; these tests re-check every result through the public
+# constructors instead.
+
+
+def assert_valid_path(p):
+    g = p.graph
+    assert p == Path(g, p.edges, p.vertex)
+    if p.edges:
+        assert p.range_vertex == g.edge(p.edges[0]).range_vertex
+        assert p.source_vertex == g.edge(p.edges[-1]).source_vertex
+    else:
+        assert p.range_vertex == p.source_vertex == p.vertex
+
+
+def assert_valid_pair(p):
+    assert_valid_path(p.mu)
+    assert_valid_path(p.nu)
+    assert PathPair(p.mu, p.nu) == p
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_trusted_paths_are_valid(seed):
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=4, max_edges=8)
+    paths = enumerate_paths(g, max_len=3)
+    made = list(paths)
+    for p in paths:
+        for n in range(len(p) + 1):
+            made.append(p.prefix(n))
+            made.append(strip_prefix(p, p.prefix(n)))
+    for _ in range(30):
+        p = rng.choice(paths)
+        tails = [q for q in paths if q.range_vertex == p.source_vertex]
+        made.append(concat(p, rng.choice(tails)))
+    for pair in pairs_to_depth(g, 1):
+        for piece in expand(pair, pair.min_depth + 2):
+            made.extend((piece.mu, piece.nu))
+    for p in made:
+        assert_valid_path(p)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_trusted_pairs_are_valid(seed):
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=4, max_edges=8)
+    window = pairs_to_depth(g, 2)
+    made = []
+    for _ in range(40):
+        p, q = rng.choice(window), rng.choice(window)
+        made.append(invert_pair(p))
+        composed = compose_pairs(p, q)
+        if composed is not None:
+            made.append(composed)
+        for tau in enumerate_paths(g, from_range=p.source_vertex, max_len=2):
+            made.append(p.extend(tau))
+    ring = IntegerRing()
+    f = sampling.random_element(rng, g, ring, max_terms=4, max_len=2)
+    h = sampling.random_element(rng, g, ring, max_terms=4, max_len=2)
+    for element in (f, h, convolve(f, h), add(f, h)):
+        made.extend(element.terms)
+    for p in made:
+        assert_valid_pair(p)
 
 
 # -- set semantics ------------------------------------------------------------

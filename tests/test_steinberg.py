@@ -9,8 +9,8 @@ import pytest
 from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       Path, PathPair, RationalRing, add, canonicalize,
                       convolve, evaluate, from_terms, grade, graded_component,
-                      indicator, negate, oracle_convolve_at, scale,
-                      vertex_path, zero)
+                      indicator, negate, oracle_convolve_at, pair_contains,
+                      scale, vertex_path, zero)
 from steinalg import sampling
 from steinalg.steinberg import _contract
 
@@ -155,6 +155,41 @@ def test_evaluate_shallow_probe_reads_zero(rose2, zring):
     assert deep.render() == "1 * Z(a.a,a.a)"
     assert evaluate(deep, GroupoidProbe(a, a)) == 0
     assert evaluate(deep, GroupoidProbe(aa, aa)) == 1
+
+
+def scan_evaluate(f, probe):
+    """evaluate by its definition: the ring sum over every containing term."""
+    total = f.ring.zero()
+    for p, c in f.terms.items():
+        if pair_contains(p, probe):
+            total = f.ring.add(total, c)
+    return total
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_the_term_scan(seed):
+    """Looking up the probe's candidate pairs sums the same terms as the
+    scan, for probes shallower than, as deep as, and deeper than the terms."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=4, max_edges=8)
+    ring = rng.choice(RINGS + (IntegersMod(4),))
+    f = sampling.random_element(rng, g, ring, max_terms=4, max_len=3)
+    probes = []
+    for p in f.terms:
+        probes.append(GroupoidProbe(p.mu, p.nu))
+        probes.append(sampling.random_adequate_probe(rng, g, p, rng.randint(1, 3)))
+        if p.min_depth and p.mu.edges[-1] == p.nu.edges[-1]:
+            # One step shallower: both legs drop their common last edge.
+            probes.append(GroupoidProbe(p.mu.prefix(len(p.mu) - 1),
+                                        p.nu.prefix(len(p.nu) - 1)))
+    for _ in range(6):
+        p = sampling.random_pair(rng, g, max_len=rng.randint(0, 4))
+        probes.append(GroupoidProbe(p.mu, p.nu))
+    if not f.is_zero():
+        assert any(not ring.is_zero(evaluate(f, pr)) for pr in probes)
+    for pr in probes:
+        assert evaluate(f, pr) == scan_evaluate(f, pr)
 
 
 # -- convolution vs the pointwise oracle ---------------------------------------
