@@ -8,7 +8,8 @@ any basic bisection indicator as a word, witnessing that the generators
 span the whole algebra.
 
 Word syntax accepted by the parser: ``p(v)``, ``s(e)``, ``st(e)``, ``*``,
-``+``, ``-``, integer scalars, and parentheses.
+``+``, ``-``, integer scalars, and parentheses, nested at most
+``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -108,62 +109,91 @@ def _tokenize(text):
     return tokens
 
 
+# Deeper words are rejected: eval_word recurses up to twice per nesting
+# level, which keeps it well inside the default recursion limit of 1000.
+MAX_NESTING = 300
+
+
+class _OpenSum:
+    """A sum being parsed: its finished terms, the factors of its current
+    product, the unary minus signs waiting for the next factor, and whether
+    the current product follows a binary minus."""
+
+    __slots__ = ("terms", "factors", "negs", "minus")
+
+    def __init__(self):
+        self.terms, self.factors, self.negs, self.minus = [], [], 0, False
+
+    def end_product(self):
+        factors = self.factors
+        product = factors[0] if len(factors) == 1 else ProductWord(tuple(factors))
+        self.terms.append(NegWord(product) if self.minus else product)
+        self.factors = []
+
+    def close(self):
+        self.end_product()
+        return self.terms[0] if len(self.terms) == 1 else SumWord(tuple(self.terms))
+
+
 def parse_word(text):
-    """Parse word text into a syntax tree."""
+    """Parse word text into a syntax tree.
+
+    Open parentheses are kept on an explicit stack.  The nesting depth
+    counts open parentheses and pending unary minus signs; a word nesting
+    deeper than MAX_NESTING is a WordSyntaxError.
+    """
     tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def parse_factor():
-        tok = peek()
-        if tok == "-":
-            take()
-            return NegWord(parse_factor())
-        if tok == "(":
-            take()
-            inner = parse_sum()
-            if take() != ")":
-                raise WordSyntaxError("missing closing parenthesis")
-            return inner
-        if isinstance(tok, int):
-            take()
-            return ScalarWord(tok)
-        if isinstance(tok, SymbolWord):
-            take()
-            return tok
-        if tok is None:
-            raise WordSyntaxError("unexpected end of word")
-        raise WordSyntaxError("unexpected token %r" % (tok,))
-
-    def parse_product():
-        factors = [parse_factor()]
-        while peek() == "*":
-            take()
-            factors.append(parse_factor())
-        return factors[0] if len(factors) == 1 else ProductWord(tuple(factors))
-
-    def parse_sum():
-        terms = [parse_product()]
-        while peek() in ("+", "-"):
-            if take() == "+":
-                terms.append(parse_product())
-            else:
-                terms.append(NegWord(parse_product()))
-        return terms[0] if len(terms) == 1 else SumWord(tuple(terms))
-
     if not tokens:
         raise WordSyntaxError("empty word")
-    word = parse_sum()
-    if peek() is not None:
-        raise WordSyntaxError("trailing input from token %r" % (peek(),))
-    return word
+    stack = [_OpenSum()]
+    depth = 0
+    want_factor = True
+    for tok in tokens + [None]:
+        cur = stack[-1]
+        if want_factor:
+            if tok in ("-", "("):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise WordSyntaxError("word nests deeper than %d levels" % MAX_NESTING)
+                if tok == "-":
+                    cur.negs += 1
+                else:
+                    stack.append(_OpenSum())
+                continue
+            if isinstance(tok, int):
+                word = ScalarWord(tok)
+            elif isinstance(tok, SymbolWord):
+                word = tok
+            elif tok is None:
+                raise WordSyntaxError("unexpected end of word")
+            else:
+                raise WordSyntaxError("unexpected token %r" % (tok,))
+        elif tok == "*":
+            want_factor = True
+            continue
+        elif tok in ("+", "-"):
+            cur.end_product()
+            cur.minus = tok == "-"
+            want_factor = True
+            continue
+        elif tok == ")" and len(stack) > 1:
+            stack.pop()
+            depth -= 1
+            word = cur.close()
+            cur = stack[-1]
+        elif len(stack) > 1:
+            raise WordSyntaxError("missing closing parenthesis")
+        elif tok is None:
+            return cur.close()
+        else:
+            raise WordSyntaxError("trailing input from token %r" % (tok,))
+        # A factor is complete: wrap it in the minus signs before it.
+        for _ in range(cur.negs):
+            word = NegWord(word)
+        depth -= cur.negs
+        cur.negs = 0
+        cur.factors.append(word)
+        want_factor = False
 
 
 # -- generators and evaluation ---------------------------------------------
@@ -197,30 +227,38 @@ def generator(graph, symbol, ring) -> SteinbergElement:
     raise InputError("unknown symbol kind %r" % (symbol.kind,))
 
 
+def _strip_negations(word):
+    """The word under a chain of negations, and whether their number is odd,
+    so that a minus chain costs no recursion."""
+    odd = False
+    while isinstance(word, NegWord):
+        odd = not odd
+        word = word.inner
+    return word, odd
+
+
 def _scalar_value(word):
     """The integer a symbol-free word denotes, or None if symbols occur."""
+    word, odd = _strip_negations(word)
     if isinstance(word, ScalarWord):
-        return word.value
-    if isinstance(word, NegWord):
-        inner = _scalar_value(word.inner)
-        return None if inner is None else -inner
-    if isinstance(word, ProductWord):
+        total = word.value
+    elif isinstance(word, ProductWord):
         total = 1
         for f in word.factors:
             v = _scalar_value(f)
             if v is None:
                 return None
             total *= v
-        return total
-    if isinstance(word, SumWord):
+    elif isinstance(word, SumWord):
         total = 0
         for t in word.terms:
             v = _scalar_value(t)
             if v is None:
                 return None
             total += v
-        return total
-    return None
+    else:
+        return None
+    return -total if odd else total
 
 
 def eval_word(graph, word, ring) -> SteinbergElement:
@@ -231,16 +269,14 @@ def eval_word(graph, word, ring) -> SteinbergElement:
         # The algebra has no unit in general, so scalars only make sense as
         # multipliers of a symbol-bearing subword.
         raise InputError("a bare scalar is not an algebra element; multiply it by a symbol")
+    word, odd = _strip_negations(word)
     if isinstance(word, SymbolWord):
-        return generator(graph, word, ring)
-    if isinstance(word, NegWord):
-        return negate(eval_word(graph, word.inner, ring))
-    if isinstance(word, SumWord):
-        total = zero(graph, ring)
+        element = generator(graph, word, ring)
+    elif isinstance(word, SumWord):
+        element = zero(graph, ring)
         for t in word.terms:
-            total = add(total, eval_word(graph, t, ring))
-        return total
-    if isinstance(word, ProductWord):
+            element = add(element, eval_word(graph, t, ring))
+    elif isinstance(word, ProductWord):
         scalar = 1
         element = None
         for f in word.factors:
@@ -250,8 +286,11 @@ def eval_word(graph, word, ring) -> SteinbergElement:
                 continue
             part = eval_word(graph, f, ring)
             element = part if element is None else convolve(element, part)
-        return scale(ring.from_int(scalar), element) if scalar != 1 else element
-    raise TypeError("not a word: %r" % (word,))
+        if scalar != 1:
+            element = scale(ring.from_int(scalar), element)
+    else:
+        raise TypeError("not a word: %r" % (word,))
+    return negate(element) if odd else element
 
 
 # -- spanning words ---------------------------------------------------------

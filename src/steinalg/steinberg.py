@@ -3,18 +3,24 @@
 An element is a finite R-linear combination of indicator functions of basic
 pair sets.  Internally every element is kept in a canonical normal form:
 
-  1. all stored pairs are expanded to a common reference depth (the largest
-     min depth among the terms; source-terminated pairs stay as they are),
-     which makes the stored pairs pairwise disjoint, and then
+  1. stored pairs are refined on demand into pairwise disjoint pieces.  Two
+     basic pairs meet only when one lies inside the other, which happens
+     exactly when it is the other extended along a common tail; so only the
+     pairs that contain another stored pair are split, one level at a time
+     along the chain towards the nested pair, and each piece carries its own
+     coefficient plus those of the stored pairs containing it.  Pairs that
+     nest in nothing stay as they are, whatever their depths.
   2. complete equal-coefficient fans (mu e, nu e) over every edge e ranging
-     at the source vertex are merged back into (mu, nu) until no merge
-     applies.
+     at the source vertex are merged back into (mu, nu), deepest parents
+     first, until no merge applies.
 
 Step 2 makes the normal form depth-minimal and unique, so two elements are
 equal as functions exactly when their term maps coincide.  Without it,
-equal functions built along different routes can normalize at different
-reference depths (for a single loop e at v, 1 at Z(ee,ee) and 1 at Z(v,v)
-are the same function), and term comparison would wrongly separate them.
+equal functions built along different routes could normalize to different
+pieces (for a single loop e at v, 1 at Z(ee,ee) and 1 at Z(v,v) are the
+same function), and term comparison would wrongly separate them.  The cost
+of both steps is polynomial in the number of terms, their depth and the
+fan-out; it does not grow with the depth gap between unrelated terms.
 """
 
 from __future__ import annotations
@@ -87,37 +93,115 @@ def _canonical_terms(graph, ring, raw_terms):
         merged[pair] = coeff
     merged = {p: c for p, c in merged.items() if not ring.is_zero(c)}
     if not merged:
-        return {}
-    depth = max(p.min_depth for p in merged)
-    flat = {}
-    for pair, coeff in merged.items():
-        for piece in expand(pair, depth):
-            acc = flat.get(piece)
-            flat[piece] = coeff if acc is None else ring.add(acc, coeff)
-    flat = {p: c for p, c in flat.items() if not ring.is_zero(c)}
-    return _contract(graph, ring, flat)
+        return merged
+    if len(merged) > 1:
+        merged = _refine(ring, merged)
+    return _contract(graph, ring, merged)
+
+
+def _common_tail(mu, nu):
+    """How many trailing edges the two edge tuples share."""
+    n = min(len(mu), len(nu))
+    k = 0
+    while k < n and mu[-1 - k] == nu[-1 - k]:
+        k += 1
+    return k
+
+
+def _refine(ring, merged):
+    """Disjoint pieces of the merged terms with the coefficient sums of the
+    terms covering each piece; zero pieces are dropped.
+
+    Each pair is filed under the top of its parent chain (both legs with
+    their common tail cut off) and keyed there by that tail, so a pair
+    contains another exactly when both share a top and its tail is a prefix
+    of the other's.  Every ancestor of a pair up to its highest merged
+    ancestor is a split node and is replaced by its one-level fan; a fan
+    child that is no split node is a piece.  The coefficient of a split
+    node's merged ancestors is summed once, down the chain.
+    """
+    chains = {}
+    for p, c in merged.items():
+        mu, nu = p.mu.edges, p.nu.edges
+        k = _common_tail(mu, nu)
+        # The range vertex tells apart tops whose legs are both vertices.
+        top = (mu[:len(mu) - k], nu[:len(nu) - k], p.mu.range_vertex)
+        chains.setdefault(top, {})[mu[len(mu) - k:]] = (p, c)
+    out = {}
+    for members in chains.values():
+        split = {}      # tail of a split node -> (a pair below it, levels up)
+        if len(members) > 1:
+            for tail, (p, _) in members.items():
+                high = next((i for i in range(len(tail)) if tail[:i] in members), None)
+                if high is None:
+                    continue
+                # A split node already found has its whole chain up to the
+                # same highest merged ancestor recorded.
+                for j in range(len(tail) - 1, high - 1, -1):
+                    if tail[:j] in split:
+                        break
+                    split[tail[:j]] = (p, len(tail) - j)
+        above = {}      # tail of a split node -> the sum over it and its ancestors
+        for tail in sorted(split, key=len):
+            p, up = split[tail]
+            node = _pair(p.mu.prefix(len(p.mu.edges) - up),
+                         p.nu.prefix(len(p.nu.edges) - up))
+            # The highest split node of a chain is merged itself, and a
+            # split node's merged ancestors are all split nodes.
+            own = members.get(tail)
+            acc = above.get(tail[:-1]) if tail else None
+            if acc is None:
+                acc = own[1]
+            elif own is not None:
+                acc = ring.add(acc, own[1])
+            above[tail] = acc
+            for child in expand(node, node.min_depth + 1):
+                kid = tail + child.mu.edges[-1:]
+                if kid not in split:
+                    own = members.get(kid)
+                    out[child] = acc if own is None else ring.add(acc, own[1])
+        for tail, (p, c) in members.items():
+            # Pairs below a split node came out as fan children above.
+            if tail not in split and not (tail and tail[:-1] in split):
+                out[p] = c
+    return {p: c for p, c in out.items() if not ring.is_zero(c)}
 
 
 def _contract(graph, ring, terms):
-    """Merge complete equal-coefficient fans bottom-up until none remain."""
-    changed = True
-    while changed:
-        changed = False
-        by_parent = {}
-        for p in terms:
-            if p.mu.edges and p.nu.edges and p.mu.edges[-1] == p.nu.edges[-1]:
-                # Both legs drop the same last edge, so they keep a common
-                # source: that edge's range.
-                parent = _pair(p.mu.prefix(len(p.mu) - 1),
-                               p.nu.prefix(len(p.nu) - 1))
-                by_parent.setdefault(parent, []).append(p)
-        for parent, kids in by_parent.items():
-            fan = graph.edges_with_range(parent.source_vertex)
-            if not fan or len(kids) != len(fan):
+    """Merge complete equal-coefficient fans in one bottom-up pass.
+
+    Each term is filed once under its parent pair.  Parents are visited
+    deepest first, so every child a merge can produce is in place before
+    its parent's fan is judged; a merged parent joins its own parent's fan.
+    """
+    fans = {}           # parent -> the live terms directly below it
+    by_depth = {}       # len(parent.mu) -> parents
+    size = len(terms)
+
+    def join(p):
+        mu, nu = p.mu, p.nu
+        if not (mu.edges and nu.edges and mu.edges[-1] == nu.edges[-1]):
+            return
+        # Merges only shrink the term map, so a wider fan never completes.
+        if len(graph.edges_with_range(graph.edge(mu.edges[-1]).range_vertex)) > size:
+            return
+        # Both legs drop the same last edge, so they keep a common source.
+        parent = _pair(mu.prefix(len(mu.edges) - 1), nu.prefix(len(nu.edges) - 1))
+        kids = fans.get(parent)
+        if kids is None:
+            fans[parent] = kids = []
+            by_depth.setdefault(len(parent.mu.edges), []).append(parent)
+        kids.append(p)
+
+    for p in terms:
+        join(p)
+    for depth in range(max(by_depth, default=-1), -1, -1):
+        for parent in by_depth.pop(depth, ()):
+            kids = fans.pop(parent)
+            if len(kids) != len(graph.edges_with_range(parent.source_vertex)):
                 continue
-            coeffs = [terms[k] for k in kids]
-            first = coeffs[0]
-            if not all(ring.eq(first, c) for c in coeffs[1:]):
+            first = terms[kids[0]]
+            if not all(ring.eq(first, terms[k]) for k in kids[1:]):
                 continue
             if parent in terms:
                 raise RuntimeError("contraction of %s collided with a live term"
@@ -125,7 +209,7 @@ def _contract(graph, ring, terms):
             for k in kids:
                 del terms[k]
             terms[parent] = first
-            changed = True
+            join(parent)
     return terms
 
 

@@ -8,7 +8,7 @@ import pytest
 from steinalg import (InputError, IntegerRing, Path, VertexSubset, cli,
                       enumerate_paths, eval_word, generator, load_graph,
                       parse_word, ring_from_spec, vertex_path)
-from tests.conftest import LOOP_TEXT, OUTSPLIT_TEXT, TWO_CYCLE_TEXT
+from tests.conftest import LOOP_TEXT, OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT
 
 
 @pytest.fixture
@@ -138,6 +138,50 @@ def test_malformed_graph_file(graph_file, capsys):
 def test_bad_word(graph_file, capsys):
     code, _, err = run(capsys, "grade", "--graph", graph_file(LOOP_TEXT), "q(v)")
     assert code == 2
+
+
+def test_grade_of_a_unit_plus_a_deep_pair(graph_file, capsys):
+    """p(v) + s(a)^64 st(a)^64 on the 2-rose: 1 on each sibling branch
+    a^i.b and 2 on Z(a^64, a^64), found without expanding p(v) 64 levels."""
+    word = "p(v) + " + " * ".join(["s(a)"] * 64 + ["st(a)"] * 64)
+    code, out, _ = run(capsys, "grade", "--graph", graph_file(ROSE2_TEXT), word)
+    assert code == 0
+    branches = [".".join(["a"] * i + ["b"]) for i in range(64)]
+    deep = ".".join(["a"] * 64)
+    terms = ["1 * Z(%s,%s)" % (b, b) for b in branches]
+    # Terms sort by length, then edge order: a^64 precedes a^63.b.
+    terms.insert(63, "2 * Z(%s,%s)" % (deep, deep))
+    canonical = " + ".join(terms)
+    assert "\ncanonical: %s\n" % canonical in out
+    assert "components-sum-back: pass" in out
+
+
+def nested_words(n):
+    """Words nesting n levels: parentheses, a minus chain, and parentheses
+    alternating with products and sums."""
+    return {"parens": "(" * n + "s(a)" + ")" * n,
+            "minus": "-" * n + "s(a)",
+            "alternating": "s(a) * (p(v) + " * n + "s(a)" + ")" * n}
+
+
+@pytest.mark.parametrize("shape", ["parens", "minus", "alternating"])
+def test_deeply_nested_word_is_an_input_error(shape, graph_file, capsys):
+    word = nested_words(sys.getrecursionlimit() + 200)[shape]
+    code, out, err = run(capsys, "grade", "--graph", graph_file(ROSE2_TEXT), "--", word)
+    assert code == 2 and out == ""
+    assert "nests deeper than" in err
+
+
+@pytest.mark.parametrize("shape", ["parens", "minus", "alternating"])
+def test_nested_word_within_the_bound_evaluates(shape, graph_file, capsys):
+    """300 levels evaluate: s(a) under parentheses or an even minus chain,
+    and s(a) + s(a)^2 + ... + s(a)^301 for the alternating word."""
+    word = nested_words(300)[shape]
+    code, out, _ = run(capsys, "grade", "--graph", graph_file(ROSE2_TEXT), "--", word)
+    assert code == 0
+    powers = range(1, 302) if shape == "alternating" else [1]
+    canonical = " + ".join("1 * Z(%s,v)" % ".".join(["a"] * k) for k in powers)
+    assert "\ncanonical: %s\n" % canonical in out
 
 
 def test_bad_ring_spec(graph_file, capsys):

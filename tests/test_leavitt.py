@@ -12,6 +12,8 @@ from steinalg import (BasicBisection, IntegerRing, IntegersMod, Path,
                       indicator, indicator_as_word, parse_word, scale,
                       vertex_path)
 from steinalg import sampling
+from steinalg.leavitt import (MAX_NESTING, NegWord, ProductWord, ScalarWord,
+                              SumWord, SymbolWord, _tokenize)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
@@ -66,6 +68,96 @@ def test_syntax_errors(text, fragment):
     with pytest.raises(WordSyntaxError) as err:
         parse_word(text)
     assert fragment in str(err.value)
+
+
+def recursive_parse(text):
+    """Recursive descent over the same grammar, one call per nesting level:
+    the oracle for the parser's explicit stack on shallow words."""
+    tokens = _tokenize(text)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def take():
+        tok = peek()
+        pos[0] += 1
+        return tok
+
+    def factor():
+        tok = peek()
+        if tok == "-":
+            take()
+            return NegWord(factor())
+        if tok == "(":
+            take()
+            inner = sum_()
+            if take() != ")":
+                raise WordSyntaxError("missing closing parenthesis")
+            return inner
+        if isinstance(tok, int):
+            take()
+            return ScalarWord(tok)
+        if isinstance(tok, SymbolWord):
+            take()
+            return tok
+        if tok is None:
+            raise WordSyntaxError("unexpected end of word")
+        raise WordSyntaxError("unexpected token %r" % (tok,))
+
+    def product():
+        factors = [factor()]
+        while peek() == "*":
+            take()
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else ProductWord(tuple(factors))
+
+    def sum_():
+        terms = [product()]
+        while peek() in ("+", "-"):
+            terms.append(product() if take() == "+" else NegWord(product()))
+        return terms[0] if len(terms) == 1 else SumWord(tuple(terms))
+
+    if not tokens:
+        raise WordSyntaxError("empty word")
+    word = sum_()
+    if peek() is not None:
+        raise WordSyntaxError("trailing input from token %r" % (peek(),))
+    return word
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return "error: %s" % exc
+
+
+@given(st.lists(st.sampled_from(["p(v)", "s(e)", "st(e)", "2", "3", " * ", "*",
+                                 " + ", "+", "-", " - ", "(", ")"]),
+                max_size=14).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_recursive_descent(text):
+    """The same tree, or the same error message, as the recursive parser."""
+    assert parse_outcome(parse_word, text) == parse_outcome(recursive_parse, text)
+
+
+@pytest.mark.parametrize("shape", [("(", ")"), ("-", ""), ("s(e) * (p(v) + ", ")"),
+                                   ("s(e) - s(e) * (", ")"), ("-(", ")")],
+                         ids=["parens", "minus", "alternating", "binary-minus", "both"])
+def test_nesting_is_bounded(shape, loop_graph, zring):
+    """MAX_NESTING counts open parentheses and pending minus signs; one
+    level more is a syntax error, found before any recursion."""
+    opening, closing = shape
+    per_level = 2 if opening == "-(" else 1
+
+    def word(levels):
+        return opening * levels + "s(e)" + closing * levels
+
+    deepest = MAX_NESTING // per_level
+    assert eval_word(loop_graph, word(deepest), zring) is not None
+    with pytest.raises(WordSyntaxError, match="nests deeper than %d" % MAX_NESTING):
+        parse_word(word(deepest + 1))
 
 
 def test_sum_factors_keep_parens_when_rendered(rose2, zring):

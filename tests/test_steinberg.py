@@ -1,18 +1,20 @@
 """The convolution algebra: canonical forms, the pointwise oracle, grading."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
-                      Path, PathPair, RationalRing, add, canonicalize,
-                      convolve, evaluate, from_terms, grade, graded_component,
-                      indicator, negate, oracle_convolve_at, pair_contains,
-                      scale, vertex_path, zero)
+from steinalg import (BasicBisection, GroupoidProbe, Graph, IntegerRing,
+                      IntegersMod, Path, PathPair, RationalRing, add,
+                      canonicalize, convolve, evaluate, expand, from_terms,
+                      grade, graded_component, indicator, load_graph, negate,
+                      oracle_convolve_at, pair_contains, scale, vertex_path,
+                      zero)
 from steinalg import sampling
-from steinalg.steinberg import _contract
+from steinalg.steinberg import _canonical_terms, _contract
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
@@ -94,6 +96,130 @@ def test_render_is_sorted_and_stable(loop_graph, zring):
                                        (PathPair(v, ee), 1),
                                        (PathPair(v, v), 2)])
     assert f.render() == "2 * Z(v,v) + 1 * Z(v,e.e) + 1 * Z(e.e,v)"
+
+
+def common_depth_terms(graph, ring, raw_terms):
+    """The canonical form by brute force: expand every merged term to the
+    deepest term's min depth, which makes the pieces disjoint, add up the
+    pieces, then merge complete equal-coefficient fans pass after pass
+    until no pass merges anything.  Exponential in the depth gap; a test
+    oracle only."""
+    merged = {}
+    for pair, coeff in raw_terms:
+        acc = merged.get(pair)
+        merged[pair] = coeff if acc is None else ring.add(acc, coeff)
+    merged = {p: c for p, c in merged.items() if not ring.is_zero(c)}
+    if not merged:
+        return {}
+    depth = max(p.min_depth for p in merged)
+    terms = {}
+    for pair, coeff in merged.items():
+        for piece in expand(pair, depth):
+            acc = terms.get(piece)
+            terms[piece] = coeff if acc is None else ring.add(acc, coeff)
+    terms = {p: c for p, c in terms.items() if not ring.is_zero(c)}
+    changed = True
+    while changed:
+        changed = False
+        by_parent = {}
+        for p in terms:
+            if p.mu.edges and p.nu.edges and p.mu.edges[-1] == p.nu.edges[-1]:
+                parent = PathPair(p.mu.prefix(len(p.mu) - 1), p.nu.prefix(len(p.nu) - 1))
+                by_parent.setdefault(parent, []).append(p)
+        for parent, kids in by_parent.items():
+            coeffs = [terms[k] for k in kids]
+            if (len(kids) == len(graph.edges_with_range(parent.source_vertex))
+                    and all(ring.eq(coeffs[0], c) for c in coeffs[1:])):
+                for k in kids:
+                    del terms[k]
+                terms[parent] = coeffs[0]
+                changed = True
+    return terms
+
+
+def sweep_graph(rng):
+    """A random graph plus a source s (it receives no edge) and a vertex t
+    whose whole fan is one edge, both wired into the random part."""
+    g = sampling.random_graph(rng, max_vertices=3, max_edges=4)
+    vs = list(g.vertices)
+    edges = [(e.id, e.range_vertex, e.source_vertex) for e in g.edges]
+    edges += [("fs", rng.choice(vs), "s"), ("ft", "t", rng.choice(vs)),
+              ("fo", rng.choice(vs), "t")]
+    return Graph(vs + ["s", "t"], edges)
+
+
+def indicator_terms(b, ring):
+    """The raw terms indicator() normalizes: the pair minus its branches."""
+    minus_one = ring.negate(ring.one())
+    return [(b.pair, ring.one())] + [(b.pair.extend(a), minus_one) for a in b.excluded]
+
+
+def sweep_terms(rng, g, ring):
+    """Raw terms: random pairs, pairs nested below earlier ones at mixed
+    depths, repeated pairs, exact cancellations (of a term, or of a pair by
+    its one-level fan), and the raw terms of indicators with exclusions."""
+    raw = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.randrange(6) if raw else 0
+        c = ring.sample_nonzero(rng)
+        if kind == 0:
+            raw.append((sampling.random_pair(rng, g, max_len=2), c))
+        elif kind == 1:
+            base = rng.choice(raw)[0]
+            if base.min_depth <= 3:
+                alpha = sampling.forward_walk(rng, g, base.source_vertex, 3)
+                raw.append((base.extend(alpha), c))
+        elif kind == 2:
+            raw.append((rng.choice(raw)[0], c))
+        elif kind == 3:
+            p, c = rng.choice(raw)
+            raw.append((p, ring.negate(c)))
+        elif kind == 4:
+            p, c = rng.choice(raw)
+            if p.min_depth <= 4:
+                raw.extend((q, ring.negate(c)) for q in expand(p, p.min_depth + 1))
+        else:
+            raw.extend(indicator_terms(sampling.random_bisection(rng, g), ring))
+    return raw
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_canonical_terms_match_the_common_depth_oracle(seed):
+    """Refining only toward nested pairs and contracting in one pass gives
+    the brute-force canonical form, coefficient types and renderings
+    included; so does indicator() of a bisection with exclusions."""
+    rng = sampling.rng_from_seed(seed)
+    g = sweep_graph(rng)
+    ring = rng.choice(RINGS + (IntegersMod(4),))
+    raw = sweep_terms(rng, g, ring)
+    got = _canonical_terms(g, ring, list(raw))
+    want = common_depth_terms(g, ring, raw)
+    assert got == want
+    assert ({p: ring.render(c) for p, c in got.items()}
+            == {p: ring.render(c) for p, c in want.items()})
+    b = sampling.random_bisection(rng, g, max_excluded=3)
+    assert indicator(b, ring).terms == common_depth_terms(g, ring, indicator_terms(b, ring))
+
+
+@pytest.mark.parametrize("letters,gap", [("ab", 64), ("abc", 40)])
+def test_deep_nested_pair_has_the_closed_form(letters, gap, zring):
+    """Z(v,v) + Z(x,x) on a rose is 1 on every sibling branch of x and 2 on
+    Z(x,x): gap * (fan-out - 1) + 1 terms.  Expanding both terms to the
+    common depth would build (fan-out)^gap pieces and never finish."""
+    g = load_graph("vertices: v\n" + "".join("edge: %s v <- v\n" % a for a in letters))
+    x = [random.Random(gap).choice(letters) for _ in range(gap)]
+    v = vertex_path(g, "v")
+    xx = Path(g, tuple(x))
+    f = from_terms(g, zring, [(PathPair(v, v), 1), (PathPair(xx, xx), 1)])
+    want = {PathPair(xx, xx): 2}
+    for i in range(gap):
+        for e in letters:
+            if e != x[i]:
+                branch = Path(g, tuple(x[:i]) + (e,))
+                want[PathPair(branch, branch)] = 1
+    assert f.terms == want
+    assert len(f.terms) == gap * (len(letters) - 1) + 1
 
 
 @given(seeds)
