@@ -13,8 +13,8 @@ from .collapse import (CollapseCertificate, CollapseSpec, check_phi_fin_image,
                        validate_collapsible)
 from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
                        boundary_tails, compose_pairs, enumerate_probes, expand,
-                       invert, invert_pair, member, pair_contains,
-                       pairs_to_depth, probes_in)
+                       invert, invert_pair, member, minimal_pair,
+                       pair_contains, pairs_to_depth, probes_in)
 from .errors import InputError
 from .graph import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                     enumerate_paths, is_acyclic, is_prefix, load_graph,

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cylinder import (GroupoidProbe, PathPair, boundary_tails, enumerate_probes,
-                       pair_contains, pairs_to_depth)
+from .cylinder import (GroupoidProbe, PathPair, boundary_tails, compose_pairs,
+                       enumerate_probes, minimal_pair, pair_contains,
+                       pairs_to_depth)
 from .graph import (Edge, Graph, Path, VertexSubset, concat, enumerate_paths,
                     is_acyclic, is_prefix, sources, subgraph, vertex_path)
 from .report import Report
-from .rings import IntegerRing
-from .steinberg import convolve, from_terms, indicator
 
 # Deterministic work caps for the windowed checks; enumeration order is
 # canonical, so capping keeps reports reproducible.
@@ -243,7 +242,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     it is injective, every basic set based at retained vertices is covered
     by transported pieces (splitting each continuation at its first
     retained-vertex visit), and indicator convolution commutes with the
-    transport.
+    transport, which is decided on the pairs themselves (see step (d)).
     """
     rep = Report("pointed groupoid isomorphism")
     if not _check_well_formed(cert, rep):
@@ -254,17 +253,27 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
         return rep
     g, F, f0, t0 = cert.original, cert.collapsed, cert.f0, cert.t0
 
-    # (a) transport of probes is defined and fixes the pointed units.
-    fprobes = enumerate_probes(F, depth)[:_INJECTIVITY_PROBE_CAP]
-    images = []
+    # (a) transport of probes is defined and fixes the pointed units.  The
+    # probes share their legs, so each leg is transported once, and a
+    # probe's image is kept as the pair of its legs' images.
+    fprobes = enumerate_probes(F, depth, limit=_INJECTIVITY_PROBE_CAP)
+    legs = {}
+
+    def leg_image(path):
+        image = legs.get(path)
+        if image is None:
+            image = legs[path] = phi_fin(cert, path)
+        return image
+
+    images = set()
     defect = None
     for pr in fprobes:
         try:
-            images.append(GroupoidProbe(phi_fin(cert, pr.mu_full),
-                                        phi_fin(cert, pr.nu_full)))
+            image = GroupoidProbe(leg_image(pr.mu_full), leg_image(pr.nu_full))
         except (KeyError, ValueError):
             defect = pr.render()
             break
+        images.add((image.mu_full, image.nu_full))
     rep.add("transport", "probes", len(fprobes))
     rep.check("transport", "defined", defect is None,
               "" if defect is None else "fails at %s" % defect)
@@ -274,14 +283,12 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
                       for v in F.vertices)
     rep.check("transport", "units-fixed", units_fixed)
 
-    # (b) injectivity on the probe window.
-    rep.check("transport", "injective", len(images) == len(set(images)))
+    # (b) injectivity on the probe window: the probes are distinct.
+    rep.check("transport", "injective", len(images) == len(fprobes))
 
     # (c) every basic set with retained ranges splits into transported
     # pieces along the first retained-vertex visits of its continuations.
-    pairs = [p for p in pairs_to_depth(g, depth)
-             if p.mu.range_vertex in f0 and p.nu.range_vertex in f0]
-    pairs = pairs[:_COVERAGE_PAIR_CAP]
+    pairs = pairs_to_depth(g, depth, ranges=f0, limit=_COVERAGE_PAIR_CAP)
     rep.add("coverage", "pairs", len(pairs))
     hit_sets = {}
     cover_defect = None
@@ -322,30 +329,70 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # included (both sides must then vanish); the leg depth backs off from
     # the requested window only as far as needed to fit the combination
     # budget, so small graphs are covered exhaustively.
-    ring = IntegerRing()
-
-    def transport(x):
-        return from_terms(g, ring, [(phi_pair(cert, p), c)
-                                    for p, c in x.terms.items()])
-
-    mult_depth = depth
-    while True:
-        fpairs = pairs_to_depth(F, mult_depth)
-        if len(fpairs) ** 2 <= _MULTIPLICATIVE_COMBO_BUDGET or mult_depth == 0:
-            break
-        mult_depth -= 1
+    #
+    # The check runs on pairs and decides exactly what comparing the
+    # canonical elements transport(1_a * 1_b) and transport(1_a) *
+    # transport(1_b) decides, where transport sends each term Z(p) of a
+    # canonical form to Z(phi p).  Three facts make every element here a
+    # single pair: the product of two basic-pair indicators is the
+    # indicator of their composite pair, or zero when compose_pairs finds
+    # none; a basic set is never empty, so an indicator is never zero; and
+    # the canonical form of one indicator is its minimal pair with
+    # coefficient 1.  So transport(1_p) is the indicator of the pair
+    # image(p) = minimal_pair(phi(minimal_pair(p))), each side is zero or
+    # one such pair, and the sides agree when both are zero or both are the
+    # same pair.  The window pairs are transported once; composites are
+    # transported as they come, since keeping each distinct one with its
+    # image would hold more memory than the rest of the check.
+    mult_depth = _legs_depth(F, depth)
+    fpairs = pairs_to_depth(F, mult_depth)
     rep.add("multiplicative", "legs-depth", mult_depth)
     rep.add("multiplicative", "pairs", len(fpairs))
-    inds = [indicator(p, ring) for p in fpairs]
-    timages = [transport(x) for x in inds]
+
+    def image(p):
+        return minimal_pair(phi_pair(cert, minimal_pair(p)))
+
+    window = [(a, minimal_pair(a), image(a)) for a in fpairs]
     mult_defect = None
-    for a, fa, ta in zip(fpairs, inds, timages):
-        for b, fb, tb in zip(fpairs, inds, timages):
-            if transport(convolve(fa, fb)) != convolve(ta, tb):
-                mult_defect = "%s then %s" % (a.render(), b.render())
-                break
+    for a, ma, ta in window:
+        for b, mb, tb in window:
+            left = compose_pairs(ma, mb)
+            right = compose_pairs(ta, tb)
+            if left is None or right is None:
+                if left is right:
+                    continue
+            elif image(left) == minimal_pair(right):
+                continue
+            mult_defect = "%s then %s" % (a.render(), b.render())
+            break
         if mult_defect:
             break
     rep.check("multiplicative", "transport-multiplicative", mult_defect is None,
               mult_defect or "")
     return rep
+
+
+def _legs_depth(graph: Graph, depth: int) -> int:
+    """The deepest leg length up to depth whose pair window fits the
+    combination budget, or 0.
+
+    The window at leg length k holds the sum over vertices v of n_v(k)^2
+    pairs, where n_v(k) counts the paths of length <= k with source v.
+    The counts grow one length at a time, and the window only grows with
+    k, so the first length over budget ends the search without a pair
+    being built.
+    """
+    ending = {v: 1 for v in graph.vertices}     # paths of length k, by source
+    total = dict(ending)                        # paths of length <= k
+    best = 0
+    for k in range(1, depth + 1):
+        longer = dict.fromkeys(graph.vertices, 0)
+        for e in graph.edges:
+            longer[e.source_vertex] += ending[e.range_vertex]
+        ending = longer
+        for v, n in ending.items():
+            total[v] += n
+        if sum(n * n for n in total.values()) ** 2 > _MULTIPLICATIVE_COMBO_BUDGET:
+            break
+        best = k
+    return best

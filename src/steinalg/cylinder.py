@@ -11,14 +11,16 @@ actual groupoid elements in membership tests.
 Validation happens once, at the boundary.  The public ``PathPair`` and
 ``GroupoidProbe`` constructors check that both legs live on one graph and
 share their source vertex.  Operations on valid pairs (``compose_pairs``,
-``PathPair.extend``, ``invert_pair``, ``expand``) build their results with
-the private ``_pair``, which checks nothing: each result shares its source
-by construction.
+``PathPair.extend``, ``minimal_pair``, ``invert_pair``, ``expand``) and the
+pair window (``pairs_to_depth``) build their results with the private
+``_pair``, which checks nothing: each result shares its source by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import (Graph, Path, _path, concat, enumerate_paths, is_prefix,
                     strip_prefix)
@@ -214,6 +216,28 @@ def compose_pairs(p: PathPair, q: PathPair):
     return None
 
 
+def minimal_pair(p: PathPair) -> PathPair:
+    """The least pair with the same basic set as p.
+
+    Z(mu e, nu e) equals Z(mu, nu) exactly when e is the only edge ranging
+    at its range vertex, so the common last edge of both legs is stripped
+    for as long as that holds.  A basic set is never empty, and this pair
+    is the one term of its indicator's canonical form.
+    """
+    mu, nu = p.mu.edges, p.nu.edges
+    graph = p.mu.graph
+    edge, into = graph.edge, graph.edges_with_range
+    k, n = 0, min(len(mu), len(nu))
+    while k < n:
+        e = mu[-1 - k]
+        if e != nu[-1 - k] or len(into(edge(e).range_vertex)) != 1:
+            break
+        k += 1
+    if not k:
+        return p
+    return _pair(p.mu.prefix(len(mu) - k), p.nu.prefix(len(nu) - k))
+
+
 def invert_pair(p: PathPair) -> PathPair:
     return _pair(p.nu, p.mu)
 
@@ -301,23 +325,33 @@ def probes_in(b, depth: int):
 # -- the pair window --------------------------------------------------------
 
 
-def pairs_to_depth(g: Graph, depth: int):
+def pairs_to_depth(g: Graph, depth: int, ranges=None, limit=None):
     """Every pair Z(mu, nu) with legs of length <= depth, canonically ordered.
 
     Paths are grouped by source vertex in declaration order, and each group
     pairs every leg with every leg in lexicographic order.  The windowed
     checks of the collapse move and the context report all read this list.
+    With ``ranges`` only legs ranging at those vertices are paired; with
+    ``limit`` the list stops after that many pairs, and the pairs past it
+    are never built.
     """
+    return list(islice(_pair_window(g, depth, ranges), limit))
+
+
+def _pair_window(g: Graph, depth: int, ranges):
     by_source = {}
     for p in enumerate_paths(g, max_len=depth):
-        by_source.setdefault(p.source_vertex, []).append(p)
-    pairs = []
+        if ranges is None or p.range_vertex in ranges:
+            by_source.setdefault(p.source_vertex, []).append(p)
     for v in g.vertices:
         group = by_source.get(v, ())
-        pairs.extend(PathPair(a, b) for a in group for b in group)
-    return pairs
+        # Legs of one group share their source vertex.
+        for a in group:
+            for b in group:
+                yield _pair(a, b)
 
 
-def enumerate_probes(g: Graph, max_len: int):
-    """All probes with truncations of length <= max_len, canonically ordered."""
-    return [GroupoidProbe(p.mu, p.nu) for p in pairs_to_depth(g, max_len)]
+def enumerate_probes(g: Graph, max_len: int, limit=None):
+    """All probes with truncations of length <= max_len, canonically ordered,
+    or the first ``limit`` of them."""
+    return [GroupoidProbe(p.mu, p.nu) for p in pairs_to_depth(g, max_len, limit=limit)]

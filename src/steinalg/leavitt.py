@@ -14,7 +14,7 @@ Word syntax accepted by the parser: ``p(v)``, ``s(e)``, ``st(e)``, ``*``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cylinder import PathPair, as_bisection
 from .errors import InputError
@@ -26,47 +26,115 @@ from .steinberg import SteinbergElement, add, convolve, indicator, negate, scale
 # -- word syntax trees ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolWord:
+class _Word:
+    """Rendering, repr, equality and hashing for word trees.
+
+    Words nest as deep as the parser allows, so rendering and repr walk the
+    tree on an explicit stack instead of recursing into its children.  A
+    repr spells out the whole tree, so two words are equal exactly when
+    their reprs are.
+    """
+
+    __slots__ = ()
+
+    def render(self):
+        return _walk(self, "_render_parts")
+
+    def __repr__(self):
+        return _walk(self, "_repr_parts")
+
+    def _repr_parts(self):
+        """The pieces of the dataclass repr, with child words unexpanded."""
+        out = [type(self).__name__ + "("]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out.append(("" if len(out) == 1 else ", ") + f.name + "=")
+            if isinstance(value, tuple):
+                # One-element tuples keep their comma.
+                out += ["("] + _joined(value, ", ") + [",)" if len(value) == 1 else ")"]
+            else:
+                out.append(value if isinstance(value, _Word) else repr(value))
+        out.append(")")
+        return out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return repr(self) == repr(other)
+
+    def __hash__(self):
+        return hash(repr(self))
+
+
+def _walk(word, parts):
+    """Concatenate the text pieces of a tree; each node's ``parts`` method
+    lists strings and child words in output order."""
+    out = []
+    stack = [word]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(getattr(item, parts)()))
+    return "".join(out)
+
+
+def _joined(items, sep):
+    """items with sep between consecutive ones."""
+    out = []
+    for item in items:
+        if out:
+            out.append(sep)
+        out.append(item)
+    return out
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SymbolWord(_Word):
     kind: str   # "p", "s", or "st"
     name: str
 
-    def render(self):
-        return "%s(%s)" % (self.kind, self.name)
+    def _render_parts(self):
+        return ["%s(%s)" % (self.kind, self.name)]
 
 
-@dataclass(frozen=True)
-class ScalarWord:
+@dataclass(frozen=True, eq=False, repr=False)
+class ScalarWord(_Word):
     value: int
 
-    def render(self):
-        return str(self.value)
+    def _render_parts(self):
+        return [str(self.value)]
 
 
-@dataclass(frozen=True)
-class ProductWord:
+@dataclass(frozen=True, eq=False, repr=False)
+class ProductWord(_Word):
     factors: tuple
 
-    def render(self):
+    def _render_parts(self):
         # Sums bind looser than products, so sum factors keep their parens.
-        return " * ".join("(%s)" % f.render() if isinstance(f, SumWord)
-                          else f.render() for f in self.factors)
+        out = []
+        for f in self.factors:
+            if out:
+                out.append(" * ")
+            out.extend(("(", f, ")") if isinstance(f, SumWord) else (f,))
+        return out
 
 
-@dataclass(frozen=True)
-class SumWord:
+@dataclass(frozen=True, eq=False, repr=False)
+class SumWord(_Word):
     terms: tuple
 
-    def render(self):
-        return " + ".join(t.render() for t in self.terms)
+    def _render_parts(self):
+        return _joined(self.terms, " + ")
 
 
-@dataclass(frozen=True)
-class NegWord:
+@dataclass(frozen=True, eq=False, repr=False)
+class NegWord(_Word):
     inner: object
 
-    def render(self):
-        return "-(%s)" % self.inner.render()
+    def _render_parts(self):
+        return ["-(", self.inner, ")"]
 
 
 class WordSyntaxError(InputError):

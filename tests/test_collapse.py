@@ -1,18 +1,25 @@
 """The collapse move: preconditions, the path map, windowed certification."""
 
 import dataclasses
+import functools
 import sys
 
 from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from steinalg import (CollapseSpec, Graph, Path, PathPair, VertexSubset,
-                      check_phi_fin_image, collapse, collapsed_preimage,
-                      enumerate_paths, first_hit_extensions, phi_fin, phi_pair,
-                      pointed_groupoid_iso_check, serialize_graph,
-                      validate_collapsible, vertex_path)
+from steinalg import (CollapseSpec, Graph, GroupoidProbe, IntegerRing, Path,
+                      PathPair, Report, SteinbergElement, VertexSubset,
+                      boundary_tails, check_phi_fin_image, collapse,
+                      collapsed_preimage, concat, convolve, enumerate_paths,
+                      enumerate_probes, first_hit_extensions, from_terms,
+                      indicator, is_prefix, pair_contains, pairs_to_depth,
+                      phi_fin, phi_pair, pointed_groupoid_iso_check,
+                      serialize_graph, validate_collapsible, vertex_path)
 from steinalg import sampling
+from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
+                               _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
+                               _legs_depth)
 from tests.conftest import ROSE2_TEXT, long_line
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -233,6 +240,9 @@ def test_corrupt_duplicate_image_breaks_injectivity(rose2):
     assert "bijection.covers-window" in rep.failures()
     iso = pointed_groupoid_iso_check(bad, 2)
     assert "transport.injective" in iso.failures()
+    # b and v do not compose in the collapsed graph, but their images do.
+    assert (iso.value("multiplicative", "transport-multiplicative")
+            == "fail (Z(v,a) then Z(b,v))")
 
 
 def test_corrupt_dropped_edge_breaks_coverage(two_cycle):
@@ -263,3 +273,187 @@ def test_random_collapses_certify(seed):
     cert = collapse(spec)
     assert check_phi_fin_image(cert, 4).ok
     assert pointed_groupoid_iso_check(cert, 2).ok
+
+
+# -- the multiplicative check against the element-level oracle -----------------------
+
+
+def element_level_iso_check(cert, depth, products):
+    """``pointed_groupoid_iso_check`` as it was when step (d) compared
+    canonical elements: the oracle for the pair comparison.
+
+    Every cap is applied by slicing the full window, the legs depth backs
+    off by building each window it tries, and step (d) canonicalizes
+    transport(1_a * 1_b) and transport(1_a) * transport(1_b) for every
+    ordered combination.  ``products`` memoizes step (d) per legs depth
+    for one certificate, whose windows at two depths often back off to the
+    same legs depth.
+    """
+    rep = Report("pointed groupoid isomorphism")
+    if not _check_well_formed(cert, rep):
+        return rep
+    pre = validate_collapsible(CollapseSpec(cert.original, cert.t0))
+    if not rep.check("well-formed", "preconditions", pre.ok,
+                     "" if pre.ok else ", ".join(pre.failures())):
+        return rep
+    g, F, f0, t0 = cert.original, cert.collapsed, cert.f0, cert.t0
+
+    fprobes = enumerate_probes(F, depth)[:_INJECTIVITY_PROBE_CAP]
+    images = []
+    defect = None
+    for pr in fprobes:
+        try:
+            images.append(GroupoidProbe(phi_fin(cert, pr.mu_full),
+                                        phi_fin(cert, pr.nu_full)))
+        except (KeyError, ValueError):
+            defect = pr.render()
+            break
+    rep.add("transport", "probes", len(fprobes))
+    rep.check("transport", "defined", defect is None,
+              "" if defect is None else "fails at %s" % defect)
+    if defect is not None:
+        return rep
+    rep.check("transport", "units-fixed",
+              all(phi_fin(cert, vertex_path(F, v)) == vertex_path(g, v)
+                  for v in F.vertices))
+    rep.check("transport", "injective", len(images) == len(set(images)))
+
+    pairs = [p for p in pairs_to_depth(g, depth)
+             if p.mu.range_vertex in f0 and p.nu.range_vertex in f0]
+    pairs = pairs[:_COVERAGE_PAIR_CAP]
+    rep.add("coverage", "pairs", len(pairs))
+    cover_defect = None
+    for pair in pairs:
+        v = pair.source_vertex
+        try:
+            hits = first_hit_extensions(g, t0, v)
+        except ValueError:
+            hits = []
+        if not hits:
+            cover_defect = "%s has no retained continuation" % pair.render()
+            break
+        if any(a != b and is_prefix(a, b) for a in hits for b in hits):
+            cover_defect = "first hits at %s are not an antichain" % v
+            break
+        pieces = [pair.extend(tau) for tau in hits]
+        if any(collapsed_preimage(cert, q.mu) is None
+               or collapsed_preimage(cert, q.nu) is None for q in pieces):
+            cover_defect = "piece of %s has no collapsed preimage" % pair.render()
+            break
+        for w in boundary_tails(g, v, max(len(tau) for tau in hits)):
+            probe = GroupoidProbe(concat(pair.mu, w), concat(pair.nu, w))
+            n = sum(1 for q in pieces if pair_contains(q, probe))
+            if n != 1:
+                cover_defect = "%s meets %d pieces of %s" % (
+                    probe.render(), n, pair.render())
+                break
+        if cover_defect:
+            break
+    rep.check("coverage", "first-hit-splitting", cover_defect is None,
+              cover_defect or "")
+
+    ring = IntegerRing()
+
+    def transport(x):
+        return from_terms(g, ring, [(phi_pair(cert, p), c)
+                                    for p, c in x.terms.items()])
+
+    mult_depth = depth
+    while True:
+        fpairs = pairs_to_depth(F, mult_depth)
+        if len(fpairs) ** 2 <= _MULTIPLICATIVE_COMBO_BUDGET or mult_depth == 0:
+            break
+        mult_depth -= 1
+    rep.add("multiplicative", "legs-depth", mult_depth)
+    rep.add("multiplicative", "pairs", len(fpairs))
+    if mult_depth not in products:
+        inds = [indicator(p, ring) for p in fpairs]
+        timages = [transport(x) for x in inds]
+        products[mult_depth] = next(
+            ("%s then %s" % (a.render(), b.render())
+             for a, fa, ta in zip(fpairs, inds, timages)
+             for b, fb, tb in zip(fpairs, inds, timages)
+             if transport(convolve(fa, fb)) != convolve(ta, tb)), None)
+    mult_defect = products[mult_depth]
+    rep.check("multiplicative", "transport-multiplicative", mult_defect is None,
+              mult_defect or "")
+    return rep
+
+
+@given(seeds, st.integers(min_value=0, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_legs_depth_matches_building_each_window(seed, depth):
+    """The back-off sized from path counts lands on the deepest window
+    within budget, found here by building the windows: they only grow with
+    the leg length, so the shallow ones are built up to the first over
+    budget."""
+    g = sampling.random_graph(sampling.rng_from_seed(seed), max_edges=8)
+    want = 0
+    for k in range(1, depth + 1):
+        if len(pairs_to_depth(g, k)) ** 2 > _MULTIPLICATIVE_COMBO_BUDGET:
+            break
+        want = k
+    assert _legs_depth(g, depth) == want
+
+
+def drop_collapsed_edge(cert, edge_id):
+    """The certificate with one collapsed edge and its path left out."""
+    F = cert.collapsed
+    kept = [e for e in F.edges if e.id != edge_id]
+    return dataclasses.replace(
+        cert, collapsed=Graph(F.vertices, kept),
+        edge_paths={e.id: cert.edge_paths[e.id] for e in kept})
+
+
+@functools.lru_cache(maxsize=None)
+def corpus(seed):
+    return sampling.collapse_corpus(seed, 20)
+
+
+@pytest.mark.parametrize("seed,index", [(s, i) for s in (7, 13) for i in range(20)])
+def test_pair_check_matches_element_oracle(seed, index):
+    """The whole iso report equals the oracle's on each corpus certificate
+    and on its variants with one of its first three collapsed edges
+    dropped, at depths 2 and 3: 230 reports over both corpora, 22 of which
+    fail transport-multiplicative."""
+    cert = collapse(corpus(seed)[index])
+    variants = [cert] + [drop_collapsed_edge(cert, e.id)
+                         for e in cert.collapsed.edges[:3]]
+    for variant in variants:
+        products = {}
+        for depth in (2, 3):
+            want = element_level_iso_check(variant, depth, products).render_kv()
+            assert pointed_groupoid_iso_check(variant, depth).render_kv() == want
+
+
+def test_multiplicative_defect_is_reported():
+    """Dropping a collapsed edge leaves a loop whose transported products
+    disagree: Z(e3.e2,v1) * Z(v1,e3.e2) is the unit at v1 in the collapsed
+    graph, but its image composes to Z(e3,e3) in the original."""
+    g = Graph(["v1", "v2", "v3"], [("e1", "v1", "v3"), ("e2", "v2", "v1"),
+                                   ("e3", "v1", "v2")])
+    bad = drop_collapsed_edge(collapse(CollapseSpec(g, ["v2"])), "e1")
+    rep = pointed_groupoid_iso_check(bad, 3)
+    assert rep.failures() == ["coverage.first-hit-splitting",
+                              "multiplicative.transport-multiplicative"]
+    assert rep.value("multiplicative", "legs-depth") == "3"
+    assert rep.value("multiplicative", "pairs") == "17"
+    assert (rep.value("multiplicative", "transport-multiplicative")
+            == "fail (Z(e3.e2,v1) then Z(v1,e3.e2))")
+
+
+def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
+    """Step (d) compares pairs; no algebra element is canonicalized."""
+    built = []
+    init = SteinbergElement.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
+    monkeypatch.setattr(SteinbergElement, "__init__", counting_init)
+    rep = pointed_groupoid_iso_check(cert, 5)
+    assert rep.ok
+    assert rep.value("multiplicative", "pairs") == "98"
+    assert built == []

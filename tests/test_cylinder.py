@@ -13,13 +13,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
-from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, Path,
-                      PathPair, add, as_bisection, boundary_tails,
-                      compose_pairs, concat, convolve, enumerate_paths,
-                      enumerate_probes, expand, invert, invert_pair, member,
-                      pair_contains, pairs_to_depth, probes_in, strip_prefix,
-                      vertex_path)
+from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
+                      Path, PathPair, RationalRing, add, as_bisection,
+                      boundary_tails, compose_pairs, concat, convolve,
+                      enumerate_paths, enumerate_probes, expand, indicator,
+                      invert, invert_pair, member, minimal_pair, pair_contains,
+                      pairs_to_depth, probes_in, strip_prefix, vertex_path)
 from steinalg import sampling
+from tests.conftest import long_line
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -166,7 +167,51 @@ def test_pairs_to_depth_groups_by_source(outsplit_graph):
     assert enumerate_probes(g, 2) == [GroupoidProbe(p.mu, p.nu) for p in got]
 
 
+@given(seeds, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=60))
+@settings(max_examples=100, deadline=None)
+def test_pair_window_filters_and_stops_early(seed, depth, limit):
+    """``ranges`` keeps the pairs whose legs both range there, and ``limit``
+    cuts the list, each in the order of the full window."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng)
+    keep = [v for v in g.vertices if rng.random() < 0.5]
+    full = pairs_to_depth(g, depth)
+    kept = [p for p in full if p.mu.range_vertex in keep and p.nu.range_vertex in keep]
+    assert pairs_to_depth(g, depth, ranges=keep) == kept
+    assert pairs_to_depth(g, depth, ranges=keep, limit=limit) == kept[:limit]
+    assert pairs_to_depth(g, depth, limit=limit) == full[:limit]
+    assert enumerate_probes(g, depth, limit=limit) == enumerate_probes(g, depth)[:limit]
+
+
 # -- pair-level operations ----------------------------------------------------
+
+
+def test_minimal_pair_strips_single_received_edges(loop_graph, rose2):
+    g = long_line(4)
+    f0f1 = Path(g, ("f0", "f1"))
+    x0 = vertex_path(g, "x0")
+    # x1 and x0 each receive one edge, so the whole common tail goes.
+    assert minimal_pair(PathPair(f0f1, f0f1)) == PathPair(x0, x0)
+    f1 = Path(g, ("f1",))
+    assert minimal_pair(PathPair(f1, f1)) == PathPair(vertex_path(g, "x1"),
+                                                      vertex_path(g, "x1"))
+    # v receives two edges on the rose, so nothing is stripped.
+    aa = Path(rose2, ("a", "a"))
+    assert minimal_pair(PathPair(aa, aa)) == PathPair(aa, aa)
+    e = Path(loop_graph, ("e",))
+    v = vertex_path(loop_graph, "v")
+    assert minimal_pair(PathPair(e, v)) == PathPair(e, v)
+
+
+@given(seeds, st.sampled_from([IntegerRing(), RationalRing(), IntegersMod(4)]))
+@settings(max_examples=200, deadline=None)
+def test_minimal_pair_is_the_indicator_term(seed, ring):
+    """A basic set's one canonical term is its minimal pair."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng)
+    p = sampling.random_pair(rng, g, max_len=3)
+    p = p.extend(sampling.forward_walk(rng, g, p.source_vertex, 3))
+    assert list(indicator(p, ring).terms) == [minimal_pair(p)]
 
 
 def test_compose_pairs_cases(loop_graph):

@@ -1,5 +1,6 @@
 """Generator words: parsing, evaluation, relations, spanning."""
 
+import dataclasses
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,91 @@ def test_sum_factors_keep_parens_when_rendered(rose2, zring):
     word = parse_word("(p(v) + s(a)) * st(b)")
     assert word.render() == "(p(v) + s(a)) * st(b)"
     assert parse_word(word.render()) == word
+
+
+# The word classes as frozen dataclasses whose equality, hash, repr and
+# render recurse into the children: the oracle for the explicit-stack walks
+# on shallow words.
+def _recursive_product_render(self):
+    return " * ".join("(%s)" % f.render() if isinstance(f, RECURSIVE["SumWord"])
+                      else f.render() for f in self.factors)
+
+
+RECURSIVE = {cls.__name__: cls for cls in (
+    dataclasses.make_dataclass(
+        "SymbolWord", [("kind", str), ("name", str)], frozen=True,
+        namespace={"render": lambda self: "%s(%s)" % (self.kind, self.name)}),
+    dataclasses.make_dataclass(
+        "ScalarWord", [("value", int)], frozen=True,
+        namespace={"render": lambda self: str(self.value)}),
+    dataclasses.make_dataclass(
+        "ProductWord", [("factors", tuple)], frozen=True,
+        namespace={"render": _recursive_product_render}),
+    dataclasses.make_dataclass(
+        "SumWord", [("terms", tuple)], frozen=True,
+        namespace={"render": lambda self: " + ".join(t.render() for t in self.terms)}),
+    dataclasses.make_dataclass(
+        "NegWord", [("inner", object)], frozen=True,
+        namespace={"render": lambda self: "-(%s)" % self.inner.render()}),
+)}
+
+
+LIBRARY = {cls.__name__: cls for cls in (SymbolWord, ScalarWord, ProductWord, SumWord,
+                                         NegWord)}
+
+
+def copy_word(word, classes):
+    """The same tree built from the given classes (by name)."""
+    cls = classes[type(word).__name__]
+    if isinstance(word, SymbolWord):
+        return cls(word.kind, word.name)
+    if isinstance(word, ScalarWord):
+        return cls(word.value)
+    if isinstance(word, NegWord):
+        return cls(copy_word(word.inner, classes))
+    children = word.factors if isinstance(word, ProductWord) else word.terms
+    return cls(tuple(copy_word(c, classes) for c in children))
+
+
+WORDS = st.recursive(
+    st.builds(SymbolWord, st.sampled_from(["p", "s", "st"]), st.sampled_from(["v", "e"]))
+    | st.builds(ScalarWord, st.integers(min_value=0, max_value=3)),
+    lambda inner: (st.builds(NegWord, inner)
+                   | st.lists(inner, min_size=1, max_size=3).map(tuple).map(ProductWord)
+                   | st.lists(inner, min_size=1, max_size=3).map(tuple).map(SumWord)),
+    max_leaves=12)
+
+
+@given(WORDS, WORDS)
+@settings(max_examples=300, deadline=None)
+def test_word_walks_match_recursive_dataclasses(word, other):
+    """render, repr, == and hash agree with the recursive dataclasses."""
+    ref, other_ref = copy_word(word, RECURSIVE), copy_word(other, RECURSIVE)
+    assert word.render() == ref.render()
+    assert repr(word) == repr(ref)
+    assert (word == other) == (ref == other_ref)
+    again = copy_word(word, LIBRARY)
+    assert again == word and hash(again) == hash(word)
+    if word == other:
+        assert hash(word) == hash(other)
+
+
+def test_deep_word_tree_walks_without_recursion():
+    """A word at the nesting bound renders, compares, hashes and reprs
+    without reaching the recursion limit (each raised RecursionError when
+    the word classes recursed into their children)."""
+    def text(leaf):
+        return "s(a) * (p(v) + " * MAX_NESTING + leaf + ")" * MAX_NESTING
+
+    word, again, other = parse_word(text("s(a)")), parse_word(text("s(a)")), \
+        parse_word(text("s(b)"))
+    assert word.render() == text("s(a)")
+    assert word == again and hash(word) == hash(again)
+    assert word != other
+    shown = repr(word)
+    assert shown.startswith("ProductWord(factors=(SymbolWord(kind='s', name='a'), "
+                            "SumWord(terms=(SymbolWord(kind='p', name='v'), ")
+    assert shown.count("SumWord(terms=") == MAX_NESTING
 
 
 # -- generators ------------------------------------------------------------------
