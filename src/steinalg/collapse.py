@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cylinder import (GroupoidProbe, PathPair, boundary_tails, compose_pairs,
-                       enumerate_probes, minimal_pair, pair_contains,
-                       pairs_to_depth)
+from .cylinder import (GroupoidProbe, PathPair, _RangeLegIndex, boundary_tails,
+                       compose_pairs, enumerate_probes, minimal_pair,
+                       pair_contains, pairs_to_depth)
 from .graph import (Edge, Graph, Path, VertexSubset, concat, enumerate_paths,
                     is_acyclic, is_prefix, sources, subgraph, vertex_path)
 from .report import Report
@@ -344,6 +344,11 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # same pair.  The window pairs are transported once; composites are
     # transported as they come, since keeping each distinct one with its
     # image would hold more memory than the rest of the check.
+    #
+    # Both windows are indexed by range leg, so for each a only the b that
+    # compose on at least one side are visited, in ascending order: the
+    # first defect is the least b that composes on one side only or whose
+    # two composites disagree, as in the loop over every combination.
     mult_depth = _legs_depth(F, depth)
     fpairs = pairs_to_depth(F, mult_depth)
     rep.add("multiplicative", "legs-depth", mult_depth)
@@ -352,20 +357,29 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     def image(p):
         return minimal_pair(phi_pair(cert, minimal_pair(p)))
 
-    window = [(a, minimal_pair(a), image(a)) for a in fpairs]
+    minimal = [minimal_pair(a) for a in fpairs]
+    transported = [minimal_pair(phi_pair(cert, m)) for m in minimal]
+    left_index = _RangeLegIndex(minimal)
+    right_index = _RangeLegIndex(transported)
     mult_defect = None
-    for a, ma, ta in window:
-        for b, mb, tb in window:
-            left = compose_pairs(ma, mb)
-            right = compose_pairs(ta, tb)
-            if left is None or right is None:
-                if left is right:
-                    continue
-            elif image(left) == minimal_pair(right):
-                continue
-            mult_defect = "%s then %s" % (a.render(), b.render())
-            break
-        if mult_defect:
+    for a, ma, ta in zip(fpairs, minimal, transported):
+        left = left_index.partners(ma.nu)
+        right = right_index.partners(ta.nu)
+        b = None
+        for j, k in zip(left, right):
+            if j != k:
+                b = min(j, k)       # it composes on one side only
+                break
+            if (image(compose_pairs(ma, minimal[j]))
+                    != minimal_pair(compose_pairs(ta, transported[j]))):
+                b = j
+                break
+        else:
+            rest = left[len(right):] or right[len(left):]
+            if rest:
+                b = rest[0]         # it composes on the longer side only
+        if b is not None:
+            mult_defect = "%s then %s" % (a.render(), fpairs[b].render())
             break
     rep.check("multiplicative", "transport-multiplicative", mult_defect is None,
               mult_defect or "")

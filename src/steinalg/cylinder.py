@@ -216,6 +216,63 @@ def compose_pairs(p: PathPair, q: PathPair):
     return None
 
 
+class _RangeLegIndex:
+    """The positions of a list of pairs, looked up by range leg.
+
+    ``compose_pairs(p, q)`` is a pair exactly when one of p's source leg and
+    q's range leg is a prefix of the other.  The range legs are filed in a
+    trie with one root per range vertex and one level per edge, so the
+    nodes are the legs' prefixes.  ``partners(nu)`` walks nu's edges once:
+    the legs ending at a node above nu's are shorter than nu, and the legs
+    passing through nu's node equal or extend it.  Each distinct nu is
+    walked once.
+    """
+
+    __slots__ = ("_roots", "_found")
+
+    def __init__(self, pairs):
+        # A node is (children by edge id, the positions of the legs ending
+        # there, the positions of the legs ending there or passing through).
+        roots = {}
+        for i, q in enumerate(pairs):
+            mu = q.mu
+            node = roots.get(mu.range_vertex)
+            if node is None:
+                node = roots[mu.range_vertex] = ({}, [], [])
+            node[2].append(i)
+            for e in mu.edges:
+                children = node[0]
+                node = children.get(e)
+                if node is None:
+                    node = children[e] = ({}, [], [])
+                node[2].append(i)
+            node[1].append(i)
+        self._roots = roots
+        self._found = {}
+
+    def partners(self, nu):
+        """The positions, ascending, of the pairs q for which
+        ``compose_pairs(p, q)`` is not None when p's source leg is nu; the
+        list is shared between calls and is not to be changed."""
+        key = (nu.edges, nu.range_vertex)
+        found = self._found.get(key)
+        if found is None:
+            found, shorter = [], []
+            node = self._roots.get(nu.range_vertex)
+            if node is not None:
+                for e in nu.edges:
+                    shorter += node[1]
+                    node = node[0].get(e)
+                    if node is None:
+                        break
+                else:
+                    found = node[2]
+            if shorter:
+                found = sorted(found + shorter)
+            self._found[key] = found
+        return found
+
+
 def minimal_pair(p: PathPair) -> PathPair:
     """The least pair with the same basic set as p.
 

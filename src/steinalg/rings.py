@@ -34,6 +34,15 @@ class CoefficientRing:
     def from_int(self, k):
         raise NotImplementedError
 
+    def coerce(self, a):
+        """a as a normalized value of this ring; InputError when a is not
+        one.  Integers and integral Fractions are accepted by every ring."""
+        if isinstance(a, Fraction) and a.denominator == 1:
+            a = a.numerator
+        if not isinstance(a, int):
+            raise InputError("coefficient %r is not in the ring %s" % (a, self.name))
+        return self.from_int(a)
+
     def sample(self, rng):
         raise NotImplementedError
 
@@ -130,6 +139,11 @@ class RationalRing(CoefficientRing):
 
     def from_int(self, k):
         return Fraction(k)
+
+    def coerce(self, a):
+        if not isinstance(a, (int, Fraction)):
+            raise InputError("coefficient %r is not in the ring %s" % (a, self.name))
+        return Fraction(a)
 
     def sample(self, rng):
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4))

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cylinder import GroupoidProbe, _pair, as_bisection, compose_pairs, expand
+from .cylinder import (GroupoidProbe, _RangeLegIndex, _pair, as_bisection,
+                       compose_pairs, expand)
 from .graph import concat, strip_prefix
 
 
@@ -86,8 +87,6 @@ class SteinbergElement:
 def _canonical_terms(graph, ring, raw_terms):
     merged = {}
     for pair, coeff in raw_terms:
-        if pair.graph is not graph:
-            raise ValueError("term pair on a different graph")
         acc = merged.get(pair)
         coeff = coeff if acc is None else ring.add(acc, coeff)
         merged[pair] = coeff
@@ -238,13 +237,17 @@ def indicator(b, ring) -> SteinbergElement:
 def from_terms(graph, ring, pairs_and_coeffs) -> SteinbergElement:
     """The element sum c * 1_Z(p) over (p, c) pairs.
 
-    Each coefficient is first reduced into the ring by adding it to zero
-    (a residue mod n, a Fraction over q), so equal functions compare equal
-    whatever form their coefficients were given in.
+    Each pair must live on the graph, and each coefficient is reduced into
+    the ring (a residue mod n, a Fraction over q), so equal functions
+    compare equal whatever form their coefficients were given in; a
+    coefficient outside the ring raises InputError.
     """
-    z = ring.zero()
-    return SteinbergElement(graph, ring,
-                            [(p, ring.add(z, c)) for p, c in pairs_and_coeffs])
+    raw = []
+    for p, c in pairs_and_coeffs:
+        if p.graph is not graph:
+            raise ValueError("term pair on a different graph")
+        raw.append((p, ring.coerce(c)))
+    return SteinbergElement(graph, ring, raw)
 
 
 # -- module operations -----------------------------------------------------
@@ -270,7 +273,9 @@ def negate(f) -> SteinbergElement:
 
 
 def scale(r, f) -> SteinbergElement:
+    """r times f; a scalar outside the ring raises InputError."""
     ring = f.ring
+    r = ring.coerce(r)
     return SteinbergElement(f.graph, ring,
                             [(p, ring.mul(r, c)) for p, c in f.terms.items()])
 
@@ -279,13 +284,28 @@ def convolve(f, g) -> SteinbergElement:
     """The convolution product.
 
     On basic bisections convolution is composition of the underlying sets,
-    so the product distributes into one compose_pairs call per term pair.
+    so the product distributes over the term pairs that compose.  When both
+    factors have several terms, the terms of g are indexed by range leg
+    once and each distinct source leg of f looks up its partners once, so
+    compose_pairs runs only on the pairs that meet; with a single term on
+    either side no lookup would share the index's cost, and every pair is
+    tried.  Either way the composites come in the order of the double loop
+    over f's and g's terms.  A zero factor is itself the product.
     """
     _check_compatible(f, g)
+    if not f.terms:
+        return f
+    if not g.terms:
+        return g
     ring = f.ring
+    right = list(g.terms.items())
+    index = None
+    if len(f.terms) > 1 and len(right) > 1:
+        index = _RangeLegIndex(g.terms)
     raw = []
     for p, c in f.terms.items():
-        for q, d in g.terms.items():
+        for j in index.partners(p.nu) if index is not None else range(len(right)):
+            q, d = right[j]
             composed = compose_pairs(p, q)
             if composed is not None:
                 raw.append((composed, ring.mul(c, d)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import importlib
 import sys
 
 from hypothesis import assume, given, settings, strategies as st
@@ -11,11 +12,12 @@ import pytest
 from steinalg import (CollapseSpec, Graph, GroupoidProbe, IntegerRing, Path,
                       PathPair, Report, SteinbergElement, VertexSubset,
                       boundary_tails, check_phi_fin_image, collapse,
-                      collapsed_preimage, concat, convolve, enumerate_paths,
-                      enumerate_probes, first_hit_extensions, from_terms,
-                      indicator, is_prefix, pair_contains, pairs_to_depth,
-                      phi_fin, phi_pair, pointed_groupoid_iso_check,
-                      serialize_graph, validate_collapsible, vertex_path)
+                      collapsed_preimage, compose_pairs, concat, convolve,
+                      enumerate_paths, enumerate_probes, first_hit_extensions,
+                      from_terms, indicator, is_prefix, minimal_pair,
+                      pair_contains, pairs_to_depth, phi_fin, phi_pair,
+                      pointed_groupoid_iso_check, serialize_graph,
+                      validate_collapsible, vertex_path)
 from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
@@ -442,6 +444,41 @@ def test_multiplicative_defect_is_reported():
             == "fail (Z(e3.e2,v1) then Z(v1,e3.e2))")
 
 
+def test_first_defect_is_the_least_failing_combination():
+    """Two faults, each of its own kind: e4 is left out, so e2 is the only
+    edge into v1 in the collapsed graph but not in the original, and e3
+    abbreviates e1.  The first failing a is Z(e2,e2.e1).  Its least failing
+    b, Z(e2.e1,e2), composes on both sides to pairs whose images differ;
+    the next, Z(e2.e3,e2), composes only after transport.  The report names
+    the least one, as the oracle does.
+
+    The opposite order has no certificate here.  One-sided combinations
+    need two collapsed edges abbreviating one path, and swapping those two
+    edges maps each failing combination to a failing one of the same kind;
+    no searched certificate had a first failing a with a one-sided b before
+    a mismatched one.
+    """
+    g = Graph(["v1", "v2"], [("e1", "v2", "v2"), ("e2", "v1", "v2"),
+                             ("e3", "v2", "v2"), ("e4", "v1", "v2")])
+    cert = collapse(CollapseSpec(g, []))
+    kept = [g.edge(e) for e in ("e1", "e2", "e3")]
+    bad = dataclasses.replace(
+        cert, collapsed=Graph(g.vertices, kept),
+        edge_paths={"e1": Path(g, ("e1",)), "e2": Path(g, ("e2",)),
+                    "e3": Path(g, ("e1",))})
+    F = bad.collapsed
+    a = PathPair(Path(F, ("e2",)), Path(F, ("e2", "e1")))
+    later = PathPair(Path(F, ("e2", "e3")), Path(F, ("e2",)))
+    assert compose_pairs(minimal_pair(a), minimal_pair(later)) is None
+    assert compose_pairs(phi_pair(bad, a), phi_pair(bad, later)) is not None
+    rep = pointed_groupoid_iso_check(bad, 2)
+    assert (rep.value("multiplicative", "transport-multiplicative")
+            == "fail (Z(e2,e2.e1) then Z(e2.e1,e2))")
+    for depth in (2, 3):
+        assert (pointed_groupoid_iso_check(bad, depth).render_kv()
+                == element_level_iso_check(bad, depth, {}).render_kv())
+
+
 def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
     """Step (d) compares pairs; no algebra element is canonicalized."""
     built = []
@@ -457,3 +494,28 @@ def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
     assert rep.ok
     assert rep.value("multiplicative", "pairs") == "98"
     assert built == []
+
+
+def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
+                                                                 monkeypatch):
+    """Step (d) calls compose_pairs once per combination that composes on
+    each side, and on no combination that composes on neither."""
+    cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
+    F = cert.collapsed
+    minimal = [minimal_pair(a) for a in pairs_to_depth(F, _legs_depth(F, 5))]
+    images = [minimal_pair(phi_pair(cert, m)) for m in minimal]
+    composing = sum(1 for side in (minimal, images) for p in side for q in side
+                    if compose_pairs(p, q) is not None)
+    assert 0 < composing < 2 * len(minimal) ** 2
+    calls = []
+
+    def counting_compose(p, q):
+        calls.append(1)
+        return compose_pairs(p, q)
+
+    monkeypatch.setattr(importlib.import_module("steinalg.collapse"),
+                        "compose_pairs", counting_compose)
+    rep = pointed_groupoid_iso_check(cert, 5)
+    assert rep.ok
+    assert rep.value("multiplicative", "pairs") == str(len(minimal))
+    assert len(calls) == composing

@@ -3,17 +3,19 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from steinalg import (BasicBisection, GroupoidProbe, Graph, IntegerRing,
-                      IntegersMod, Path, PathPair, RationalRing, add,
-                      canonicalize, convolve, evaluate, expand, from_terms,
-                      grade, graded_component, indicator, load_graph, negate,
-                      oracle_convolve_at, pair_contains, scale, vertex_path,
-                      zero)
-from steinalg import sampling
+from steinalg import (BasicBisection, GroupoidProbe, Graph, InputError,
+                      IntegerRing, IntegersMod, Path, PathPair, RationalRing,
+                      SteinbergElement, add, canonicalize, compose_pairs,
+                      convolve, evaluate, expand, from_terms, grade,
+                      graded_component, indicator, load_graph, negate,
+                      oracle_convolve_at, pair_contains, pairs_to_depth, scale,
+                      vertex_path, zero)
+from steinalg import sampling, steinberg
+from steinalg.cylinder import _RangeLegIndex
 from steinalg.steinberg import _canonical_terms, _contract
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -55,6 +57,34 @@ def test_from_terms_reduces_coefficients(loop_graph, qring):
         from_terms(loop_graph, mod4, [(p, 1)])
     [coeff] = from_terms(loop_graph, qring, [(p, 3)]).terms.values()
     assert type(coeff) is Fraction and coeff == 3
+    # Integral Fractions are integers of z and zmod:N.
+    [coeff] = from_terms(loop_graph, IntegerRing(), [(p, Fraction(4, 2))]).terms.values()
+    assert type(coeff) is int and coeff == 2
+    [coeff] = from_terms(loop_graph, mod4, [(p, Fraction(-6))]).terms.values()
+    assert type(coeff) is int and coeff == 2
+
+
+@pytest.mark.parametrize("ring,bad", [
+    (IntegerRing(), Fraction(1, 2)), (IntegerRing(), 2.5), (IntegerRing(), 2.0),
+    (IntegersMod(4), Fraction(1, 2)), (IntegersMod(4), 3.0), (RationalRing(), 2.5),
+    (RationalRing(), "1/2"),
+], ids=["z-half", "z-float", "z-integral-float", "zmod4-half", "zmod4-float",
+        "q-float", "q-str"])
+def test_coefficients_outside_the_ring_are_rejected(loop_graph, ring, bad):
+    """No float, and no non-integral Fraction over z or zmod:N, becomes a
+    coefficient: from_terms and scale raise instead of storing it."""
+    v = vertex_path(loop_graph, "v")
+    p = PathPair(v, v)
+    with pytest.raises(InputError, match="not in the ring"):
+        from_terms(loop_graph, ring, [(p, bad)])
+    with pytest.raises(InputError, match="not in the ring"):
+        scale(bad, indicator(p, ring))
+
+
+def test_from_terms_rejects_a_pair_on_another_graph(loop_graph, rose2, zring):
+    v = vertex_path(rose2, "v")
+    with pytest.raises(ValueError, match="different graph"):
+        from_terms(loop_graph, zring, [(PathPair(v, v), 1)])
 
 
 def test_partial_fans_do_not_contract(rose2, zring):
@@ -376,12 +406,98 @@ def test_convolve_associative(seed):
     assert convolve(convolve(f, h), k) == convolve(f, convolve(h, k))
 
 
-def test_zero_annihilates(loop_graph, zring):
+def test_zero_annihilates(loop_graph, zring, monkeypatch):
+    """A zero factor is the product at once: no element is normalized."""
     e = Path(loop_graph, ("e",))
     v = vertex_path(loop_graph, "v")
     f = indicator(PathPair(e, v), zring)
     z = zero(loop_graph, zring)
+    built = []
+    init = SteinbergElement.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(SteinbergElement, "__init__", counting_init)
     assert convolve(z, f).is_zero() and convolve(f, z).is_zero()
+    assert convolve(z, z).is_zero()
+    assert built == []
+
+
+def double_loop_convolve(f, g):
+    """convolve by its definition: compose every term of f with every term
+    of g and keep the composites in that order.  The oracle for the range
+    leg index, which must build the same raw terms in the same order."""
+    ring = f.ring
+    raw = []
+    for p, c in f.terms.items():
+        for q, d in g.terms.items():
+            composed = compose_pairs(p, q)
+            if composed is not None:
+                raw.append((composed, ring.mul(c, d)))
+    return SteinbergElement(f.graph, ring, raw)
+
+
+def dense_element(rng, g, ring, depth):
+    """Every pair to the depth, each with a nonzero random coefficient."""
+    return from_terms(g, ring, [(p, ring.sample_nonzero(rng))
+                                for p in pairs_to_depth(g, depth)])
+
+
+def composable(p, pairs):
+    """The positions of the pairs q that compose_pairs(p, q) composes."""
+    return [j for j, q in enumerate(pairs) if compose_pairs(p, q) is not None]
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_convolve_matches_the_double_loop_on_dense_elements(seed):
+    """Dense elements on graphs with a source vertex, over z, q and zmod:4:
+    each product has the double loop's terms in the double loop's order,
+    and the index finds exactly the composable pairs, vertex legs
+    included."""
+    rng = sampling.rng_from_seed(seed)
+    g = sweep_graph(rng)
+    # Depth 3 windows on these graphs reach thousands of pairs, and the
+    # double loop is quadratic in them.
+    depths = [d for d in (2, 3) if len(pairs_to_depth(g, d, limit=161)) <= 160]
+    assume(depths)
+    ring = rng.choice(RINGS + (IntegersMod(4),))
+    window = pairs_to_depth(g, depths[-1])
+    index = _RangeLegIndex(window)
+    for p in window:
+        assert index.partners(p.nu) == composable(p, window)
+    f, h = (dense_element(rng, g, ring, rng.choice(depths)) for _ in range(2))
+    # A factor with one term takes no index; sparse factors check that too.
+    k = sampling.random_element(rng, g, ring, max_terms=2)
+    for x, y in ((f, h), (f, k), (k, h)):
+        product = convolve(x, y)
+        want = double_loop_convolve(x, y)
+        assert product.terms == want.terms
+        assert list(product.terms) == list(want.terms)
+    index = _RangeLegIndex(h.terms)
+    for p in f.terms:
+        assert index.partners(p.nu) == composable(p, list(h.terms))
+
+
+def test_convolve_composes_only_the_pairs_that_meet(zring, monkeypatch):
+    """On a rose4 depth-2 dense product, compose_pairs runs once per
+    composite, not once per term pair."""
+    g = load_graph("vertices: v\n" + "".join("edge: %s v <- v\n" % a for a in "abcd"))
+    rng = sampling.rng_from_seed(4)
+    f, h = (dense_element(rng, g, zring, 2) for _ in range(2))
+    composites = sum(len(composable(p, list(h.terms))) for p in f.terms)
+    assert 0 < composites < len(f.terms) * len(h.terms)
+    calls = []
+
+    def counting_compose(p, q):
+        calls.append(1)
+        return compose_pairs(p, q)
+
+    monkeypatch.setattr(steinberg, "compose_pairs", counting_compose)
+    convolve(f, h)
+    assert len(calls) == composites
 
 
 # -- grading --------------------------------------------------------------------
