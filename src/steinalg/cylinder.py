@@ -314,6 +314,10 @@ def expand(p: PathPair, target_depth: int):
     ranging at the source vertex; at a source vertex the pair is already a
     single truncated element and stays as it is.  Splitting one level at a
     time, edges in declaration order, yields the pieces in sort_key order.
+
+    The canonical form does not call this.  It stays as public API, as the
+    expansion behind the tests' brute-force canonical form, and as an entry
+    point that perfbench's tracer times.
     """
     if target_depth < p.min_depth:
         raise ValueError("target depth %d below pair depth %d" % (target_depth, p.min_depth))

@@ -19,7 +19,7 @@ knows them from the paths it started from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
 
@@ -239,22 +239,28 @@ def is_prefix(prefix: Path, full: Path) -> bool:
 
 @dataclass(frozen=True)
 class VertexSubset:
-    """An ordered subset of a graph's vertices (declaration order)."""
+    """An ordered subset of a graph's vertices (declaration order).
+
+    Membership is looked up in a set of the members; it follows from the
+    other two fields, so equality, hashing and repr ignore it.
+    """
 
     graph: Graph
     members: tuple
+    _lookup: frozenset = field(compare=False, repr=False)
 
     def __init__(self, graph, members):
-        members = set(members)
+        members = frozenset(members)
         for v in members:
             if not graph.has_vertex(v):
                 raise InputError("unknown vertex %r" % (v,))
         ordered = tuple(v for v in graph.vertices if v in members)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "members", ordered)
+        object.__setattr__(self, "_lookup", members)
 
     def __contains__(self, v):
-        return v in self.members
+        return v in self._lookup
 
     def __iter__(self):
         return iter(self.members)
@@ -263,7 +269,7 @@ class VertexSubset:
         return len(self.members)
 
     def complement(self):
-        return VertexSubset(self.graph, [v for v in self.graph.vertices if v not in self.members])
+        return VertexSubset(self.graph, [v for v in self.graph.vertices if v not in self._lookup])
 
     def render(self):
         return ",".join(self.members)

@@ -1,25 +1,28 @@
 """The convolution algebra of a graph's path groupoid, with exact arithmetic.
 
 An element is a finite R-linear combination of indicator functions of basic
-pair sets.  Internally every element is kept in a canonical normal form:
+pair sets.  Internally every element is kept in a canonical normal form,
+built in one walk per chain:
 
-  1. stored pairs are refined on demand into pairwise disjoint pieces.  Two
-     basic pairs meet only when one lies inside the other, which happens
-     exactly when it is the other extended along a common tail; so only the
-     pairs that contain another stored pair are split, one level at a time
-     along the chain towards the nested pair, and each piece carries its own
-     coefficient plus those of the stored pairs containing it.  Pairs that
-     nest in nothing stay as they are, whatever their depths.
-  2. complete equal-coefficient fans (mu e, nu e) over every edge e ranging
-     at the source vertex are merged back into (mu, nu), deepest parents
-     first, until no merge applies.
+  1. two basic pairs meet only when one lies inside the other, which
+     happens exactly when it is the other extended along a common tail.  So
+     the stored pairs fall into chains that share a top (both legs with the
+     common tail cut off), and the tails of a chain's pairs, with their
+     prefixes, form a tree.  Coefficients are summed down that tree: a
+     node's sum is its value on every branch of its fan that no stored pair
+     reaches.
+  2. going back up, a node is uniform when every branch of its fan carries
+     one value, and then it stands for its whole fan; under a node that
+     stays mixed, each uniform branch with a nonzero value is a piece.  A
+     chain with a single pair is that pair's minimal pair.
 
 Step 2 makes the normal form depth-minimal and unique, so two elements are
 equal as functions exactly when their term maps coincide.  Without it,
 equal functions built along different routes could normalize to different
 pieces (for a single loop e at v, 1 at Z(ee,ee) and 1 at Z(v,v) are the
-same function), and term comparison would wrongly separate them.  The cost
-of both steps is polynomial in the number of terms, their depth and the
+same function), and term comparison would wrongly separate them.  The walk
+visits the stored pairs' tails, their prefixes and the fans below them, so
+its cost is polynomial in the number of terms, their depth and the
 fan-out; it does not grow with the depth gap between unrelated terms.
 """
 
@@ -28,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cylinder import (GroupoidProbe, _RangeLegIndex, _pair, as_bisection,
-                       compose_pairs, expand)
-from .graph import concat, strip_prefix
+                       compose_pairs, minimal_pair)
+from .graph import _path, concat, strip_prefix
 
 
 class SteinbergElement:
@@ -88,128 +91,106 @@ def _canonical_terms(graph, ring, raw_terms):
     merged = {}
     for pair, coeff in raw_terms:
         acc = merged.get(pair)
-        coeff = coeff if acc is None else ring.add(acc, coeff)
-        merged[pair] = coeff
-    merged = {p: c for p, c in merged.items() if not ring.is_zero(c)}
-    if not merged:
-        return merged
-    if len(merged) > 1:
-        merged = _refine(ring, merged)
-    return _contract(graph, ring, merged)
-
-
-def _common_tail(mu, nu):
-    """How many trailing edges the two edge tuples share."""
-    n = min(len(mu), len(nu))
-    k = 0
-    while k < n and mu[-1 - k] == nu[-1 - k]:
-        k += 1
-    return k
-
-
-def _refine(ring, merged):
-    """Disjoint pieces of the merged terms with the coefficient sums of the
-    terms covering each piece; zero pieces are dropped.
-
-    Each pair is filed under the top of its parent chain (both legs with
-    their common tail cut off) and keyed there by that tail, so a pair
-    contains another exactly when both share a top and its tail is a prefix
-    of the other's.  Every ancestor of a pair up to its highest merged
-    ancestor is a split node and is replaced by its one-level fan; a fan
-    child that is no split node is a piece.  The coefficient of a split
-    node's merged ancestors is summed once, down the chain.
-    """
+        merged[pair] = coeff if acc is None else ring.add(acc, coeff)
+    # A chain is the pairs with one top (both legs with the common tail cut
+    # off), each filed by its tail: two pairs meet only when they share a
+    # top and one tail is a prefix of the other.  The range vertex tells
+    # apart tops whose legs are both vertices.
     chains = {}
     for p, c in merged.items():
+        if ring.is_zero(c):
+            continue
         mu, nu = p.mu.edges, p.nu.edges
-        k = _common_tail(mu, nu)
-        # The range vertex tells apart tops whose legs are both vertices.
+        k, n = 0, min(len(mu), len(nu))
+        while k < n and mu[-1 - k] == nu[-1 - k]:
+            k += 1
         top = (mu[:len(mu) - k], nu[:len(nu) - k], p.mu.range_vertex)
         chains.setdefault(top, {})[mu[len(mu) - k:]] = (p, c)
     out = {}
-    for members in chains.values():
-        split = {}      # tail of a split node -> (a pair below it, levels up)
-        if len(members) > 1:
-            for tail, (p, _) in members.items():
-                high = next((i for i in range(len(tail)) if tail[:i] in members), None)
-                if high is None:
-                    continue
-                # A split node already found has its whole chain up to the
-                # same highest merged ancestor recorded.
-                for j in range(len(tail) - 1, high - 1, -1):
-                    if tail[:j] in split:
-                        break
-                    split[tail[:j]] = (p, len(tail) - j)
-        above = {}      # tail of a split node -> the sum over it and its ancestors
-        for tail in sorted(split, key=len):
-            p, up = split[tail]
-            node = _pair(p.mu.prefix(len(p.mu.edges) - up),
-                         p.nu.prefix(len(p.nu.edges) - up))
-            # The highest split node of a chain is merged itself, and a
-            # split node's merged ancestors are all split nodes.
-            own = members.get(tail)
-            acc = above.get(tail[:-1]) if tail else None
-            if acc is None:
-                acc = own[1]
-            elif own is not None:
-                acc = ring.add(acc, own[1])
-            above[tail] = acc
-            for child in expand(node, node.min_depth + 1):
-                kid = tail + child.mu.edges[-1:]
-                if kid not in split:
-                    own = members.get(kid)
-                    out[child] = acc if own is None else ring.add(acc, own[1])
-        for tail, (p, c) in members.items():
-            # Pairs below a split node came out as fan children above.
-            if tail not in split and not (tail and tail[:-1] in split):
-                out[p] = c
-    return {p: c for p, c in out.items() if not ring.is_zero(c)}
+    for top, members in chains.items():
+        if len(members) == 1:
+            [(p, c)] = members.values()
+            out[minimal_pair(p)] = c
+        else:
+            _walk_chain(graph, ring, top, members, out)
+    return out
 
 
-def _contract(graph, ring, terms):
-    """Merge complete equal-coefficient fans in one bottom-up pass.
+_MIXED = object()       # the value of a node whose fan carries several
 
-    Each term is filed once under its parent pair.  Parents are visited
-    deepest first, so every child a merge can produce is in place before
-    its parent's fan is judged; a merged parent joins its own parent's fan.
+
+def _same(ring, a, b):
+    """Whether two node values agree; None is zero, and a mixed value
+    agrees with none."""
+    if a is None or b is None:
+        return a is b
+    return a is not _MIXED and b is not _MIXED and ring.eq(a, b)
+
+
+def _walk_chain(graph, ring, top, members, out):
+    """Add the canonical pieces of one chain, its members filed by tail.
+
+    The tree holds the member tails and their prefixes.  A node's sum is
+    the total over the members at it and above it (None when zero); it is
+    the value on every branch of the node's fan that no member reaches.
+    Going up, a node takes the one value that every branch of its fan
+    carries, or is mixed.  Only a mixed node emits pieces: its branches
+    with a nonzero value (a mixed branch has emitted its own).  The root is
+    emitted when its value is nonzero.
     """
-    fans = {}           # parent -> the live terms directly below it
-    by_depth = {}       # len(parent.mu) -> parents
-    size = len(terms)
+    top_mu, top_nu, mu_range = top
+    first, (p, _) = next(iter(members.items()))
+    nu_range = p.nu.range_vertex
+    edge = graph.edge
+    root_source = edge(first[0]).range_vertex if first else p.source_vertex
 
-    def join(p):
-        mu, nu = p.mu, p.nu
-        if not (mu.edges and nu.edges and mu.edges[-1] == nu.edges[-1]):
-            return
-        # Merges only shrink the term map, so a wider fan never completes.
-        if len(graph.edges_with_range(graph.edge(mu.edges[-1]).range_vertex)) > size:
-            return
-        # Both legs drop the same last edge, so they keep a common source.
-        parent = _pair(mu.prefix(len(mu.edges) - 1), nu.prefix(len(nu.edges) - 1))
-        kids = fans.get(parent)
-        if kids is None:
-            fans[parent] = kids = []
-            by_depth.setdefault(len(parent.mu.edges), []).append(parent)
-        kids.append(p)
+    def source(t):
+        return edge(t[-1]).source_vertex if t else root_source
 
-    for p in terms:
-        join(p)
-    for depth in range(max(by_depth, default=-1), -1, -1):
-        for parent in by_depth.pop(depth, ()):
-            kids = fans.pop(parent)
-            if len(kids) != len(graph.edges_with_range(parent.source_vertex)):
-                continue
-            first = terms[kids[0]]
-            if not all(ring.eq(first, terms[k]) for k in kids[1:]):
-                continue
-            if parent in terms:
-                raise RuntimeError("contraction of %s collided with a live term"
-                                   % parent.render())
-            for k in kids:
-                del terms[k]
-            terms[parent] = first
-            join(parent)
-    return terms
+    def piece(t):
+        got = members.get(t)
+        if got is not None:
+            return got[0]
+        v = source(t)
+        return _pair(_path(graph, top_mu + t, mu_range, v),
+                     _path(graph, top_nu + t, nu_range, v))
+
+    sums = {}
+    for tail in members:
+        for i in range(len(tail), -1, -1):
+            if tail[:i] in sums:
+                break
+            sums[tail[:i]] = None
+    order = sorted(sums, key=len)
+    for t in order:
+        acc = sums[t[:-1]] if t else None
+        own = members.get(t)
+        if own is not None:
+            acc = own[1] if acc is None else ring.add(acc, own[1])
+            if ring.is_zero(acc):
+                acc = None
+        sums[t] = acc
+    below = {}          # node -> {edge id: the value of that branch}
+    for t in reversed(order):
+        value = total = sums[t]
+        kids = below.pop(t, None)
+        if kids is not None:
+            fan = graph.edges_with_range(source(t))
+            values = list(kids.values())
+            if len(kids) < len(fan):
+                values.append(total)
+            value = values[0]
+            if not all(_same(ring, value, v) for v in values[1:]):
+                value = _MIXED
+            if value is _MIXED:
+                for e in fan:
+                    v = kids.get(e.id, total)
+                    if v is not None and v is not _MIXED:
+                        out[piece(t + (e.id,))] = v
+        if t:
+            below.setdefault(t[:-1], {})[t[-1]] = value
+        elif value is not None and value is not _MIXED:
+            out[piece(t)] = value
 
 
 # -- constructors ----------------------------------------------------------

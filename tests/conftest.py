@@ -1,9 +1,11 @@
 """Shared fixtures: the named small graphs, the shipped rings, and the
-seeded corpora the randomized tests draw from."""
+seeded corpora the randomized tests draw from; and the brute-force
+canonical form the canonical-form tests compare against."""
 
 import pytest
 
-from steinalg import Graph, IntegerRing, IntegersMod, RationalRing, load_graph
+from steinalg import (Graph, IntegerRing, IntegersMod, PathPair, RationalRing,
+                      expand, load_graph)
 from steinalg import sampling
 
 LOOP_TEXT = "vertices: v\nedge: e v <- v\n"
@@ -20,6 +22,57 @@ def long_line(n):
     vertices = ["x%d" % i for i in range(n)]
     edges = [("f%d" % i, vertices[i], vertices[i + 1]) for i in range(n - 1)]
     return Graph(vertices, edges)
+
+
+def common_depth_terms(graph, ring, raw_terms):
+    """The canonical form by brute force: expand every merged term to the
+    deepest term's min depth, which makes the pieces disjoint, add up the
+    pieces, then merge complete equal-coefficient fans pass after pass
+    until no pass merges anything.  Exponential in the depth gap; a test
+    oracle only."""
+    merged = {}
+    for pair, coeff in raw_terms:
+        acc = merged.get(pair)
+        merged[pair] = coeff if acc is None else ring.add(acc, coeff)
+    merged = {p: c for p, c in merged.items() if not ring.is_zero(c)}
+    if not merged:
+        return {}
+    depth = max(p.min_depth for p in merged)
+    terms = {}
+    for pair, coeff in merged.items():
+        for piece in expand(pair, depth):
+            acc = terms.get(piece)
+            terms[piece] = coeff if acc is None else ring.add(acc, coeff)
+    terms = {p: c for p, c in terms.items() if not ring.is_zero(c)}
+    changed = True
+    while changed:
+        changed = False
+        by_parent = {}
+        for p in terms:
+            if p.mu.edges and p.nu.edges and p.mu.edges[-1] == p.nu.edges[-1]:
+                parent = PathPair(p.mu.prefix(len(p.mu) - 1), p.nu.prefix(len(p.nu) - 1))
+                by_parent.setdefault(parent, []).append(p)
+        for parent, kids in by_parent.items():
+            coeffs = [terms[k] for k in kids]
+            if (len(kids) == len(graph.edges_with_range(parent.source_vertex))
+                    and all(ring.eq(coeffs[0], c) for c in coeffs[1:])):
+                for k in kids:
+                    del terms[k]
+                terms[parent] = coeffs[0]
+                changed = True
+    return terms
+
+
+def sweep_graph(rng):
+    """A random graph plus a source s (it receives no edge) and a vertex t
+    whose whole fan is one edge, both wired into the random part."""
+    g = sampling.random_graph(rng, max_vertices=3, max_edges=4)
+    vs = list(g.vertices)
+    edges = [(e.id, e.range_vertex, e.source_vertex) for e in g.edges]
+    edges += [("fs", rng.choice(vs), "s"), ("ft", "t", rng.choice(vs)),
+              ("fo", rng.choice(vs), "t")]
+    return Graph(vs + ["s", "t"], edges)
+
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line, exit code by exit code."""
 
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -26,7 +28,30 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading):
+    """The body of the first fenced block after a README heading."""
+    after = README.read_text().split(heading + "\n", 1)[1]
+    return after.split("```", 2)[1].split("\n", 1)[1]
+
+
 # -- exit code 0: passing runs ---------------------------------------------------
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Every command line in the README exits 0 on examples.txt, which is
+    the README's own two-cycle graph file."""
+    (tmp_path / "examples.txt").write_text(readme_block("### Graph files"))
+    lines = [line for line in readme_block("## Command line").splitlines()
+             if line.startswith("steinalg ")]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        assert out
 
 
 def test_validate_plain(graph_file, capsys):

@@ -62,6 +62,18 @@ def test_validate_rejects_collapsed_source(line_graph):
     assert rep.value("shape", "sources-retained") == "fail (collapsed source c)"
 
 
+def test_validate_long_line_interior():
+    """Collapsing the interior of a 20,000-vertex line: the complement, the
+    induced subgraph and the stray-source check look members up in a set,
+    so validation is linear; a scan of the member tuple made it quadratic
+    (over 10 s at this size)."""
+    n = 20000
+    g = long_line(n)
+    rep = validate_collapsible(CollapseSpec(g, g.vertices[1:-1]))
+    assert rep.ok, rep.failures()
+    assert rep.value("shape", "retained") == "x0,x%d" % (n - 1)
+
+
 def test_spec_rejects_foreign_subset(loop_graph, rose2):
     with pytest.raises(ValueError):
         CollapseSpec(loop_graph, VertexSubset(rose2, ["v"]))

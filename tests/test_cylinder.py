@@ -20,7 +20,7 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       invert, invert_pair, member, minimal_pair, pair_contains,
                       pairs_to_depth, probes_in, strip_prefix, vertex_path)
 from steinalg import sampling
-from tests.conftest import long_line
+from tests.conftest import common_depth_terms, long_line
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -206,11 +206,14 @@ def test_minimal_pair_strips_single_received_edges(loop_graph, rose2):
 @given(seeds, st.sampled_from([IntegerRing(), RationalRing(), IntegersMod(4)]))
 @settings(max_examples=200, deadline=None)
 def test_minimal_pair_is_the_indicator_term(seed, ring):
-    """A basic set's one canonical term is its minimal pair."""
+    """A basic set's one canonical term is its minimal pair: the brute-force
+    canonical form agrees, since the canonical form itself hands a lone pair
+    to minimal_pair."""
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
     p = sampling.random_pair(rng, g, max_len=3)
     p = p.extend(sampling.forward_walk(rng, g, p.source_vertex, 3))
+    assert common_depth_terms(g, ring, [(p, ring.one())]) == {minimal_pair(p): ring.one()}
     assert list(indicator(p, ring).terms) == [minimal_pair(p)]
 
 

@@ -139,6 +139,10 @@ def test_vertex_subset(two_cycle):
     assert list(s.complement()) == ["v"]
     assert s.render() == "w"
     assert VertexSubset(two_cycle, ["w", "v"]).render() == "v,w"  # graph order
+    # The member set behind lookups is left out of equality, hash and repr.
+    assert s == VertexSubset(two_cycle, ("w", "w"))
+    assert hash(s) == hash(VertexSubset(two_cycle, ["w"]))
+    assert repr(s) == "VertexSubset(graph=%r, members=('w',))" % (two_cycle,)
     with pytest.raises(ValueError):
         VertexSubset(two_cycle, ["zz"])
 

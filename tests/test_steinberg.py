@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from steinalg import (BasicBisection, GroupoidProbe, Graph, InputError,
+from steinalg import (BasicBisection, GroupoidProbe, InputError,
                       IntegerRing, IntegersMod, Path, PathPair, RationalRing,
                       SteinbergElement, add, canonicalize, compose_pairs,
                       convolve, evaluate, expand, from_terms, grade,
@@ -16,7 +16,8 @@ from steinalg import (BasicBisection, GroupoidProbe, Graph, InputError,
                       vertex_path, zero)
 from steinalg import sampling, steinberg
 from steinalg.cylinder import _RangeLegIndex
-from steinalg.steinberg import _canonical_terms, _contract
+from steinalg.steinberg import _canonical_terms
+from tests.conftest import common_depth_terms, sweep_graph
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
@@ -36,16 +37,6 @@ def test_complete_fans_contract(loop_graph, zring):
     f = from_terms(loop_graph, zring, [(PathPair(e, e), 1)])
     assert f == indicator(PathPair(v, v), zring)
     assert f.render() == "1 * Z(v,v)"
-
-
-def test_contraction_collision_is_an_internal_error(rose2, zring):
-    """The fan under Z(v,v) would contract onto a live Z(v,v); canonical
-    input never does that, and the guard is a raise that python -O keeps."""
-    v = vertex_path(rose2, "v")
-    a, b = Path(rose2, ("a",)), Path(rose2, ("b",))
-    terms = {PathPair(v, v): 1, PathPair(a, a): 1, PathPair(b, b): 1}
-    with pytest.raises(RuntimeError, match="collided"):
-        _contract(rose2, zring, terms)
 
 
 def test_from_terms_reduces_coefficients(loop_graph, qring):
@@ -128,56 +119,6 @@ def test_render_is_sorted_and_stable(loop_graph, zring):
     assert f.render() == "2 * Z(v,v) + 1 * Z(v,e.e) + 1 * Z(e.e,v)"
 
 
-def common_depth_terms(graph, ring, raw_terms):
-    """The canonical form by brute force: expand every merged term to the
-    deepest term's min depth, which makes the pieces disjoint, add up the
-    pieces, then merge complete equal-coefficient fans pass after pass
-    until no pass merges anything.  Exponential in the depth gap; a test
-    oracle only."""
-    merged = {}
-    for pair, coeff in raw_terms:
-        acc = merged.get(pair)
-        merged[pair] = coeff if acc is None else ring.add(acc, coeff)
-    merged = {p: c for p, c in merged.items() if not ring.is_zero(c)}
-    if not merged:
-        return {}
-    depth = max(p.min_depth for p in merged)
-    terms = {}
-    for pair, coeff in merged.items():
-        for piece in expand(pair, depth):
-            acc = terms.get(piece)
-            terms[piece] = coeff if acc is None else ring.add(acc, coeff)
-    terms = {p: c for p, c in terms.items() if not ring.is_zero(c)}
-    changed = True
-    while changed:
-        changed = False
-        by_parent = {}
-        for p in terms:
-            if p.mu.edges and p.nu.edges and p.mu.edges[-1] == p.nu.edges[-1]:
-                parent = PathPair(p.mu.prefix(len(p.mu) - 1), p.nu.prefix(len(p.nu) - 1))
-                by_parent.setdefault(parent, []).append(p)
-        for parent, kids in by_parent.items():
-            coeffs = [terms[k] for k in kids]
-            if (len(kids) == len(graph.edges_with_range(parent.source_vertex))
-                    and all(ring.eq(coeffs[0], c) for c in coeffs[1:])):
-                for k in kids:
-                    del terms[k]
-                terms[parent] = coeffs[0]
-                changed = True
-    return terms
-
-
-def sweep_graph(rng):
-    """A random graph plus a source s (it receives no edge) and a vertex t
-    whose whole fan is one edge, both wired into the random part."""
-    g = sampling.random_graph(rng, max_vertices=3, max_edges=4)
-    vs = list(g.vertices)
-    edges = [(e.id, e.range_vertex, e.source_vertex) for e in g.edges]
-    edges += [("fs", rng.choice(vs), "s"), ("ft", "t", rng.choice(vs)),
-              ("fo", rng.choice(vs), "t")]
-    return Graph(vs + ["s", "t"], edges)
-
-
 def indicator_terms(b, ring):
     """The raw terms indicator() normalizes: the pair minus its branches."""
     minus_one = ring.negate(ring.one())
@@ -216,9 +157,9 @@ def sweep_terms(rng, g, ring):
 @given(seeds)
 @settings(max_examples=300, deadline=None)
 def test_canonical_terms_match_the_common_depth_oracle(seed):
-    """Refining only toward nested pairs and contracting in one pass gives
-    the brute-force canonical form, coefficient types and renderings
-    included; so does indicator() of a bisection with exclusions."""
+    """One walk per chain of nested pairs gives the brute-force canonical
+    form, coefficient types and renderings included; so does indicator()
+    of a bisection with exclusions."""
     rng = sampling.rng_from_seed(seed)
     g = sweep_graph(rng)
     ring = rng.choice(RINGS + (IntegersMod(4),))
@@ -232,7 +173,8 @@ def test_canonical_terms_match_the_common_depth_oracle(seed):
     assert indicator(b, ring).terms == common_depth_terms(g, ring, indicator_terms(b, ring))
 
 
-@pytest.mark.parametrize("letters,gap", [("ab", 64), ("abc", 40)])
+@pytest.mark.parametrize("letters,gap", [("ab", 64), ("abc", 40),
+                                         ("abcdefghijklmnopqrstuvwxyz", 30)])
 def test_deep_nested_pair_has_the_closed_form(letters, gap, zring):
     """Z(v,v) + Z(x,x) on a rose is 1 on every sibling branch of x and 2 on
     Z(x,x): gap * (fan-out - 1) + 1 terms.  Expanding both terms to the
