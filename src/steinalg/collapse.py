@@ -14,10 +14,12 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cylinder import (GroupoidProbe, PathPair, _RangeLegIndex, boundary_tails,
-                       compose_pairs, enumerate_probes, minimal_pair,
-                       pair_contains, pairs_to_depth)
+from .cylinder import (GroupoidProbe, PathPair, _build, _compose, _flat,
+                       _minimal, _RangeLegIndex, boundary_tails,
+                       enumerate_probes, minimal_pair, pair_contains,
+                       pairs_to_depth)
 from .graph import (Edge, Graph, Path, VertexSubset, concat, enumerate_paths,
                     is_acyclic, is_prefix, sources, subgraph, vertex_path)
 from .report import Report
@@ -44,7 +46,7 @@ class CollapseSpec:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "t0", t0)
 
-    @property
+    @cached_property
     def f0(self) -> VertexSubset:
         """The retained vertices."""
         return self.t0.complement()
@@ -80,8 +82,7 @@ def first_hit_extensions(graph: Graph, t0: VertexSubset, v):
     retained vertex reached.  Needs the collapsed region acyclic and free
     of graph sources, which bounds the walk.
     """
-    f0 = t0.complement()
-    if v in f0:
+    if v not in t0:
         return [vertex_path(graph, v)]
     bound = len(graph.vertices) + 1
     out = []
@@ -91,7 +92,7 @@ def first_hit_extensions(graph: Graph, t0: VertexSubset, v):
     while stack:
         edges = stack.pop()
         u = graph.edge(edges[-1]).source_vertex
-        if u in f0:
+        if u not in t0:
             out.append(Path(graph, edges))
             continue
         if len(edges) >= bound:
@@ -114,8 +115,9 @@ class CollapseCertificate:
     collapsed: Graph
     edge_paths: dict
 
-    @property
+    @cached_property
     def f0(self) -> VertexSubset:
+        """The retained vertices, built on first use."""
         return self.t0.complement()
 
 
@@ -345,6 +347,13 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # transported as they come, since keeping each distinct one with its
     # image would hold more memory than the rest of the check.
     #
+    # The window, its images, the composites and theirs are flat pairs
+    # (edge-id tuples, see cylinder._flat) and phi on a leg is the
+    # concatenation of the abbreviated paths' edges; the well-formedness
+    # check above makes those paths compose.  PathPairs are built only for
+    # the two windows, which the range-leg indexes file, and the defect
+    # text renders the window's own pairs.
+    #
     # Both windows are indexed by range leg, so for each a only the b that
     # compose on at least one side are visited, in ascending order: the
     # first defect is the least b that composes on one side only or whose
@@ -354,24 +363,25 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     rep.add("multiplicative", "legs-depth", mult_depth)
     rep.add("multiplicative", "pairs", len(fpairs))
 
-    def image(p):
-        return minimal_pair(phi_pair(cert, minimal_pair(p)))
-
+    paths = cert.edge_paths
     minimal = [minimal_pair(a) for a in fpairs]
-    transported = [minimal_pair(phi_pair(cert, m)) for m in minimal]
+    flat_minimal = [_flat(m) for m in minimal]
+    flat_images = [_minimal(g, _transport(paths, m)) for m in flat_minimal]
+    images = [_build(g, t) for t in flat_images]
     left_index = _RangeLegIndex(minimal)
-    right_index = _RangeLegIndex(transported)
+    right_index = _RangeLegIndex(images)
     mult_defect = None
-    for a, ma, ta in zip(fpairs, minimal, transported):
-        left = left_index.partners(ma.nu)
-        right = right_index.partners(ta.nu)
+    for i, a in enumerate(fpairs):
+        left = left_index.partners(minimal[i].nu)
+        right = right_index.partners(images[i].nu)
         b = None
         for j, k in zip(left, right):
             if j != k:
                 b = min(j, k)       # it composes on one side only
                 break
-            if (image(compose_pairs(ma, minimal[j]))
-                    != minimal_pair(compose_pairs(ta, transported[j]))):
+            composite = _minimal(F, _compose(flat_minimal[i], flat_minimal[j]))
+            if (_minimal(g, _transport(paths, composite))
+                    != _minimal(g, _compose(flat_images[i], flat_images[j]))):
                 b = j
                 break
         else:
@@ -384,6 +394,25 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     rep.check("multiplicative", "transport-multiplicative", mult_defect is None,
               mult_defect or "")
     return rep
+
+
+def _transport(paths, t):
+    """phi_pair on a flat pair of a well-formed certificate's collapsed
+    graph, as a flat pair: each edge of a leg becomes the edges of the path
+    it abbreviates.  Like PathPair, it raises ValueError when the images of
+    the legs do not share their source vertex."""
+    mu, nu, v, mu_range, nu_range = t
+    mu_source = nu_source = v
+    if mu:
+        mu_range, mu_source = paths[mu[0]].range_vertex, paths[mu[-1]].source_vertex
+        mu = sum([paths[e].edges for e in mu], ())
+    if nu:
+        nu_range, nu_source = paths[nu[0]].range_vertex, paths[nu[-1]].source_vertex
+        nu = sum([paths[e].edges for e in nu], ())
+    if mu_source != nu_source:
+        raise ValueError("pair Z(%s,%s) needs a common source vertex"
+                         % (".".join(mu) or mu_source, ".".join(nu) or nu_source))
+    return (mu, nu, mu_source, mu_range, nu_range)
 
 
 def _legs_depth(graph: Graph, depth: int) -> int:

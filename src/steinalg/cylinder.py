@@ -10,11 +10,18 @@ actual groupoid elements in membership tests.
 
 Validation happens once, at the boundary.  The public ``PathPair`` and
 ``GroupoidProbe`` constructors check that both legs live on one graph and
-share their source vertex.  Operations on valid pairs (``compose_pairs``,
-``PathPair.extend``, ``minimal_pair``, ``invert_pair``, ``expand``) and the
-pair window (``pairs_to_depth``) build their results with the private
-``_pair``, which checks nothing: each result shares its source by
-construction.
+share their source vertex.  Operations on valid pairs (``PathPair.extend``,
+``invert_pair``, ``expand``) and the pair window (``pairs_to_depth``) build
+their results with the private ``_pair``, which checks nothing: each result
+shares its source by construction.
+
+The pair kernel works on flat pairs, plain tuples of edge ids and vertices
+(see ``_flat``): ``_compose`` is the composition rule and ``_minimal`` the
+minimal-pair rule.  ``compose_pairs`` and ``minimal_pair`` unpack their
+pairs, call the rule and build the result's ``Path`` and ``PathPair``
+objects; the canonical form, ``convolve`` and the collapse move's
+multiplicative check call the rules directly and build a ``PathPair`` only
+for a pair that leaves the kernel.
 """
 
 from __future__ import annotations
@@ -200,6 +207,39 @@ class GroupoidProbe:
 # -- pair-level case analysis ---------------------------------------------
 
 
+# A flat pair is (mu's edge ids, nu's edge ids, the source vertex, mu's
+# range vertex, nu's range vertex).  The first three decide the pair, as
+# they decide PathPair equality; the range vertices ride along so that the
+# PathPair can be built without a lookup.
+
+
+def _flat(p: PathPair):
+    """The flat form of a pair."""
+    mu, nu = p.mu, p.nu
+    return (mu.edges, nu.edges, mu.source_vertex, mu.range_vertex, nu.range_vertex)
+
+
+def _build(graph: Graph, t) -> PathPair:
+    """The pair of a flat pair on the graph; nothing is checked."""
+    mu, nu, v, mu_range, nu_range = t
+    return _pair(_path(graph, mu, mu_range, v), _path(graph, nu, nu_range, v))
+
+
+def _compose(p, q):
+    """``compose_pairs`` on flat pairs: the flat composite, or None."""
+    p_mu, p_nu, p_source, p_mu_range, p_nu_range = p
+    q_mu, q_nu, q_source, q_mu_range, q_nu_range = q
+    if p_nu_range != q_mu_range:
+        return None
+    n = len(p_nu)
+    if q_mu[:n] == p_nu:
+        return (p_mu + q_mu[n:], q_nu, q_source, p_mu_range, q_nu_range)
+    n = len(q_mu)
+    if p_nu[:n] == q_mu:
+        return (p_mu, q_nu + p_nu[n:], p_source, p_mu_range, q_nu_range)
+    return None
+
+
 def compose_pairs(p: PathPair, q: PathPair):
     """The set product Z(p) . Z(q), a single pair or None when empty.
 
@@ -207,13 +247,8 @@ def compose_pairs(p: PathPair, q: PathPair):
     of q agree after extension by a common remainder tau, which slides tau
     onto the outer paths; the degree of the result is the sum of degrees.
     """
-    tau = strip_prefix(q.mu, p.nu)
-    if tau is not None:
-        return _pair(concat(p.mu, tau), q.nu)
-    tau = strip_prefix(p.nu, q.mu)
-    if tau is not None:
-        return _pair(p.mu, concat(q.nu, tau))
-    return None
+    t = _compose(_flat(p), _flat(q))
+    return None if t is None else _build(p.graph, t)
 
 
 class _RangeLegIndex:
@@ -273,6 +308,21 @@ class _RangeLegIndex:
         return found
 
 
+def _minimal(graph: Graph, t):
+    """``minimal_pair`` on a flat pair of the graph; t itself when no edge
+    is stripped."""
+    mu, nu = t[0], t[1]
+    k, n = 0, min(len(mu), len(nu))
+    while k < n and mu[-1 - k] == nu[-1 - k]:
+        if len(graph.edges_with_range(graph.edge(mu[-1 - k]).range_vertex)) != 1:
+            break
+        k += 1
+    if not k:
+        return t
+    return (mu[:len(mu) - k], nu[:len(nu) - k], graph.edge(mu[-k]).range_vertex,
+            t[3], t[4])
+
+
 def minimal_pair(p: PathPair) -> PathPair:
     """The least pair with the same basic set as p.
 
@@ -281,18 +331,9 @@ def minimal_pair(p: PathPair) -> PathPair:
     for as long as that holds.  A basic set is never empty, and this pair
     is the one term of its indicator's canonical form.
     """
-    mu, nu = p.mu.edges, p.nu.edges
-    graph = p.mu.graph
-    edge, into = graph.edge, graph.edges_with_range
-    k, n = 0, min(len(mu), len(nu))
-    while k < n:
-        e = mu[-1 - k]
-        if e != nu[-1 - k] or len(into(edge(e).range_vertex)) != 1:
-            break
-        k += 1
-    if not k:
-        return p
-    return _pair(p.mu.prefix(len(mu) - k), p.nu.prefix(len(nu) - k))
+    t = _flat(p)
+    m = _minimal(p.graph, t)
+    return p if m is t else _build(p.graph, m)
 
 
 def invert_pair(p: PathPair) -> PathPair:

@@ -24,15 +24,22 @@ same function), and term comparison would wrongly separate them.  The walk
 visits the stored pairs' tails, their prefixes and the fans below them, so
 its cost is polynomial in the number of terms, their depth and the
 fan-out; it does not grow with the depth gap between unrelated terms.
+
+The normal form runs on flat pairs, the edge-id tuples of the pair kernel
+in ``cylinder``.  Raw terms are merged on them (a raw term given as a
+PathPair is flattened first), chains are filed and walked on them, and a
+PathPair is built only for a term the normal form emits; a PathPair that
+comes in and is emitted unchanged is emitted as itself.  ``convolve``
+composes and merges flat pairs and hands them over as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cylinder import (GroupoidProbe, _RangeLegIndex, _pair, as_bisection,
-                       compose_pairs, minimal_pair)
-from .graph import _path, concat, strip_prefix
+from .cylinder import (GroupoidProbe, PathPair, _build, _compose, _flat,
+                       _minimal, _pair, _RangeLegIndex, as_bisection)
+from .graph import concat, strip_prefix
 
 
 class SteinbergElement:
@@ -88,31 +95,43 @@ class SteinbergElement:
 
 
 def _canonical_terms(graph, ring, raw_terms):
+    # A raw term's pair is a PathPair or a flat pair; both merge on the
+    # flat pair, and a PathPair emitted unchanged is emitted as itself.
     merged = {}
+    given = {}
     for pair, coeff in raw_terms:
-        acc = merged.get(pair)
-        merged[pair] = coeff if acc is None else ring.add(acc, coeff)
+        if pair.__class__ is PathPair:
+            t = _flat(pair)
+            given.setdefault(t, pair)
+        else:
+            t = pair
+        acc = merged.get(t)
+        merged[t] = coeff if acc is None else ring.add(acc, coeff)
     # A chain is the pairs with one top (both legs with the common tail cut
     # off), each filed by its tail: two pairs meet only when they share a
     # top and one tail is a prefix of the other.  The range vertex tells
     # apart tops whose legs are both vertices.
     chains = {}
-    for p, c in merged.items():
+    for t, c in merged.items():
         if ring.is_zero(c):
             continue
-        mu, nu = p.mu.edges, p.nu.edges
+        mu, nu = t[0], t[1]
         k, n = 0, min(len(mu), len(nu))
         while k < n and mu[-1 - k] == nu[-1 - k]:
             k += 1
-        top = (mu[:len(mu) - k], nu[:len(nu) - k], p.mu.range_vertex)
-        chains.setdefault(top, {})[mu[len(mu) - k:]] = (p, c)
+        top = (mu[:len(mu) - k], nu[:len(nu) - k], t[3])
+        chains.setdefault(top, {})[mu[len(mu) - k:]] = (t, c)
     out = {}
+
+    def emit(t, c):
+        out[given.get(t) or _build(graph, t)] = c
+
     for top, members in chains.items():
         if len(members) == 1:
-            [(p, c)] = members.values()
-            out[minimal_pair(p)] = c
+            [(t, c)] = members.values()
+            emit(_minimal(graph, t), c)
         else:
-            _walk_chain(graph, ring, top, members, out)
+            _walk_chain(graph, ring, top, members, emit)
     return out
 
 
@@ -127,8 +146,9 @@ def _same(ring, a, b):
     return a is not _MIXED and b is not _MIXED and ring.eq(a, b)
 
 
-def _walk_chain(graph, ring, top, members, out):
-    """Add the canonical pieces of one chain, its members filed by tail.
+def _walk_chain(graph, ring, top, members, emit):
+    """Emit the canonical pieces of one chain, its members (flat pair,
+    coefficient) filed by tail.
 
     The tree holds the member tails and their prefixes.  A node's sum is
     the total over the members at it and above it (None when zero); it is
@@ -139,21 +159,19 @@ def _walk_chain(graph, ring, top, members, out):
     emitted when its value is nonzero.
     """
     top_mu, top_nu, mu_range = top
-    first, (p, _) = next(iter(members.items()))
-    nu_range = p.nu.range_vertex
+    first, (t, _) = next(iter(members.items()))
+    nu_range = t[4]
     edge = graph.edge
-    root_source = edge(first[0]).range_vertex if first else p.source_vertex
+    root_source = edge(first[0]).range_vertex if first else t[2]
 
-    def source(t):
-        return edge(t[-1]).source_vertex if t else root_source
+    def source(tail):
+        return edge(tail[-1]).source_vertex if tail else root_source
 
-    def piece(t):
-        got = members.get(t)
+    def piece(tail):
+        got = members.get(tail)
         if got is not None:
             return got[0]
-        v = source(t)
-        return _pair(_path(graph, top_mu + t, mu_range, v),
-                     _path(graph, top_nu + t, nu_range, v))
+        return (top_mu + tail, top_nu + tail, source(tail), mu_range, nu_range)
 
     sums = {}
     for tail in members:
@@ -186,11 +204,11 @@ def _walk_chain(graph, ring, top, members, out):
                 for e in fan:
                     v = kids.get(e.id, total)
                     if v is not None and v is not _MIXED:
-                        out[piece(t + (e.id,))] = v
+                        emit(piece(t + (e.id,)), v)
         if t:
             below.setdefault(t[:-1], {})[t[-1]] = value
         elif value is not None and value is not _MIXED:
-            out[piece(t)] = value
+            emit(piece(t), value)
 
 
 # -- constructors ----------------------------------------------------------
@@ -268,10 +286,12 @@ def convolve(f, g) -> SteinbergElement:
     so the product distributes over the term pairs that compose.  When both
     factors have several terms, the terms of g are indexed by range leg
     once and each distinct source leg of f looks up its partners once, so
-    compose_pairs runs only on the pairs that meet; with a single term on
-    either side no lookup would share the index's cost, and every pair is
-    tried.  Either way the composites come in the order of the double loop
-    over f's and g's terms.  A zero factor is itself the product.
+    only the pairs that meet are composed; with a single term on either
+    side no lookup would share the index's cost, and every pair is tried.
+    Either way the composites come in the order of the double loop over f's
+    and g's terms.  They are composed and merged as flat pairs, and the
+    canonical form builds a PathPair only for each term of the product.  A
+    zero factor is itself the product.
     """
     _check_compatible(f, g)
     if not f.terms:
@@ -279,18 +299,21 @@ def convolve(f, g) -> SteinbergElement:
     if not g.terms:
         return g
     ring = f.ring
-    right = list(g.terms.items())
+    right = [(_flat(q), d) for q, d in g.terms.items()]
     index = None
     if len(f.terms) > 1 and len(right) > 1:
         index = _RangeLegIndex(g.terms)
-    raw = []
+    merged = {}
     for p, c in f.terms.items():
+        t = _flat(p)
         for j in index.partners(p.nu) if index is not None else range(len(right)):
             q, d = right[j]
-            composed = compose_pairs(p, q)
+            composed = _compose(t, q)
             if composed is not None:
-                raw.append((composed, ring.mul(c, d)))
-    return SteinbergElement(f.graph, ring, raw)
+                acc = merged.get(composed)
+                cd = ring.mul(c, d)
+                merged[composed] = cd if acc is None else ring.add(acc, cd)
+    return SteinbergElement(f.graph, ring, merged.items())
 
 
 def canonicalize(f) -> SteinbergElement:

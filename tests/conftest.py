@@ -1,11 +1,12 @@
 """Shared fixtures: the named small graphs, the shipped rings, and the
-seeded corpora the randomized tests draw from; and the brute-force
-canonical form the canonical-form tests compare against."""
+seeded corpora the randomized tests draw from; the brute-force canonical
+form the canonical-form tests compare against; and the pair rules on Path
+objects that the flat pair kernel is compared against."""
 
 import pytest
 
 from steinalg import (Graph, IntegerRing, IntegersMod, PathPair, RationalRing,
-                      expand, load_graph)
+                      concat, expand, load_graph, strip_prefix)
 from steinalg import sampling
 
 LOOP_TEXT = "vertices: v\nedge: e v <- v\n"
@@ -61,6 +62,34 @@ def common_depth_terms(graph, ring, raw_terms):
                 terms[parent] = coeffs[0]
                 changed = True
     return terms
+
+
+def reference_compose_pairs(p, q):
+    """Pair composition on Path objects: the remainder tau of the longer of
+    p's source leg and q's range leg slides onto the other outer leg."""
+    tau = strip_prefix(q.mu, p.nu)
+    if tau is not None:
+        return PathPair(concat(p.mu, tau), q.nu)
+    tau = strip_prefix(p.nu, q.mu)
+    if tau is not None:
+        return PathPair(p.mu, concat(q.nu, tau))
+    return None
+
+
+def reference_minimal_pair(p):
+    """The minimal pair on Path objects: strip the common last edge of both
+    legs while it is the only edge ranging at its range vertex."""
+    mu, nu = p.mu.edges, p.nu.edges
+    graph = p.graph
+    k, n = 0, min(len(mu), len(nu))
+    while k < n:
+        e = mu[-1 - k]
+        if e != nu[-1 - k] or len(graph.edges_with_range(graph.edge(e).range_vertex)) != 1:
+            break
+        k += 1
+    if not k:
+        return p
+    return PathPair(p.mu.prefix(len(mu) - k), p.nu.prefix(len(nu) - k))
 
 
 def sweep_graph(rng):

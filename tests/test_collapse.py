@@ -510,8 +510,9 @@ def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
 
 def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
                                                                  monkeypatch):
-    """Step (d) calls compose_pairs once per combination that composes on
-    each side, and on no combination that composes on neither."""
+    """Step (d) calls the flat composition rule once per combination that
+    composes on each side, and on no combination that composes on
+    neither."""
     cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
     F = cert.collapsed
     minimal = [minimal_pair(a) for a in pairs_to_depth(F, _legs_depth(F, 5))]
@@ -520,14 +521,33 @@ def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
                     if compose_pairs(p, q) is not None)
     assert 0 < composing < 2 * len(minimal) ** 2
     calls = []
+    module = importlib.import_module("steinalg.collapse")
+    compose = module._compose
 
     def counting_compose(p, q):
         calls.append(1)
-        return compose_pairs(p, q)
+        return compose(p, q)
 
-    monkeypatch.setattr(importlib.import_module("steinalg.collapse"),
-                        "compose_pairs", counting_compose)
+    monkeypatch.setattr(module, "_compose", counting_compose)
     rep = pointed_groupoid_iso_check(cert, 5)
     assert rep.ok
     assert rep.value("multiplicative", "pairs") == str(len(minimal))
     assert len(calls) == composing
+
+
+def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
+                                                           monkeypatch):
+    """The certificate and the spec that re-validates its preconditions
+    each build their retained set once, however often it is read."""
+    cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
+    calls = []
+    complement = VertexSubset.complement
+
+    def counting_complement(self):
+        calls.append(1)
+        return complement(self)
+
+    monkeypatch.setattr(VertexSubset, "complement", counting_complement)
+    assert pointed_groupoid_iso_check(cert, 3).ok
+    assert 0 < len(calls) <= 2
+    assert cert.f0 is cert.f0

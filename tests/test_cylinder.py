@@ -20,7 +20,9 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       invert, invert_pair, member, minimal_pair, pair_contains,
                       pairs_to_depth, probes_in, strip_prefix, vertex_path)
 from steinalg import sampling
-from tests.conftest import common_depth_terms, long_line
+from tests.conftest import (common_depth_terms, long_line,
+                            reference_compose_pairs, reference_minimal_pair,
+                            sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -230,6 +232,28 @@ def test_compose_pairs_incompatible(line_graph):
     f1 = Path(line_graph, ("f1",))
     f2 = Path(line_graph, ("f2",))
     assert compose_pairs(PathPair(f1, f1), PathPair(f2, f2)) is None
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_pair_rules_match_the_path_level_references(seed):
+    """compose_pairs and minimal_pair run the flat pair kernel and agree
+    with the rules on Path objects.  The sweep graph's depth-1 window holds
+    vertex legs, Z(s,s) at the source s and Z(ft,ft), whose edge is the
+    whole fan of t; Z(s,s) composes with no pair ranging elsewhere.  Deeper
+    random pairs, extended along a common walk, get common tails to
+    strip."""
+    rng = sampling.rng_from_seed(seed)
+    g = sweep_graph(rng)
+    pairs = pairs_to_depth(g, 1)
+    for _ in range(8):
+        p = sampling.random_pair(rng, g, max_len=3)
+        pairs.append(p.extend(sampling.forward_walk(rng, g, p.source_vertex, 2)))
+    for p in pairs:
+        assert minimal_pair(p) == reference_minimal_pair(p)
+    composed = [compose_pairs(p, q) for p in pairs for q in pairs]
+    assert composed == [reference_compose_pairs(p, q) for p in pairs for q in pairs]
+    assert None in composed
 
 
 def test_expand_partitions(rose2, line_graph):

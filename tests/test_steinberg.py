@@ -14,7 +14,7 @@ from steinalg import (BasicBisection, GroupoidProbe, InputError,
                       graded_component, indicator, load_graph, negate,
                       oracle_convolve_at, pair_contains, pairs_to_depth, scale,
                       vertex_path, zero)
-from steinalg import sampling, steinberg
+from steinalg import cylinder, sampling, steinberg
 from steinalg.cylinder import _RangeLegIndex
 from steinalg.steinberg import _canonical_terms
 from tests.conftest import common_depth_terms, sweep_graph
@@ -423,23 +423,45 @@ def test_convolve_matches_the_double_loop_on_dense_elements(seed):
         assert index.partners(p.nu) == composable(p, list(h.terms))
 
 
-def test_convolve_composes_only_the_pairs_that_meet(zring, monkeypatch):
-    """On a rose4 depth-2 dense product, compose_pairs runs once per
-    composite, not once per term pair."""
+def rose4_dense_factors(zring):
     g = load_graph("vertices: v\n" + "".join("edge: %s v <- v\n" % a for a in "abcd"))
     rng = sampling.rng_from_seed(4)
-    f, h = (dense_element(rng, g, zring, 2) for _ in range(2))
+    return tuple(dense_element(rng, g, zring, 2) for _ in range(2))
+
+
+def test_convolve_composes_only_the_pairs_that_meet(zring, monkeypatch):
+    """On a rose4 depth-2 dense product, the flat composition rule runs
+    once per composite, not once per term pair."""
+    f, h = rose4_dense_factors(zring)
     composites = sum(len(composable(p, list(h.terms))) for p in f.terms)
     assert 0 < composites < len(f.terms) * len(h.terms)
     calls = []
+    compose = steinberg._compose
 
     def counting_compose(p, q):
         calls.append(1)
-        return compose_pairs(p, q)
+        return compose(p, q)
 
-    monkeypatch.setattr(steinberg, "compose_pairs", counting_compose)
+    monkeypatch.setattr(steinberg, "_compose", counting_compose)
     convolve(f, h)
     assert len(calls) == composites
+
+
+def test_convolve_builds_one_pair_per_output_term(zring, monkeypatch):
+    """Composites stay flat pairs until the canonical form emits them: the
+    rose4 depth-2 dense product builds one PathPair per term it keeps."""
+    f, h = rose4_dense_factors(zring)
+    built = []
+    make = cylinder._pair
+
+    def counting_pair(mu, nu):
+        built.append(1)
+        return make(mu, nu)
+
+    for module in (cylinder, steinberg):
+        monkeypatch.setattr(module, "_pair", counting_pair)
+    product = convolve(f, h)
+    assert len(built) == len(product.terms) > 0
 
 
 # -- grading --------------------------------------------------------------------
