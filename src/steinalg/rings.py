@@ -4,10 +4,27 @@ Ring values are plain Python objects (int or Fraction) with decidable
 equality; every ring operation returns a normalized value.  ``selftest``
 checks the commutative-ring axioms on sampled triples, so a new ring can be
 dropped in and certified without touching the algebra code.
+
+Products and the canonical form in ``steinberg`` run on Python ints, not on
+ring values, so a dropped-in ring provides, besides the ring operations:
+
+- ``as_ints(terms)``: (key, value) terms as (key, int) terms, the ints
+  over one positive denominator D;
+- ``int_ring()``: the ring whose normalized values those ints are, in which
+  the canonical form adds them; its ``from_int`` normalizes a plain int sum
+  or product, and its zero is the int 0;
+- ``lift(k, D)``: the value the normalized int k over D stands for.
+
+For every D, lift(., D) must be injective, send 0 to zero and int_ring sums
+to ring sums, and lift(a * b, D * E) must be lift(a, D) * lift(b, E).  Over
+z and zmod:n the ints are the values themselves over 1, and the ring walks
+them itself; over q they are the numerators over the lcm of the
+denominators, walked in the integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -32,6 +49,15 @@ class CoefficientRing:
         raise NotImplementedError
 
     def from_int(self, k):
+        raise NotImplementedError
+
+    def as_ints(self, values):
+        raise NotImplementedError
+
+    def int_ring(self):
+        raise NotImplementedError
+
+    def lift(self, k, den):
         raise NotImplementedError
 
     def coerce(self, a):
@@ -88,7 +114,24 @@ class CoefficientRing:
         return self.name
 
 
-class IntegerRing(CoefficientRing):
+class _IntValued(CoefficientRing):
+    """A ring whose normalized values are ints: they are their own ints
+    over 1, and the ring walks them itself."""
+
+    def is_zero(self, a):
+        return not a
+
+    def as_ints(self, terms):
+        return terms, 1
+
+    def int_ring(self):
+        return self
+
+    def lift(self, k, den):
+        return k
+
+
+class IntegerRing(_IntValued):
     name = "z"
 
     def zero(self):
@@ -140,6 +183,21 @@ class RationalRing(CoefficientRing):
     def from_int(self, k):
         return Fraction(k)
 
+    def is_zero(self, a):
+        return not a
+
+    def as_ints(self, terms):
+        ratios = [(k, v.as_integer_ratio()) for k, v in terms]
+        den = math.lcm(*[d for _, (_, d) in ratios])
+        return [(k, n * (den // d)) for k, (n, d) in ratios], den
+
+    def int_ring(self):
+        return _INTEGERS
+
+    def lift(self, k, den):
+        # Fraction(k) skips the gcd that Fraction(k, 1) would take.
+        return Fraction(k, den) if den != 1 else Fraction(k)
+
     def coerce(self, a):
         if not isinstance(a, (int, Fraction)):
             raise InputError("coefficient %r is not in the ring %s" % (a, self.name))
@@ -155,10 +213,13 @@ class RationalRing(CoefficientRing):
         return hash("q")
 
 
-class IntegersMod(CoefficientRing):
+class IntegersMod(_IntValued):
     """The ring of integers modulo n, values stored as residues 0..n-1."""
 
     def __init__(self, n):
+        # The int kernel reduces plain int sums with %, so n is an int.
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError("modulus %r is not an integer" % (n,))
         if n < 2:
             raise InputError("modulus must be >= 2")
         self.n = n
@@ -190,6 +251,9 @@ class IntegersMod(CoefficientRing):
 
     def __hash__(self):
         return hash(("zmod", self.n))
+
+
+_INTEGERS = IntegerRing()
 
 
 def ring_from_spec(spec: str) -> CoefficientRing:

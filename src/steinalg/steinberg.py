@@ -26,11 +26,16 @@ its cost is polynomial in the number of terms, their depth and the
 fan-out; it does not grow with the depth gap between unrelated terms.
 
 The normal form runs on flat pairs, the edge-id tuples of the pair kernel
-in ``cylinder``.  Raw terms are merged on them (a raw term given as a
-PathPair is flattened first), chains are filed and walked on them, and a
-PathPair is built only for a term the normal form emits; a PathPair that
-comes in and is emitted unchanged is emitted as itself.  ``convolve``
-composes and merges flat pairs and hands them over as they are.
+in ``cylinder``, and on int coefficients.  Raw terms are merged on flat
+pairs (a raw term given as a PathPair is flattened first), chains are filed
+and walked on them, and a PathPair is built only for a term the normal form
+emits; a PathPair that comes in and is emitted unchanged is emitted as
+itself.  Coefficients are ints over one denominator D (``ring.as_ints``),
+added in ``ring.int_ring()``, where zero is ``not c`` and equality is
+``==``; a ring value is made (``ring.lift``) only for an emitted term.
+``convolve`` composes flat pairs and merges the products of the factors'
+ints with plain int arithmetic; it hands over the flat pairs as they are
+and each merged sum normalized in ``ring.int_ring()``.
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ class SteinbergElement:
 
     __slots__ = ("graph", "ring", "terms")
 
-    def __init__(self, graph, ring, raw_terms):
+    def __init__(self, graph, ring, raw_terms, den=None):
         self.graph = graph
         self.ring = ring
-        self.terms = _canonical_terms(graph, ring, raw_terms)
+        self.terms = _canonical_terms(graph, ring, raw_terms, den)
 
     def is_zero(self):
         return not self.terms
@@ -94,9 +99,15 @@ class SteinbergElement:
         return convolve(self, other)
 
 
-def _canonical_terms(graph, ring, raw_terms):
+def _canonical_terms(graph, ring, raw_terms, den=None):
     # A raw term's pair is a PathPair or a flat pair; both merge on the
     # flat pair, and a PathPair emitted unchanged is emitted as itself.
+    # Coefficients are ring values, or, with den, normalized values of
+    # ring.int_ring() that stand for themselves over den.
+    if not raw_terms:
+        return {}
+    if den is None:
+        raw_terms, den = ring.as_ints(raw_terms)
     merged = {}
     given = {}
     for pair, coeff in raw_terms:
@@ -106,14 +117,14 @@ def _canonical_terms(graph, ring, raw_terms):
         else:
             t = pair
         acc = merged.get(t)
-        merged[t] = coeff if acc is None else ring.add(acc, coeff)
+        merged[t] = coeff if acc is None else ring.int_ring().add(acc, coeff)
     # A chain is the pairs with one top (both legs with the common tail cut
     # off), each filed by its tail: two pairs meet only when they share a
     # top and one tail is a prefix of the other.  The range vertex tells
     # apart tops whose legs are both vertices.
     chains = {}
     for t, c in merged.items():
-        if ring.is_zero(c):
+        if not c:
             continue
         mu, nu = t[0], t[1]
         k, n = 0, min(len(mu), len(nu))
@@ -122,41 +133,34 @@ def _canonical_terms(graph, ring, raw_terms):
         top = (mu[:len(mu) - k], nu[:len(nu) - k], t[3])
         chains.setdefault(top, {})[mu[len(mu) - k:]] = (t, c)
     out = {}
+    lift = ring.lift
 
     def emit(t, c):
-        out[given.get(t) or _build(graph, t)] = c
+        out[given.get(t) or _build(graph, t)] = lift(c, den)
 
     for top, members in chains.items():
         if len(members) == 1:
             [(t, c)] = members.values()
             emit(_minimal(graph, t), c)
         else:
-            _walk_chain(graph, ring, top, members, emit)
+            _walk_chain(graph, ring.int_ring(), top, members, emit)
     return out
 
 
 _MIXED = object()       # the value of a node whose fan carries several
 
 
-def _same(ring, a, b):
-    """Whether two node values agree; None is zero, and a mixed value
-    agrees with none."""
-    if a is None or b is None:
-        return a is b
-    return a is not _MIXED and b is not _MIXED and ring.eq(a, b)
-
-
-def _walk_chain(graph, ring, top, members, emit):
+def _walk_chain(graph, walk, top, members, emit):
     """Emit the canonical pieces of one chain, its members (flat pair,
-    coefficient) filed by tail.
+    coefficient) filed by tail; coefficients are ints of the ring walk.
 
     The tree holds the member tails and their prefixes.  A node's sum is
-    the total over the members at it and above it (None when zero); it is
-    the value on every branch of the node's fan that no member reaches.
-    Going up, a node takes the one value that every branch of its fan
-    carries, or is mixed.  Only a mixed node emits pieces: its branches
-    with a nonzero value (a mixed branch has emitted its own).  The root is
-    emitted when its value is nonzero.
+    the total over the members at it and above it; it is the value on
+    every branch of the node's fan that no member reaches.  Going up, a
+    node takes the one value that every branch of its fan carries, or is
+    mixed.  Only a mixed node emits pieces: its branches with a nonzero
+    value (a mixed branch has emitted its own).  The root is emitted when
+    its value is nonzero.
     """
     top_mu, top_nu, mu_range = top
     first, (t, _) = next(iter(members.items()))
@@ -178,15 +182,14 @@ def _walk_chain(graph, ring, top, members, emit):
         for i in range(len(tail), -1, -1):
             if tail[:i] in sums:
                 break
-            sums[tail[:i]] = None
+            sums[tail[:i]] = 0
     order = sorted(sums, key=len)
+    add = walk.add
     for t in order:
-        acc = sums[t[:-1]] if t else None
+        acc = sums[t[:-1]] if t else 0
         own = members.get(t)
         if own is not None:
-            acc = own[1] if acc is None else ring.add(acc, own[1])
-            if ring.is_zero(acc):
-                acc = None
+            acc = add(acc, own[1]) if acc else own[1]
         sums[t] = acc
     below = {}          # node -> {edge id: the value of that branch}
     for t in reversed(order):
@@ -198,16 +201,15 @@ def _walk_chain(graph, ring, top, members, emit):
             if len(kids) < len(fan):
                 values.append(total)
             value = values[0]
-            if not all(_same(ring, value, v) for v in values[1:]):
+            if value is _MIXED or values.count(value) < len(values):
                 value = _MIXED
-            if value is _MIXED:
                 for e in fan:
                     v = kids.get(e.id, total)
-                    if v is not None and v is not _MIXED:
+                    if v is not _MIXED and v:
                         emit(piece(t + (e.id,)), v)
         if t:
             below.setdefault(t[:-1], {})[t[-1]] = value
-        elif value is not None and value is not _MIXED:
+        elif value is not _MIXED and value:
             emit(piece(t), value)
 
 
@@ -292,6 +294,17 @@ def convolve(f, g) -> SteinbergElement:
     and g's terms.  They are composed and merged as flat pairs, and the
     canonical form builds a PathPair only for each term of the product.  A
     zero factor is itself the product.
+
+    Coefficients run on ints: each factor's values become ints over one
+    denominator once (D_f and D_g; ``ring.as_ints``), each composite's int
+    is the plain sum of its c * d, and the canonical form walks those sums
+    over D_f * D_g and makes a ring value only for each term of the
+    product.  Over q the ints are numerators, and dividing by D_f * D_g is
+    a bijection that keeps sums, zero and equality, so canonicalizing the
+    numerators and then dividing gives the same terms in the same order.
+    Over zmod:n each merged sum is reduced mod n before the walk, which
+    must come first: 2 * 2 + 2 * 2 = 8 is zero mod 4, and a fan can be
+    uniform mod n but not over the integers.
     """
     _check_compatible(f, g)
     if not f.terms:
@@ -299,21 +312,24 @@ def convolve(f, g) -> SteinbergElement:
     if not g.terms:
         return g
     ring = f.ring
-    right = [(_flat(q), d) for q, d in g.terms.items()]
+    left, den_f = ring.as_ints(f.terms.items())
+    right, den_g = ring.as_ints(g.terms.items())
+    right = [(_flat(q), d) for q, d in right]
     index = None
     if len(f.terms) > 1 and len(right) > 1:
         index = _RangeLegIndex(g.terms)
     merged = {}
-    for p, c in f.terms.items():
+    for p, c in left:
         t = _flat(p)
         for j in index.partners(p.nu) if index is not None else range(len(right)):
             q, d = right[j]
             composed = _compose(t, q)
             if composed is not None:
-                acc = merged.get(composed)
-                cd = ring.mul(c, d)
-                merged[composed] = cd if acc is None else ring.add(acc, cd)
-    return SteinbergElement(f.graph, ring, merged.items())
+                merged[composed] = merged.get(composed, 0) + c * d
+    normal = ring.int_ring().from_int
+    for t, c in merged.items():
+        merged[t] = normal(c)
+    return SteinbergElement(f.graph, ring, merged.items(), den_f * den_g)
 
 
 def canonicalize(f) -> SteinbergElement:

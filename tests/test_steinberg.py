@@ -1,7 +1,9 @@
 """The convolution algebra: canonical forms, the pointwise oracle, grading."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -371,6 +373,11 @@ def double_loop_convolve(f, g):
     """convolve by its definition: compose every term of f with every term
     of g and keep the composites in that order.  The oracle for the range
     leg index, which must build the same raw terms in the same order."""
+    return SteinbergElement(f.graph, f.ring, double_loop_raw_terms(f, g))
+
+
+def double_loop_raw_terms(f, g):
+    """The composites of the double loop, each with c * d in the ring."""
     ring = f.ring
     raw = []
     for p, c in f.terms.items():
@@ -378,7 +385,7 @@ def double_loop_convolve(f, g):
             composed = compose_pairs(p, q)
             if composed is not None:
                 raw.append((composed, ring.mul(c, d)))
-    return SteinbergElement(f.graph, ring, raw)
+    return raw
 
 
 def dense_element(rng, g, ring, depth):
@@ -423,10 +430,14 @@ def test_convolve_matches_the_double_loop_on_dense_elements(seed):
         assert index.partners(p.nu) == composable(p, list(h.terms))
 
 
-def rose4_dense_factors(zring):
-    g = load_graph("vertices: v\n" + "".join("edge: %s v <- v\n" % a for a in "abcd"))
+def rose(letters):
+    return load_graph("vertices: v\n" + "".join("edge: %s v <- v\n" % a for a in letters))
+
+
+def rose4_dense_factors(ring):
+    g = rose("abcd")
     rng = sampling.rng_from_seed(4)
-    return tuple(dense_element(rng, g, zring, 2) for _ in range(2))
+    return tuple(dense_element(rng, g, ring, 2) for _ in range(2))
 
 
 def test_convolve_composes_only_the_pairs_that_meet(zring, monkeypatch):
@@ -462,6 +473,122 @@ def test_convolve_builds_one_pair_per_output_term(zring, monkeypatch):
         monkeypatch.setattr(module, "_pair", counting_pair)
     product = convolve(f, h)
     assert len(built) == len(product.terms) > 0
+
+
+# Pairwise coprime, and the lcm of any two exceeds 2 ** 64.
+BIG_DENOMINATORS = (2 ** 61 - 1, 3 ** 41, 5 ** 28)
+
+
+def mixed_coefficient(rng, ring):
+    """A nonzero coefficient; over q its denominator is 1-12, or now and
+    then one of the big ones."""
+    if ring != RationalRing():
+        return ring.sample_nonzero(rng)
+    den = rng.choice(BIG_DENOMINATORS) if rng.random() < 0.2 else rng.randint(1, 12)
+    return Fraction(rng.choice([k for k in range(-9, 10) if k]), den)
+
+
+def cancelling_factors(rng, ring, g):
+    """f = sum x_e Z(v,e) and h = sum y_e Z(e,v) on a rose with
+    sum x_e y_e = 0 in the ring: every composite lands on Z(v,v), and the
+    product is zero.  Over zmod:n the residues are positive, so the
+    unreduced sum is a nonzero multiple of n."""
+    edges = [e.id for e in g.edges]
+    x = [mixed_coefficient(rng, ring) for _ in edges[:-1]] + [ring.one()]
+    y = [mixed_coefficient(rng, ring) for _ in edges[:-1]]
+    dot = sum(a * b for a, b in zip(x, y))
+    y.append(ring.coerce(-dot))
+    v = vertex_path(g, "v")
+    f = from_terms(g, ring, [(PathPair(v, Path(g, (e,))), a) for e, a in zip(edges, x)])
+    h = from_terms(g, ring, [(PathPair(Path(g, (e,)), v), b) for e, b in zip(edges, y)])
+    return f, h
+
+
+def unit_fan_factors(rng, ring, g):
+    """f = sum c u_e Z(e,e) and h = sum u_e Z(e,e) on a rose over zmod:n,
+    with c and the u_e units that square to 1: the product's fan is c on
+    every branch mod n but c u_e^2, several values, over the integers."""
+    units = [u for u in range(1, ring.n) if gcd(u, ring.n) == 1]
+    c = rng.choice(units)
+    u = [1, units[-1]] + [rng.choice(units) for _ in g.edges[2:]]
+    rng.shuffle(u)
+    assert all(a * a % ring.n == 1 for a in u)
+    loops = [Path(g, (e.id,)) for e in g.edges]
+    f = from_terms(g, ring, [(PathPair(p, p), c * a) for p, a in zip(loops, u)])
+    h = from_terms(g, ring, [(PathPair(p, p), a) for p, a in zip(loops, u)])
+    return f, h, c
+
+
+def assert_same_product(product, want):
+    assert product.terms == want.terms
+    assert list(product.terms) == list(want.terms)
+    assert ([type(c) for c in product.terms.values()]
+            == [type(c) for c in want.terms.values()])
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_int_kernel_matches_the_double_loop(seed):
+    """convolve runs on ints; the double loop multiplies ring values.  They
+    agree on terms, term order and coefficient types over q with mixed
+    denominators (lcms past 2 ** 64 included) and over zmod:4 and zmod:6;
+    on products that cancel to zero, on integral products over q (still
+    Fractions), and on fans uniform only mod n, which also match the
+    brute-force canonical form of the double loop's raw terms."""
+    rng = sampling.rng_from_seed(seed)
+    ring = rng.choice((RationalRing(), IntegersMod(4), IntegersMod(6)))
+    g = sweep_graph(rng)
+    depths = [d for d in (2, 3) if len(pairs_to_depth(g, d, limit=161)) <= 160]
+    assume(depths)
+    f, h = (from_terms(g, ring, [(p, mixed_coefficient(rng, ring))
+                                 for p in pairs_to_depth(g, rng.choice(depths))])
+            for _ in range(2))
+    k = sampling.random_element(rng, g, ring, max_terms=2)
+    for x, y in ((f, h), (f, k), (k, h)):
+        assert_same_product(convolve(x, y), double_loop_convolve(x, y))
+    if ring == RationalRing():
+        den_f = lcm(*[c.denominator for c in f.terms.values()])
+        integral = scale(den_f, from_terms(g, ring, [(p, rng.randint(1, 9))
+                                                     for p in h.terms]))
+        product = convolve(f, integral)
+        assert_same_product(product, double_loop_convolve(f, integral))
+        assert all(type(c) is Fraction and c.denominator == 1
+                   for c in product.terms.values())
+    r = rose("abcd"[:rng.randint(2, 4)])
+    x, y = cancelling_factors(rng, ring, r)
+    product = convolve(x, y)
+    assert product.is_zero()
+    assert_same_product(product, double_loop_convolve(x, y))
+    assert common_depth_terms(r, ring, double_loop_raw_terms(x, y)) == {}
+    if ring != RationalRing():
+        x, y, c = unit_fan_factors(rng, ring, r)
+        product = convolve(x, y)
+        v = vertex_path(r, "v")
+        assert product.terms == {PathPair(v, v): c}
+        assert_same_product(product, double_loop_convolve(x, y))
+        assert common_depth_terms(r, ring, double_loop_raw_terms(x, y)) == product.terms
+
+
+@pytest.mark.parametrize("ring", [IntegerRing(), RationalRing(), IntegersMod(4)])
+def test_convolve_makes_a_ring_value_only_per_output_term(ring, monkeypatch):
+    """The rose4 depth-2 dense product multiplies no ring values: products
+    and the canonical form run on ints, and a ring value is lifted once
+    per term of the product."""
+    f, h = rose4_dense_factors(ring)
+    calls = Counter()
+    for name in ("mul", "add", "negate", "from_int", "coerce", "is_zero", "eq",
+                 "zero", "one", "lift"):
+        method = getattr(ring, name)
+
+        def counting(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(ring, name, counting)
+    product = convolve(f, h)
+    assert calls["mul"] == 0
+    assert calls["is_zero"] == calls["eq"] == calls["zero"] == 0
+    assert calls["lift"] == len(product.terms) > 0
 
 
 # -- grading --------------------------------------------------------------------
