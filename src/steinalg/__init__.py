@@ -12,9 +12,8 @@ from .collapse import (CollapseCertificate, CollapseSpec, check_phi_fin_image,
                        phi_fin, phi_pair, pointed_groupoid_iso_check,
                        validate_collapsible)
 from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
-                       boundary_tails, compose_pairs, enumerate_probes, expand,
-                       invert, invert_pair, member, minimal_pair,
-                       pair_contains, pairs_to_depth, probes_in)
+                       boundary_tails, compose_pairs, expand, invert_pair,
+                       minimal_pair, pair_contains, pairs_to_depth)
 from .errors import InputError
 from .graph import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                     enumerate_paths, is_acyclic, is_prefix, load_graph,
@@ -25,14 +24,13 @@ from .leavitt import (WordSyntaxError, check_ck_relations, eval_word,
 from .morita import (Corner, CornerSupportError, LinkingElement,
                      LinkingInvariantError, MoritaWitness, Transversal,
                      corner_of, embed, eq_ops_check, least_connectors,
-                     linking_add, linking_convolve, linking_zero,
-                     morita_report, phi, psi, surjectivity_witness)
+                     linking_convolve, morita_report, phi, psi,
+                     surjectivity_witness)
 from .report import Report
 from .rings import (CoefficientRing, IntegerRing, IntegersMod, RationalRing,
                     ring_from_spec)
-from .steinberg import (GradedDecomposition, SteinbergElement, add,
-                        canonicalize, convolve, evaluate, from_terms, grade,
-                        graded_component, indicator, negate,
-                        oracle_convolve_at, scale, zero)
+from .steinberg import (GradedDecomposition, SteinbergElement, add, convolve,
+                        evaluate, from_terms, grade, graded_component,
+                        indicator, negate, oracle_convolve_at, scale, zero)
 
 __version__ = "0.1.0"

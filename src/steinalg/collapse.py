@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cylinder import (GroupoidProbe, PathPair, _build, _compose, _flat,
-                       _minimal, _RangeLegIndex, boundary_tails,
-                       enumerate_probes, minimal_pair, pair_contains,
+from .cylinder import (GroupoidProbe, PathPair, _compose, _flat, _minimal,
+                       _RangeLegIndex, boundary_tails, pair_contains,
                        pairs_to_depth)
 from .graph import (Edge, Graph, Path, VertexSubset, concat, enumerate_paths,
                     is_acyclic, is_prefix, sources, subgraph, vertex_path)
@@ -256,26 +255,20 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     g, F, f0, t0 = cert.original, cert.collapsed, cert.f0, cert.t0
 
     # (a) transport of probes is defined and fixes the pointed units.  The
-    # probes share their legs, so each leg is transported once, and a
-    # probe's image is kept as the pair of its legs' images.
-    fprobes = enumerate_probes(F, depth, limit=_INJECTIVITY_PROBE_CAP)
-    legs = {}
-
-    def leg_image(path):
-        image = legs.get(path)
-        if image is None:
-            image = legs[path] = phi_fin(cert, path)
-        return image
-
+    # probes (mu, |mu| - |nu|, nu) of the collapsed graph are the pairs
+    # (mu, nu) of its window, and each is transported as a flat pair (see
+    # step (d)).  Two flat images are equal exactly when their image legs
+    # are equal paths, so the image set decides injectivity.
+    paths = cert.edge_paths
+    fprobes = pairs_to_depth(F, depth, limit=_INJECTIVITY_PROBE_CAP)
     images = set()
     defect = None
     for pr in fprobes:
         try:
-            image = GroupoidProbe(leg_image(pr.mu_full), leg_image(pr.nu_full))
+            images.add(_transport(paths, _flat(pr)))
         except (KeyError, ValueError):
-            defect = pr.render()
+            defect = "(%s, %d, %s)" % (pr.mu.render(), pr.degree, pr.nu.render())
             break
-        images.add((image.mu_full, image.nu_full))
     rep.add("transport", "probes", len(fprobes))
     rep.check("transport", "defined", defect is None,
               "" if defect is None else "fails at %s" % defect)
@@ -347,33 +340,30 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # transported as they come, since keeping each distinct one with its
     # image would hold more memory than the rest of the check.
     #
-    # The window, its images, the composites and theirs are flat pairs
-    # (edge-id tuples, see cylinder._flat) and phi on a leg is the
+    # The minimal window, its images, the composites and theirs are flat
+    # pairs (edge-id tuples, see cylinder._flat) and phi on a leg is the
     # concatenation of the abbreviated paths' edges; the well-formedness
-    # check above makes those paths compose.  PathPairs are built only for
-    # the two windows, which the range-leg indexes file, and the defect
-    # text renders the window's own pairs.
+    # check above makes those paths compose.  No PathPair is built here:
+    # the defect text renders the window's own pairs.
     #
-    # Both windows are indexed by range leg, so for each a only the b that
-    # compose on at least one side are visited, in ascending order: the
-    # first defect is the least b that composes on one side only or whose
-    # two composites disagree, as in the loop over every combination.
+    # The minimal window and its images are indexed by range leg, so for
+    # each a only the b that compose on at least one side are visited, in
+    # ascending order: the first defect is the least b that composes on one
+    # side only or whose two composites disagree, as in the loop over every
+    # combination.
     mult_depth = _legs_depth(F, depth)
     fpairs = pairs_to_depth(F, mult_depth)
     rep.add("multiplicative", "legs-depth", mult_depth)
     rep.add("multiplicative", "pairs", len(fpairs))
 
-    paths = cert.edge_paths
-    minimal = [minimal_pair(a) for a in fpairs]
-    flat_minimal = [_flat(m) for m in minimal]
+    flat_minimal = [_minimal(F, _flat(a)) for a in fpairs]
     flat_images = [_minimal(g, _transport(paths, m)) for m in flat_minimal]
-    images = [_build(g, t) for t in flat_images]
-    left_index = _RangeLegIndex(minimal)
-    right_index = _RangeLegIndex(images)
+    left_index = _RangeLegIndex(flat_minimal)
+    right_index = _RangeLegIndex(flat_images)
     mult_defect = None
     for i, a in enumerate(fpairs):
-        left = left_index.partners(minimal[i].nu)
-        right = right_index.partners(images[i].nu)
+        left = left_index.partners(flat_minimal[i])
+        right = right_index.partners(flat_images[i])
         b = None
         for j, k in zip(left, right):
             if j != k:

@@ -10,18 +10,19 @@ actual groupoid elements in membership tests.
 
 Validation happens once, at the boundary.  The public ``PathPair`` and
 ``GroupoidProbe`` constructors check that both legs live on one graph and
-share their source vertex.  Operations on valid pairs (``PathPair.extend``,
-``invert_pair``, ``expand``) and the pair window (``pairs_to_depth``) build
-their results with the private ``_pair``, which checks nothing: each result
-shares its source by construction.
+share their source vertex.  ``PathPair.extend``, ``invert_pair``, the
+pieces of ``expand`` and the pairs of the window (``pairs_to_depth``) are
+built with the private ``_pair``, which checks nothing: each result shares
+its source by construction.
 
-The pair kernel works on flat pairs, plain tuples of edge ids and vertices
-(see ``_flat``): ``_compose`` is the composition rule and ``_minimal`` the
-minimal-pair rule.  ``compose_pairs`` and ``minimal_pair`` unpack their
-pairs, call the rule and build the result's ``Path`` and ``PathPair``
-objects; the canonical form, ``convolve`` and the collapse move's
-multiplicative check call the rules directly and build a ``PathPair`` only
-for a pair that leaves the kernel.
+Inside the kernel a pair is flat, a plain tuple of edge ids and vertices
+(see ``_flat``): ``_compose`` is the composition rule, ``_minimal`` the
+minimal-pair rule, and ``_RangeLegIndex`` files flat pairs by range leg.
+The canonical form, ``convolve`` and the collapse move's windowed checks
+take only flat pairs into these, and build a ``PathPair`` (``_build``)
+only for a pair that leaves the kernel.  ``compose_pairs`` and
+``minimal_pair`` are the public forms of the two rules on ``PathPair``
+objects.
 """
 
 from __future__ import annotations
@@ -191,9 +192,6 @@ class GroupoidProbe:
     def degree(self):
         return len(self.mu_full) - len(self.nu_full)
 
-    def invert(self) -> "GroupoidProbe":
-        return GroupoidProbe(self.nu_full, self.mu_full)
-
     def sort_key(self):
         return (self.mu_full.sort_key(), self.nu_full.sort_key())
 
@@ -252,15 +250,16 @@ def compose_pairs(p: PathPair, q: PathPair):
 
 
 class _RangeLegIndex:
-    """The positions of a list of pairs, looked up by range leg.
+    """The positions of a list of flat pairs, looked up by range leg.
 
-    ``compose_pairs(p, q)`` is a pair exactly when one of p's source leg and
-    q's range leg is a prefix of the other.  The range legs are filed in a
-    trie with one root per range vertex and one level per edge, so the
-    nodes are the legs' prefixes.  ``partners(nu)`` walks nu's edges once:
-    the legs ending at a node above nu's are shorter than nu, and the legs
-    passing through nu's node equal or extend it.  Each distinct nu is
-    walked once.
+    ``_compose(p, q)`` is a pair exactly when p's source leg and q's range
+    leg range at one vertex and one of them is a prefix of the other.  The
+    range legs (``q[0]``, at ``q[3]``) are filed in a trie with one root per
+    range vertex and one level per edge id, so the nodes are the legs'
+    prefixes.  ``partners(p)`` walks the edges of p's source leg (``p[1]``,
+    at ``p[4]``) once: the legs ending at a node above it are shorter, and
+    the legs passing through its node equal or extend it.  Each distinct
+    source leg is walked once.
     """
 
     __slots__ = ("_roots", "_found")
@@ -270,12 +269,11 @@ class _RangeLegIndex:
         # there, the positions of the legs ending there or passing through).
         roots = {}
         for i, q in enumerate(pairs):
-            mu = q.mu
-            node = roots.get(mu.range_vertex)
+            node = roots.get(q[3])
             if node is None:
-                node = roots[mu.range_vertex] = ({}, [], [])
+                node = roots[q[3]] = ({}, [], [])
             node[2].append(i)
-            for e in mu.edges:
+            for e in q[0]:
                 children = node[0]
                 node = children.get(e)
                 if node is None:
@@ -285,17 +283,17 @@ class _RangeLegIndex:
         self._roots = roots
         self._found = {}
 
-    def partners(self, nu):
-        """The positions, ascending, of the pairs q for which
-        ``compose_pairs(p, q)`` is not None when p's source leg is nu; the
-        list is shared between calls and is not to be changed."""
-        key = (nu.edges, nu.range_vertex)
+    def partners(self, p):
+        """The positions, ascending, of the filed pairs q for which
+        ``_compose(p, q)`` is not None; the list is shared between calls
+        and is not to be changed."""
+        key = (p[1], p[4])
         found = self._found.get(key)
         if found is None:
             found, shorter = [], []
-            node = self._roots.get(nu.range_vertex)
+            node = self._roots.get(p[4])
             if node is not None:
-                for e in nu.edges:
+                for e in p[1]:
                     shorter += node[1]
                     node = node[0].get(e)
                     if node is None:
@@ -340,13 +338,6 @@ def invert_pair(p: PathPair) -> PathPair:
     return _pair(p.nu, p.mu)
 
 
-def invert(b):
-    """Pointwise inversion; swaps the pair and keeps the exclusions."""
-    if isinstance(b, PathPair):
-        return invert_pair(b)
-    return BasicBisection(invert_pair(b.pair), b.excluded)
-
-
 def expand(p: PathPair, target_depth: int):
     """Split Z(p) into the disjoint union over one-edge continuations until
     every piece has min depth target_depth or is source terminated.
@@ -389,38 +380,12 @@ def pair_contains(p: PathPair, probe: GroupoidProbe) -> bool:
     return tail_nu is not None and tail_mu == tail_nu
 
 
-def member(b, probe: GroupoidProbe) -> bool:
-    """Probe membership: the pair matches with a shared tail, the degree
-    agrees, and no excluded path is a prefix of the tail."""
-    b = as_bisection(b)
-    if probe.degree != b.pair.degree:
-        return False
-    tail = strip_prefix(probe.mu_full, b.pair.mu)
-    if tail is None:
-        return False
-    other = strip_prefix(probe.nu_full, b.pair.nu)
-    if other is None or tail != other:
-        return False
-    return not any(is_prefix(a, tail) for a in b.excluded)
-
-
 def boundary_tails(g: Graph, v, depth: int):
     """Continuation truncations from v: length == depth, or source terminated."""
     out = []
     for w in enumerate_paths(g, from_range=v, max_len=depth):
         if len(w) == depth or g.is_source(w.source_vertex):
             out.append(w)
-    return out
-
-
-def probes_in(b, depth: int):
-    """The probes of Z((mu,nu) \\ F) whose shared tail has the given depth."""
-    b = as_bisection(b)
-    out = []
-    for w in boundary_tails(b.graph, b.pair.source_vertex, depth):
-        probe = GroupoidProbe(concat(b.pair.mu, w), concat(b.pair.nu, w))
-        if member(b, probe):
-            out.append(probe)
     return out
 
 
@@ -451,9 +416,3 @@ def _pair_window(g: Graph, depth: int, ranges):
         for a in group:
             for b in group:
                 yield _pair(a, b)
-
-
-def enumerate_probes(g: Graph, max_len: int, limit=None):
-    """All probes with truncations of length <= max_len, canonically ordered,
-    or the first ``limit`` of them."""
-    return [GroupoidProbe(p.mu, p.nu) for p in pairs_to_depth(g, max_len, limit=limit)]

@@ -364,18 +364,6 @@ def eval_word(graph, word, ring) -> SteinbergElement:
 # -- spanning words ---------------------------------------------------------
 
 
-def path_word_factors(mu: Path):
-    if not mu.edges:
-        return (SymbolWord("p", mu.vertex),)
-    return tuple(SymbolWord("s", e) for e in mu.edges)
-
-
-def star_path_word_factors(nu: Path):
-    if not nu.edges:
-        return (SymbolWord("p", nu.vertex),)
-    return tuple(SymbolWord("st", e) for e in reversed(nu.edges))
-
-
 def indicator_as_word(b):
     """A word evaluating exactly to the indicator of the basic bisection.
 
@@ -387,8 +375,8 @@ def indicator_as_word(b):
     def pair_product(mu, nu):
         # A vertex leg adds no motion, so its unit factor only appears when
         # the whole pair is a unit; s(e) alone already encodes Z(e, s(e)).
-        factors = path_word_factors(mu) if mu.edges else ()
-        factors += star_path_word_factors(nu) if nu.edges else ()
+        factors = tuple(SymbolWord("s", e) for e in mu.edges)
+        factors += tuple(SymbolWord("st", e) for e in reversed(nu.edges))
         if not factors:
             return SymbolWord("p", mu.vertex)
         return factors[0] if len(factors) == 1 else ProductWord(factors)

@@ -1,13 +1,16 @@
 """Matrix calculus over a retained vertex set, with surjectivity witnesses.
 
-Fix a set of retained vertices meeting every orbit of the path groupoid
-(a ``Transversal`` decides this by reverse reachability: its ``unreachable``
-vertices are empty).  Basic pairs then sort into a 2x2 block pattern by
-whether the range vertices of the two legs are retained, and a
-``LinkingElement`` holds one algebra element per block.  Block (1,1)
-constrains both legs, the off-diagonal blocks constrain one leg each, and
-block (2,2) constrains nothing, so the blocks overlap as supports even
-though ``corner_of`` classifies each single pair into exactly one cell.
+Fix a set of retained vertices meeting every orbit of the path groupoid.
+A ``Transversal`` tests this by reverse reachability: when its
+``unreachable`` vertices are empty the set meets every orbit.  The test is
+sufficient, not necessary: on ``vertices: v, u`` with ``edge: e v <- u``
+and u retained, v has no path into the retained set, yet its one boundary
+path e lies in the orbit of the unit at u.  Basic pairs then sort into a
+2x2 block pattern by whether the range vertices of the two legs are
+retained, and a ``LinkingElement`` holds one algebra element per block.
+Block (1,1) constrains both legs, the off-diagonal blocks constrain one leg
+each, and block (2,2) constrains nothing, so the blocks overlap as supports
+even though ``corner_of`` classifies each single pair into exactly one cell.
 Convolution becomes 2x2 matrix multiplication, ``psi`` and ``phi`` are the
 off-diagonal products landing in the diagonal blocks, and
 ``surjectivity_witness`` factors any single-pair indicator through the
@@ -77,10 +80,14 @@ class Transversal:
     @property
     def unreachable(self):
         """The vertices with no path into the retained set, in declaration
-        order; the retained set meets every orbit exactly when this is empty.
+        order; when this is empty the retained set meets every orbit.
 
         A vertex with a connector lands its orbit over the retained set:
         shift any boundary path to a visited vertex and prepend the connector.
+        The converse fails: a vertex without a connector can still have all
+        its orbits meet the retained set, as v does on ``vertices: v, u``
+        with ``edge: e v <- u`` and u retained, where the pair (e, u)
+        carries v's one boundary path e to the unit at u.
         """
         return tuple(v for v in self.graph.vertices if self._connectors[v] is None)
 
@@ -89,26 +96,28 @@ def least_connectors(graph: Graph, f0):
     """For each vertex v, the least path with source v ranging at a retained
     vertex, or None; least means shortest, then lexicographic.
 
-    Relaxation over edges converges because each entry only improves within
-    a finite candidate set.
+    One breadth-first pass out from the retained set: a vertex first
+    reached at length k takes the least one-edge extension of the
+    connectors found at length k - 1.  A least connector with its last edge
+    e cut off is a connector of e's range vertex of length k - 1, and every
+    connector of that vertex is that long or longer, so it is that vertex's
+    least one.
     """
     best = {v: vertex_path(graph, v) for v in f0}
-
-    def key(p):
-        return (len(p), p.sort_key())
-
-    changed = True
-    while changed:
-        changed = False
-        for e in graph.edges:
-            upstream = best.get(e.range_vertex)
-            if upstream is None or len(upstream) >= len(graph.vertices):
-                continue
-            cand = concat(upstream, Path(graph, (e.id,)))
-            cur = best.get(e.source_vertex)
-            if cur is None or key(cand) < key(cur):
-                best[e.source_vertex] = cand
-                changed = True
+    layer = list(best)
+    while layer:
+        found = {}
+        for u in layer:
+            for e in graph.edges_with_range(u):
+                v = e.source_vertex
+                if v in best:
+                    continue
+                cand = concat(best[u], Path(graph, (e.id,)))
+                cur = found.get(v)
+                if cur is None or cand.sort_key() < cur.sort_key():
+                    found[v] = cand
+        best.update(found)
+        layer = list(found)
     return {v: best.get(v) for v in graph.vertices}
 
 
@@ -187,10 +196,6 @@ class LinkingElement:
         return self.render()
 
 
-def linking_zero(transversal, ring) -> LinkingElement:
-    return LinkingElement(transversal, ring)
-
-
 def embed(transversal, f: SteinbergElement, which: Corner) -> LinkingElement:
     """Place a diagonal-block element into the matrix algebra."""
     if which == Corner.GG:
@@ -205,13 +210,6 @@ def _check_linking_compatible(a: LinkingElement, b: LinkingElement):
         raise ValueError("matrix elements live over different algebras")
     if a.transversal.f0.members != b.transversal.f0.members:
         raise ValueError("matrix elements use different retained sets")
-
-
-def linking_add(a: LinkingElement, b: LinkingElement) -> LinkingElement:
-    _check_linking_compatible(a, b)
-    return LinkingElement(a.transversal, a.ring,
-                          f11=add(a.f11, b.f11), f12=add(a.f12, b.f12),
-                          f21=add(a.f21, b.f21), f22=add(a.f22, b.f22))
 
 
 def linking_convolve(a: LinkingElement, b: LinkingElement) -> LinkingElement:

@@ -317,11 +317,11 @@ def convolve(f, g) -> SteinbergElement:
     right = [(_flat(q), d) for q, d in right]
     index = None
     if len(f.terms) > 1 and len(right) > 1:
-        index = _RangeLegIndex(g.terms)
+        index = _RangeLegIndex([q for q, _ in right])
     merged = {}
     for p, c in left:
         t = _flat(p)
-        for j in index.partners(p.nu) if index is not None else range(len(right)):
+        for j in index.partners(t) if index is not None else range(len(right)):
             q, d = right[j]
             composed = _compose(t, q)
             if composed is not None:
@@ -330,11 +330,6 @@ def convolve(f, g) -> SteinbergElement:
     for t, c in merged.items():
         merged[t] = normal(c)
     return SteinbergElement(f.graph, ring, merged.items(), den_f * den_g)
-
-
-def canonicalize(f) -> SteinbergElement:
-    """Re-run normalization; a fixed point for elements built by this module."""
-    return SteinbergElement(f.graph, f.ring, list(f.terms.items()))
 
 
 def evaluate(f, probe: GroupoidProbe):

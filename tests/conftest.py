@@ -1,12 +1,16 @@
 """Shared fixtures: the named small graphs, the shipped rings, and the
 seeded corpora the randomized tests draw from; the brute-force canonical
-form the canonical-form tests compare against; and the pair rules on Path
-objects that the flat pair kernel is compared against."""
+form the canonical-form tests compare against; the pair rules on Path
+objects that the flat pair kernel is compared against; probe membership
+and probe windows, the set semantics the pair operations are compared
+against; and the relaxation that least connectors are compared against."""
 
 import pytest
 
-from steinalg import (Graph, IntegerRing, IntegersMod, PathPair, RationalRing,
-                      concat, expand, load_graph, strip_prefix)
+from steinalg import (Graph, GroupoidProbe, IntegerRing, IntegersMod, Path,
+                      PathPair, RationalRing, as_bisection, boundary_tails,
+                      concat, expand, is_prefix, load_graph, pairs_to_depth,
+                      strip_prefix, vertex_path)
 from steinalg import sampling
 
 LOOP_TEXT = "vertices: v\nedge: e v <- v\n"
@@ -90,6 +94,63 @@ def reference_minimal_pair(p):
     if not k:
         return p
     return PathPair(p.mu.prefix(len(mu) - k), p.nu.prefix(len(nu) - k))
+
+
+def member(b, probe):
+    """Probe membership in a pair or bisection: the pair matches with a
+    shared tail, the degree agrees, and no excluded path is a prefix of the
+    tail."""
+    b = as_bisection(b)
+    if probe.degree != b.pair.degree:
+        return False
+    tail = strip_prefix(probe.mu_full, b.pair.mu)
+    if tail is None:
+        return False
+    other = strip_prefix(probe.nu_full, b.pair.nu)
+    if other is None or tail != other:
+        return False
+    return not any(is_prefix(a, tail) for a in b.excluded)
+
+
+def probes_in(b, depth):
+    """The probes of Z((mu,nu) \\ F) whose shared tail has the given depth."""
+    b = as_bisection(b)
+    out = []
+    for w in boundary_tails(b.graph, b.pair.source_vertex, depth):
+        probe = GroupoidProbe(concat(b.pair.mu, w), concat(b.pair.nu, w))
+        if member(b, probe):
+            out.append(probe)
+    return out
+
+
+def probe_window(g, max_len):
+    """Every probe with truncations of length <= max_len, in the order of
+    the pair window: the probe (mu, |mu| - |nu|, nu) for each pair Z(mu, nu)."""
+    return [GroupoidProbe(p.mu, p.nu) for p in pairs_to_depth(g, max_len)]
+
+
+def relaxed_connectors(graph, f0):
+    """The least connectors by relaxation: extend each connector found so
+    far by every edge ranging at its source, and keep the least candidate
+    per vertex (shortest, then lexicographic), until nothing improves."""
+    best = {v: vertex_path(graph, v) for v in f0}
+
+    def key(p):
+        return (len(p), p.sort_key())
+
+    changed = True
+    while changed:
+        changed = False
+        for e in graph.edges:
+            upstream = best.get(e.range_vertex)
+            if upstream is None or len(upstream) >= len(graph.vertices):
+                continue
+            cand = concat(upstream, Path(graph, (e.id,)))
+            cur = best.get(e.source_vertex)
+            if cur is None or key(cand) < key(cur):
+                best[e.source_vertex] = cand
+                changed = True
+    return {v: best.get(v) for v in graph.vertices}
 
 
 def sweep_graph(rng):

@@ -8,17 +8,16 @@ import functools
 import itertools
 import time
 
-from steinalg import (Corner, GroupoidProbe, IntegerRing, IntegersMod,
-                      PathPair, RationalRing, Transversal, add,
-                      check_ck_relations, check_phi_fin_image, collapse,
-                      convolve, corner_of, enumerate_paths, enumerate_probes,
-                      eq_ops_check, eval_word, evaluate, grade,
+from steinalg import (Corner, IntegerRing, IntegersMod, PathPair,
+                      RationalRing, Transversal, add, check_ck_relations,
+                      check_phi_fin_image, collapse, convolve, corner_of,
+                      enumerate_paths, eq_ops_check, eval_word, evaluate, grade,
                       graded_component, indicator, indicator_as_word,
                       morita_report, oracle_convolve_at, pairs_to_depth,
                       pointed_groupoid_iso_check, serialize_graph,
                       surjectivity_witness, zero)
 from steinalg import cli, sampling
-from tests.conftest import TWO_CYCLE_TEXT
+from tests.conftest import TWO_CYCLE_TEXT, probe_window
 
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
 FIXTURE_GRAPHS = ("loop_graph", "two_cycle", "outsplit_graph", "line_graph",
@@ -177,7 +176,7 @@ def test_criterion_5(loop_graph):
         assert dec.component(n).render() == text
 
     # Pointwise cross-check on every probe deep enough to pin the answer.
-    probes = [pr for pr in enumerate_probes(loop_graph, max_len=3)
+    probes = [pr for pr in probe_window(loop_graph, 3)
               if max(len(pr.mu_full), len(pr.nu_full)) >= 3]
     assert probes
     for pr in probes:

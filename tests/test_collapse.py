@@ -13,7 +13,7 @@ from steinalg import (CollapseSpec, Graph, GroupoidProbe, IntegerRing, Path,
                       PathPair, Report, SteinbergElement, VertexSubset,
                       boundary_tails, check_phi_fin_image, collapse,
                       collapsed_preimage, compose_pairs, concat, convolve,
-                      enumerate_paths, enumerate_probes, first_hit_extensions,
+                      enumerate_paths, first_hit_extensions,
                       from_terms, indicator, is_prefix, minimal_pair,
                       pair_contains, pairs_to_depth, phi_fin, phi_pair,
                       pointed_groupoid_iso_check, serialize_graph,
@@ -22,7 +22,7 @@ from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
                                _legs_depth)
-from tests.conftest import ROSE2_TEXT, long_line
+from tests.conftest import ROSE2_TEXT, long_line, probe_window
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -312,7 +312,7 @@ def element_level_iso_check(cert, depth, products):
         return rep
     g, F, f0, t0 = cert.original, cert.collapsed, cert.f0, cert.t0
 
-    fprobes = enumerate_probes(F, depth)[:_INJECTIVITY_PROBE_CAP]
+    fprobes = probe_window(F, depth)[:_INJECTIVITY_PROBE_CAP]
     images = []
     defect = None
     for pr in fprobes:

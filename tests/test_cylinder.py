@@ -16,11 +16,11 @@ import pytest
 from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       Path, PathPair, RationalRing, add, as_bisection,
                       boundary_tails, compose_pairs, concat, convolve,
-                      enumerate_paths, enumerate_probes, expand, indicator,
-                      invert, invert_pair, member, minimal_pair, pair_contains,
-                      pairs_to_depth, probes_in, strip_prefix, vertex_path)
+                      enumerate_paths, expand, indicator, invert_pair,
+                      minimal_pair, pair_contains, pairs_to_depth,
+                      strip_prefix, vertex_path)
 from steinalg import sampling
-from tests.conftest import (common_depth_terms, long_line,
+from tests.conftest import (common_depth_terms, long_line, member, probes_in,
                             reference_compose_pairs, reference_minimal_pair,
                             sweep_graph)
 
@@ -111,7 +111,6 @@ def test_probe_degree_is_forced(loop_graph):
     pr = GroupoidProbe(e, v)
     assert pr.degree == 1
     assert pr.render() == "(e, 1, v)"
-    assert pr.invert() == GroupoidProbe(v, e)
     assert pr == GroupoidProbe(e, v) and hash(pr) == hash(GroupoidProbe(e, v))
 
 
@@ -146,13 +145,6 @@ def test_boundary_tails_stop_at_sources(line_graph, loop_graph):
     assert probes_in(BasicBisection(PathPair(b, b), [f2]), 1) == []
 
 
-def test_enumerate_probes_groups_by_source(rose2):
-    got = enumerate_probes(rose2, 1)
-    names = [pr.render() for pr in got]
-    assert "(v, 0, v)" in names and "(a, 0, b)" in names and "(a, 1, v)" in names
-    assert len(names) == 9  # three paths, all sharing the source vertex
-
-
 def test_pairs_to_depth_groups_by_source(outsplit_graph):
     g = outsplit_graph
     paths = enumerate_paths(g, max_len=2)
@@ -166,7 +158,6 @@ def test_pairs_to_depth_groups_by_source(outsplit_graph):
                                   key(ab[0]), key(ab[1])))
     got = pairs_to_depth(g, 2)
     assert [(p.mu, p.nu) for p in got] == want
-    assert enumerate_probes(g, 2) == [GroupoidProbe(p.mu, p.nu) for p in got]
 
 
 @given(seeds, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=60))
@@ -182,7 +173,6 @@ def test_pair_window_filters_and_stops_early(seed, depth, limit):
     assert pairs_to_depth(g, depth, ranges=keep) == kept
     assert pairs_to_depth(g, depth, ranges=keep, limit=limit) == kept[:limit]
     assert pairs_to_depth(g, depth, limit=limit) == full[:limit]
-    assert enumerate_probes(g, depth, limit=limit) == enumerate_probes(g, depth)[:limit]
 
 
 # -- pair-level operations ----------------------------------------------------
@@ -352,27 +342,6 @@ def test_trusted_pairs_are_valid(seed):
 
 
 # -- set semantics ------------------------------------------------------------
-
-
-def test_invert_bisection(loop_graph):
-    v = vertex_path(loop_graph, "v")
-    e = Path(loop_graph, ("e",))
-    b = BasicBisection(PathPair(e, v), [e])
-    inv = invert(b)
-    assert inv.pair == PathPair(v, e)
-    assert [a.render() for a in inv.excluded] == ["e"]
-
-
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_invert_matches_probe_inversion(seed):
-    rng = sampling.rng_from_seed(seed)
-    g = sampling.random_graph(rng)
-    b = sampling.random_bisection(rng, g)
-    horizon = horizon_for(b)
-    depth = horizon - len(b.pair.mu)
-    for pr in probes_in(b, depth):
-        assert member(invert(b), pr.invert())
 
 
 @given(seeds)

@@ -8,7 +8,7 @@ from steinalg import (Graph, GraphFormatError, Path, VertexSubset, concat,
                       enumerate_paths, is_acyclic, is_prefix, load_graph,
                       serialize_graph, sources, strip_prefix, subgraph,
                       vertex_path)
-from tests.conftest import LINE_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line
+from tests.conftest import TWO_CYCLE_TEXT, long_line
 
 
 def test_load_serialize_roundtrip(two_cycle):

@@ -7,12 +7,12 @@ import pytest
 from steinalg import (Corner, CornerSupportError, Graph, IntegerRing,
                       IntegersMod, LinkingElement, Path, PathPair,
                       RationalRing, Transversal, add, convolve, embed,
-                      eq_ops_check, indicator, least_connectors, linking_add,
-                      linking_convolve, linking_zero, morita_report,
-                      pairs_to_depth, phi, psi, surjectivity_witness,
-                      vertex_path, zero)
+                      eq_ops_check, indicator, least_connectors,
+                      linking_convolve, morita_report, pairs_to_depth, phi,
+                      psi, surjectivity_witness, vertex_path, zero)
 from steinalg import sampling
 from steinalg.morita import element_supported_in, pair_supported_in
+from tests.conftest import relaxed_connectors
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
@@ -84,6 +84,25 @@ def test_least_connectors_prefer_short_then_early(outsplit_graph):
     assert len(conn["ua"]) == 0 and len(conn["ub"]) == 0
 
 
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_least_connectors_match_the_relaxation(seed):
+    """The breadth-first pass finds the connectors the relaxation finds, on
+    random graphs with loops and parallel edges, for a random retained set
+    and for the empty one.  The added vertex x emits no edge and is never
+    retained, so it has no connector in any case."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=7, max_edges=14)
+    vertices = list(g.vertices)
+    edges = [(e.id, e.range_vertex, e.source_vertex) for e in g.edges]
+    g = Graph(vertices + ["x"], edges + [("fx", "x", rng.choice(vertices))])
+    kept = [v for v in vertices if rng.random() < 0.3]
+    for f0 in ([], kept):
+        got = least_connectors(g, f0)
+        assert got == relaxed_connectors(g, f0)
+        assert got["x"] is None
+
+
 def test_transversal_value_equality(two_cycle):
     assert Transversal(two_cycle, ["v"]) == Transversal(two_cycle, ["v"])
     assert Transversal(two_cycle, ["v"]) != Transversal(two_cycle, ["w"])
@@ -94,7 +113,7 @@ def test_transversal_value_equality(two_cycle):
 
 def test_linking_element_is_immutable(two_cycle, zring):
     t = Transversal(two_cycle, ["v"])
-    a = linking_zero(t, zring)
+    a = LinkingElement(t, zring)
     with pytest.raises(AttributeError):
         a.f11 = zero(two_cycle, zring)
     assert a.is_zero()
@@ -126,11 +145,11 @@ def test_linking_rejects_mismatched_operands(two_cycle, rose2, zring, qring):
     t = Transversal(two_cycle, ["v"])
     with pytest.raises(ValueError, match="different graph or ring"):
         LinkingElement(t, zring, f11=zero(rose2, zring))
-    a = linking_zero(t, zring)
-    with pytest.raises(ValueError):
-        linking_add(a, linking_zero(t, qring))
-    with pytest.raises(ValueError):
-        linking_add(a, linking_zero(Transversal(two_cycle, ["v", "w"]), zring))
+    a = LinkingElement(t, zring)
+    with pytest.raises(ValueError, match="different algebras"):
+        linking_convolve(a, LinkingElement(t, qring))
+    with pytest.raises(ValueError, match="different retained sets"):
+        linking_convolve(a, LinkingElement(Transversal(two_cycle, ["v", "w"]), zring))
 
 
 def test_linking_convolve_frozen(two_cycle, zring):
@@ -149,6 +168,13 @@ def random_linking(rng, g, ring, f0, t):
     blocks = {name: sampling.random_corner_element(rng, g, ring, f0, corner)
               for name, corner in BLOCK_CORNERS.items()}
     return LinkingElement(t, ring, **blocks)
+
+
+def block_sum(a, b):
+    """The blockwise sum of two matrix elements."""
+    return LinkingElement(a.transversal, a.ring,
+                          **{name: add(getattr(a, name), getattr(b, name))
+                             for name in BLOCK_CORNERS})
 
 
 def local_matmul(a, b):
@@ -189,8 +215,8 @@ def test_linking_convolve_associative_distributive(seed):
     a, b, c = (random_linking(rng, g, ring, f0, t) for _ in range(3))
     assert (linking_convolve(linking_convolve(a, b), c)
             == linking_convolve(a, linking_convolve(b, c)))
-    assert (linking_convolve(a, linking_add(b, c))
-            == linking_add(linking_convolve(a, b), linking_convolve(a, c)))
+    assert (linking_convolve(a, block_sum(b, c))
+            == block_sum(linking_convolve(a, b), linking_convolve(a, c)))
 
 
 # -- context maps --------------------------------------------------------------------

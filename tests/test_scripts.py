@@ -1,6 +1,7 @@
 """The example scripts and the benchmark's tracer still run against the
-package API."""
+package API, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -35,3 +36,27 @@ def test_traced_benchmark_entry_points_resolve():
         module = importlib.import_module("steinalg." + module_name)
         for name in names:
             assert callable(getattr(module, name, None)), "%s.%s" % (module_name, name)
+
+
+def unused_imports(path):
+    """The names a module binds by import and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_import_no_unused_names():
+    """Every package module but ``__init__``, which re-exports, and every
+    test module reads each name it imports."""
+    modules = [p for p in (ROOT / "src" / "steinalg").glob("*.py")
+               if p.name != "__init__.py"]
+    modules += (ROOT / "tests").glob("*.py")
+    unused = {str(p.relative_to(ROOT)): names
+              for p in sorted(modules) if (names := unused_imports(p))}
+    assert unused == {}
