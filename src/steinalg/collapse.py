@@ -262,13 +262,15 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     paths = cert.edge_paths
     fprobes = pairs_to_depth(F, depth, limit=_INJECTIVITY_PROBE_CAP)
     images = set()
+    legs = {}           # one tuple per distinct image leg, shared by images
     defect = None
     for pr in fprobes:
         try:
-            images.add(_transport(paths, _flat(pr)))
+            mu, nu, *ends = _transport(paths, _flat(pr))
         except (KeyError, ValueError):
             defect = "(%s, %d, %s)" % (pr.mu.render(), pr.degree, pr.nu.render())
             break
+        images.add((legs.setdefault(mu, mu), legs.setdefault(nu, nu), *ends))
     rep.add("transport", "probes", len(fprobes))
     rep.check("transport", "defined", defect is None,
               "" if defect is None else "fails at %s" % defect)

@@ -136,15 +136,17 @@ def pair_supported_in(p: PathPair, f0, corner: Corner) -> bool:
 
 
 def element_supported_in(f: SteinbergElement, f0, corner: Corner) -> bool:
-    return all(pair_supported_in(p, f0, corner) for p in f.terms)
+    row_req, col_req = _REQUIRES[corner]
+    return all((not row_req or mu_range in f0) and (not col_req or nu_range in f0)
+               for _, _, _, mu_range, nu_range in f.flat)
 
 
 def _require_support(f: SteinbergElement, f0, corner: Corner, role):
-    for p in f.terms:
-        if not pair_supported_in(p, f0, corner):
-            raise CornerSupportError(
-                "%s term %s violates the %s support pattern"
-                % (role, p.render(), corner.render()))
+    if not element_supported_in(f, f0, corner):
+        p = next(p for p in f.terms if not pair_supported_in(p, f0, corner))
+        raise CornerSupportError(
+            "%s term %s violates the %s support pattern"
+            % (role, p.render(), corner.render()))
 
 
 # -- the 2x2 matrix algebra --------------------------------------------------

@@ -19,7 +19,9 @@ For every D, lift(., D) must be injective, send 0 to zero and int_ring sums
 to ring sums, and lift(a * b, D * E) must be lift(a, D) * lift(b, E).  Over
 z and zmod:n the ints are the values themselves over 1, and the ring walks
 them itself; over q they are the numerators over the lcm of the
-denominators, walked in the integers.
+denominators, walked in the integers.  A ring whose D can exceed 1 must
+walk its ints in the integers with lift(k * m, D * m) == lift(k, D): sums
+take the lcm of two D's, and the canonical form divides out gcd(D, *ints).
 """
 
 from __future__ import annotations
@@ -118,9 +120,6 @@ class _IntValued(CoefficientRing):
     """A ring whose normalized values are ints: they are their own ints
     over 1, and the ring walks them itself."""
 
-    def is_zero(self, a):
-        return not a
-
     def as_ints(self, terms):
         return terms, 1
 
@@ -182,9 +181,6 @@ class RationalRing(CoefficientRing):
 
     def from_int(self, k):
         return Fraction(k)
-
-    def is_zero(self, a):
-        return not a
 
     def as_ints(self, terms):
         ratios = [(k, v.as_integer_ratio()) for k, v in terms]

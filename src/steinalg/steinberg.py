@@ -25,49 +25,58 @@ visits the stored pairs' tails, their prefixes and the fans below them, so
 its cost is polynomial in the number of terms, their depth and the
 fan-out; it does not grow with the depth gap between unrelated terms.
 
-The normal form runs on flat pairs, the edge-id tuples of the pair kernel
-in ``cylinder``, and on int coefficients.  Raw terms are merged on flat
-pairs (a raw term given as a PathPair is flattened first), chains are filed
-and walked on them, and a PathPair is built only for a term the normal form
-emits; a PathPair that comes in and is emitted unchanged is emitted as
-itself.  Coefficients are ints over one denominator D (``ring.as_ints``),
-added in ``ring.int_ring()``, where zero is ``not c`` and equality is
-``==``; a ring value is made (``ring.lift``) only for an emitted term.
-``convolve`` composes flat pairs and merges the products of the factors'
-ints with plain int arithmetic; it hands over the flat pairs as they are
-and each merged sum normalized in ``ring.int_ring()``.
+An element stores its normal form in one shape: ``flat``, a dict from flat
+pair (the edge-id tuples of the pair kernel in ``cylinder``) to int, over
+one denominator ``den``; term t stands for ``ring.lift(flat[t], den)``.
+The ints are normalized values of ``ring.int_ring()`` (zero is ``not c``,
+equality is ``==``), and den is reduced: gcd(den, *ints) == 1.  Over z and
+zmod:n the ints are the values and den is 1; over q they are numerators
+over the lcm of the denominators.  So equal functions have equal stored
+forms, and equality, hashing, sums, products, evaluation and grading run
+on them.  ``terms``, the element as {PathPair: ring value} in stored order,
+is built on first read and kept; rendering and the pointwise oracle read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .cylinder import (GroupoidProbe, PathPair, _build, _compose, _flat,
-                       _minimal, _pair, _RangeLegIndex, as_bisection)
+from .cylinder import (GroupoidProbe, _build, _compose, _flat, _minimal,
+                       _RangeLegIndex, as_bisection)
 from .graph import concat, strip_prefix
 
 
 class SteinbergElement:
     """A canonical-form element; construct via the module functions."""
 
-    __slots__ = ("graph", "ring", "terms")
+    __slots__ = ("graph", "ring", "flat", "den", "_terms")
 
     def __init__(self, graph, ring, raw_terms, den=None):
         self.graph = graph
         self.ring = ring
-        self.terms = _canonical_terms(graph, ring, raw_terms, den)
+        self.flat, self.den = _canonical_terms(graph, ring, raw_terms, den)
+        self._terms = None
+
+    @property
+    def terms(self):
+        """{PathPair: ring value} in stored order; built on first read."""
+        if self._terms is None:
+            graph, lift, den = self.graph, self.ring.lift, self.den
+            self._terms = {_build(graph, t): lift(c, den) for t, c in self.flat.items()}
+        return self._terms
 
     def is_zero(self):
-        return not self.terms
+        return not self.flat
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
     def max_path_len(self):
-        return max((max(len(p.mu), len(p.nu)) for p in self.terms), default=0)
+        return max((max(len(t[0]), len(t[1])) for t in self.flat), default=0)
 
     def render(self):
-        if not self.terms:
+        if not self.flat:
             return "0"
         bits = ["%s * %s" % (self.ring.render(c), p.render())
                 for p, c in self.sorted_terms()]
@@ -80,11 +89,10 @@ class SteinbergElement:
         if not isinstance(other, SteinbergElement):
             return NotImplemented
         return (self.graph is other.graph and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.den == other.den and self.flat == other.flat)
 
     def __hash__(self):
-        return hash((id(self.graph), self.ring,
-                     frozenset((p, repr(c)) for p, c in self.terms.items())))
+        return hash((id(self.graph), self.ring, self.den, frozenset(self.flat.items())))
 
     def __add__(self, other):
         return add(self, other)
@@ -99,25 +107,19 @@ class SteinbergElement:
         return convolve(self, other)
 
 
-def _canonical_terms(graph, ring, raw_terms, den=None):
-    # A raw term's pair is a PathPair or a flat pair; both merge on the
-    # flat pair, and a PathPair emitted unchanged is emitted as itself.
-    # Coefficients are ring values, or, with den, normalized values of
-    # ring.int_ring() that stand for themselves over den.
+def _canonical_terms(graph, ring, raw_terms, den):
+    """The normal form of raw terms, (flat pair -> int, reduced den).  Raw
+    terms are (PathPair, ring value) pairs, or, with den, (flat pair, int)
+    pairs whose ints are normalized values of ``ring.int_ring()`` over den."""
     if not raw_terms:
-        return {}
+        return {}, 1
     if den is None:
-        raw_terms, den = ring.as_ints(raw_terms)
+        raw_terms, den = ring.as_ints([(_flat(p), c) for p, c in raw_terms])
+    walk = ring.int_ring()
     merged = {}
-    given = {}
-    for pair, coeff in raw_terms:
-        if pair.__class__ is PathPair:
-            t = _flat(pair)
-            given.setdefault(t, pair)
-        else:
-            t = pair
+    for t, c in raw_terms:
         acc = merged.get(t)
-        merged[t] = coeff if acc is None else ring.int_ring().add(acc, coeff)
+        merged[t] = c if acc is None else walk.add(acc, c)
     # A chain is the pairs with one top (both legs with the common tail cut
     # off), each filed by its tail: two pairs meet only when they share a
     # top and one tail is a prefix of the other.  The range vertex tells
@@ -133,26 +135,27 @@ def _canonical_terms(graph, ring, raw_terms, den=None):
         top = (mu[:len(mu) - k], nu[:len(nu) - k], t[3])
         chains.setdefault(top, {})[mu[len(mu) - k:]] = (t, c)
     out = {}
-    lift = ring.lift
-
-    def emit(t, c):
-        out[given.get(t) or _build(graph, t)] = lift(c, den)
-
     for top, members in chains.items():
         if len(members) == 1:
             [(t, c)] = members.values()
-            emit(_minimal(graph, t), c)
+            out[_minimal(graph, t)] = c
         else:
-            _walk_chain(graph, ring.int_ring(), top, members, emit)
-    return out
+            _walk_chain(graph, walk, top, members, out)
+    # den > 1 only over q, where the ints are numerators: dividing them and
+    # den by their common factor keeps every value.
+    common = gcd(den, *out.values())
+    if common != 1:
+        out = {t: c // common for t, c in out.items()}
+        den //= common
+    return out, den
 
 
 _MIXED = object()       # the value of a node whose fan carries several
 
 
-def _walk_chain(graph, walk, top, members, emit):
-    """Emit the canonical pieces of one chain, its members (flat pair,
-    coefficient) filed by tail; coefficients are ints of the ring walk.
+def _walk_chain(graph, walk, top, members, out):
+    """Put one chain's canonical pieces into out; its members (flat pair,
+    coefficient) are filed by tail, coefficients are ints of the ring walk.
 
     The tree holds the member tails and their prefixes.  A node's sum is
     the total over the members at it and above it; it is the value on
@@ -206,11 +209,11 @@ def _walk_chain(graph, walk, top, members, emit):
                 for e in fan:
                     v = kids.get(e.id, total)
                     if v is not _MIXED and v:
-                        emit(piece(t + (e.id,)), v)
+                        out[piece(t + (e.id,))] = v
         if t:
             below.setdefault(t[:-1], {})[t[-1]] = value
         elif value is not _MIXED and value:
-            emit(piece(t), value)
+            out[piece(t)] = value
 
 
 # -- constructors ----------------------------------------------------------
@@ -263,22 +266,23 @@ def _check_compatible(f, g):
 
 def add(f, g) -> SteinbergElement:
     _check_compatible(f, g)
-    return SteinbergElement(f.graph, f.ring,
-                            list(f.terms.items()) + list(g.terms.items()))
+    den = lcm(f.den, g.den)
+    raw = [(t, c * (den // f.den)) for t, c in f.flat.items()]
+    raw += [(t, d * (den // g.den)) for t, d in g.flat.items()]
+    return SteinbergElement(f.graph, f.ring, raw, den)
 
 
 def negate(f) -> SteinbergElement:
-    ring = f.ring
-    return SteinbergElement(f.graph, ring,
-                            [(p, ring.negate(c)) for p, c in f.terms.items()])
+    return scale(-1, f)
 
 
 def scale(r, f) -> SteinbergElement:
     """r times f; a scalar outside the ring raises InputError."""
     ring = f.ring
-    r = ring.coerce(r)
-    return SteinbergElement(f.graph, ring,
-                            [(p, ring.mul(r, c)) for p, c in f.terms.items()])
+    [(_, k)], den = ring.as_ints([(None, ring.coerce(r))])
+    normal = ring.int_ring().from_int
+    raw = [(t, normal(k * c)) for t, c in f.flat.items()]
+    return SteinbergElement(f.graph, ring, raw, den * f.den)
 
 
 def convolve(f, g) -> SteinbergElement:
@@ -291,45 +295,38 @@ def convolve(f, g) -> SteinbergElement:
     only the pairs that meet are composed; with a single term on either
     side no lookup would share the index's cost, and every pair is tried.
     Either way the composites come in the order of the double loop over f's
-    and g's terms.  They are composed and merged as flat pairs, and the
-    canonical form builds a PathPair only for each term of the product.  A
-    zero factor is itself the product.
+    and g's terms.  They are composed and merged as the stored flat pairs,
+    and no PathPair is built.  A zero factor is itself the product.
 
-    Coefficients run on ints: each factor's values become ints over one
-    denominator once (D_f and D_g; ``ring.as_ints``), each composite's int
-    is the plain sum of its c * d, and the canonical form walks those sums
-    over D_f * D_g and makes a ring value only for each term of the
-    product.  Over q the ints are numerators, and dividing by D_f * D_g is
-    a bijection that keeps sums, zero and equality, so canonicalizing the
-    numerators and then dividing gives the same terms in the same order.
-    Over zmod:n each merged sum is reduced mod n before the walk, which
-    must come first: 2 * 2 + 2 * 2 = 8 is zero mod 4, and a fan can be
-    uniform mod n but not over the integers.
+    Coefficients are the stored ints: each composite's int is the plain sum
+    of its c * d, and the canonical form walks those sums over
+    f.den * g.den.  Over q the ints are numerators, and dividing by
+    f.den * g.den is a bijection that keeps sums, zero and equality, so
+    canonicalizing the numerators and then dividing gives the same terms in
+    the same order.  Over zmod:n each merged sum is reduced mod n before
+    the walk, which must come first: 2 * 2 + 2 * 2 = 8 is zero mod 4, and a
+    fan can be uniform mod n but not over the integers.
     """
     _check_compatible(f, g)
-    if not f.terms:
+    if not f.flat:
         return f
-    if not g.terms:
+    if not g.flat:
         return g
-    ring = f.ring
-    left, den_f = ring.as_ints(f.terms.items())
-    right, den_g = ring.as_ints(g.terms.items())
-    right = [(_flat(q), d) for q, d in right]
+    right = list(g.flat.items())
     index = None
-    if len(f.terms) > 1 and len(right) > 1:
-        index = _RangeLegIndex([q for q, _ in right])
+    if len(f.flat) > 1 and len(right) > 1:
+        index = _RangeLegIndex(list(g.flat))
     merged = {}
-    for p, c in left:
-        t = _flat(p)
+    for t, c in f.flat.items():
         for j in index.partners(t) if index is not None else range(len(right)):
             q, d = right[j]
             composed = _compose(t, q)
             if composed is not None:
                 merged[composed] = merged.get(composed, 0) + c * d
-    normal = ring.int_ring().from_int
+    normal = f.ring.int_ring().from_int
     for t, c in merged.items():
         merged[t] = normal(c)
-    return SteinbergElement(f.graph, ring, merged.items(), den_f * den_g)
+    return SteinbergElement(f.graph, f.ring, merged.items(), f.den * g.den)
 
 
 def evaluate(f, probe: GroupoidProbe):
@@ -338,21 +335,23 @@ def evaluate(f, probe: GroupoidProbe):
 
     A pair contains the probe (mu x, nu x) exactly when it is the probe's
     two truncations with a common tail cut off, so the candidates are looked
-    up, shortest common tail first, instead of scanning every term.
+    up as flat pairs, shortest common tail first, instead of scanning every
+    term; the sum is lifted to a ring value once.
     """
-    ring = f.ring
-    terms = f.terms
-    total = ring.zero()
+    flat, edge, walk = f.flat, f.graph.edge, f.ring.int_ring()
     mu, nu = probe.mu_full, probe.nu_full
+    v, mu_range, nu_range = mu.source_vertex, mu.range_vertex, nu.range_vertex
     k, j = len(mu.edges), len(nu.edges)
+    total = 0
     while True:
-        c = terms.get(_pair(mu.prefix(k), nu.prefix(j)))
+        c = flat.get((mu.edges[:k], nu.edges[:j], v, mu_range, nu_range))
         if c is not None:
-            total = ring.add(total, c)
+            total = walk.add(total, c)
         if not k or not j or mu.edges[k - 1] != nu.edges[j - 1]:
-            return total
+            return f.ring.lift(total, f.den)
         k -= 1
         j -= 1
+        v = edge(mu.edges[k]).range_vertex
 
 
 def oracle_convolve_at(f, g, probe: GroupoidProbe):
@@ -402,10 +401,10 @@ class GradedDecomposition:
 
 
 def graded_component(f, n) -> SteinbergElement:
-    picked = [(p, c) for p, c in f.terms.items() if p.degree == n]
-    return SteinbergElement(f.graph, f.ring, picked)
+    picked = [(t, c) for t, c in f.flat.items() if len(t[0]) - len(t[1]) == n]
+    return SteinbergElement(f.graph, f.ring, picked, f.den)
 
 
 def grade(f) -> GradedDecomposition:
-    degrees = sorted({p.degree for p in f.terms})
+    degrees = sorted({len(t[0]) - len(t[1]) for t in f.flat})
     return GradedDecomposition(f, {n: graded_component(f, n) for n in degrees})

@@ -59,6 +59,20 @@ def test_supports_overlap(two_cycle):
     assert element_supported_in(f, f0, Corner.GZ)
 
 
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_element_support_reads_the_pair_rule_off_the_stored_form(seed):
+    """element_supported_in reads range vertices off the stored flat pairs;
+    it agrees with pair_supported_in on every term of .terms."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng)
+    f0 = [v for v in g.vertices if rng.random() < 0.5]
+    f = sampling.random_element(rng, g, rng.choice(RINGS), max_terms=4)
+    for c in Corner:
+        assert (element_supported_in(f, f0, c)
+                == all(pair_supported_in(p, f0, c) for p in f.terms))
+
+
 # -- transversals ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """The convolution algebra: canonical forms, the pointwise oracle, grading."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,12 +15,11 @@ from steinalg import (BasicBisection, GroupoidProbe, InputError,
                       SteinbergElement, add, compose_pairs,
                       convolve, evaluate, expand, from_terms, grade,
                       graded_component, indicator, load_graph, negate,
-                      oracle_convolve_at, pair_contains, pairs_to_depth, scale,
-                      vertex_path, zero)
+                      oracle_convolve_at, pair_contains, pairs_to_depth,
+                      ring_from_spec, scale, vertex_path, zero)
 from steinalg import cylinder, sampling, steinberg
 from steinalg.cylinder import _flat, _RangeLegIndex
-from steinalg.steinberg import _canonical_terms
-from tests.conftest import common_depth_terms, sweep_graph
+from tests.conftest import TWO_CYCLE_TEXT, common_depth_terms, sweep_graph
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
@@ -166,7 +166,7 @@ def test_canonical_terms_match_the_common_depth_oracle(seed):
     g = sweep_graph(rng)
     ring = rng.choice(RINGS + (IntegersMod(4),))
     raw = sweep_terms(rng, g, ring)
-    got = _canonical_terms(g, ring, list(raw))
+    got = SteinbergElement(g, ring, list(raw)).terms
     want = common_depth_terms(g, ring, raw)
     assert got == want
     assert ({p: ring.render(c) for p, c in got.items()}
@@ -473,10 +473,10 @@ def test_convolve_builds_one_pair_per_output_term(zring, monkeypatch):
         built.append(1)
         return make(mu, nu)
 
-    for module in (cylinder, steinberg):
-        monkeypatch.setattr(module, "_pair", counting_pair)
+    monkeypatch.setattr(cylinder, "_pair", counting_pair)
     product = convolve(f, h)
-    assert len(built) == len(product.terms) > 0
+    terms = product.terms
+    assert len(built) == len(terms) > 0
 
 
 # Pairwise coprime, and the lcm of any two exceeds 2 ** 64.
@@ -492,16 +492,17 @@ def mixed_coefficient(rng, ring):
     return Fraction(rng.choice([k for k in range(-9, 10) if k]), den)
 
 
-def cancelling_factors(rng, ring, g):
+def cancelling_factors(rng, ring, g, target=0):
     """f = sum x_e Z(v,e) and h = sum y_e Z(e,v) on a rose with
-    sum x_e y_e = 0 in the ring: every composite lands on Z(v,v), and the
-    product is zero.  Over zmod:n the residues are positive, so the
-    unreduced sum is a nonzero multiple of n."""
+    sum x_e y_e = target in the ring: every composite lands on Z(v,v), and
+    the product is target * Z(v,v), by default zero.  Over zmod:n the
+    residues are positive, so the unreduced sum is a nonzero multiple of
+    n."""
     edges = [e.id for e in g.edges]
     x = [mixed_coefficient(rng, ring) for _ in edges[:-1]] + [ring.one()]
     y = [mixed_coefficient(rng, ring) for _ in edges[:-1]]
     dot = sum(a * b for a, b in zip(x, y))
-    y.append(ring.coerce(-dot))
+    y.append(ring.coerce(target - dot))
     v = vertex_path(g, "v")
     f = from_terms(g, ring, [(PathPair(v, Path(g, (e,))), a) for e, a in zip(edges, x)])
     h = from_terms(g, ring, [(PathPair(Path(g, (e,)), v), b) for e, b in zip(edges, y)])
@@ -573,6 +574,55 @@ def test_int_kernel_matches_the_double_loop(seed):
         assert common_depth_terms(r, ring, double_loop_raw_terms(x, y)) == product.terms
 
 
+# sha256 of terms_digest(f, h, convolve(f, h)) for dense_window_factors,
+# taken when elements still stored PathPair -> ring value: term maps, term
+# order and coefficient types must not move with the stored form.
+DENSE_TERMS_DIGESTS = {
+    ("rose3", "z"):
+        "f779661e6a4f2a1e2a8a9f777eddc2c36d2d7ee57ba1cf0ca62a6c719ec56a3c",
+    ("rose3", "q"):
+        "b5bcf43a3d8e5af0834b6739931ece6200b47d2ec6fb1fdaa00f57ea7cadb8b9",
+    ("rose3", "zmod:4"):
+        "5f7ff1a5372559ec4e9bee4eaf0fd9f5e738b3db4cc837d120abbab1eae1cf82",
+    ("two_cycle", "z"):
+        "cc84ff1f7220129ad0038422343727bd18db6bedeb7e4ca196ca1172737f9363",
+    ("two_cycle", "q"):
+        "b2c3ea255b930e632fa48715743abf27a02df03f1798736ca0be380c57e5a71f",
+    ("two_cycle", "zmod:4"):
+        "7b381df8cf9b59e4a89724d6370afc9608e3c15c6673cddf503a02a1b6f6c1e3",
+}
+
+
+def terms_digest(*elements):
+    """sha256 over each element's terms: position, pair, coefficient type
+    and value, in the order ``.terms`` gives them."""
+    h = hashlib.sha256()
+    for f in elements:
+        for i, (p, c) in enumerate(f.terms.items()):
+            h.update(("%d %s %s %s\n" % (i, p.render(), type(c).__name__, c)).encode())
+        h.update(b"--\n")
+    return h.hexdigest()
+
+
+def dense_window_factors(graph, spec):
+    """Two dense elements on the rose3 depth-2 or the two-cycle depth-3
+    window; over q the coefficients are fractions, some over the big
+    coprime denominators."""
+    g, depth = {"rose3": (rose("abc"), 2), "two_cycle": (load_graph(TWO_CYCLE_TEXT), 3)}[graph]
+    ring = ring_from_spec(spec)
+    rng = sampling.rng_from_seed(12)
+    return tuple(from_terms(g, ring, [(p, mixed_coefficient(rng, ring))
+                                      for p in pairs_to_depth(g, depth)])
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("spec", ["z", "q", "zmod:4"])
+@pytest.mark.parametrize("graph", ["rose3", "two_cycle"])
+def test_dense_products_keep_their_terms(graph, spec):
+    f, h = dense_window_factors(graph, spec)
+    assert terms_digest(f, h, convolve(f, h)) == DENSE_TERMS_DIGESTS[graph, spec]
+
+
 @pytest.mark.parametrize("ring", [IntegerRing(), RationalRing(), IntegersMod(4)])
 def test_convolve_makes_a_ring_value_only_per_output_term(ring, monkeypatch):
     """The rose4 depth-2 dense product multiplies no ring values: products
@@ -590,9 +640,81 @@ def test_convolve_makes_a_ring_value_only_per_output_term(ring, monkeypatch):
 
         monkeypatch.setattr(ring, name, counting)
     product = convolve(f, h)
+    terms = product.terms
     assert calls["mul"] == 0
     assert calls["is_zero"] == calls["eq"] == calls["zero"] == 0
-    assert calls["lift"] == len(product.terms) > 0
+    assert calls["lift"] == len(terms) > 0
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_equal_q_elements_compare_and_hash_equal(seed):
+    """Over q an element stores numerators over one reduced denominator,
+    so equal functions built along different routes compare equal and
+    hash equal: a doubled element halved, sums and negations of multiples,
+    a rebuild from its terms, and a product whose big coprime denominators
+    cancel down to the target's."""
+    rng = sampling.rng_from_seed(seed)
+    q = RationalRing()
+    g = sweep_graph(rng)
+    f = from_terms(g, q, [(sampling.random_pair(rng, g, max_len=2), mixed_coefficient(rng, q))
+                          for _ in range(rng.randint(1, 6))])
+    assert gcd(f.den, *f.flat.values()) == 1
+    for x in (scale(Fraction(1, 2), f + f), add(scale(3, f), scale(-2, f)),
+              negate(negate(f)), from_terms(g, q, list(f.terms.items()))):
+        assert x == f and hash(x) == hash(f)
+        assert x.den == f.den and x.flat == f.flat
+    assert add(f, negate(f)) == zero(g, q) and hash(f - f) == hash(zero(g, q))
+    r = rose("abcd"[:rng.randint(2, 4)])
+    target = mixed_coefficient(rng, q)
+    product = convolve(*cancelling_factors(rng, q, r, target))
+    v = vertex_path(r, "v")
+    want = from_terms(r, q, [(PathPair(v, v), target)])
+    assert product == want and hash(product) == hash(want)
+    assert product.den == target.denominator
+
+
+@pytest.mark.parametrize("ring", [IntegerRing(), RationalRing(), IntegersMod(4)])
+def test_convolve_converts_no_coefficients(ring, monkeypatch):
+    """The factors' stored ints go into the product as they are: convolve
+    never asks the ring for ints."""
+    f, h = rose4_dense_factors(ring)
+    calls = []
+    as_ints = ring.as_ints
+
+    def counting(terms):
+        calls.append(1)
+        return as_ints(terms)
+
+    monkeypatch.setattr(ring, "as_ints", counting)
+    assert not convolve(f, h).is_zero()
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["z", "q", "zmod:4"])
+def test_products_stay_flat_until_terms_is_read(spec, monkeypatch):
+    """A product of products builds no PathPair and lifts no ring value;
+    reading .terms builds one of each per term, once."""
+    f, h = dense_window_factors("two_cycle", spec)
+    ring = f.ring
+    built, lifted = [], []
+    make, lift = cylinder._pair, ring.lift
+
+    def counting_pair(mu, nu):
+        built.append(1)
+        return make(mu, nu)
+
+    def counting_lift(k, den):
+        lifted.append(1)
+        return lift(k, den)
+
+    monkeypatch.setattr(cylinder, "_pair", counting_pair)
+    monkeypatch.setattr(ring, "lift", counting_lift)
+    product = convolve(convolve(f, h), f)
+    assert built == lifted == []
+    terms = product.terms
+    assert len(built) == len(lifted) == len(terms) > 0
+    assert product.terms is terms and len(built) == len(terms)
 
 
 # -- grading --------------------------------------------------------------------
