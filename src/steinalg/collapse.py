@@ -258,19 +258,19 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # probes (mu, |mu| - |nu|, nu) of the collapsed graph are the pairs
     # (mu, nu) of its window, and each is transported as a flat pair (see
     # step (d)).  Two flat images are equal exactly when their image legs
-    # are equal paths, so the image set decides injectivity.
-    paths = cert.edge_paths
+    # are equal paths, so the image set decides injectivity.  One transport
+    # serves steps (a) and (d); its image legs are shared tuples, so the
+    # image set holds each distinct leg once.
+    transport = _transport(cert.edge_paths)
     fprobes = pairs_to_depth(F, depth, limit=_INJECTIVITY_PROBE_CAP)
     images = set()
-    legs = {}           # one tuple per distinct image leg, shared by images
     defect = None
     for pr in fprobes:
         try:
-            mu, nu, *ends = _transport(paths, _flat(pr))
+            images.add(transport(_flat(pr)))
         except (KeyError, ValueError):
             defect = "(%s, %d, %s)" % (pr.mu.render(), pr.degree, pr.nu.render())
             break
-        images.add((legs.setdefault(mu, mu), legs.setdefault(nu, nu), *ends))
     rep.add("transport", "probes", len(fprobes))
     rep.check("transport", "defined", defect is None,
               "" if defect is None else "fails at %s" % defect)
@@ -346,7 +346,11 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # pairs (edge-id tuples, see cylinder._flat) and phi on a leg is the
     # concatenation of the abbreviated paths' edges; the well-formedness
     # check above makes those paths compose.  No PathPair is built here:
-    # the defect text renders the window's own pairs.
+    # the defect text renders the window's own pairs.  So each combination
+    # is plain dict and set work: the transport maps each distinct leg once
+    # and then finds it in its memo (see _transport), and a strip step of
+    # _minimal is one lookup in the graph's map of edges that are the only
+    # edge into their range vertex.
     #
     # The minimal window and its images are indexed by range leg, so for
     # each a only the b that compose on at least one side are visited, in
@@ -359,7 +363,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     rep.add("multiplicative", "pairs", len(fpairs))
 
     flat_minimal = [_minimal(F, _flat(a)) for a in fpairs]
-    flat_images = [_minimal(g, _transport(paths, m)) for m in flat_minimal]
+    flat_images = [_minimal(g, transport(m)) for m in flat_minimal]
     left_index = _RangeLegIndex(flat_minimal)
     right_index = _RangeLegIndex(flat_images)
     mult_defect = None
@@ -372,7 +376,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
                 b = min(j, k)       # it composes on one side only
                 break
             composite = _minimal(F, _compose(flat_minimal[i], flat_minimal[j]))
-            if (_minimal(g, _transport(paths, composite))
+            if (_minimal(g, transport(composite))
                     != _minimal(g, _compose(flat_images[i], flat_images[j]))):
                 b = j
                 break
@@ -388,23 +392,37 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     return rep
 
 
-def _transport(paths, t):
-    """phi_pair on a flat pair of a well-formed certificate's collapsed
-    graph, as a flat pair: each edge of a leg becomes the edges of the path
-    it abbreviates.  Like PathPair, it raises ValueError when the images of
-    the legs do not share their source vertex."""
-    mu, nu, v, mu_range, nu_range = t
-    mu_source = nu_source = v
-    if mu:
-        mu_range, mu_source = paths[mu[0]].range_vertex, paths[mu[-1]].source_vertex
-        mu = sum([paths[e].edges for e in mu], ())
-    if nu:
-        nu_range, nu_source = paths[nu[0]].range_vertex, paths[nu[-1]].source_vertex
-        nu = sum([paths[e].edges for e in nu], ())
-    if mu_source != nu_source:
-        raise ValueError("pair Z(%s,%s) needs a common source vertex"
-                         % (".".join(mu) or mu_source, ".".join(nu) or nu_source))
-    return (mu, nu, mu_source, mu_range, nu_range)
+def _transport(paths):
+    """phi_pair on flat pairs of a well-formed certificate's collapsed
+    graph, as a function from flat pair to flat pair: each edge of a leg
+    becomes the edges of the path it abbreviates.  Like PathPair, it raises
+    ValueError when the images of the legs do not share their source vertex.
+
+    Each distinct leg is mapped once: its image edges, range and source
+    vertex are memoized by the leg tuple, so equal image legs are one shared
+    tuple.  The memo lives as long as the returned function, one check.
+    """
+    legs = {}
+
+    def leg(edges):
+        image = legs[edges] = (sum([paths[e].edges for e in edges], ()),
+                               paths[edges[0]].range_vertex,
+                               paths[edges[-1]].source_vertex)
+        return image
+
+    def transport(t):
+        mu, nu, v, mu_range, nu_range = t
+        mu_source = nu_source = v
+        if mu:
+            mu, mu_range, mu_source = legs.get(mu) or leg(mu)
+        if nu:
+            nu, nu_range, nu_source = legs.get(nu) or leg(nu)
+        if mu_source != nu_source:
+            raise ValueError("pair Z(%s,%s) needs a common source vertex"
+                             % (".".join(mu) or mu_source, ".".join(nu) or nu_source))
+        return (mu, nu, mu_source, mu_range, nu_range)
+
+    return transport
 
 
 def _legs_depth(graph: Graph, depth: int) -> int:

@@ -308,17 +308,29 @@ class _RangeLegIndex:
 
 def _minimal(graph: Graph, t):
     """``minimal_pair`` on a flat pair of the graph; t itself when no edge
-    is stripped."""
+    is stripped.
+
+    The graph maps each edge that is the only edge into its range vertex
+    to that vertex, so a strip step is one lookup of the common last edge,
+    and the vertex found is the new source.  A pair with an empty leg, with
+    different last edges, or whose last edge is not in the map is returned
+    at once.
+    """
     mu, nu = t[0], t[1]
-    k, n = 0, min(len(mu), len(nu))
-    while k < n and mu[-1 - k] == nu[-1 - k]:
-        if len(graph.edges_with_range(graph.edge(mu[-1 - k]).range_vertex)) != 1:
-            break
-        k += 1
-    if not k:
+    if not mu or not nu or mu[-1] != nu[-1]:
         return t
-    return (mu[:len(mu) - k], nu[:len(nu) - k], graph.edge(mu[-k]).range_vertex,
-            t[3], t[4])
+    sole = graph._sole_edge_range
+    v = sole.get(mu[-1])
+    if v is None:
+        return t
+    k, n = 1, min(len(mu), len(nu))
+    while k < n:
+        e = mu[-1 - k]
+        if e != nu[-1 - k] or (w := sole.get(e)) is None:
+            break
+        v = w
+        k += 1
+    return (mu[:-k], nu[:-k], v, t[3], t[4])
 
 
 def minimal_pair(p: PathPair) -> PathPair:

@@ -78,6 +78,10 @@ class Graph:
             outof[e.source_vertex].append(e)
         self._edges_with_range = {v: tuple(es) for v, es in into.items()}
         self._edges_with_source = {v: tuple(es) for v, es in outof.items()}
+        # Edge id -> range vertex, for each edge that is the only edge into
+        # its range vertex: the edges a minimal pair strips (cylinder._minimal).
+        self._sole_edge_range = {es[0].id: v for v, es in into.items()
+                                 if len(es) == 1}
 
     # -- lookups ---------------------------------------------------------
 

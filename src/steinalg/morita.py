@@ -165,10 +165,11 @@ class LinkingElement:
         g, f0 = transversal.graph, transversal.f0
         for name, f in (("f11", f11), ("f12", f12), ("f21", f21), ("f22", f22)):
             if f is None:
-                f = zero(g, ring)
+                f = zero(g, ring)       # supported in every corner
             elif f.graph is not g or f.ring != ring:
                 raise ValueError("block %s lives on a different graph or ring" % name)
-            _require_support(f, f0, _BLOCK_CORNERS[name], "block %s" % name)
+            else:
+                _require_support(f, f0, _BLOCK_CORNERS[name], "block %s" % name)
             object.__setattr__(self, name, f)
         object.__setattr__(self, "transversal", transversal)
         object.__setattr__(self, "ring", ring)

@@ -265,7 +265,12 @@ def _check_compatible(f, g):
 
 
 def add(f, g) -> SteinbergElement:
+    """f + g; a zero operand returns the other, as it is its sum."""
     _check_compatible(f, g)
+    if not f.flat:
+        return g
+    if not g.flat:
+        return f
     den = lcm(f.den, g.den)
     raw = [(t, c * (den // f.den)) for t, c in f.flat.items()]
     raw += [(t, d * (den // g.den)) for t, d in g.flat.items()]

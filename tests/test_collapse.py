@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import hashlib
 import importlib
+import re
 import sys
 
 from hypothesis import assume, given, settings, strategies as st
@@ -16,13 +18,14 @@ from steinalg import (CollapseSpec, Graph, GroupoidProbe, IntegerRing, Path,
                       enumerate_paths, first_hit_extensions,
                       from_terms, indicator, is_prefix, minimal_pair,
                       pair_contains, pairs_to_depth, phi_fin, phi_pair,
-                      pointed_groupoid_iso_check, serialize_graph,
-                      validate_collapsible, vertex_path)
+                      load_graph, pointed_groupoid_iso_check,
+                      serialize_graph, validate_collapsible, vertex_path)
 from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
-                               _legs_depth)
-from tests.conftest import ROSE2_TEXT, long_line, probe_window
+                               _legs_depth, _transport)
+from steinalg.cylinder import _build, _compose, _flat, _minimal
+from tests.conftest import OUTSPLIT_TEXT, ROSE2_TEXT, long_line, probe_window
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -551,3 +554,100 @@ def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
     assert pointed_groupoid_iso_check(cert, 3).ok
     assert 0 < len(calls) <= 2
     assert cert.f0 is cert.f0
+
+
+# -- the memoized transport ----------------------------------------------------------
+
+
+def honest_certificates():
+    outsplit = collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["u"]))
+    return [(outsplit, 5)] + [(collapse(spec), 3) for spec in corpus(13)]
+
+
+def test_transport_matches_phi_pair_on_windows_and_composites():
+    """One transport per certificate, as in a check, maps every pair of the
+    step (d) window, its minimal pair and every composite of two minimal
+    pairs as phi_pair does.  A pair with two equal legs finds its second
+    leg in the memo, so both image legs are one tuple."""
+    for cert, depth in honest_certificates():
+        F = cert.collapsed
+        transport = _transport(cert.edge_paths)
+        window = pairs_to_depth(F, _legs_depth(F, depth))
+        minimal = [_minimal(F, _flat(a)) for a in window]
+        for a, m in zip(window, minimal):
+            image = transport(_flat(a))
+            assert image == _flat(phi_pair(cert, a))
+            assert transport(m) == _flat(phi_pair(cert, minimal_pair(a)))
+            if a.mu == a.nu and a.mu.edges:
+                assert image[0] is image[1]
+        for m in minimal:
+            for n in minimal:
+                c = _compose(m, n)
+                if c is not None:
+                    assert transport(c) == _flat(phi_pair(cert, _build(F, c)))
+
+
+def resourced_outsplit():
+    """The outsplit collapse at u with the path of ra.sa re-sourced to
+    ra.sb: it now ends at ub, where the collapsed edge does not."""
+    g = load_graph(OUTSPLIT_TEXT)
+    cert = collapse(CollapseSpec(g, ["u"]))
+    paths = dict(cert.edge_paths, **{"ra.sa": Path(g, ("ra", "sb"))})
+    return dataclasses.replace(cert, edge_paths=paths)
+
+
+def test_transport_rejects_images_without_a_common_source(monkeypatch):
+    """A re-sourced edge path gives images of a pair's legs different source
+    vertices.  The transport raises the ValueError PathPair raises for
+    phi_pair, with the same text.  The well-formedness check catches the
+    certificate first, so it is switched off here to reach step (a), which
+    names the first failing probe as it always has."""
+    bad = resourced_outsplit()
+    F = bad.collapsed
+    a = PathPair(vertex_path(F, "ua"), Path(F, ("ra.sa",)))
+    with pytest.raises(ValueError) as want:
+        phi_pair(bad, a)
+    assert str(want.value) == "pair Z(ua,ra.sb) needs a common source vertex"
+    transport = _transport(bad.edge_paths)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(str(want.value))):
+        transport(_flat(a))
+    # The memo keeps nothing a failed pair would make wrong.
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        transport(_flat(a))
+    assert not pointed_groupoid_iso_check(bad, 2).ok
+    assert "endpoints disagree" in pointed_groupoid_iso_check(bad, 2).value(
+        "well-formed", "edges-abbreviate-paths")
+    module = importlib.import_module("steinalg.collapse")
+    monkeypatch.setattr(module, "_check_well_formed", lambda cert, rep: True)
+    rep = pointed_groupoid_iso_check(bad, 2)
+    assert rep.failures() == ["transport.defined"]
+    assert rep.value("transport", "defined") == "fail (fails at (ua, -1, ra.sa))"
+
+
+# -- byte identity of the iso check's reports -----------------------------------------
+
+
+def report_digest(reports):
+    return hashlib.sha256("".join(r.render_kv() for r in reports).encode()).hexdigest()
+
+
+def test_iso_reports_are_pinned():
+    """The sha256 of the kv reports of pointed_groupoid_iso_check, taken
+    before the check ran on the strip map and the leg memo: outsplit at u
+    at depths 2-5, the acceptance corpus at depths 2 and 3, and each corpus
+    certificate with its first collapsed edge dropped at depths 2 and 3.
+    Four of the dropped reports fail transport-multiplicative with a
+    "then" defect."""
+    outsplit = collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["u"]))
+    assert (report_digest(pointed_groupoid_iso_check(outsplit, d) for d in (2, 3, 4, 5))
+            == "807cac773f322bf6ae7559f54081a1bee5e9681f311d7386657bb93a9951242a")
+    certs = [collapse(spec) for spec in corpus(13)]
+    assert (report_digest(pointed_groupoid_iso_check(c, d) for c in certs for d in (2, 3))
+            == "4e75021fb9f415223e9d02e1f94e9798b107427d93d0336e4c356f53839d7a8b")
+    dropped = [drop_collapsed_edge(c, c.collapsed.edges[0].id)
+               for c in certs if c.collapsed.edges]
+    reports = [pointed_groupoid_iso_check(c, d) for c in dropped for d in (2, 3)]
+    defects = [r.value("multiplicative", "transport-multiplicative") for r in reports]
+    assert sum(" then " in d for d in defects) == 4
+    assert (report_digest(reports)
+            == "4afba94ad9170744c17cd3df8db52575a3284b9d9b29d35ab7da0ac4fcbbaca7")

@@ -19,7 +19,8 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       enumerate_paths, expand, indicator, invert_pair,
                       minimal_pair, pair_contains, pairs_to_depth,
                       strip_prefix, vertex_path)
-from steinalg import sampling
+from steinalg import Graph, load_graph, sampling
+from steinalg.cylinder import _flat, _minimal
 from tests.conftest import (common_depth_terms, long_line, member, probes_in,
                             reference_compose_pairs, reference_minimal_pair,
                             sweep_graph)
@@ -193,6 +194,52 @@ def test_minimal_pair_strips_single_received_edges(loop_graph, rose2):
     e = Path(loop_graph, ("e",))
     v = vertex_path(loop_graph, "v")
     assert minimal_pair(PathPair(e, v)) == PathPair(e, v)
+
+
+STRIP_TEXT = ("vertices: a, b, c, s, m, r\n"
+              "edge: f1 a <- b\nedge: f2 b <- c\nedge: f3 c <- s\n"
+              "edge: g1 m <- c\nedge: g2 m <- c\nedge: k r <- m\n")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_graph(STRIP_TEXT),
+    lambda: Graph(["a", "b", "c", "s", "m", "r"],
+                  [("f1", "a", "b"), ("f2", "b", "c"), ("f3", "c", "s"),
+                   ("g1", "m", "c"), ("g2", "m", "c"), ("k", "r", "m")]),
+], ids=["load_graph", "Graph"])
+def test_flat_minimal_matches_the_path_level_reference(build):
+    """The flat minimal-pair rule strips through the graph's map of edges
+    that are the only edge into their range vertex, and agrees with the rule
+    on Path objects.  a, b, c and r each receive one edge, m receives two
+    and s none.  The pairs returned untouched are returned as they are: an
+    empty leg, last edges that differ, and a last edge, g1, into a vertex
+    that receives two edges.  The chain f1.f2.f3 strips to the vertex a."""
+    g = build()
+    assert g._sole_edge_range == {"f1": "a", "f2": "b", "f3": "c", "k": "r"}
+
+    def pair(mu, nu):
+        return PathPair(Path(g, mu) if mu else vertex_path(g, "s"),
+                        Path(g, nu) if nu else vertex_path(g, "s"))
+
+    untouched = [pair((), ("f3",)), pair(("f3",), ()),
+                 PathPair(Path(g, ("g1",)), Path(g, ("f2",))),
+                 PathPair(Path(g, ("k", "g1")), Path(g, ("g1",))),
+                 PathPair(Path(g, ("k", "g2")), Path(g, ("k", "g1")))]
+    for p in untouched:
+        t = _flat(p)
+        assert _minimal(g, t) is t
+        assert reference_minimal_pair(p) is p
+    chain = pair(("f1", "f2", "f3"), ("f1", "f2", "f3"))
+    a = vertex_path(g, "a")
+    assert minimal_pair(chain) == PathPair(a, a)
+    assert _minimal(g, _flat(chain)) == ((), (), "a", "a", "a")
+    # The common tail f3 goes, then the legs part at f2 and g1.
+    mixed = pair(("f1", "f2", "f3"), ("g1", "f3"))
+    assert minimal_pair(mixed) == PathPair(Path(g, ("f1", "f2")), Path(g, ("g1",)))
+    pairs = pairs_to_depth(g, 3) + untouched + [chain, mixed]
+    for p in pairs:
+        assert minimal_pair(p) == reference_minimal_pair(p)
+        assert _minimal(g, _flat(p)) == _flat(reference_minimal_pair(p))
 
 
 @given(seeds, st.sampled_from([IntegerRing(), RationalRing(), IntegersMod(4)]))

@@ -10,7 +10,7 @@ from steinalg import (Corner, CornerSupportError, Graph, IntegerRing,
                       eq_ops_check, indicator, least_connectors,
                       linking_convolve, morita_report, pairs_to_depth, phi,
                       psi, surjectivity_witness, vertex_path, zero)
-from steinalg import sampling
+from steinalg import morita, sampling
 from steinalg.morita import element_supported_in, pair_supported_in
 from tests.conftest import relaxed_connectors
 
@@ -143,6 +143,31 @@ def test_blocks_enforce_their_patterns(two_cycle, zring):
     with pytest.raises(CornerSupportError, match="block f11"):
         LinkingElement(t, zring, f11=hh)
     assert LinkingElement(t, zring, f22=hh).f22 == hh
+
+
+def test_only_given_blocks_are_checked(two_cycle, zring, monkeypatch):
+    """A block left out is filled in with zero, which every support pattern
+    allows, so only the blocks passed in are checked; a zero passed in is
+    checked like any other block."""
+    checked = []
+    require = morita._require_support
+
+    def counting_require(f, f0, corner, role):
+        checked.append(role)
+        require(f, f0, corner, role)
+
+    monkeypatch.setattr(morita, "_require_support", counting_require)
+    t = Transversal(two_cycle, ["v"])
+    w = vertex_path(two_cycle, "w")
+    hh = indicator(PathPair(w, w), zring)
+    assert LinkingElement(t, zring).is_zero()
+    assert checked == []
+    assert LinkingElement(t, zring, f22=hh).f22 == hh
+    assert checked == ["block f22"]
+    LinkingElement(t, zring, f12=zero(two_cycle, zring))
+    assert checked == ["block f22", "block f12"]
+    with pytest.raises(CornerSupportError, match="block f11"):
+        LinkingElement(t, zring, f11=hh)
 
 
 def test_embed_targets_diagonal_blocks(two_cycle, zring):

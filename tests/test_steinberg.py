@@ -373,6 +373,28 @@ def test_zero_annihilates(loop_graph, zring, monkeypatch):
     assert built == []
 
 
+def test_zero_summand_is_the_other_operand(loop_graph, two_cycle, zring, qring):
+    """A zero summand returns the other operand itself, once the operands
+    are known to share their graph and ring."""
+    e = Path(loop_graph, ("e",))
+    v = vertex_path(loop_graph, "v")
+    f = indicator(PathPair(e, v), zring)
+    z = zero(loop_graph, zring)
+    assert add(z, f) is f
+    assert add(f, z) is f
+    assert add(z, z).is_zero()
+    for other in (zero(two_cycle, zring), indicator(PathPair(
+            vertex_path(two_cycle, "v"), vertex_path(two_cycle, "v")), zring)):
+        with pytest.raises(ValueError, match="different graphs"):
+            add(z, other)
+        with pytest.raises(ValueError, match="different graphs"):
+            add(other, z)
+    with pytest.raises(ValueError, match="different rings"):
+        add(zero(loop_graph, qring), f)
+    with pytest.raises(ValueError, match="different rings"):
+        add(f, zero(loop_graph, qring))
+
+
 def double_loop_convolve(f, g):
     """convolve by its definition: compose every term of f with every term
     of g and keep the composites in that order.  The oracle for the range
