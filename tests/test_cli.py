@@ -109,6 +109,19 @@ def test_morita_check_passes(graph_file, capsys):
     assert "surjective-morita-context: pass" in out
 
 
+@pytest.mark.parametrize("command", ["collapse", "morita-check"])
+def test_dotted_edge_ids_collapse(command, graph_file, capsys):
+    """The edge a.b and the collapsed path a.b of the other two edges get
+    distinct collapsed edge names, and the instance certifies."""
+    text = "vertices: v, w, x\nedge: a v <- w\nedge: b w <- x\nedge: a.b v <- x\n"
+    code, out, err = run(capsys, command, "--graph", graph_file(text), "--t0", "w",
+                         "--format", "kv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "ok = true"
+    if command == "collapse":
+        assert "a.b = v <- x\na.b~2 = v <- x\n" in out
+
+
 def test_kv_format(graph_file, capsys):
     code, out, _ = run(capsys, "validate", "--graph", graph_file(LOOP_TEXT),
                        "--format", "kv")

@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import hashlib
 import importlib
-import re
 import sys
 
 from hypothesis import assume, given, settings, strategies as st
@@ -25,7 +24,8 @@ from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
                                _legs_depth, _transport)
 from steinalg.cylinder import _build, _compose, _flat, _minimal
-from tests.conftest import OUTSPLIT_TEXT, ROSE2_TEXT, long_line, probe_window
+from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line,
+                            probe_window)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -130,6 +130,23 @@ def test_collapse_outsplit_to_rose(outsplit_graph):
     cert = collapse(CollapseSpec(outsplit_graph, ["ua", "ub"]))
     assert serialize_graph(cert.collapsed) == (
         "vertices: u\nedge: sa.ra u <- u\nedge: sb.rb u <- u\n")
+
+
+def test_collapse_suffixes_only_renders_two_paths_share():
+    """The path a.b and the original edge a.b render alike: the first in
+    path order keeps the render and the other takes the first free suffix,
+    skipping a.b~2, the render of another path, which keeps it.  Every
+    name survives serialize_graph and load_graph."""
+    g = load_graph("vertices: v, w, x\nedge: a v <- w\nedge: b w <- x\n"
+                   "edge: a.b v <- x\nedge: a.b~2 v <- x\n")
+    cert = collapse(CollapseSpec(g, ["w"]))
+    assert {e: p.edges for e, p in cert.edge_paths.items()} == {
+        "a.b": ("a", "b"), "a.b~3": ("a.b",), "a.b~2": ("a.b~2",)}
+    assert [e.id for e in cert.collapsed.edges] == ["a.b", "a.b~3", "a.b~2"]
+    text = serialize_graph(cert.collapsed)
+    assert serialize_graph(load_graph(text)) == text
+    assert check_phi_fin_image(cert, 4).ok
+    assert pointed_groupoid_iso_check(cert, 3).ok
 
 
 def test_collapse_nothing_is_identity(rose2):
@@ -596,32 +613,20 @@ def resourced_outsplit():
     return dataclasses.replace(cert, edge_paths=paths)
 
 
-def test_transport_rejects_images_without_a_common_source(monkeypatch):
+def test_transport_rejects_images_without_a_common_source():
     """A re-sourced edge path gives images of a pair's legs different source
-    vertices.  The transport raises the ValueError PathPair raises for
-    phi_pair, with the same text.  The well-formedness check catches the
-    certificate first, so it is switched off here to reach step (a), which
-    names the first failing probe as it always has."""
+    vertices, so phi_pair raises the ValueError PathPair raises.  The
+    well-formedness check, the one validation of a certificate, rejects it
+    before anything is transported."""
     bad = resourced_outsplit()
     F = bad.collapsed
     a = PathPair(vertex_path(F, "ua"), Path(F, ("ra.sa",)))
     with pytest.raises(ValueError) as want:
         phi_pair(bad, a)
     assert str(want.value) == "pair Z(ua,ra.sb) needs a common source vertex"
-    transport = _transport(bad.edge_paths)
-    with pytest.raises(ValueError, match="^%s$" % re.escape(str(want.value))):
-        transport(_flat(a))
-    # The memo keeps nothing a failed pair would make wrong.
-    with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        transport(_flat(a))
     assert not pointed_groupoid_iso_check(bad, 2).ok
     assert "endpoints disagree" in pointed_groupoid_iso_check(bad, 2).value(
         "well-formed", "edges-abbreviate-paths")
-    module = importlib.import_module("steinalg.collapse")
-    monkeypatch.setattr(module, "_check_well_formed", lambda cert, rep: True)
-    rep = pointed_groupoid_iso_check(bad, 2)
-    assert rep.failures() == ["transport.defined"]
-    assert rep.value("transport", "defined") == "fail (fails at (ua, -1, ra.sa))"
 
 
 # -- byte identity of the iso check's reports -----------------------------------------
@@ -651,3 +656,84 @@ def test_iso_reports_are_pinned():
     assert sum(" then " in d for d in defects) == 4
     assert (report_digest(reports)
             == "4afba94ad9170744c17cd3df8db52575a3284b9d9b29d35ab7da0ac4fcbbaca7")
+
+
+def corrupted_certificates():
+    """The certificates of the test_corrupt_* tests above, in their order."""
+    two_cycle, rose2 = load_graph(TWO_CYCLE_TEXT), load_graph(ROSE2_TEXT)
+    cert = collapse(CollapseSpec(two_cycle, ["w"]))
+    a = Path(rose2, ("a",))
+    return [
+        dataclasses.replace(cert, edge_paths={}),
+        dataclasses.replace(cert, edge_paths={"e1.e2": Path(two_cycle, ("e1",))}),
+        dataclasses.replace(
+            cert, edge_paths={"e1.e2": Path(two_cycle, ("e1", "e2", "e1", "e2"))}),
+        dataclasses.replace(collapse(CollapseSpec(rose2, [])),
+                            edge_paths={"a": a, "b": a}),
+        dataclasses.replace(cert, collapsed=Graph(["v"], []), edge_paths={}),
+    ]
+
+
+def test_image_reports_are_pinned():
+    """The sha256 of the kv reports of check_phi_fin_image at max-len 3-5,
+    taken before phi_fin and the transport shared one leg image: outsplit
+    at u and at ua,ub, the acceptance corpus, each corpus certificate with
+    its first collapsed edge dropped, and the corrupted certificates.  Every
+    dropped and corrupted report fails."""
+    g = load_graph(OUTSPLIT_TEXT)
+    certs = [collapse(spec) for spec in corpus(13)]
+    dropped = [drop_collapsed_edge(c, c.collapsed.edges[0].id)
+               for c in certs if c.collapsed.edges]
+    digests = {
+        "90e0e44c719cddb1d8c0d305980dcdba4566229f4b00f4f506cbf7c4c22af34d":
+            [collapse(CollapseSpec(g, t0)) for t0 in (["u"], ["ua", "ub"])],
+        "a321de40ea8023c0d51c4b4f6511243869c04db255ee048a0cd220a57e137a54": certs,
+        "5f4a4267e313f2352562af278a16673c412de68ddb43fd2879a082d3572eec2d": dropped,
+        "6bd2c2fae630604a263e3ed228b2a225507594ac1bb93559bf017609cce623f1":
+            corrupted_certificates(),
+    }
+    for digest, group in digests.items():
+        reports = [check_phi_fin_image(c, n) for c in group for n in (3, 4, 5)]
+        assert report_digest(reports) == digest
+    assert len(dropped) == 16
+    assert not any(check_phi_fin_image(c, 3).ok
+                   for c in dropped + corrupted_certificates())
+
+
+# -- the checks read edge_paths, not edge names ---------------------------------------
+
+
+def renamed(cert):
+    """The certificate with its collapsed edges renamed x0, x1, ... in
+    order, in the collapsed graph and the keys of edge_paths alike."""
+    F = cert.collapsed
+    name = {e.id: "x%d" % i for i, e in enumerate(F.edges)}
+    edges = [(name[e.id], e.range_vertex, e.source_vertex) for e in F.edges]
+    return dataclasses.replace(
+        cert, collapsed=Graph(F.vertices, edges),
+        edge_paths={name[eid]: p for eid, p in cert.edge_paths.items()})
+
+
+def test_checks_read_edge_paths_not_edge_names():
+    """Renamed collapsed edges change no byte of a passing certificate's
+    iso and image reports, and collapsed_preimage still inverts phi_fin on
+    the collapsed window: the checks find a path's collapsed edge through
+    edge_paths, never by its name."""
+    g = load_graph(OUTSPLIT_TEXT)
+    cases = [(collapse(CollapseSpec(g, t0)), (2, 3, 4, 5))
+             for t0 in (["u"], ["ua", "ub"])]
+    cases += [(collapse(spec), (2, 3)) for spec in corpus(13)]
+    passing = 0
+    for cert, depths in cases:
+        other = renamed(cert)
+        for depth in depths:
+            iso = pointed_groupoid_iso_check(cert, depth)
+            image = check_phi_fin_image(cert, depth + 2)
+            if not (iso.ok and image.ok):
+                continue
+            passing += 1
+            assert pointed_groupoid_iso_check(other, depth).render_kv() == iso.render_kv()
+            assert check_phi_fin_image(other, depth + 2).render_kv() == image.render_kv()
+            for p in enumerate_paths(other.collapsed, max_len=depth):
+                assert collapsed_preimage(other, phi_fin(other, p)) == p
+    assert passing == 48

@@ -52,11 +52,12 @@ def unused_imports(path):
 
 
 def test_modules_import_no_unused_names():
-    """Every package module but ``__init__``, which re-exports, and every
-    test module reads each name it imports."""
+    """Every package module but ``__init__``, which re-exports, every test
+    module and every script reads each name it imports."""
     modules = [p for p in (ROOT / "src" / "steinalg").glob("*.py")
                if p.name != "__init__.py"]
     modules += (ROOT / "tests").glob("*.py")
+    modules += SCRIPTS.glob("*.py")
     unused = {str(p.relative_to(ROOT)): names
               for p in sorted(modules) if (names := unused_imports(p))}
     assert unused == {}
