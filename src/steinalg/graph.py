@@ -254,6 +254,10 @@ class VertexSubset:
     _lookup: frozenset = field(compare=False, repr=False)
 
     def __init__(self, graph, members):
+        # A str would iterate as its characters, each taken for a vertex.
+        if isinstance(members, str):
+            raise InputError("vertex set %r must be a collection of vertex "
+                             "names, not one string" % (members,))
         members = frozenset(members)
         for v in members:
             if not graph.has_vertex(v):

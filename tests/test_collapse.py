@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from steinalg import (CollapseSpec, Graph, GroupoidProbe, IntegerRing, Path,
-                      PathPair, Report, SteinbergElement, VertexSubset,
+from steinalg import (CollapseSpec, Graph, GroupoidProbe, InputError,
+                      IntegerRing, Path, PathPair, Report, SteinbergElement,
+                      Transversal, VertexSubset,
                       boundary_tails, check_phi_fin_image, collapse,
                       collapsed_preimage, compose_pairs, concat, convolve,
                       enumerate_paths, first_hit_extensions,
@@ -82,6 +83,17 @@ def test_spec_rejects_foreign_subset(loop_graph, rose2):
         CollapseSpec(loop_graph, VertexSubset(rose2, ["v"]))
 
 
+def test_vertex_sets_reject_a_bare_string(outsplit_graph):
+    """A str would iterate as its characters: "ab" would name {a, b}."""
+    g = Graph(["a", "b", "ab"], [])
+    for build in (CollapseSpec, Transversal):
+        with pytest.raises(InputError, match="not one string"):
+            build(g, "ab")
+        with pytest.raises(InputError, match="not one string"):
+            build(outsplit_graph, "ua")
+    assert CollapseSpec(g, ["ab"]).t0.members == ("ab",)
+
+
 # -- first hits -------------------------------------------------------------------
 
 
@@ -97,6 +109,25 @@ def test_first_hits_walk_to_retained(two_cycle, outsplit_graph):
     t0 = VertexSubset(outsplit_graph, ["u"])
     hits = first_hit_extensions(outsplit_graph, t0, "u")
     assert [p.render() for p in hits] == ["sa", "sb"]
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_first_hits_split_every_tail_once(seed):
+    """What makes the iso check's coverage step sound without testing the
+    partition: on a valid collapse, the first hits at each vertex are
+    nonempty and an antichain, and every boundary tail as long as the
+    longest hit has exactly one hit as a prefix."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng)
+    spec = sampling.random_collapse_spec(rng, g)
+    assume(spec is not None)
+    for v in g.vertices:
+        hits = first_hit_extensions(g, spec.t0, v)
+        assert hits
+        assert not any(a != b and is_prefix(a, b) for a in hits for b in hits)
+        for w in boundary_tails(g, v, max(len(tau) for tau in hits)):
+            assert sum(1 for tau in hits if is_prefix(tau, w)) == 1
 
 
 def test_first_hits_detect_cycle():
@@ -428,6 +459,16 @@ def test_legs_depth_matches_building_each_window(seed, depth):
             break
         want = k
     assert _legs_depth(g, depth) == want
+
+
+def test_legs_depth_stops_once_no_longer_path_exists(line_graph):
+    """Past its longest path the collapsed window stops growing, so any
+    depth is within budget at once, however large."""
+    cert = collapse(CollapseSpec(line_graph, ["b"]))
+    assert _legs_depth(cert.collapsed, 10 ** 9) == 10 ** 9
+    rep = pointed_groupoid_iso_check(cert, 10 ** 9)
+    assert rep.ok
+    assert rep.value("multiplicative", "legs-depth") == str(10 ** 9)
 
 
 def drop_collapsed_edge(cert, edge_id):
