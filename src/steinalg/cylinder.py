@@ -245,6 +245,8 @@ def compose_pairs(p: PathPair, q: PathPair):
     of q agree after extension by a common remainder tau, which slides tau
     onto the outer paths; the degree of the result is the sum of degrees.
     """
+    if p.graph is not q.graph:
+        raise ValueError("pairs live on different graphs")
     t = _compose(_flat(p), _flat(q))
     return None if t is None else _build(p.graph, t)
 

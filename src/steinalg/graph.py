@@ -379,30 +379,21 @@ def enumerate_paths(g: Graph, from_range=None, max_len=0):
 
 
 def is_acyclic(g: Graph) -> bool:
-    """True when no path of positive length returns to its range vertex."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in g.vertices}
-    for root in g.vertices:
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        # An explicit stack of (vertex, edges left), so that long paths do
-        # not reach the interpreter's recursion limit.
-        stack = [(root, iter(g.edges_with_range(root)))]
-        while stack:
-            v, todo = stack[-1]
-            for e in todo:
-                u = e.source_vertex
-                if color[u] == GRAY:
-                    return False
-                if color[u] == WHITE:
-                    color[u] = GRAY
-                    stack.append((u, iter(g.edges_with_range(u))))
-                    break
-            else:
-                color[v] = BLACK
-                stack.pop()
-    return True
+    """True when no path of positive length returns to its range vertex.
+
+    A vertex that no remaining edge ranges at lies on no cycle, so the
+    graph is peeled: such a vertex goes, with the edges it is the source
+    of, until no such vertex is left.  The graph is acyclic exactly when
+    every vertex goes.
+    """
+    left = {v: len(g.edges_with_range(v)) for v in g.vertices}
+    peeled = [v for v, n in left.items() if not n]
+    for v in peeled:
+        for e in g.edges_with_source(v):
+            left[e.range_vertex] -= 1
+            if not left[e.range_vertex]:
+                peeled.append(e.range_vertex)
+    return len(peeled) == len(g.vertices)
 
 
 def subgraph(g: Graph, keep: VertexSubset) -> Graph:

@@ -7,7 +7,8 @@ sufficient, not necessary: on ``vertices: v, u`` with ``edge: e v <- u``
 and u retained, v has no path into the retained set, yet its one boundary
 path e lies in the orbit of the unit at u.  Basic pairs then sort into a
 2x2 block pattern by whether the range vertices of the two legs are
-retained, and a ``LinkingElement`` holds one algebra element per block.
+retained; the pattern lives in ``Corner``, whose values are the blocks'
+support rules, and a ``LinkingElement`` holds one algebra element per block.
 Block (1,1) constrains both legs, the off-diagonal blocks constrain one leg
 each, and block (2,2) constrains nothing, so the blocks overlap as supports
 even though ``corner_of`` classifies each single pair into exactly one cell.
@@ -23,7 +24,8 @@ import enum
 from dataclasses import dataclass, field
 
 from .collapse import CollapseSpec, collapse, pointed_groupoid_iso_check
-from .cylinder import PathPair, compose_pairs, invert_pair, pairs_to_depth
+from .cylinder import (PathPair, _build, _flat, compose_pairs, invert_pair,
+                       pairs_to_depth)
 from .graph import Graph, Path, VertexSubset, concat, vertex_path
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, indicator, zero
@@ -40,20 +42,20 @@ class LinkingInvariantError(RuntimeError):
 
 
 class Corner(enum.Enum):
-    GG = "GG"   # both range vertices retained
-    GZ = "GZ"   # first leg retained only
-    ZG = "ZG"   # second leg retained only
-    HH = "HH"   # neither retained
+    """A block, in block order f11, f12, f21, f22.  The value is (first leg
+    retained?, second leg retained?): it is the cell of the pairs answering
+    so, and as a support rule True means that leg must be retained."""
+
+    GG = (True, True)
+    GZ = (True, False)
+    ZG = (False, True)
+    HH = (False, False)
 
     def render(self):
-        return self.value
+        return self.name
 
 
-# Cell lookup by (first leg retained?, second leg retained?); the same flags
-# read as block support requirements: True means that leg must be retained.
-_CELLS = {(True, True): Corner.GG, (True, False): Corner.GZ,
-          (False, True): Corner.ZG, (False, False): Corner.HH}
-_REQUIRES = {c: flags for flags, c in _CELLS.items()}
+_BLOCK_NAMES = dict(zip(Corner, ("f11", "f12", "f21", "f22")))
 
 
 @dataclass(frozen=True)
@@ -126,71 +128,65 @@ def least_connectors(graph: Graph, f0):
 
 def corner_of(p: PathPair, f0) -> Corner:
     """The unique cell of a basic pair."""
-    return _CELLS[(p.mu.range_vertex in f0, p.nu.range_vertex in f0)]
+    return Corner((p.mu.range_vertex in f0, p.nu.range_vertex in f0))
+
+
+def _first_outside(flat_pairs, f0, corner: Corner):
+    """The first flat pair breaking the corner's support rule, or None."""
+    row_req, col_req = corner.value
+    return next((t for t in flat_pairs
+                 if (row_req and t[3] not in f0) or (col_req and t[4] not in f0)),
+                None)
 
 
 def pair_supported_in(p: PathPair, f0, corner: Corner) -> bool:
-    row_req, col_req = _REQUIRES[corner]
-    return ((not row_req or p.mu.range_vertex in f0)
-            and (not col_req or p.nu.range_vertex in f0))
+    return _first_outside((_flat(p),), f0, corner) is None
 
 
 def element_supported_in(f: SteinbergElement, f0, corner: Corner) -> bool:
-    row_req, col_req = _REQUIRES[corner]
-    return all((not row_req or mu_range in f0) and (not col_req or nu_range in f0)
-               for _, _, _, mu_range, nu_range in f.flat)
+    return _first_outside(f.flat, f0, corner) is None
 
 
 def _require_support(f: SteinbergElement, f0, corner: Corner, role):
-    if not element_supported_in(f, f0, corner):
-        p = next(p for p in f.terms if not pair_supported_in(p, f0, corner))
+    # .terms follows .flat's order, so this names the first term outside.
+    t = _first_outside(f.flat, f0, corner)
+    if t is not None:
         raise CornerSupportError(
             "%s term %s violates the %s support pattern"
-            % (role, p.render(), corner.render()))
+            % (role, _build(f.graph, t).render(), corner.render()))
 
 
 # -- the 2x2 matrix algebra --------------------------------------------------
 
 
-_BLOCK_CORNERS = {"f11": Corner.GG, "f12": Corner.GZ,
-                  "f21": Corner.ZG, "f22": Corner.HH}
-
-
+@dataclass(frozen=True)
 class LinkingElement:
-    """Four block-supported algebra elements forming one matrix element."""
+    """Four block-supported algebra elements forming one matrix element; a
+    block left out is zero, and each block given is checked."""
 
-    __slots__ = ("transversal", "ring", "f11", "f12", "f21", "f22")
+    transversal: Transversal
+    ring: object
+    f11: SteinbergElement = None
+    f12: SteinbergElement = None
+    f21: SteinbergElement = None
+    f22: SteinbergElement = None
 
-    def __init__(self, transversal, ring, f11=None, f12=None, f21=None, f22=None):
-        g, f0 = transversal.graph, transversal.f0
-        for name, f in (("f11", f11), ("f12", f12), ("f21", f21), ("f22", f22)):
+    def __post_init__(self):
+        g, f0, ring = self.transversal.graph, self.transversal.f0, self.ring
+        for corner, name in _BLOCK_NAMES.items():
+            f = getattr(self, name)
             if f is None:
-                f = zero(g, ring)       # supported in every corner
+                object.__setattr__(self, name, zero(g, ring))
             elif f.graph is not g or f.ring != ring:
                 raise ValueError("block %s lives on a different graph or ring" % name)
             else:
-                _require_support(f, f0, _BLOCK_CORNERS[name], "block %s" % name)
-            object.__setattr__(self, name, f)
-        object.__setattr__(self, "transversal", transversal)
-        object.__setattr__(self, "ring", ring)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinkingElement is immutable")
+                _require_support(f, f0, corner, "block %s" % name)
 
     def blocks(self):
         return (self.f11, self.f12, self.f21, self.f22)
 
     def is_zero(self):
         return all(f.is_zero() for f in self.blocks())
-
-    def __eq__(self, other):
-        if not isinstance(other, LinkingElement):
-            return NotImplemented
-        return (self.transversal == other.transversal and self.ring == other.ring
-                and self.blocks() == other.blocks())
-
-    def __hash__(self):
-        return hash((self.transversal, self.ring, self.blocks()))
 
     def render(self):
         return "[[%s | %s] [%s | %s]]" % tuple(f.render() for f in self.blocks())
@@ -201,11 +197,9 @@ class LinkingElement:
 
 def embed(transversal, f: SteinbergElement, which: Corner) -> LinkingElement:
     """Place a diagonal-block element into the matrix algebra."""
-    if which == Corner.GG:
-        return LinkingElement(transversal, f.ring, f11=f)
-    if which == Corner.HH:
-        return LinkingElement(transversal, f.ring, f22=f)
-    raise CornerSupportError("embed targets a diagonal block, not %s" % which.render())
+    if which not in (Corner.GG, Corner.HH):
+        raise CornerSupportError("embed targets a diagonal block, not %s" % which.render())
+    return LinkingElement(transversal, f.ring, **{_BLOCK_NAMES[which]: f})
 
 
 def _check_linking_compatible(a: LinkingElement, b: LinkingElement):
@@ -309,9 +303,10 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
     f0 = transversal.f0
     rep = Report("surjectivity witness (%s side)" % side)
     rep.add("target", "pair", pair.render())
-    rep.add("target", "cell", corner_of(pair, f0).render())
+    cell = corner_of(pair, f0)
+    rep.add("target", "cell", cell.render())
     if side == "psi":
-        if not rep.check("target", "supported", corner_of(pair, f0) == Corner.GG,
+        if not rep.check("target", "supported", cell == Corner.GG,
                          "psi targets need both legs retained"):
             return MoritaWitness(side, pair, (), rep)
         v = PathPair(pair.mu, pair.mu)
@@ -385,16 +380,14 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
               "unreachable: %s" % ",".join(unreachable) if unreachable else "")
 
     pairs = pairs_to_depth(graph, depth)
-    cells = {c: 0 for c in Corner}
+    cells = {c: [] for c in Corner}
     for p in pairs:
-        cells[corner_of(p, f0)] += 1
+        cells[corner_of(p, f0)].append(p)
     for c in Corner:
-        rep.add("corners", c.render(), cells[c])
+        rep.add("corners", c.render(), len(cells[c]))
 
     if not unreachable:
-        for side in ("psi", "phi"):
-            targets = [p for p in pairs
-                       if side == "phi" or corner_of(p, f0) == Corner.GG]
+        for side, targets in (("psi", cells[Corner.GG]), ("phi", pairs)):
             capped = targets[:_WITNESS_CAP]
             rep.add("witnesses", "%s-targets" % side,
                     "%d of %d" % (len(capped), len(targets)))

@@ -93,8 +93,9 @@ def random_element(rng, g, ring, max_terms=3, max_len=2) -> SteinbergElement:
 
 def random_corner_element(rng, g, ring, f0, corner: Corner,
                           max_terms=2, max_len=2) -> SteinbergElement:
-    row_in = f0 if corner in (Corner.GG, Corner.GZ) else None
-    col_in = f0 if corner in (Corner.GG, Corner.ZG) else None
+    row_req, col_req = corner.value
+    row_in = f0 if row_req else None
+    col_in = f0 if col_req else None
     terms = [(random_pair(rng, g, max_len, row_in, col_in), ring.sample(rng))
              for _ in range(rng.randint(0, max_terms))]
     return from_terms(g, ring, terms)

@@ -343,8 +343,10 @@ def evaluate(f, probe: GroupoidProbe):
     up as flat pairs, shortest common tail first, instead of scanning every
     term; the sum is lifted to a ring value once.
     """
-    flat, edge, walk = f.flat, f.graph.edge, f.ring.int_ring()
     mu, nu = probe.mu_full, probe.nu_full
+    if mu.graph is not f.graph:
+        raise ValueError("probe and element live on different graphs")
+    flat, edge, walk = f.flat, f.graph.edge, f.ring.int_ring()
     v, mu_range, nu_range = mu.source_vertex, mu.range_vertex, nu.range_vertex
     k, j = len(mu.edges), len(nu.edges)
     total = 0

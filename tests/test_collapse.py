@@ -614,6 +614,55 @@ def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
     assert cert.f0 is cert.f0
 
 
+def parallel_pairs(cert):
+    """The ordered pairs of distinct collapsed edges with equal endpoints."""
+    F = cert.collapsed
+    return [(e, o) for e in F.edges for o in F.edges if e is not o
+            and (e.range_vertex, e.source_vertex) == (o.range_vertex, o.source_vertex)]
+
+
+def well_formed_corruption(rng, certs):
+    """One of certs with a corruption that well-formedness lets through:
+    a collapsed edge dropped, an edge's path duplicated under a new
+    parallel edge, or an edge given the path of an edge parallel to it."""
+    kind = rng.choice(("drop", "duplicate", "move"))
+    if kind == "move":
+        certs = [c for c in certs if parallel_pairs(c)]
+    cert = rng.choice(certs)
+    F, paths = cert.collapsed, cert.edge_paths
+    if kind == "drop":
+        return drop_collapsed_edge(cert, rng.choice(F.edges).id)
+    if kind == "duplicate":
+        e = rng.choice(F.edges)
+        return dataclasses.replace(
+            cert, collapsed=Graph(F.vertices, F.edges + (("dup", e.range_vertex,
+                                                          e.source_vertex),)),
+            edge_paths=dict(paths, dup=paths[e.id]))
+    e, other = rng.choice(parallel_pairs(cert))
+    return dataclasses.replace(cert, edge_paths=dict(paths, **{e.id: paths[other.id]}))
+
+
+@given(seeds, st.integers(min_value=2, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_images_of_well_formed_certificates_land_in_the_window(seed, max_len):
+    """Every kept image of a well-formed certificate is a path between
+    retained vertices within the window, however the certificate is
+    corrupted, so the lands-in-window row is recorded as a pass."""
+    rng = sampling.rng_from_seed(seed)
+    certs = [c for c in map(collapse, corpus(7) + corpus(13)) if c.collapsed.edges]
+    bad = well_formed_corruption(rng, certs)
+    assert _check_well_formed(bad, Report("well-formed"))
+    g, f0 = bad.original, bad.f0
+    target = {p for p in enumerate_paths(g, max_len=max_len)
+              if p.range_vertex in f0 and p.source_vertex in f0}
+    for p in enumerate_paths(bad.collapsed, max_len=max_len):
+        q = phi_fin(bad, p)
+        if len(q) <= max_len:
+            assert q in target
+    rep = check_phi_fin_image(bad, max_len)
+    assert rep.value("bijection", "lands-in-window") == "pass"
+
+
 # -- the memoized transport ----------------------------------------------------------
 
 

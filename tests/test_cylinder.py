@@ -271,6 +271,18 @@ def test_compose_pairs_incompatible(line_graph):
     assert compose_pairs(PathPair(f1, f1), PathPair(f2, f2)) is None
 
 
+def test_compose_pairs_rejects_pairs_from_different_graphs():
+    """Both pairs range at v, so the flat rule alone would compose them
+    into Z(f,v) on a graph that has no edge f."""
+    a = Graph(["v"], [])
+    b = Graph(["v"], [("f", "v", "v")])
+    unit_a = PathPair(vertex_path(a, "v"), vertex_path(a, "v"))
+    f_b = PathPair(Path(b, ("f",)), vertex_path(b, "v"))
+    for p, q in ((unit_a, f_b), (f_b, unit_a)):
+        with pytest.raises(ValueError, match="pairs live on different graphs"):
+            compose_pairs(p, q)
+
+
 @given(seeds)
 @settings(max_examples=50, deadline=None)
 def test_pair_rules_match_the_path_level_references(seed):

@@ -2,12 +2,15 @@
 
 import sys
 
+from hypothesis import given, settings, strategies as st
+
 import pytest
 
 from steinalg import (Graph, GraphFormatError, Path, VertexSubset, concat,
                       enumerate_paths, is_acyclic, is_prefix, load_graph,
                       serialize_graph, sources, strip_prefix, subgraph,
                       vertex_path)
+from steinalg import sampling
 from tests.conftest import TWO_CYCLE_TEXT, long_line
 
 
@@ -124,6 +127,36 @@ def test_is_acyclic_beyond_recursion_limit():
     assert is_acyclic(g)
     closed = Graph(g.vertices, list(g.edges) + [("back", "x%d" % (n - 1), "x0")])
     assert not is_acyclic(closed)
+
+
+def closes_a_cycle(g):
+    """Whether some vertex reaches itself by a walk of positive length,
+    from the transitive closure of the edges."""
+    reach = {v: {e.source_vertex for e in g.edges_with_range(v)} for v in g.vertices}
+    grew = True
+    while grew:
+        grew = False
+        for v in g.vertices:
+            more = set().union(*(reach[u] for u in reach[v])) - reach[v]
+            if more:
+                reach[v] |= more
+                grew = True
+    return any(v in reach[v] for v in g.vertices)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9))
+@settings(max_examples=200, deadline=None)
+def test_is_acyclic_matches_the_closure(seed):
+    """The peel agrees with the transitive closure on random graphs with
+    loops and parallel edges, and on their cycle-free restrictions."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=7, max_edges=10)
+    order = {v: i for i, v in enumerate(g.vertices)}
+    forward = Graph(g.vertices, [e for e in g.edges
+                                 if order[e.range_vertex] < order[e.source_vertex]])
+    for h in (g, forward):
+        assert is_acyclic(h) == (not closes_a_cycle(h))
+    assert is_acyclic(forward)
 
 
 def test_subgraph(two_cycle):

@@ -73,6 +73,28 @@ def test_element_support_reads_the_pair_rule_off_the_stored_form(seed):
                 == all(pair_supported_in(p, f0, c) for p in f.terms))
 
 
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_support_error_names_the_first_term_outside_the_block(seed):
+    """Each block rejects an element with the first term of .terms, in
+    stored order, outside its pattern, as a rescan of .terms would find."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng)
+    f0 = [v for v in g.vertices if rng.random() < 0.5]
+    t = Transversal(g, f0)
+    ring = rng.choice(RINGS)
+    f = sampling.random_element(rng, g, ring, max_terms=4)
+    for name, c in BLOCK_CORNERS.items():
+        outside = [p for p in f.terms if not pair_supported_in(p, f0, c)]
+        if not outside:
+            assert getattr(LinkingElement(t, ring, **{name: f}), name) == f
+            continue
+        with pytest.raises(CornerSupportError) as err:
+            LinkingElement(t, ring, **{name: f})
+        assert str(err.value) == ("block %s term %s violates the %s support pattern"
+                                  % (name, outside[0].render(), c.render()))
+
+
 # -- transversals ----------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from steinalg import (BasicBisection, GroupoidProbe, InputError,
+from steinalg import (BasicBisection, Graph, GroupoidProbe, InputError,
                       IntegerRing, IntegersMod, Path, PathPair, RationalRing,
                       SteinbergElement, add, compose_pairs,
                       convolve, evaluate, expand, from_terms, grade,
@@ -259,6 +259,21 @@ def test_evaluate_shallow_probe_reads_zero(rose2, zring):
     assert deep.render() == "1 * Z(a.a,a.a)"
     assert evaluate(deep, GroupoidProbe(a, a)) == 0
     assert evaluate(deep, GroupoidProbe(aa, aa)) == 1
+
+
+def test_evaluate_rejects_a_probe_from_another_graph(loop_graph, zring):
+    """Coefficients are looked up by edge id, so a probe on a graph sharing
+    the ids would read the unit's 1, and one with an id the element's graph
+    lacks would raise KeyError."""
+    v = vertex_path(loop_graph, "v")
+    unit = from_terms(loop_graph, zring, [(PathPair(v, v), 1)])
+    twin = Graph(["v"], [("e", "v", "v")])
+    other = Graph(["v"], [("x", "v", "v")])
+    x = Path(other, ("x",))
+    for probe in (GroupoidProbe(vertex_path(twin, "v"), vertex_path(twin, "v")),
+                  GroupoidProbe(x, x)):
+        with pytest.raises(ValueError, match="different graphs"):
+            evaluate(unit, probe)
 
 
 def scan_evaluate(f, probe):
