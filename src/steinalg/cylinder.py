@@ -238,6 +238,11 @@ def _compose(p, q):
     return None
 
 
+def _invert(t):
+    """``invert_pair`` on a flat pair."""
+    return (t[1], t[0], t[2], t[4], t[3])
+
+
 def compose_pairs(p: PathPair, q: PathPair):
     """The set product Z(p) . Z(q), a single pair or None when empty.
 

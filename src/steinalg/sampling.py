@@ -14,7 +14,7 @@ from .collapse import CollapseSpec, collapse, validate_collapsible
 from .cylinder import BasicBisection, GroupoidProbe, PathPair
 from .graph import Graph, Path, VertexSubset, concat, vertex_path
 from .morita import Corner, Transversal
-from .steinberg import SteinbergElement, from_terms
+from .steinberg import SteinbergElement, from_terms, zero
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -66,8 +66,12 @@ def random_pair(rng, g, max_len=2, row_in=None, col_in=None) -> PathPair:
 
     row_in / col_in restrict where the first / second leg may range; the
     fallback unit pair always satisfies the constraints because both kinds
-    of constraint admit a vertex pair over a constrained vertex.
+    of constraint admit a vertex pair over a constrained vertex.  An empty
+    constraint admits no pair and raises ValueError.
     """
+    for name, allowed in (("row_in", row_in), ("col_in", col_in)):
+        if allowed is not None and not tuple(allowed):
+            raise ValueError("%s is empty: no leg can range there" % name)
     for _ in range(40):
         roots = tuple(row_in) if row_in is not None else g.vertices
         mu = forward_walk(rng, g, rng.choice(roots), max_len)
@@ -93,7 +97,11 @@ def random_element(rng, g, ring, max_terms=3, max_len=2) -> SteinbergElement:
 
 def random_corner_element(rng, g, ring, f0, corner: Corner,
                           max_terms=2, max_len=2) -> SteinbergElement:
+    """A random element supported in the corner's block; the zero element,
+    the block's only one, when the block constrains a leg and f0 is empty."""
     row_req, col_req = corner.value
+    if (row_req or col_req) and not tuple(f0):
+        return zero(g, ring)
     row_in = f0 if row_req else None
     col_in = f0 if col_req else None
     terms = [(random_pair(rng, g, max_len, row_in, col_in), ring.sample(rng))

@@ -3,13 +3,18 @@ seeded corpora the randomized tests draw from; the brute-force canonical
 form the canonical-form tests compare against; the pair rules on Path
 objects that the flat pair kernel is compared against; probe membership
 and probe windows, the set semantics the pair operations are compared
-against; and the relaxation that least connectors are compared against."""
+against; the relaxation that least connectors are compared against; and
+the element-level surjectivity witness that the pair-level one is compared
+against."""
 
 import pytest
 
-from steinalg import (Graph, GroupoidProbe, IntegerRing, IntegersMod, Path,
-                      PathPair, RationalRing, as_bisection, boundary_tails,
-                      concat, expand, is_prefix, load_graph, pairs_to_depth,
+from steinalg import (Corner, Graph, GroupoidProbe, IntegerRing, IntegersMod,
+                      LinkingElement, MoritaWitness, Path, PathPair,
+                      RationalRing, Report, as_bisection, boundary_tails,
+                      compose_pairs, concat, convolve, corner_of, embed,
+                      expand, indicator, invert_pair, is_prefix,
+                      linking_convolve, load_graph, pairs_to_depth,
                       strip_prefix, vertex_path)
 from steinalg import sampling
 
@@ -151,6 +156,63 @@ def relaxed_connectors(graph, f0):
                 best[e.source_vertex] = cand
                 changed = True
     return {v: best.get(v) for v in graph.vertices}
+
+
+def element_level_surjectivity_witness(transversal, ring, pair, side):
+    """``surjectivity_witness`` as it was when every row compared canonical
+    elements: the oracle for the pair-level rows.
+
+    Each row builds the indicators of the factors and of the target,
+    convolves them, and compares canonical forms; the matrix row multiplies
+    two ``LinkingElement``s, whose constructors raise ``CornerSupportError``
+    when a factor leaves its block, so ``piece-1-blocks`` is recorded as a
+    pass.  A check's detail is shown only when the check fails.
+    """
+    if side not in ("psi", "phi"):
+        raise ValueError("side must be 'psi' or 'phi'")
+    f0 = transversal.f0
+    rep = Report("surjectivity witness (%s side)" % side)
+    rep.add("target", "pair", pair.render())
+    cell = corner_of(pair, f0)
+    rep.add("target", "cell", cell.render())
+    if side == "psi":
+        ok = cell == Corner.GG
+        if not rep.check("target", "supported", ok,
+                         "" if ok else "psi targets need both legs retained"):
+            return MoritaWitness(side, pair, (), rep)
+        v = PathPair(pair.mu, pair.mu)
+        n = compose_pairs(invert_pair(v), pair)
+    else:
+        conn = transversal._connectors.get(pair.source_vertex)
+        if not rep.check("target", "connector-exists", conn is not None,
+                         "" if conn is not None else
+                         "vertex %s cannot reach the retained set"
+                         % pair.source_vertex):
+            return MoritaWitness(side, pair, (), rep)
+        rep.add("target", "connector", conn.render())
+        v = PathPair(conn, pair.nu)
+        n = compose_pairs(pair, invert_pair(v))
+    rep.check("factors", "piece-1-blocks", True)
+    rep.check("factors", "pieces-disjoint", "vacuous", "single piece")
+
+    v_ind, v_inv, n_ind = (indicator(v, ring), indicator(invert_pair(v), ring),
+                           indicator(n, ring))
+    target = indicator(pair, ring)
+    if side == "psi":
+        unit, direct = convolve(v_ind, v_inv), convolve(v_ind, n_ind)
+        unit_target = PathPair(pair.mu, pair.mu)
+    else:
+        unit, direct = convolve(v_inv, v_ind), convolve(n_ind, v_ind)
+        unit_target = PathPair(pair.nu, pair.nu)
+    rep.check("verification", "unit-cover", unit == indicator(unit_target, ring))
+    rep.check("verification", "reconstructs", direct == target)
+
+    mv = LinkingElement(transversal, ring, f12=v_ind)
+    mn = LinkingElement(transversal, ring, f21=n_ind)
+    prod = linking_convolve(mv, mn) if side == "psi" else linking_convolve(mn, mv)
+    want = embed(transversal, target, Corner.GG if side == "psi" else Corner.HH)
+    rep.check("verification", "matrix-reconstructs", prod == want)
+    return MoritaWitness(side, pair, ((v, n),), rep)
 
 
 def sweep_graph(rng):

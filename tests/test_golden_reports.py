@@ -6,7 +6,8 @@ fixture covers ``morita-check`` over both collapse sets, two depths and
 every shipped ring; ``collapse`` runs on the fixture and on two instances of
 the seeded acceptance corpus, whose graphs are stored next to the reports.
 Both commands also run on the fixture at depth 5, where the collapse
-check's probe cap and its legs-depth back-off bind.
+check's probe cap and its legs-depth back-off bind, and ``morita-check``
+runs over both collapse sets at depths 4 and 5 in ZZ.
 ``grade`` and ``mul`` run on rose words whose terms lie several levels apart
 (depth gaps 6 and 10 on the 2-rose, 5 on the 3-rose) and on one mixed-degree
 word with scalars of both signs, in every shipped ring: they pin the
@@ -45,8 +46,12 @@ def _cases():
     cases["collapse-outsplit-u-d3"] = ("outsplit", ["collapse", "--t0", "u", "--depth", "3"])
     # At depth 5 the probe cap and the legs-depth back-off both bind.
     cases["collapse-outsplit-u-d5"] = ("outsplit", ["collapse", "--t0", "u", "--depth", "5"])
-    cases["morita-outsplit-u-d5-z"] = ("outsplit", ["morita-check", "--t0", "u", "--ring", "z",
-                                                    "--depth", "5"])
+    # Depths 4 and 5 are the benchmark's larger certify cells; at depth 5
+    # the phi window has 833 targets.
+    for t0, t0_name, depth in (("u", "u", 4), ("u", "u", 5), ("ua,ub", "ua-ub", 4),
+                               ("ua,ub", "ua-ub", 5)):
+        cases["morita-outsplit-%s-d%d-z" % (t0_name, depth)] = (
+            "outsplit", ["morita-check", "--t0", t0, "--ring", "z", "--depth", str(depth)])
     for graph, t0 in CORPUS_GRAPHS.items():
         cases["collapse-%s-d3" % graph] = (graph, ["collapse", "--t0", t0, "--depth", "3"])
     for ring, ring_name in RINGS:

@@ -6,13 +6,16 @@ import pytest
 
 from steinalg import (Corner, CornerSupportError, Graph, IntegerRing,
                       IntegersMod, LinkingElement, Path, PathPair,
-                      RationalRing, Transversal, add, convolve, embed,
-                      eq_ops_check, indicator, least_connectors,
-                      linking_convolve, morita_report, pairs_to_depth, phi,
-                      psi, surjectivity_witness, vertex_path, zero)
+                      RationalRing, Transversal, add, concat, convolve,
+                      corner_of, embed, eq_ops_check, indicator,
+                      least_connectors, linking_convolve, load_graph,
+                      morita_report, pairs_to_depth, phi, psi,
+                      surjectivity_witness, vertex_path, zero)
 from steinalg import morita, sampling
 from steinalg.morita import element_supported_in, pair_supported_in
-from tests.conftest import relaxed_connectors
+from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT,
+                            element_level_surjectivity_witness,
+                            relaxed_connectors)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
@@ -37,7 +40,6 @@ def two_cycle_pairs(g):
 
 
 def test_corner_of_frozen_table(two_cycle):
-    from steinalg import corner_of
     f0 = ["v"]
     v, w, e1, gz, zg = two_cycle_pairs(two_cycle)
     assert corner_of(PathPair(v, v), f0) == Corner.GG
@@ -354,6 +356,22 @@ def test_phi_witness_frozen(two_cycle, zring):
     assert n1.render() == "Z(w,e1)"
 
 
+def test_passing_witness_rows_carry_no_failure_text(two_cycle, zring):
+    """A target check shows its reason only when it fails."""
+    t = Transversal(two_cycle, ["v"])
+    v = vertex_path(two_cycle, "v")
+    w = surjectivity_witness(t, zring, PathPair(v, v), "phi")
+    assert w.ok
+    assert w.report.value("target", "connector-exists") == "pass"
+    w = surjectivity_witness(t, zring, PathPair(v, v), "psi")
+    assert w.ok
+    assert w.report.value("target", "supported") == "pass"
+    w_ = vertex_path(two_cycle, "w")
+    w = surjectivity_witness(t, zring, PathPair(w_, w_), "psi")
+    assert (w.report.value("target", "supported")
+            == "fail (psi targets need both legs retained)")
+
+
 def test_psi_witness_needs_gg_target(two_cycle, zring):
     t = Transversal(two_cycle, ["v"])
     w_ = vertex_path(two_cycle, "w")
@@ -387,12 +405,127 @@ def test_witnesses_on_random_targets(seed):
     g = sampling.random_graph(rng)
     f0 = sampling.random_transversal(rng, g)
     t = Transversal(g, f0)
-    from steinalg import corner_of
     for _ in range(4):
         pair = sampling.random_pair(rng, g)
         assert surjectivity_witness(t, ring, pair, "phi").ok
         if corner_of(pair, f0) == Corner.GG:
             assert surjectivity_witness(t, ring, pair, "psi").ok
+
+
+def assert_matches_oracle(t, ring, pair, side):
+    got = surjectivity_witness(t, ring, pair, side)
+    want = element_level_surjectivity_witness(t, ring, pair, side)
+    assert got.report.render_kv() == want.report.render_kv()
+    assert got.pieces == want.pieces
+    return got
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@given(seed=seeds)
+@settings(max_examples=20, deadline=None)
+def test_pair_witness_matches_element_oracle(ring, seed):
+    """On every pair of the depth-2 window, both sides' reports equal the
+    element-level oracle's byte for byte, over a transversal and over a
+    random retained set, where some vertices have no connector."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=4, max_edges=6)
+    kept = [v for v in g.vertices if rng.random() < 0.5]
+    for f0 in (sampling.random_transversal(rng, g), kept):
+        t = Transversal(g, f0)
+        for pair in pairs_to_depth(g, 2):
+            for side in ("psi", "phi"):
+                assert_matches_oracle(t, ring, pair, side)
+
+
+def corrupt_connectors(rng, t):
+    """Per vertex, a connector that is not its least one: a path leaving
+    the retained set where the vertex lies outside it, else a longer path
+    into it through one edge out of the vertex, where there is one."""
+    g, f0 = t.graph, t.f0
+    bad = dict(t._connectors)
+    for u in g.vertices:
+        if u not in f0:
+            bad[u] = sampling.backward_walk(rng, g, u, 2)
+            if bad[u].range_vertex in f0:
+                bad[u] = vertex_path(g, u)
+            continue
+        longer = [concat(t._connectors[e.range_vertex], Path(g, (e.id,)))
+                  for e in g.edges_with_source(u)]
+        if longer:
+            bad[u] = rng.choice(longer)
+    return bad
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_pair_witness_on_corrupted_connectors(seed):
+    """A connector ranging outside the retained set makes the oracle's
+    matrix blocks raise; the pair witness reports it as
+    ``factors.piece-1-blocks`` and nothing else.  A longer connector into
+    the retained set still factors every target, as the oracle agrees."""
+    ring = IntegerRing()
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=4, max_edges=6)
+    t = Transversal(g, sampling.random_transversal(rng, g))
+    object.__setattr__(t, "_connectors", corrupt_connectors(rng, t))
+    for pair in pairs_to_depth(g, 2):
+        if t._connectors[pair.source_vertex].range_vertex in t.f0:
+            assert assert_matches_oracle(t, ring, pair, "phi").ok
+            continue
+        with pytest.raises(CornerSupportError):
+            element_level_surjectivity_witness(t, ring, pair, "phi")
+        w = surjectivity_witness(t, ring, pair, "phi")
+        assert w.report.failures() == ["factors.piece-1-blocks"]
+
+
+def test_pair_witness_names_the_factor_outside_its_block(two_cycle, zring):
+    t = Transversal(two_cycle, ["v"])
+    w_ = vertex_path(two_cycle, "w")
+    object.__setattr__(t, "_connectors", {"v": vertex_path(two_cycle, "v"), "w": w_})
+    w = surjectivity_witness(t, zring, PathPair(w_, w_), "phi")
+    assert (w.report.value("factors", "piece-1-blocks")
+            == "fail (Z(w,w) violates the GZ support pattern)")
+
+
+def test_witnesses_build_no_elements(monkeypatch):
+    """Witnesses and a report without eq-ops samples convolve nothing, build
+    no indicator and multiply no matrix elements."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness fell back to elements")
+
+    for name in ("convolve", "linking_convolve", "indicator"):
+        monkeypatch.setattr(morita, name, refuse, raising=False)
+    g = load_graph(OUTSPLIT_TEXT)
+    zring = IntegerRing()
+    for f0 in (["u"], ["ua", "ub"]):
+        t = Transversal(g, f0)
+        for pair in pairs_to_depth(g, 3):
+            assert surjectivity_witness(t, zring, pair, "phi").ok
+            if corner_of(pair, f0) == Corner.GG:
+                assert surjectivity_witness(t, zring, pair, "psi").ok
+    for t0 in (["u"], ["ua", "ub"]):
+        assert morita_report(g, t0, zring, depth=3, eq_samples=0).ok
+
+
+# -- random samples ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("corner", list(Corner), ids=lambda c: c.render())
+def test_corner_sampling_with_an_empty_retained_set(corner, zring):
+    """No leg ranges in an empty retained set: a block constraining a leg
+    holds only the zero element, and a constrained pair is a typed error."""
+    g = load_graph(LOOP_TEXT)
+    rng = sampling.rng_from_seed(0)
+    f = sampling.random_corner_element(rng, g, zring, [], corner)
+    assert element_supported_in(f, [], corner)
+    if corner != Corner.HH:
+        assert f.is_zero()
+    row_req, col_req = corner.value
+    if row_req or col_req:
+        name = "row_in" if row_req else "col_in"
+        with pytest.raises(ValueError, match="%s is empty" % name):
+            sampling.random_pair(rng, g, 2, [] if row_req else None,
+                                 [] if col_req else None)
 
 
 # -- the pipeline ------------------------------------------------------------------------
