@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cylinder import (PathPair, _compose, _flat, _minimal, _RangeLegIndex,
+from .cylinder import (PathPair, _flat, _minimal, _RangeLegIndex,
                        pairs_to_depth)
 from .graph import (Edge, Graph, Path, VertexSubset, _path, concat,
                     enumerate_paths, is_acyclic, sources, subgraph, vertex_path)
@@ -354,7 +354,9 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # each a only the b that compose on at least one side are visited, in
     # ascending order: the first defect is the least b that composes on one
     # side only or whose two composites disagree, as in the loop over every
-    # combination.
+    # combination.  The two sides' plans for a (see _RangeLegIndex.plan)
+    # are walked in lockstep by position, and each composite is formed from
+    # its plan entry, so no combination calls the composition rule.
     mult_depth = _legs_depth(F, depth)
     fpairs = pairs_to_depth(F, mult_depth)
     rep.add("multiplicative", "legs-depth", mult_depth)
@@ -366,22 +368,25 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     right_index = _RangeLegIndex(flat_images)
     mult_defect = None
     for i, a in enumerate(fpairs):
-        left = left_index.partners(flat_minimal[i])
-        right = right_index.partners(flat_images[i])
+        m, image = flat_minimal[i], flat_images[i]
+        left = left_index.plan(m)
+        right = right_index.plan(image)
         b = None
-        for j, k in zip(left, right):
-            if j != k:
-                b = min(j, k)       # it composes on one side only
+        for x, y in zip(left, right):
+            if x[0] != y[0]:
+                b = min(x[0], y[0])     # it composes on one side only
                 break
-            composite = _minimal(F, _compose(flat_minimal[i], flat_minimal[j]))
+            j, suffix, leg, source, leg_range = x
+            composite = _minimal(F, (m[0] + suffix, leg, source, m[3], leg_range))
+            _, suffix, leg, source, leg_range = y
             if (_minimal(g, transport(composite))
-                    != _minimal(g, _compose(flat_images[i], flat_images[j]))):
+                    != _minimal(g, (image[0] + suffix, leg, source, image[3], leg_range))):
                 b = j
                 break
         else:
             rest = left[len(right):] or right[len(left):]
             if rest:
-                b = rest[0]         # it composes on the longer side only
+                b = rest[0][0]      # it composes on the longer side only
         if b is not None:
             mult_defect = "%s then %s" % (a.render(), fpairs[b].render())
             break

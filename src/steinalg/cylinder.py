@@ -18,9 +18,12 @@ its source by construction.
 Inside the kernel a pair is flat, a plain tuple of edge ids and vertices
 (see ``_flat``): ``_compose`` is the composition rule, ``_minimal`` the
 minimal-pair rule, and ``_RangeLegIndex`` files flat pairs by range leg.
-The canonical form, ``convolve`` and the collapse move's windowed checks
-take only flat pairs into these, and build a ``PathPair`` (``_build``)
-only for a pair that leaves the kernel.  ``compose_pairs`` and
+Its plan for a source leg lists the pairs that compose with it and the
+parts of each composite, so ``convolve`` and the collapse move's
+multiplicative check form composites without calling ``_compose``.  The
+canonical form, ``convolve`` and the collapse move's windowed checks take
+only flat pairs into these, and build a ``PathPair`` (``_build``) only for
+a pair that leaves the kernel.  ``compose_pairs`` and
 ``minimal_pair`` are the public forms of the two rules on ``PathPair``
 objects.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 from .graph import (Graph, Path, _path, concat, enumerate_paths, is_prefix,
                     strip_prefix)
@@ -257,19 +261,21 @@ def compose_pairs(p: PathPair, q: PathPair):
 
 
 class _RangeLegIndex:
-    """The positions of a list of flat pairs, looked up by range leg.
+    """A list of flat pairs, looked up by range leg.
 
     ``_compose(p, q)`` is a pair exactly when p's source leg and q's range
     leg range at one vertex and one of them is a prefix of the other.  The
     range legs (``q[0]``, at ``q[3]``) are filed in a trie with one root per
     range vertex and one level per edge id, so the nodes are the legs'
-    prefixes.  ``partners(p)`` walks the edges of p's source leg (``p[1]``,
-    at ``p[4]``) once: the legs ending at a node above it are shorter, and
-    the legs passing through its node equal or extend it.  Each distinct
-    source leg is walked once.
+    prefixes.  ``plan(p)`` walks the edges of p's source leg (``p[1]``, at
+    ``p[4]``) once: the legs ending at a node above it are shorter, and the
+    legs passing through its node equal or extend it.  The walk already
+    knows which case holds and where the shorter leg stops, so the plan
+    holds the composites' parts and no prefix is compared again.  Each
+    distinct source leg is walked once.
     """
 
-    __slots__ = ("_roots", "_found")
+    __slots__ = ("_pairs", "_roots", "_plans")
 
     def __init__(self, pairs):
         # A node is (children by edge id, the positions of the legs ending
@@ -287,30 +293,51 @@ class _RangeLegIndex:
                     node = children[e] = ({}, [], [])
                 node[2].append(i)
             node[1].append(i)
+        self._pairs = pairs
         self._roots = roots
-        self._found = {}
+        self._plans = {}
 
-    def partners(self, p):
-        """The positions, ascending, of the filed pairs q for which
-        ``_compose(p, q)`` is not None; the list is shared between calls
-        and is not to be changed."""
-        key = (p[1], p[4])
-        found = self._found.get(key)
-        if found is None:
-            found, shorter = [], []
+    def plan(self, p):
+        """One entry ``(j, mu_suffix, second_leg, source, second_range)``
+        per filed pair q = pairs[j] that composes with p, j ascending; the
+        composite ``_compose(p, q)`` is ``(p[0] + mu_suffix, second_leg,
+        source, p[3], second_range)``.  A q whose range leg equals or
+        extends p's source leg nu adds its own continuation past nu to p's
+        range leg; a q whose range leg stops short of nu leaves p's range
+        leg as it is and takes the rest of nu onto its source leg.  The
+        plan depends only on nu and its range vertex; the list is shared
+        between calls and is not to be changed."""
+        nu = p[1]
+        key = (nu, p[4])
+        plan = self._plans.get(key)
+        if plan is None:
+            pairs = self._pairs
+            reaching, shorter = (), []
             node = self._roots.get(p[4])
             if node is not None:
-                for e in p[1]:
-                    shorter += node[1]
+                for i, e in enumerate(nu):
+                    for j in node[1]:
+                        q = pairs[j]
+                        shorter.append((j, (), q[1] + nu[i:], p[2], q[4]))
                     node = node[0].get(e)
                     if node is None:
                         break
                 else:
-                    found = node[2]
+                    reaching = node[2]
+            n = len(nu)
+            plan = []
+            for j in reaching:
+                q = pairs[j]
+                plan.append((j, q[0][n:], q[1], q[2], q[4]))
             if shorter:
-                found = sorted(found + shorter)
-            self._found[key] = found
-        return found
+                plan = sorted(plan + shorter, key=itemgetter(0))
+            self._plans[key] = plan
+        return plan
+
+    def partners(self, p):
+        """The positions, ascending, of the filed pairs q for which
+        ``_compose(p, q)`` is not None."""
+        return [entry[0] for entry in self.plan(p)]
 
 
 def _minimal(graph: Graph, t):

@@ -110,35 +110,46 @@ class SteinbergElement:
 def _canonical_terms(graph, ring, raw_terms, den):
     """The normal form of raw terms, (flat pair -> int, reduced den).  Raw
     terms are (PathPair, ring value) pairs, or, with den, (flat pair, int)
-    pairs whose ints are normalized values of ``ring.int_ring()`` over den."""
+    pairs, each flat pair at most once, whose ints are normalized values of
+    ``ring.int_ring()`` over den."""
     if not raw_terms:
         return {}, 1
-    if den is None:
-        raw_terms, den = ring.as_ints([(_flat(p), c) for p, c in raw_terms])
     walk = ring.int_ring()
-    merged = {}
-    for t, c in raw_terms:
-        acc = merged.get(t)
-        merged[t] = c if acc is None else walk.add(acc, c)
+    if den is None:
+        flat_terms, den = ring.as_ints([(_flat(p), c) for p, c in raw_terms])
+        raw_terms = _merge(walk, flat_terms).items()
     # A chain is the pairs with one top (both legs with the common tail cut
     # off), each filed by its tail: two pairs meet only when they share a
     # top and one tail is a prefix of the other.  The range vertex tells
-    # apart tops whose legs are both vertices.
+    # apart tops whose legs are both vertices.  Most chains have one
+    # member, so a chain's first member is filed as (tail, pair, int), and
+    # the chain becomes a dict by tail when a second member arrives.
     chains = {}
-    for t, c in merged.items():
+    for t, c in raw_terms:
         if not c:
             continue
         mu, nu = t[0], t[1]
-        k, n = 0, min(len(mu), len(nu))
-        while k < n and mu[-1 - k] == nu[-1 - k]:
-            k += 1
-        top = (mu[:len(mu) - k], nu[:len(nu) - k], t[3])
-        chains.setdefault(top, {})[mu[len(mu) - k:]] = (t, c)
+        if mu and nu and mu[-1] == nu[-1]:
+            k, n = 1, min(len(mu), len(nu))
+            while k < n and mu[-1 - k] == nu[-1 - k]:
+                k += 1
+            top = (mu[:-k], nu[:-k], t[3])
+            tail = mu[-k:]
+        else:
+            top, tail = (mu, nu, t[3]), ()
+        members = chains.get(top)
+        if members is None:
+            chains[top] = (tail, t, c)
+        elif members.__class__ is tuple:
+            chains[top] = {members[0]: members[1:], tail: (t, c)}
+        else:
+            members[tail] = (t, c)
     out = {}
     for top, members in chains.items():
-        if len(members) == 1:
-            [(t, c)] = members.values()
-            out[_minimal(graph, t)] = c
+        if members.__class__ is tuple:
+            # A lone pair with no common tail is already its minimal pair.
+            tail, t, c = members
+            out[_minimal(graph, t) if tail else t] = c
         else:
             _walk_chain(graph, walk, top, members, out)
     # den > 1 only over q, where the ints are numerators: dividing them and
@@ -148,6 +159,16 @@ def _canonical_terms(graph, ring, raw_terms, den):
         out = {t: c // common for t, c in out.items()}
         den //= common
     return out, den
+
+
+def _merge(walk, terms):
+    """The (flat pair, int) terms as a dict in first-seen order, the ints
+    of equal pairs summed in the ring walk."""
+    merged = {}
+    for t, c in terms:
+        acc = merged.get(t)
+        merged[t] = c if acc is None else walk.add(acc, c)
+    return merged
 
 
 _MIXED = object()       # the value of a node whose fan carries several
@@ -274,7 +295,7 @@ def add(f, g) -> SteinbergElement:
     den = lcm(f.den, g.den)
     raw = [(t, c * (den // f.den)) for t, c in f.flat.items()]
     raw += [(t, d * (den // g.den)) for t, d in g.flat.items()]
-    return SteinbergElement(f.graph, f.ring, raw, den)
+    return SteinbergElement(f.graph, f.ring, _merge(f.ring.int_ring(), raw).items(), den)
 
 
 def negate(f) -> SteinbergElement:
@@ -296,11 +317,13 @@ def convolve(f, g) -> SteinbergElement:
     On basic bisections convolution is composition of the underlying sets,
     so the product distributes over the term pairs that compose.  When both
     factors have several terms, the terms of g are indexed by range leg
-    once and each distinct source leg of f looks up its partners once, so
-    only the pairs that meet are composed; with a single term on either
-    side no lookup would share the index's cost, and every pair is tried.
+    once, and each distinct source leg of f gets one plan, which lists the
+    terms of g it composes with and the parts of each composite: a
+    composite is then one concatenation and one tuple, with no prefix
+    compared again.  With a single term on either side no plan would share
+    the index's cost, and every pair is tried with the composition rule.
     Either way the composites come in the order of the double loop over f's
-    and g's terms.  They are composed and merged as the stored flat pairs,
+    and g's terms.  They are formed and merged as the stored flat pairs,
     and no PathPair is built.  A zero factor is itself the product.
 
     Coefficients are the stored ints: each composite's int is the plain sum
@@ -317,17 +340,23 @@ def convolve(f, g) -> SteinbergElement:
         return f
     if not g.flat:
         return g
-    right = list(g.flat.items())
-    index = None
-    if len(f.flat) > 1 and len(right) > 1:
-        index = _RangeLegIndex(list(g.flat))
     merged = {}
-    for t, c in f.flat.items():
-        for j in index.partners(t) if index is not None else range(len(right)):
-            q, d = right[j]
-            composed = _compose(t, q)
-            if composed is not None:
-                merged[composed] = merged.get(composed, 0) + c * d
+    get = merged.get
+    if len(f.flat) > 1 and len(g.flat) > 1:
+        index = _RangeLegIndex(list(g.flat))
+        right = list(g.flat.values())
+        for t, c in f.flat.items():
+            mu, mu_range = t[0], t[3]
+            for j, suffix, leg, source, leg_range in index.plan(t):
+                composed = (mu + suffix, leg, source, mu_range, leg_range)
+                merged[composed] = get(composed, 0) + c * right[j]
+    else:
+        right = g.flat.items()
+        for t, c in f.flat.items():
+            for q, d in right:
+                composed = _compose(t, q)
+                if composed is not None:
+                    merged[composed] = get(composed, 0) + c * d
     normal = f.ring.int_ring().from_int
     for t, c in merged.items():
         merged[t] = normal(c)

@@ -1,7 +1,8 @@
 """Shared fixtures: the named small graphs, the shipped rings, and the
 seeded corpora the randomized tests draw from; the brute-force canonical
 form the canonical-form tests compare against; the pair rules on Path
-objects that the flat pair kernel is compared against; probe membership
+objects that the flat pair kernel is compared against; the range leg index
+that records its trie walks and the composites of its plans; probe membership
 and probe windows, the set semantics the pair operations are compared
 against; the relaxation that least connectors are compared against; and
 the element-level surjectivity witness that the pair-level one is compared
@@ -17,6 +18,7 @@ from steinalg import (Corner, Graph, GroupoidProbe, IntegerRing, IntegersMod,
                       linking_convolve, load_graph, pairs_to_depth,
                       strip_prefix, vertex_path)
 from steinalg import sampling
+from steinalg.cylinder import _RangeLegIndex
 
 LOOP_TEXT = "vertices: v\nedge: e v <- v\n"
 TWO_CYCLE_TEXT = "vertices: v, w\nedge: e1 v <- w\nedge: e2 w <- v\n"
@@ -99,6 +101,46 @@ def reference_minimal_pair(p):
     if not k:
         return p
     return PathPair(p.mu.prefix(len(mu) - k), p.nu.prefix(len(nu) - k))
+
+
+def plan_composites(p, plan):
+    """The composites of the flat pair p that the entries of
+    ``_RangeLegIndex.plan(p)`` stand for, in plan order."""
+    return [(p[0] + suffix, leg, source, p[3], leg_range)
+            for _, suffix, leg, source, leg_range in plan]
+
+
+class _CountedRoots(dict):
+    """A trie's roots that log the lookup each walk starts with."""
+
+    def __init__(self, roots, walks):
+        super().__init__(roots)
+        self.walks = walks
+
+    def get(self, key, default=None):
+        self.walks.append(key)
+        return super().get(key, default)
+
+
+def recording_range_leg_index(walks, composites):
+    """A ``_RangeLegIndex`` class to put in place of the real one: every
+    trie walk of an instance appends its range vertex to walks, and each
+    instance appends to composites one list, which collects the composites
+    of every plan the instance hands out."""
+
+    class RecordingRangeLegIndex(_RangeLegIndex):
+        def __init__(self, pairs):
+            super().__init__(pairs)
+            self._roots = _CountedRoots(self._roots, walks)
+            self.formed = []
+            composites.append(self.formed)
+
+        def plan(self, p):
+            entries = super().plan(p)
+            self.formed += plan_composites(p, entries)
+            return entries
+
+    return RecordingRangeLegIndex
 
 
 def member(b, probe):

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import importlib
 import sys
+from collections import Counter
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -26,7 +27,7 @@ from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _legs_depth, _transport)
 from steinalg.cylinder import _build, _compose, _flat, _minimal
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line,
-                            probe_window)
+                            probe_window, recording_range_leg_index)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -571,9 +572,11 @@ def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
 
 def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
                                                                  monkeypatch):
-    """Step (d) calls the flat composition rule once per combination that
-    composes on each side, and on no combination that composes on
-    neither."""
+    """Step (d) forms its composites from one plan per distinct source leg
+    on each side: the flat composition rule is never called, each side's
+    trie is walked once per distinct source leg, and the composites formed
+    on each side are, with multiplicity, those the rule gives on the
+    combinations that compose there."""
     cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
     F = cert.collapsed
     minimal = [minimal_pair(a) for a in pairs_to_depth(F, _legs_depth(F, 5))]
@@ -581,19 +584,31 @@ def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
     composing = sum(1 for side in (minimal, images) for p in side for q in side
                     if compose_pairs(p, q) is not None)
     assert 0 < composing < 2 * len(minimal) ** 2
-    calls = []
+    sides = [[_flat(p) for p in side] for side in (minimal, images)]
+    calls, walks, formed = [], [], []
     module = importlib.import_module("steinalg.collapse")
-    compose = module._compose
+    kernel = importlib.import_module("steinalg.cylinder")
+    compose = kernel._compose
 
     def counting_compose(p, q):
         calls.append(1)
         return compose(p, q)
 
-    monkeypatch.setattr(module, "_compose", counting_compose)
+    monkeypatch.setattr(kernel, "_compose", counting_compose)
+    monkeypatch.setattr(module, "_compose", counting_compose, raising=False)
+    monkeypatch.setattr(module, "_RangeLegIndex",
+                        recording_range_leg_index(walks, formed))
     rep = pointed_groupoid_iso_check(cert, 5)
     assert rep.ok
     assert rep.value("multiplicative", "pairs") == str(len(minimal))
-    assert len(calls) == composing
+    assert calls == []
+    assert len(walks) == sum(len({(t[1], t[4]) for t in side}) for side in sides)
+    assert len(formed) == 2
+    for got, side in zip(formed, sides):
+        want = Counter(compose(p, q) for p in side for q in side)
+        del want[None]
+        assert Counter(got) == want
+    assert sum(len(got) for got in formed) == composing
 
 
 def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,

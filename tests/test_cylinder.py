@@ -19,11 +19,12 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       enumerate_paths, expand, indicator, invert_pair,
                       minimal_pair, pair_contains, pairs_to_depth,
                       strip_prefix, vertex_path)
-from steinalg import Graph, load_graph, sampling
-from steinalg.cylinder import _flat, _minimal
-from tests.conftest import (common_depth_terms, long_line, member, probes_in,
-                            reference_compose_pairs, reference_minimal_pair,
-                            sweep_graph)
+from steinalg import Graph, collapse, load_graph, sampling
+from steinalg.collapse import _transport
+from steinalg.cylinder import _compose, _flat, _minimal, _RangeLegIndex
+from tests.conftest import (common_depth_terms, long_line, member,
+                            plan_composites, probes_in, reference_compose_pairs,
+                            reference_minimal_pair, sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -303,6 +304,37 @@ def test_pair_rules_match_the_path_level_references(seed):
     composed = [compose_pairs(p, q) for p in pairs for q in pairs]
     assert composed == [reference_compose_pairs(p, q) for p in pairs for q in pairs]
     assert None in composed
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_plans_form_the_composites_of_the_composition_rule(seed):
+    """For every pair p of a window, the composites formed from the range
+    leg index's plan for p are the composition rule's on the partners of p,
+    in order, and the partners are exactly the pairs that compose with p.
+    The windows: a sweep graph's pairs (vertex legs, the source s) and
+    their minimal pairs, and when the sweep graph collapses, the collapsed
+    graph's minimal pairs and their images, as step (d) of the iso check
+    indexes them."""
+    rng = sampling.rng_from_seed(seed)
+    g = sweep_graph(rng)
+    window = [_flat(p) for p in pairs_to_depth(g, 2, limit=120)]
+    windows = [window, [_minimal(g, t) for t in window]]
+    spec = sampling.random_collapse_spec(rng, g)
+    if spec is not None:
+        cert = collapse(spec)
+        F = cert.collapsed
+        transport = _transport(cert.edge_paths)
+        minimal = [_minimal(F, _flat(a)) for a in pairs_to_depth(F, 2, limit=120)]
+        windows += [minimal, [_minimal(g, transport(m)) for m in minimal]]
+    for pairs in windows:
+        index = _RangeLegIndex(pairs)
+        for p in pairs:
+            partners = index.partners(p)
+            assert plan_composites(p, index.plan(p)) == [_compose(p, pairs[j])
+                                                         for j in partners]
+            assert partners == [j for j, q in enumerate(pairs)
+                                if _compose(p, q) is not None]
 
 
 def test_expand_partitions(rose2, line_graph):

@@ -19,7 +19,8 @@ from steinalg import (BasicBisection, Graph, GroupoidProbe, InputError,
                       ring_from_spec, scale, vertex_path, zero)
 from steinalg import cylinder, sampling, steinberg
 from steinalg.cylinder import _flat, _RangeLegIndex
-from tests.conftest import TWO_CYCLE_TEXT, common_depth_terms, sweep_graph
+from tests.conftest import (OUTSPLIT_TEXT, TWO_CYCLE_TEXT, common_depth_terms,
+                            recording_range_leg_index, sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
@@ -173,6 +174,64 @@ def test_canonical_terms_match_the_common_depth_oracle(seed):
             == {p: ring.render(c) for p, c in want.items()})
     b = sampling.random_bisection(rng, g, max_excluded=3)
     assert indicator(b, ring).terms == common_depth_terms(g, ring, indicator_terms(b, ring))
+
+
+def rendered_terms(f):
+    return ["%s %s" % (p.render(), c) for p, c in f.terms.items()]
+
+
+@pytest.mark.parametrize("order,want", [
+    ((0, 1, 2), ["Z(a.a,b.a) 3", "Z(a.b,b.b) 1", "Z(b,a) 5"]),
+    ((2, 1, 0), ["Z(a.a,b.a) 3", "Z(a.b,b.b) 1", "Z(b,a) 5"]),
+])
+def test_two_member_chain_grows_from_a_lone_member(rose2, zring, order, want):
+    """Z(a,b), whose last edges differ, is filed alone first; Z(a.a,b.a)
+    extends it along the tail a and joins its chain, and Z(b,a) heads a
+    chain of its own.  Chains come out in the order their first members
+    arrive, with the terms of the parent's canonical form."""
+    raw = [(PathPair(Path(rose2, ("a",)), Path(rose2, ("b",))), 1),
+           (PathPair(Path(rose2, ("b",)), Path(rose2, ("a",))), 5),
+           (PathPair(Path(rose2, ("a", "a")), Path(rose2, ("b", "a"))), 2)]
+    raw = [raw[i] for i in order]
+    f = from_terms(rose2, zring, raw)
+    assert rendered_terms(f) == want
+    assert f.terms == common_depth_terms(rose2, zring, raw)
+
+
+@pytest.mark.parametrize("order,want", [
+    ((0, 1, 2), ["Z(a.b.a,b.b.a) 1", "Z(a.b.b,b.b.b) 3",
+                 "Z(a.a.a,b.a.a) 5", "Z(a.a.b,b.a.b) 1"]),
+    ((0, 2, 1), ["Z(a.a.a,b.a.a) 5", "Z(a.a.b,b.a.b) 1",
+                 "Z(a.b.a,b.b.a) 1", "Z(a.b.b,b.b.b) 3"]),
+])
+def test_chain_keeps_its_members_in_arrival_order(rose2, zring, order, want):
+    """The order of a chain's pieces follows the order its members arrive
+    in, the first one filed alone included: the parent's output order."""
+    def pair(mu, nu):
+        return PathPair(Path(rose2, tuple(mu)), Path(rose2, tuple(nu)))
+
+    raw = [(pair("a", "b"), 1), (pair("aaa", "baa"), 4), (pair("abb", "bbb"), 2)]
+    raw = [raw[i] for i in order]
+    f = from_terms(rose2, zring, raw)
+    assert rendered_terms(f) == want
+    assert f.terms == common_depth_terms(rose2, zring, raw)
+
+
+def test_lone_member_keeps_a_tail_of_shared_edges(rose2, zring):
+    """A lone pair whose common tail runs through edges that share their
+    range vertex is not stripped: Z(a.b.a,b.a) on the rose is itself.  On
+    a graph where c is the only edge into w, the tail d.c of Z(a.d.c,d.c)
+    loses c but keeps d, which shares v with a and b."""
+    p = PathPair(Path(rose2, ("a", "b", "a")), Path(rose2, ("b", "a")))
+    f = from_terms(rose2, zring, [(p, 3)])
+    assert rendered_terms(f) == ["Z(a.b.a,b.a) 3"]
+    assert f.terms == common_depth_terms(rose2, zring, [(p, 3)])
+    g = load_graph("vertices: v, w\nedge: a v <- v\nedge: b v <- v\n"
+                   "edge: d v <- w\nedge: c w <- v\n")
+    p = PathPair(Path(g, ("a", "d", "c")), Path(g, ("d", "c")))
+    f = from_terms(g, zring, [(p, 3)])
+    assert rendered_terms(f) == ["Z(a.d,d) 3"]
+    assert f.terms == common_depth_terms(g, zring, [(p, 3)])
 
 
 @pytest.mark.parametrize("letters,gap", [("ab", 64), ("abc", 40),
@@ -482,12 +541,16 @@ def rose4_dense_factors(ring):
 
 
 def test_convolve_composes_only_the_pairs_that_meet(zring, monkeypatch):
-    """On a rose4 depth-2 dense product, the flat composition rule runs
-    once per composite, not once per term pair."""
+    """On a rose4 depth-2 dense product, the composites come from one plan
+    per distinct source leg of f: the flat composition rule is never
+    called, the trie is walked once per distinct source leg, and the
+    composites formed are, with multiplicity, those the rule gives on the
+    term pairs that compose."""
     f, h = rose4_dense_factors(zring)
-    composites = sum(len(composable(p, list(h.terms))) for p in f.terms)
-    assert 0 < composites < len(f.terms) * len(h.terms)
-    calls = []
+    composites = Counter(steinberg._compose(t, q) for t in f.flat for q in h.flat)
+    del composites[None]
+    assert 0 < composites.total() < len(f.flat) * len(h.flat)
+    calls, walks, formed = [], [], []
     compose = steinberg._compose
 
     def counting_compose(p, q):
@@ -495,8 +558,13 @@ def test_convolve_composes_only_the_pairs_that_meet(zring, monkeypatch):
         return compose(p, q)
 
     monkeypatch.setattr(steinberg, "_compose", counting_compose)
+    monkeypatch.setattr(steinberg, "_RangeLegIndex",
+                        recording_range_leg_index(walks, formed))
     convolve(f, h)
-    assert len(calls) == composites
+    assert calls == []
+    assert len(walks) == len({(t[1], t[4]) for t in f.flat})
+    [formed] = formed
+    assert Counter(formed) == composites
 
 
 def test_convolve_builds_one_pair_per_output_term(zring, monkeypatch):
@@ -611,9 +679,11 @@ def test_int_kernel_matches_the_double_loop(seed):
         assert common_depth_terms(r, ring, double_loop_raw_terms(x, y)) == product.terms
 
 
-# sha256 of terms_digest(f, h, convolve(f, h)) for dense_window_factors,
-# taken when elements still stored PathPair -> ring value: term maps, term
-# order and coefficient types must not move with the stored form.
+# sha256 of terms_digest(f, h, convolve(f, h)) for dense_window_factors:
+# term maps, term order and coefficient types must not move with the stored
+# form or the composition mechanism.  The rose3 and two-cycle digests were
+# taken when elements still stored PathPair -> ring value, the rose4 and
+# outsplit ones when convolve still composed each term pair with _compose.
 DENSE_TERMS_DIGESTS = {
     ("rose3", "z"):
         "f779661e6a4f2a1e2a8a9f777eddc2c36d2d7ee57ba1cf0ca62a6c719ec56a3c",
@@ -627,6 +697,18 @@ DENSE_TERMS_DIGESTS = {
         "b2c3ea255b930e632fa48715743abf27a02df03f1798736ca0be380c57e5a71f",
     ("two_cycle", "zmod:4"):
         "7b381df8cf9b59e4a89724d6370afc9608e3c15c6673cddf503a02a1b6f6c1e3",
+    ("rose4", "z"):
+        "9629ead4ff6b2af1c14457c09b0cbc4ab6121f4643945bc030d986b5570b5429",
+    ("rose4", "q"):
+        "2c20067c35972d19734b421a2a5f5c678dc10c0bb9b57f4cd480adc0224c819e",
+    ("rose4", "zmod:4"):
+        "dc8bdf6a3389d1a5e7a1ce36874d358534d0e2821050c6418afd02a8b6b3310b",
+    ("outsplit", "z"):
+        "db2eb1a9f76eee759b0a9d27c764324d88edf0b68163233c90c3eab41bd19270",
+    ("outsplit", "q"):
+        "318063227c3196d27580170ca8c799548a741f8420ec0fd0ef515cc168dbb1b9",
+    ("outsplit", "zmod:4"):
+        "b16c250eb90676cce3c9a41d081ad77427a020504f711d176edf0e5ae32a4297",
 }
 
 
@@ -641,11 +723,21 @@ def terms_digest(*elements):
     return h.hexdigest()
 
 
+DENSE_WINDOWS = {
+    "rose3": (lambda: rose("abc"), 2),
+    "two_cycle": (lambda: load_graph(TWO_CYCLE_TEXT), 3),
+    "rose4": (lambda: rose("abcd"), 2),
+    "outsplit": (lambda: load_graph(OUTSPLIT_TEXT), 3),
+}
+
+
 def dense_window_factors(graph, spec):
-    """Two dense elements on the rose3 depth-2 or the two-cycle depth-3
-    window; over q the coefficients are fractions, some over the big
-    coprime denominators."""
-    g, depth = {"rose3": (rose("abc"), 2), "two_cycle": (load_graph(TWO_CYCLE_TEXT), 3)}[graph]
+    """Two dense elements on one of the dense-mul workload's windows (rose3
+    and rose4 at depth 2, the two-cycle and the outsplit graph at depth 3);
+    over q the coefficients are fractions, some over the big coprime
+    denominators."""
+    build, depth = DENSE_WINDOWS[graph]
+    g = build()
     ring = ring_from_spec(spec)
     rng = sampling.rng_from_seed(12)
     return tuple(from_terms(g, ring, [(p, mixed_coefficient(rng, ring))
@@ -654,7 +746,7 @@ def dense_window_factors(graph, spec):
 
 
 @pytest.mark.parametrize("spec", ["z", "q", "zmod:4"])
-@pytest.mark.parametrize("graph", ["rose3", "two_cycle"])
+@pytest.mark.parametrize("graph", ["rose3", "two_cycle", "rose4", "outsplit"])
 def test_dense_products_keep_their_terms(graph, spec):
     f, h = dense_window_factors(graph, spec)
     assert terms_digest(f, h, convolve(f, h)) == DENSE_TERMS_DIGESTS[graph, spec]
