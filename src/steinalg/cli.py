@@ -12,6 +12,7 @@ or a ValueError that is not rejected input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .collapse import CollapseSpec, check_phi_fin_image, collapse, \
@@ -85,6 +86,14 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("morita-check", help="run the full context pipeline")
     common(sp, t0=True, ring=True, depth=True, seed=True)
     return parser
+
+
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every ``main`` call in this process, built on first
+    use: parsing keeps no state in it, since each call reads its flags into
+    a fresh namespace and a usage error leaves by an exception."""
+    return build_parser()
 
 
 # -- subcommands ------------------------------------------------------------
@@ -186,7 +195,7 @@ _COMMANDS = {"validate": cmd_validate, "mul": cmd_mul, "grade": cmd_grade,
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

@@ -34,48 +34,95 @@ class GraphFormatError(InputError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     range_vertex: str
     source_vertex: str
 
 
+_new_edge = object.__new__
+_set_id = Edge.id.__set__
+_set_range = Edge.range_vertex.__set__
+_set_source = Edge.source_vertex.__set__
+
+
+def _edge(eid, range_vertex, source_vertex) -> Edge:
+    """An edge built without the frozen dataclass's ``__init__``, which sets
+    each field through ``object.__setattr__``; nothing is checked."""
+    e = _new_edge(Edge)
+    _set_id(e, eid)
+    _set_range(e, range_vertex)
+    _set_source(e, source_vertex)
+    return e
+
+
+def _edge_of_triple(t) -> Edge:
+    """The edge of an (id, range, source) triple given to ``Graph``."""
+    # A str would unpack as its characters.
+    if not isinstance(t, str):
+        try:
+            return Edge(*t)
+        except TypeError:
+            pass
+    raise GraphFormatError("edge %r must be an Edge or an (id, range, "
+                           "source) triple" % (t,))
+
+
+def _is_id(x):
+    """True for a nonempty string without whitespace: split() leaves such
+    a string whole, and splits or drops any other."""
+    return isinstance(x, str) and x.split() == [x]
+
+
 class Graph:
-    """A finite directed graph with ordered vertices and edges."""
+    """A finite directed graph with ordered vertices and edges.
+
+    Vertex and edge ids are nonempty strings without whitespace.  Edges are
+    ``Edge`` objects or (id, range, source) triples.  The constructor reads
+    each edge once: it checks the id, that the id is new and that both
+    endpoints are declared, then files the edge by its endpoints.
+    """
 
     def __init__(self, vertices, edges):
+        # A str would iterate as its characters, each taken for a vertex.
+        if isinstance(vertices, str):
+            raise GraphFormatError("vertex list %r must be a collection of "
+                                   "vertex ids, not one string" % (vertices,))
         self.vertices = tuple(vertices)
-        seen = set()
+        index = {}
         for v in self.vertices:
-            if not v or any(c.isspace() for c in v):
+            if not _is_id(v):
                 raise GraphFormatError("bad vertex id %r" % (v,))
-            if v in seen:
+            if v in index:
                 raise GraphFormatError("duplicate vertex id %r" % (v,))
-            seen.add(v)
-        built = []
-        by_id = {}
-        for e in edges:
-            e = e if isinstance(e, Edge) else Edge(*e)
-            if not e.id or any(c.isspace() for c in e.id):
-                raise GraphFormatError("bad edge id %r" % (e.id,))
-            if e.id in by_id:
-                raise GraphFormatError("duplicate edge id %r" % (e.id,))
-            for endpoint in (e.range_vertex, e.source_vertex):
-                if endpoint not in seen:
-                    raise GraphFormatError(
-                        "edge %r uses undeclared vertex %r" % (e.id, endpoint))
-            by_id[e.id] = e
-            built.append(e)
-        self.edges = tuple(built)
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._edge_index = {e.id: i for i, e in enumerate(self.edges)}
-        self._by_id = by_id
+            index[v] = len(index)
         into = {v: [] for v in self.vertices}
         outof = {v: [] for v in self.vertices}
-        for e in self.edges:
-            into[e.range_vertex].append(e)
-            outof[e.source_vertex].append(e)
+        by_id = {}
+        for e in edges:
+            if not isinstance(e, Edge):
+                e = _edge_of_triple(e)
+            eid, rv, sv = e.id, e.range_vertex, e.source_vertex
+            if not _is_id(eid):
+                raise GraphFormatError("bad edge id %r" % (eid,))
+            if eid in by_id:
+                raise GraphFormatError("duplicate edge id %r" % (eid,))
+            # Declared vertices are strings, and only those are looked up,
+            # so an unhashable endpoint is reported like any other.
+            received = into.get(rv) if isinstance(rv, str) else None
+            if received is None:
+                raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, rv))
+            sent = outof.get(sv) if isinstance(sv, str) else None
+            if sent is None:
+                raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, sv))
+            by_id[eid] = e
+            received.append(e)
+            sent.append(e)
+        self.edges = tuple(by_id.values())
+        self._vertex_index = index
+        self._edge_index = {eid: i for i, eid in enumerate(by_id)}
+        self._by_id = by_id
         self._edges_with_range = {v: tuple(es) for v, es in into.items()}
         self._edges_with_source = {v: tuple(es) for v, es in outof.items()}
         # Edge id -> range vertex, for each edge that is the only edge into
@@ -299,9 +346,8 @@ def load_graph(text: str) -> Graph:
     Parsing checks the syntax of each line; ``Graph`` checks the ids, and
     its errors are tagged with the line of the edge it was reading.
     """
-    lines = ((n, raw.split("#", 1)[0].strip())
-             for n, raw in enumerate(text.splitlines(), start=1))
-    lines = ((n, line) for n, line in lines if line)
+    lines = ((n, line) for n, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.partition("#")[0].strip()))
     lineno, line = next(lines, (None, None))
     if line is None:
         raise GraphFormatError("missing 'vertices:' declaration")
@@ -319,8 +365,7 @@ def load_graph(text: str) -> Graph:
             if len(fields) != 4 or fields[2] != "<-":
                 raise GraphFormatError(
                     "edge syntax is 'edge: <id> <range> <- <source>'", lineno)
-            eid, rng, _, src = fields
-            yield Edge(eid, rng, src)
+            yield _edge(fields[0], fields[1], fields[3])
 
     try:
         return Graph(vertices, edges())

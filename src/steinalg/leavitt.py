@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .cylinder import PathPair, as_bisection
+from .cylinder import _build, _compose, _invert, as_bisection
 from .errors import InputError
-from .graph import Path, concat, vertex_path
+from .graph import concat
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, indicator, negate, scale, zero
 
@@ -151,9 +151,11 @@ def _tokenize(text):
         elif c in "*+-()":
             tokens.append(c)
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
+            # isdecimal accepts exactly the digits int() reads; isdigit
+            # also accepts superscripts such as '\u00b2', which int() rejects.
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(int(text[i:j]))
             i = j
@@ -267,32 +269,37 @@ def parse_word(text):
 # -- generators and evaluation ---------------------------------------------
 
 
-def generator(graph, symbol, ring) -> SteinbergElement:
-    """The algebra element of a single generator symbol.
+def _symbol_pair(graph, symbol):
+    """The flat pair (see ``cylinder``) of a generator symbol's set.
 
-    p(v) is the indicator of the unit set at v; s(e) moves along e, so its
-    set pairs the edge with its source vertex, and st(e) is the inverse set.
+    p(v) is the unit set at v; s(e) moves along e, so its set pairs the
+    edge with its source vertex, and st(e) is the inverse set.  An unknown
+    vertex or edge is an InputError.
     """
+    kind, name = symbol.kind, symbol.name
+    if kind == "p":
+        if not graph.has_vertex(name):
+            raise InputError("unknown vertex %r" % (name,))
+        return ((), (), name, name, name)
+    if kind in ("s", "st"):
+        try:
+            e = graph.edge(name)
+        except KeyError:
+            raise InputError("unknown edge %r" % (name,)) from None
+        t = ((e.id,), (), e.source_vertex, e.range_vertex, e.source_vertex)
+        return t if kind == "s" else _invert(t)
+    raise InputError("unknown symbol kind %r" % (kind,))
+
+
+def generator(graph, symbol, ring) -> SteinbergElement:
+    """The algebra element of a single generator symbol: the indicator of
+    its set (see ``_symbol_pair``)."""
     if isinstance(symbol, str):
         parsed = parse_word(symbol)
         if not isinstance(parsed, SymbolWord):
             raise InputError("%r is not a single generator symbol" % (symbol,))
         symbol = parsed
-    if symbol.kind == "p":
-        if not graph.has_vertex(symbol.name):
-            raise InputError("unknown vertex %r" % (symbol.name,))
-        v = vertex_path(graph, symbol.name)
-        return indicator(PathPair(v, v), ring)
-    if symbol.kind in ("s", "st"):
-        try:
-            e = graph.edge(symbol.name)
-        except KeyError:
-            raise InputError("unknown edge %r" % (symbol.name,)) from None
-        edge = Path(graph, (e.id,))
-        src = vertex_path(graph, e.source_vertex)
-        pair = PathPair(edge, src) if symbol.kind == "s" else PathPair(src, edge)
-        return indicator(pair, ring)
-    raise InputError("unknown symbol kind %r" % (symbol.kind,))
+    return indicator(_build(graph, _symbol_pair(graph, symbol)), ring)
 
 
 def _strip_negations(word):
@@ -329,8 +336,26 @@ def _scalar_value(word):
     return -total if odd else total
 
 
+def _run_element(graph, ring, t) -> SteinbergElement:
+    """The indicator of the flat pair t: one term, coefficient one."""
+    return SteinbergElement(graph, ring, [(t, ring.int_ring().one())], 1)
+
+
 def eval_word(graph, word, ring) -> SteinbergElement:
-    """Evaluate a word (or word text) to an algebra element."""
+    """Evaluate a word (or word text) to an algebra element.
+
+    A run of generator symbols in a product is composed as flat pairs, and
+    its element is built once, as the indicator of the composite with
+    coefficient ``ring.one()``; a run with no composite makes the product
+    zero.  This is exact: the product of the indicators of two basic sets
+    is the indicator of their product set, a single pair or empty
+    (``cylinder.compose_pairs``), the canonical form of one indicator is
+    its minimal pair, and one is not zero in any ring here, since zmod
+    needs a modulus of at least 2.  Negations and scalar factors are
+    folded into one integer scalar.  Symbols are still checked left to
+    right, after a run vanishes too, so the first unknown vertex or edge
+    raises as it would in a left fold of generators and convolutions.
+    """
     if isinstance(word, str):
         word = parse_word(word)
     if _scalar_value(word) is not None:
@@ -339,21 +364,42 @@ def eval_word(graph, word, ring) -> SteinbergElement:
         raise InputError("a bare scalar is not an algebra element; multiply it by a symbol")
     word, odd = _strip_negations(word)
     if isinstance(word, SymbolWord):
-        element = generator(graph, word, ring)
+        element = _run_element(graph, ring, _symbol_pair(graph, word))
     elif isinstance(word, SumWord):
         element = zero(graph, ring)
         for t in word.terms:
             element = add(element, eval_word(graph, t, ring))
     elif isinstance(word, ProductWord):
         scalar = 1
-        element = None
+        parts = []          # the elements of the factors and of closed runs
+        run = None          # the composite of the open run of symbols
+        vanished = False
         for f in word.factors:
             v = _scalar_value(f)
             if v is not None:
                 scalar *= v
                 continue
-            part = eval_word(graph, f, ring)
-            element = part if element is None else convolve(element, part)
+            f, negated = _strip_negations(f)
+            if negated:
+                scalar = -scalar
+            if isinstance(f, SymbolWord):
+                t = _symbol_pair(graph, f)
+                if not vanished:
+                    run = t if run is None else _compose(run, t)
+                    vanished = run is None
+                continue
+            if run is not None:
+                parts.append(_run_element(graph, ring, run))
+                run = None
+            parts.append(eval_word(graph, f, ring))
+        if vanished:
+            element = zero(graph, ring)
+        else:
+            if run is not None:
+                parts.append(_run_element(graph, ring, run))
+            element = parts[0]
+            for part in parts[1:]:
+                element = convolve(element, part)
         if scalar != 1:
             element = scale(ring.from_int(scalar), element)
     else:

@@ -4,21 +4,25 @@ form the canonical-form tests compare against; the pair rules on Path
 objects that the flat pair kernel is compared against; the range leg index
 that records its trie walks and the composites of its plans; probe membership
 and probe windows, the set semantics the pair operations are compared
-against; the relaxation that least connectors are compared against; and
-the element-level surjectivity witness that the pair-level one is compared
-against."""
+against; the relaxation that least connectors are compared against; the
+element-level surjectivity witness that the pair-level one is compared
+against; and the element-level word evaluator that the run rule of
+``eval_word`` is compared against."""
 
 import pytest
 
-from steinalg import (Corner, Graph, GroupoidProbe, IntegerRing, IntegersMod,
-                      LinkingElement, MoritaWitness, Path, PathPair,
-                      RationalRing, Report, as_bisection, boundary_tails,
-                      compose_pairs, concat, convolve, corner_of, embed,
-                      expand, indicator, invert_pair, is_prefix,
-                      linking_convolve, load_graph, pairs_to_depth,
-                      strip_prefix, vertex_path)
+from steinalg import (Corner, Graph, GroupoidProbe, InputError, IntegerRing,
+                      IntegersMod, LinkingElement, MoritaWitness, Path,
+                      PathPair, RationalRing, Report, add, as_bisection,
+                      boundary_tails, compose_pairs, concat, convolve,
+                      corner_of, embed, expand, generator, indicator,
+                      invert_pair, is_prefix, linking_convolve, load_graph,
+                      negate, pairs_to_depth, parse_word, scale, strip_prefix,
+                      vertex_path, zero)
 from steinalg import sampling
 from steinalg.cylinder import _RangeLegIndex
+from steinalg.leavitt import (ProductWord, SumWord, SymbolWord, _scalar_value,
+                              _strip_negations)
 
 LOOP_TEXT = "vertices: v\nedge: e v <- v\n"
 TWO_CYCLE_TEXT = "vertices: v, w\nedge: e1 v <- w\nedge: e2 w <- v\n"
@@ -255,6 +259,39 @@ def element_level_surjectivity_witness(transversal, ring, pair, side):
     want = embed(transversal, target, Corner.GG if side == "psi" else Corner.HH)
     rep.check("verification", "matrix-reconstructs", prod == want)
     return MoritaWitness(side, pair, ((v, n),), rep)
+
+
+def element_level_eval_word(graph, word, ring):
+    """``eval_word`` as a left fold of generators and convolutions: every
+    symbol is its generator's element, every factor is convolved onto the
+    product so far, and scalar factors scale the product at the end.  The
+    oracle for the run rule, which composes runs of symbols as pairs."""
+    if isinstance(word, str):
+        word = parse_word(word)
+    if _scalar_value(word) is not None:
+        raise InputError("a bare scalar is not an algebra element; multiply it by a symbol")
+    word, odd = _strip_negations(word)
+    if isinstance(word, SymbolWord):
+        element = generator(graph, word, ring)
+    elif isinstance(word, SumWord):
+        element = zero(graph, ring)
+        for t in word.terms:
+            element = add(element, element_level_eval_word(graph, t, ring))
+    elif isinstance(word, ProductWord):
+        scalar = 1
+        element = None
+        for f in word.factors:
+            v = _scalar_value(f)
+            if v is not None:
+                scalar *= v
+                continue
+            part = element_level_eval_word(graph, f, ring)
+            element = part if element is None else convolve(element, part)
+        if scalar != 1:
+            element = scale(ring.from_int(scalar), element)
+    else:
+        raise TypeError("not a word: %r" % (word,))
+    return negate(element) if odd else element
 
 
 def sweep_graph(rng):

@@ -178,6 +178,18 @@ def test_bad_word(graph_file, capsys):
     assert code == 2
 
 
+def test_superscript_scalar_is_an_input_error(graph_file, capsys):
+    """int() reads no superscript digit, so the word is a syntax error
+    (exit 2), not an internal one; an Arabic-Indic three reads as 3."""
+    path = graph_file(ROSE2_TEXT)
+    code, out, err = run(capsys, "grade", "--graph", path, "s(a) * \u00b2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    code, out, _ = run(capsys, "grade", "--graph", path, "\u0663 * s(a)")
+    assert code == 0
+    assert "\ncanonical: 3 * Z(a,v)\n" in out
+
+
 def test_grade_of_a_unit_plus_a_deep_pair(graph_file, capsys):
     """p(v) + s(a)^64 st(a)^64 on the 2-rose: 1 on each sibling branch
     a^i.b and 2 on Z(a^64, a^64), found without expanding p(v) 64 levels."""
@@ -317,6 +329,27 @@ def test_repeated_runs_are_byte_identical(graph_file, capsys):
     second = run(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_reused_parser_keeps_no_state(graph_file, capsys, monkeypatch):
+    """One parser serves every call in a process: a run mixing subcommands,
+    optional flags and a usage error prints, byte for byte, what a freshly
+    built parser per call prints."""
+    path = graph_file("vertices: v, x\nedge: e v <- x\nedge: f x <- v\n")
+    calls = [["validate", "--graph", path, "--t0", "x"],
+             ["validate", "--graph", path],
+             ["validate", "--t0", "x"],
+             ["morita-check", "--graph", path, "--t0", "x", "--depth", "2"],
+             ["validate", "--graph", path, "--format", "kv"]]
+    assert cli._shared_parser() is cli._shared_parser()
+    shared = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0]
+    assert "collapsed: x" in shared[0][1]
+    assert "== shape ==" not in shared[1][1]
+    assert "collapsed" not in shared[4][1]
 
 
 def test_console_entry_point(graph_file):

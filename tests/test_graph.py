@@ -185,3 +185,36 @@ def test_graph_constructor_mirrors_loader():
     assert g.edge("l").range_vertex == "x"
     with pytest.raises((GraphFormatError, ValueError)):
         Graph(["x"], [("l", "x", "y")])
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    ("vw", []),
+    (["v", "w"], ["eab"]),
+    ([1], []),
+    (["v"], [("e", "v")]),
+    (["v"], [3]),
+    (["v"], [(1, "v", "v")]),
+    (["v"], [("e", ["v"], "v")]),
+    (["v"], [("e", "v", None)]),
+    (["v", ""], []),
+    (["v w"], []),
+], ids=["vertex-string", "edge-string", "vertex-int", "edge-pair", "edge-int",
+        "edge-id-int", "unhashable-range", "none-source", "empty-vertex",
+        "spaced-vertex"])
+def test_graph_constructor_rejects_bad_input(vertices, edges):
+    """Strings are not read as lists of ids, and ids, edges and endpoints
+    of the wrong type are format errors rather than bare TypeErrors."""
+    with pytest.raises(GraphFormatError):
+        Graph(vertices, edges)
+
+
+def test_ids_reject_exactly_whitespace():
+    """An id is bad exactly when it is empty or has a whitespace character;
+    a zero-width space is not whitespace."""
+    for c in ("\t", " ", "\u2003", "\u3000", "\x1c"):
+        with pytest.raises(GraphFormatError, match="bad vertex id"):
+            Graph(["a%sb" % c], [])
+        with pytest.raises(GraphFormatError, match="bad edge id"):
+            Graph(["v"], [("e" + c, "v", "v")])
+    g = Graph(["v.1", "\u00e9", "x\u200by"], [("e-1", "v.1", "x\u200by")])
+    assert g.edge("e-1").source_vertex == "x\u200by"

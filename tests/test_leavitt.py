@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from steinalg import (BasicBisection, IntegerRing, IntegersMod, Path,
-                      PathPair, RationalRing, WordSyntaxError, add,
+from steinalg import (BasicBisection, InputError, IntegerRing, IntegersMod,
+                      Path, PathPair, RationalRing, WordSyntaxError, add,
                       check_ck_relations, convolve, eval_word, generator,
-                      indicator, indicator_as_word, parse_word, scale,
-                      vertex_path)
-from steinalg import sampling
+                      indicator, indicator_as_word, load_graph, parse_word,
+                      scale, vertex_path)
+from steinalg import leavitt, sampling
 from steinalg.leavitt import (MAX_NESTING, NegWord, ProductWord, ScalarWord,
                               SumWord, SymbolWord, _tokenize)
+from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
+                            element_level_eval_word)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
@@ -69,6 +71,16 @@ def test_syntax_errors(text, fragment):
     with pytest.raises(WordSyntaxError) as err:
         parse_word(text)
     assert fragment in str(err.value)
+
+
+def test_scalars_are_decimal_digits():
+    """A scalar is a run of the digits int() reads: a superscript is not
+    one, and is rejected as a syntax error; other decimal digits read."""
+    for text in ("s(a) * \u00b2", "s(a) * 3\u00b2", "\u00b9 * p(v)"):
+        with pytest.raises(WordSyntaxError):
+            parse_word(text)
+    assert parse_word("\u0663 * p(v)") == ProductWord((ScalarWord(3), SymbolWord("p", "v")))
+    assert _tokenize("1\u0662") == [12]
 
 
 def recursive_parse(text):
@@ -270,6 +282,82 @@ def test_generator_rejects_unknown_names(loop_graph, zring):
         generator(loop_graph, "s(nope)", zring)
     with pytest.raises(ValueError):
         generator(loop_graph, "p(v) + p(v)", zring)
+
+
+def outcome(evaluate, graph, word, ring):
+    """The element a word evaluates to, or the message of its InputError."""
+    try:
+        return evaluate(graph, word, ring)
+    except InputError as exc:
+        return "error: %s" % exc
+
+
+EVAL_GRAPHS = {name: load_graph(text) for name, text in (
+    ("rose2", ROSE2_TEXT), ("two-cycle", TWO_CYCLE_TEXT), ("outsplit", OUTSPLIT_TEXT))}
+
+
+def graph_words(graph):
+    """Words over the graph's symbols, with an unknown vertex and edge now
+    and then, scalar factors 0, 2 and -1, negations, and sums nested inside
+    products; products run long enough for runs to vanish partway."""
+    symbols = [SymbolWord("p", v) for v in graph.vertices]
+    symbols += [SymbolWord(kind, e.id) for e in graph.edges for kind in ("s", "st")]
+    leaves = (st.sampled_from(symbols)
+              | st.sampled_from([ScalarWord(0), ScalarWord(2), ScalarWord(-1)])
+              | st.sampled_from([SymbolWord("p", "zz"), SymbolWord("s", "zz")]))
+    return st.recursive(
+        leaves,
+        lambda inner: (st.builds(NegWord, inner)
+                       | st.lists(inner, min_size=2, max_size=6).map(tuple).map(ProductWord)
+                       | st.lists(inner, min_size=1, max_size=3).map(tuple).map(SumWord)),
+        max_leaves=14)
+
+
+@given(st.data(), st.sampled_from(sorted(EVAL_GRAPHS)), st.sampled_from(RINGS))
+@settings(max_examples=300, deadline=None)
+def test_eval_word_matches_element_level_fold(data, name, ring):
+    """Composing runs of symbols as pairs gives the element, or the first
+    InputError, of the left fold of generators and convolutions."""
+    graph = EVAL_GRAPHS[name]
+    word = data.draw(graph_words(graph))
+    assert outcome(eval_word, graph, word, ring) == \
+        outcome(element_level_eval_word, graph, word, ring)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("text", [
+    "s(e1) * s(e1)",
+    "s(e1) * s(e1) * st(e2) * 2",
+    "s(e1) * s(e2) * s(e2) * (p(v) + s(e1))",
+    "-(s(e1)) * 2 * st(e1) * -1 * (s(e1) + p(w)) * s(e2) * st(e2)",
+    "0 * s(e1) * st(e1)",
+    "s(e1) * s(e1) * p(zz)",
+    "s(e1) * s(e1) * (p(v) + s(zz))",
+    "s(e1) * s(e1) * s(zz) * p(zz)",
+    "s(e1) * (s(e1) + 1)",
+])
+def test_vanishing_runs_match_element_level_fold(text, ring):
+    """A run that vanishes partway makes the product zero, and a later
+    unknown symbol or bare scalar still raises the fold's InputError."""
+    graph = EVAL_GRAPHS["two-cycle"]
+    assert outcome(eval_word, graph, text, ring) == \
+        outcome(element_level_eval_word, graph, text, ring)
+
+
+def test_generator_products_build_no_generator_elements(monkeypatch):
+    """A product of generators is composed as flat pairs: it neither
+    builds a generator's indicator nor convolves."""
+    graph = EVAL_GRAPHS["rose2"]
+    texts = ["s(a) * st(b) * s(b) * -2 * st(a)", "-(s(a))", "p(v) * s(b) * st(a)",
+             "s(a) * s(b) * st(a)"]
+    want = [element_level_eval_word(graph, text, RationalRing()) for text in texts]
+
+    def refuse(*args):
+        raise AssertionError("generator product left the pair kernel")
+
+    monkeypatch.setattr(leavitt, "convolve", refuse)
+    monkeypatch.setattr(leavitt, "indicator", refuse)
+    assert [eval_word(graph, text, RationalRing()) for text in texts] == want
 
 
 # -- scalar handling --------------------------------------------------------------
