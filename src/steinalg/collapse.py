@@ -336,51 +336,81 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # coefficient 1.  So transport(1_p) is the indicator of the pair
     # image(p) = minimal_pair(phi(minimal_pair(p))), each side is zero or
     # one such pair, and the sides agree when both are zero or both are the
-    # same pair.  The window pairs are transported once; composites are
-    # transported as they come, since keeping each distinct one with its
-    # image would hold more memory than the rest of the check.
+    # same pair.
     #
-    # The minimal window, its images, the composites and theirs are flat
-    # pairs (edge-id tuples, see cylinder._flat) and phi on a leg is the
-    # concatenation of the abbreviated paths' edges; the well-formedness
-    # check above makes those paths compose.  No PathPair is built here:
-    # the defect text renders the window's own pairs.  So each combination
-    # is plain dict and set work: the transport maps each distinct leg once
-    # and then finds it in its memo (see _transport), and a strip step of
-    # _minimal is one lookup in the graph's map of edges that are the only
-    # edge into their range vertex.
+    # The minimal window, its images and the composites are flat pairs
+    # (edge-id tuples, see cylinder._flat), and no PathPair is built here:
+    # the defect text renders the window's own pairs.  The minimal window
+    # and its images are indexed by range leg, so for each a only the b
+    # that compose on at least one side are visited, in ascending order:
+    # the first defect is the least b that composes on one side only or
+    # whose two composites disagree, as in the loop over every combination.
+    # The two sides' plans for a (see _RangeLegIndex.plan) are walked in
+    # lockstep by position, and each composite is formed from its plan
+    # entry, so no combination calls the composition rule.
     #
-    # The minimal window and its images are indexed by range leg, so for
-    # each a only the b that compose on at least one side are visited, in
-    # ascending order: the first defect is the least b that composes on one
-    # side only or whose two composites disagree, as in the loop over every
-    # combination.  The two sides' plans for a (see _RangeLegIndex.plan)
-    # are walked in lockstep by position, and each composite is formed from
-    # its plan entry, so no combination calls the composition rule.
+    # A combination transports a leg only where the collapsed graph strips
+    # its composite, and minimizes in the original graph only where its two
+    # sides differ:
+    # - phi on a leg is the concatenation of its edges' abbreviated paths
+    #   (_leg_image), so phi(mu + suffix) = phi(mu) + phi(suffix), and the
+    #   well-formedness check above gives each collapsed edge's path the
+    #   edge's own endpoints, so an image pair keeps the collapsed pair's
+    #   vertices.  So phi of the left composite of a plan entry (j, suffix,
+    #   leg, source, leg_range) is (phi(m[0]) + phi(suffix), phi(leg),
+    #   source, m[3], leg_range).  phi(m[0]) is taken once per window pair.
+    #   Each left plan is transported once, into the entries (j,
+    #   phi(suffix), phi(leg), source, leg_range), which are cached beside
+    #   it (see _RangeLegIndex.plan_with): like the plan they depend only on
+    #   m's source leg.  Where minimal_pair strips an edge of the composite
+    #   in the collapsed graph, which needs an edge that is the only one
+    #   into its range vertex there, the stripped composite is transported.
+    # - equal pairs have equal minimal pairs, so the two sides are compared
+    #   as they are, and both are minimized only when they differ.  Where
+    #   neither a's image nor the composite is stripped, both sides' first
+    #   legs start with image[0] = phi(m[0]) and range at m[3], so the sides
+    #   are equal exactly when the transported entry equals the right plan's
+    #   entry, and neither side is formed.
     mult_depth = _legs_depth(F, depth)
     fpairs = pairs_to_depth(F, mult_depth)
     rep.add("multiplicative", "legs-depth", mult_depth)
     rep.add("multiplicative", "pairs", len(fpairs))
 
     flat_minimal = [_minimal(F, _flat(a)) for a in fpairs]
-    flat_images = [_minimal(g, transport(m)) for m in flat_minimal]
+    transported = [transport(m) for m in flat_minimal]
+    flat_images = [_minimal(g, t) for t in transported]
     left_index = _RangeLegIndex(flat_minimal)
     right_index = _RangeLegIndex(flat_images)
+    strips = bool(F._sole_edge_range)
+
+    def transport_plan(plan):
+        return [(j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
+                for j, suffix, leg, source, leg_range in plan]
+
     mult_defect = None
     for i, a in enumerate(fpairs):
-        m, image = flat_minimal[i], flat_images[i]
-        left = left_index.plan(m)
+        m, phi_m, image = flat_minimal[i], transported[i], flat_images[i]
+        plain = image is phi_m and not strips       # nothing is stripped
+        left, left_images = left_index.plan_with(m, transport_plan)
         right = right_index.plan(image)
         b = None
-        for x, y in zip(left, right):
+        for x, tx, y in zip(left, left_images, right):
             if x[0] != y[0]:
                 b = min(x[0], y[0])     # it composes on one side only
                 break
+            if plain and tx == y:
+                continue
             j, suffix, leg, source, leg_range = x
-            composite = _minimal(F, (m[0] + suffix, leg, source, m[3], leg_range))
+            if strips:
+                composite = (m[0] + suffix, leg, source, m[3], leg_range)
+                stripped = _minimal(F, composite)
+            if strips and stripped is not composite:
+                lhs = transport(stripped)
+            else:
+                lhs = (phi_m[0] + tx[1], tx[2], source, m[3], leg_range)
             _, suffix, leg, source, leg_range = y
-            if (_minimal(g, transport(composite))
-                    != _minimal(g, (image[0] + suffix, leg, source, image[3], leg_range))):
+            rhs = (image[0] + suffix, leg, source, image[3], leg_range)
+            if lhs != rhs and _minimal(g, lhs) != _minimal(g, rhs):
                 b = j
                 break
         else:

@@ -272,7 +272,8 @@ class _RangeLegIndex:
     legs passing through its node equal or extend it.  The walk already
     knows which case holds and where the shorter leg stops, so the plan
     holds the composites' parts and no prefix is compared again.  Each
-    distinct source leg is walked once.
+    distinct source leg is walked once, and ``plan_with`` keeps a value a
+    caller derives from a plan beside it.
     """
 
     __slots__ = ("_pairs", "_roots", "_plans")
@@ -307,10 +308,27 @@ class _RangeLegIndex:
         leg as it is and takes the rest of nu onto its source leg.  The
         plan depends only on nu and its range vertex; the list is shared
         between calls and is not to be changed."""
+        return self._cached(p)[0]
+
+    def plan_with(self, p, derive):
+        """``plan(p)`` and ``derive(plan(p))``.  Like the plan, the derived
+        value depends only on p's source leg and its range vertex, so derive
+        runs once per distinct leg, and its value is cached beside the plan
+        under the plan's key; it is shared between calls."""
+        plan = self.plan(p)
+        key = (p[1], p[4])
+        cached = self._plans[key]
+        if len(cached) == 1:
+            cached = self._plans[key] = (plan, derive(plan))
+        return cached
+
+    def _cached(self, p):
+        """The cache entry of p's source leg, ``(plan,)`` or ``(plan,
+        derived)``, built on the first call for that leg."""
         nu = p[1]
         key = (nu, p[4])
-        plan = self._plans.get(key)
-        if plan is None:
+        cached = self._plans.get(key)
+        if cached is None:
             pairs = self._pairs
             reaching, shorter = (), []
             node = self._roots.get(p[4])
@@ -331,8 +349,8 @@ class _RangeLegIndex:
                 plan.append((j, q[0][n:], q[1], q[2], q[4]))
             if shorter:
                 plan = sorted(plan + shorter, key=itemgetter(0))
-            self._plans[key] = plan
-        return plan
+            cached = self._plans[key] = (plan,)
+        return cached
 
     def partners(self, p):
         """The positions, ascending, of the filed pairs q for which

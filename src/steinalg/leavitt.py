@@ -20,7 +20,8 @@ from .cylinder import _build, _compose, _invert, as_bisection
 from .errors import InputError
 from .graph import concat
 from .report import Report
-from .steinberg import SteinbergElement, add, convolve, indicator, negate, scale, zero
+from .steinberg import (SteinbergElement, add_all, convolve, indicator, negate,
+                        scale, zero)
 
 
 # -- word syntax trees ----------------------------------------------------
@@ -354,7 +355,10 @@ def eval_word(graph, word, ring) -> SteinbergElement:
     needs a modulus of at least 2.  Negations and scalar factors are
     folded into one integer scalar.  Symbols are still checked left to
     right, after a run vanishes too, so the first unknown vertex or edge
-    raises as it would in a left fold of generators and convolutions.
+    raises as it would in a left fold of generators and convolutions.  The
+    terms of a sum are evaluated left to right and summed by ``add_all``,
+    which canonicalizes once, so a sum of n terms costs one canonical form
+    of their merged terms rather than n - 1 running sums.
     """
     if isinstance(word, str):
         word = parse_word(word)
@@ -366,9 +370,11 @@ def eval_word(graph, word, ring) -> SteinbergElement:
     if isinstance(word, SymbolWord):
         element = _run_element(graph, ring, _symbol_pair(graph, word))
     elif isinstance(word, SumWord):
-        element = zero(graph, ring)
+        # A loop, not a comprehension, adds no stack frame per nesting level.
+        terms = []
         for t in word.terms:
-            element = add(element, eval_word(graph, t, ring))
+            terms.append(eval_word(graph, t, ring))
+        element = add_all(terms)
     elif isinstance(word, ProductWord):
         scalar = 1
         parts = []          # the elements of the factors and of closed runs
@@ -475,8 +481,6 @@ def check_ck_relations(graph, ring) -> Report:
         if not received:
             rep.check("resolutions", "p(%s)" % v, "vacuous", "receives no edge")
             continue
-        total = zero(graph, ring)
-        for e in received:
-            total = add(total, convolve(s[e.id], st[e.id]))
+        total = add_all(convolve(s[e.id], st[e.id]) for e in received)
         rep.check("resolutions", "p(%s)" % v, total == p[v])
     return rep

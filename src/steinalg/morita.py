@@ -307,67 +307,97 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
     from the pair's source vertex into the retained set, which exists
     whenever that vertex is not among the transversal's unreachable ones.
 
-    Every row is decided on flat pairs, and no algebra element is built.
-    This is exact: the product of two basic-pair indicators is the
-    indicator of their composite, or zero when they do not compose; the
-    canonical form of an indicator is its minimal pair with coefficient
-    one; and one is nonzero in every coefficient ring, so two indicators
-    are equal exactly when their minimal pairs are, and no indicator is
-    zero.  The report is therefore the same for every ring.  A product of
-    an f12-only and an f21-only matrix element has one nonzero block,
-    f11 = v * n or f22 = n * v, so the matrix row holds when that product
-    reconstructs the target inside the diagonal block's support rule.
+    Every row is decided once, on flat pairs, by ``_witness_rows``, which
+    ``morita_report`` also reads; this function renders those decisions
+    into a report and builds the factor pair.  No algebra element is
+    built.  See ``_witness_rows`` for why the decisions are exact and the
+    same for every ring.
     """
     if side not in ("psi", "phi"):
         raise ValueError("side must be 'psi' or 'phi'")
     f0 = transversal.f0
     rep = Report("surjectivity witness (%s side)" % side)
     rep.add("target", "pair", pair.render())
-    cell = corner_of(pair, f0)
-    rep.add("target", "cell", cell.render())
-    g, t = pair.graph, _flat(pair)
+    rep.add("target", "cell", corner_of(pair, f0).render())
+    g = pair.graph
+    rows = _witness_rows(transversal, g, _flat(pair), side)
     if side == "psi":
-        ok = cell == Corner.GG
-        if not rep.check("target", "supported", ok,
-                         "" if ok else "psi targets need both legs retained"):
+        if not rep.check("target", "supported", rows is not None,
+                         "" if rows is not None else
+                         "psi targets need both legs retained"):
             return MoritaWitness(side, pair, (), rep)
-        fv = (t[0], t[0], t[2], t[3], t[3])
-        v = _build(g, fv)
-        n = compose_pairs(invert_pair(v), pair)
     else:
-        conn = transversal._connectors.get(pair.source_vertex)
-        if not rep.check("target", "connector-exists", conn is not None,
-                         "" if conn is not None else
+        if not rep.check("target", "connector-exists", rows is not None,
+                         "" if rows is not None else
                          "vertex %s cannot reach the retained set"
                          % pair.source_vertex):
             return MoritaWitness(side, pair, (), rep)
-        rep.add("target", "connector", conn.render())
-        fv = (conn.edges, t[1], t[2], conn.range_vertex, t[4])
-        v = _build(g, fv)
-        n = compose_pairs(pair, invert_pair(v))
-    fn = None if n is None else _flat(n)
-
-    defect = _blocks_defect(g, f0, fv, fn)
+        rep.add("target", "connector",
+                transversal._connectors[pair.source_vertex].render())
+    fv, defect, unit_cover, reconstructs, matrix = rows
     rep.check("factors", "piece-1-blocks", not defect, defect)
     rep.check("factors", "pieces-disjoint", "vacuous", "single piece")
+    rep.check("verification", "unit-cover", unit_cover)
+    rep.check("verification", "reconstructs", reconstructs)
+    rep.check("verification", "matrix-reconstructs", matrix)
+    v = _build(g, fv)
+    n = (compose_pairs(invert_pair(v), pair) if side == "psi"
+         else compose_pairs(pair, invert_pair(v)))
+    return MoritaWitness(side, pair, ((v, n),), rep)
 
-    # The unit set of the (1,2) factor is the matching unit set of the
-    # target: range units on the psi side, source units on the phi side.
+
+def _witness_rows(transversal, graph, t, side):
+    """The rows of the witness of the flat target t on one side, each
+    decided once on flat pairs of the graph.
+
+    None when the target is out of the side's reach: on the psi side a leg
+    ranges outside the retained set, on the phi side its source vertex has
+    no connector.  Otherwise ``(v, blocks defect, unit-cover, reconstructs,
+    matrix-reconstructs)``: the flat (1,2) factor v, the ``piece-1-blocks``
+    defect text ("" when v and the (2,1) factor n sit in their blocks; n is
+    missing when v does not compose with the target), and the three
+    verification verdicts.
+
+    This is exact: the product of two basic-pair indicators is the
+    indicator of their composite, or zero when they do not compose; the
+    canonical form of an indicator is its minimal pair with coefficient
+    one; and one is nonzero in every coefficient ring, so two indicators
+    are equal exactly when their minimal pairs are, and no indicator is
+    zero.  The rows are therefore the same for every ring.  A product of
+    an f12-only and an f21-only matrix element has one nonzero block,
+    f11 = v * n or f22 = n * v, so the matrix row holds when that product
+    reconstructs the target inside the diagonal block's support rule.  The
+    unit set of the (1,2) factor is the matching unit set of the target:
+    range units on the psi side, source units on the phi side.
+    """
+    f0 = transversal.f0
     if side == "psi":
-        unit, unit_target = _compose(fv, _invert(fv)), fv
-        direct = None if fn is None else _compose(fv, fn)
+        if t[3] not in f0 or t[4] not in f0:
+            return None
+        v = (t[0], t[0], t[2], t[3], t[3])
+        n = _compose(_invert(v), t)
+        unit, unit_target = _compose(v, _invert(v)), v
+        direct = None if n is None else _compose(v, n)
         diagonal = Corner.GG
     else:
-        unit, unit_target = _compose(_invert(fv), fv), (t[1], t[1], t[2], t[4], t[4])
-        direct = None if fn is None else _compose(fn, fv)
+        conn = transversal._connectors.get(t[2])
+        if conn is None:
+            return None
+        v = (conn.edges, t[1], t[2], conn.range_vertex, t[4])
+        n = _compose(t, _invert(v))
+        unit, unit_target = _compose(_invert(v), v), (t[1], t[1], t[2], t[4], t[4])
+        direct = None if n is None else _compose(n, v)
         diagonal = Corner.HH
-    rep.check("verification", "unit-cover",
-              unit is not None and _minimal(g, unit) == _minimal(g, unit_target))
-    reconstructs = direct is not None and _minimal(g, direct) == _minimal(g, t)
-    rep.check("verification", "reconstructs", reconstructs)
-    rep.check("verification", "matrix-reconstructs",
-              reconstructs and _first_outside((direct,), f0, diagonal) is None)
-    return MoritaWitness(side, pair, ((v, n),), rep)
+    unit_cover = unit is not None and _minimal(graph, unit) == _minimal(graph, unit_target)
+    reconstructs = direct is not None and _minimal(graph, direct) == _minimal(graph, t)
+    matrix = reconstructs and _first_outside((direct,), f0, diagonal) is None
+    return v, _blocks_defect(graph, f0, v, n), unit_cover, reconstructs, matrix
+
+
+def _holds(rows):
+    """Whether every row of a witness holds, given its ``_witness_rows``;
+    ``matrix-reconstructs`` holds only where ``reconstructs`` does."""
+    return rows is not None and not rows[1] and rows[2] and rows[4]
 
 
 def _blocks_defect(graph, f0, v, n):
@@ -423,10 +453,12 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
             capped = targets[:_WITNESS_CAP]
             rep.add("witnesses", "%s-targets" % side,
                     "%d of %d" % (len(capped), len(targets)))
+            # Only whether every row holds is read here; the first failing
+            # target's witness report names its failed rows.
             bad = None
             for p in capped:
-                w = surjectivity_witness(transversal, ring, p, side)
-                if not w.ok:
+                if not _holds(_witness_rows(transversal, graph, _flat(p), side)):
+                    w = surjectivity_witness(transversal, ring, p, side)
                     bad = "%s: %s" % (p.render(), ", ".join(w.report.failures()))
                     break
             rep.check("witnesses", "%s-verified" % side, bad is None, bad or "")

@@ -286,16 +286,30 @@ def _check_compatible(f, g):
 
 
 def add(f, g) -> SteinbergElement:
-    """f + g; a zero operand returns the other, as it is its sum."""
-    _check_compatible(f, g)
-    if not f.flat:
-        return g
-    if not g.flat:
-        return f
-    den = lcm(f.den, g.den)
-    raw = [(t, c * (den // f.den)) for t, c in f.flat.items()]
-    raw += [(t, d * (den // g.den)) for t, d in g.flat.items()]
-    return SteinbergElement(f.graph, f.ring, _merge(f.ring.int_ring(), raw).items(), den)
+    """f + g, the two-operand case of ``add_all``."""
+    return add_all((f, g))
+
+
+def add_all(elements) -> SteinbergElement:
+    """The sum of one or more elements, canonicalized once.
+
+    Every operand's stored ints are brought over the lcm of the
+    denominators and merged into one raw term list, so a sum of n elements
+    builds one element, not n - 1 running sums.  Zero operands add
+    nothing: when at most one operand is nonzero, that operand (or the
+    last, when all are zero) is the sum itself.
+    """
+    elements = list(elements)
+    first = elements[0]
+    for f in elements[1:]:
+        _check_compatible(first, f)
+    nonzero = [f for f in elements if f.flat]
+    if len(nonzero) <= 1:
+        return nonzero[0] if nonzero else elements[-1]
+    den = lcm(*(f.den for f in nonzero))
+    raw = [(t, c * (den // f.den)) for f in nonzero for t, c in f.flat.items()]
+    return SteinbergElement(first.graph, first.ring,
+                            _merge(first.ring.int_ring(), raw).items(), den)
 
 
 def negate(f) -> SteinbergElement:

@@ -678,6 +678,81 @@ def test_images_of_well_formed_certificates_land_in_the_window(seed, max_len):
     assert rep.value("bijection", "lands-in-window") == "pass"
 
 
+CORRUPTIONS = ("drop", "duplicate", "move")
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@given(seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_pair_check_matches_element_oracle_on_every_corruption(kind, seed):
+    """The whole iso report equals the oracle's at depths 2 and 3 on
+    certificates corrupted in each of the three ways well-formedness lets
+    through.  well_formed_corruption draws its kind first, so a seed is
+    kept when its first draw is this kind."""
+    assume(sampling.rng_from_seed(seed).choice(CORRUPTIONS) == kind)
+    rng = sampling.rng_from_seed(seed)
+    certs = [c for c in map(collapse, corpus(7) + corpus(13)) if c.collapsed.edges]
+    bad = well_formed_corruption(rng, certs)
+    products = {}
+    for depth in (2, 3):
+        want = element_level_iso_check(bad, depth, products).render_kv()
+        assert pointed_groupoid_iso_check(bad, depth).render_kv() == want
+
+
+def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_graph,
+                                                                     monkeypatch):
+    """Collapsing ua and ub leaves no edge that is the only one into its
+    range vertex, so step (d) strips no composite.  It then transports the
+    probes, the window pairs and each distinct left plan's entries once,
+    and no combination; and it minimizes in the original graph once per
+    window image and twice per combination whose unminimized sides
+    differ: 7,826 of the 18,675 that compose on both sides."""
+    cert = collapse(CollapseSpec(outsplit_graph, ["ua", "ub"]))
+    F, g = cert.collapsed, cert.original
+    assert not F._sole_edge_range
+    window = pairs_to_depth(F, _legs_depth(F, 5))
+    minimal = [_flat(minimal_pair(a)) for a in window]
+    images = [_flat(minimal_pair(phi_pair(cert, minimal_pair(a)))) for a in window]
+    both = differ = 0
+    for m, image in zip(minimal, images):
+        for n, other in zip(minimal, images):
+            left, right = _compose(m, n), _compose(image, other)
+            if left is None or right is None:
+                continue
+            both += 1
+            differ += _flat(phi_pair(cert, minimal_pair(_build(F, left)))) != right
+    assert (both, differ) == (18675, 7826)
+    plan_entries = 0
+    for key in {(m[1], m[4]) for m in minimal}:
+        plan_entries += sum(1 for n in minimal
+                            if _compose(((), key[0], None, None, key[1]), n) is not None)
+
+    module = importlib.import_module("steinalg.collapse")
+    minimized = Counter()
+    transported = []
+    minimal_rule, transport_rule = module._minimal, module._transport
+
+    def counting_minimal(graph, t):
+        minimized["original" if graph is g else "collapsed"] += 1
+        return minimal_rule(graph, t)
+
+    def counting_transport(paths):
+        transport = transport_rule(paths)
+
+        def counted(t):
+            transported.append(1)
+            return transport(t)
+        return counted
+
+    monkeypatch.setattr(module, "_minimal", counting_minimal)
+    monkeypatch.setattr(module, "_transport", counting_transport)
+    rep = pointed_groupoid_iso_check(cert, 5)
+    assert rep.ok
+    probes = int(rep.value("transport", "probes"))
+    assert len(transported) == probes + len(window) + plan_entries
+    assert minimized == {"collapsed": len(window), "original": len(window) + 2 * differ}
+
+
 # -- the memoized transport ----------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ every shipped ring; ``collapse`` runs on the fixture and on two instances of
 the seeded acceptance corpus, whose graphs are stored next to the reports.
 Both commands also run on the fixture at depth 5, where the collapse
 check's probe cap and its legs-depth back-off bind, and ``morita-check``
-runs over both collapse sets at depths 4 and 5 in ZZ.
+runs over both collapse sets at depths 4 and 5 in every shipped ring.
 ``grade`` and ``mul`` run on rose words whose terms lie several levels apart
 (depth gaps 6 and 10 on the 2-rose, 5 on the 3-rose) and on one mixed-degree
 word with scalars of both signs, in every shipped ring: they pin the
@@ -47,11 +47,14 @@ def _cases():
     # At depth 5 the probe cap and the legs-depth back-off both bind.
     cases["collapse-outsplit-u-d5"] = ("outsplit", ["collapse", "--t0", "u", "--depth", "5"])
     # Depths 4 and 5 are the benchmark's larger certify cells; at depth 5
-    # the phi window has 833 targets.
-    for t0, t0_name, depth in (("u", "u", 4), ("u", "u", 5), ("ua,ub", "ua-ub", 4),
-                               ("ua,ub", "ua-ub", 5)):
-        cases["morita-outsplit-%s-d%d-z" % (t0_name, depth)] = (
-            "outsplit", ["morita-check", "--t0", t0, "--ring", "z", "--depth", str(depth)])
+    # the phi window has 833 targets.  With depths 2 and 3 above, every
+    # (t0, depth, ring) cell the benchmark runs is pinned.
+    for t0, t0_name in (("u", "u"), ("ua,ub", "ua-ub")):
+        for depth in (4, 5):
+            for ring, ring_name in RINGS:
+                cases["morita-outsplit-%s-d%d-%s" % (t0_name, depth, ring_name)] = (
+                    "outsplit", ["morita-check", "--t0", t0, "--ring", ring,
+                                 "--depth", str(depth)])
     for graph, t0 in CORPUS_GRAPHS.items():
         cases["collapse-%s-d3" % graph] = (graph, ["collapse", "--t0", t0, "--depth", "3"])
     for ring, ring_name in RINGS:

@@ -360,6 +360,56 @@ def test_generator_products_build_no_generator_elements(monkeypatch):
     assert [eval_word(graph, text, RationalRing()) for text in texts] == want
 
 
+def rose2_terms(rng, n):
+    """n words c * s(x) * st(y) on rose2, x and y paths of length 0-4 and c
+    in -2..2 (p(v) stands in for two empty paths), so that terms nest,
+    repeat and cancel."""
+    terms = []
+    for _ in range(n):
+        x, y = ("".join(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+                for _ in range(2))
+        factors = [SymbolWord("s", a) for a in x] + [SymbolWord("st", a) for a in reversed(y)]
+        factors = factors or [SymbolWord("p", "v")]
+        terms.append(ProductWord((ScalarWord(rng.randint(-2, 2)), *factors)))
+    return terms
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", [1, 2, 120])
+def test_sums_match_element_level_fold(n, ring):
+    """A sum canonicalized once equals the left fold of two-term sums."""
+    graph = EVAL_GRAPHS["rose2"]
+    rng = sampling.rng_from_seed(n)
+    for _ in range(3):
+        word = SumWord(tuple(rose2_terms(rng, n)))
+        assert eval_word(graph, word, ring) == element_level_eval_word(graph, word, ring)
+
+
+def test_a_sum_builds_one_element_beyond_its_terms(monkeypatch):
+    """Summing 400 terms builds one element beyond those the terms build
+    on their own; a running sum would build one per term."""
+    graph = EVAL_GRAPHS["rose2"]
+    ring = RationalRing()
+    terms = [t for t in rose2_terms(sampling.rng_from_seed(400), 600)
+             if t.factors[0].value][:400]
+    assert len(terms) == 400
+    built = []
+    init = leavitt.SteinbergElement.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(leavitt.SteinbergElement, "__init__", counting_init)
+    for t in terms:
+        eval_word(graph, t, ring)
+    alone = len(built)
+    del built[:]
+    total = eval_word(graph, SumWord(tuple(terms)), ring)
+    assert len(built) == alone + 1
+    assert not total.is_zero()
+
+
 # -- scalar handling --------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from steinalg import (Corner, CornerSupportError, Graph, IntegerRing,
                       morita_report, pairs_to_depth, phi, psi,
                       surjectivity_witness, vertex_path, zero)
 from steinalg import morita, sampling
+from steinalg.cylinder import _flat
 from steinalg.morita import element_supported_in, pair_supported_in
 from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT,
                             element_level_surjectivity_witness,
@@ -568,3 +569,78 @@ def test_morita_report_is_deterministic(two_cycle, zring):
     b = morita_report(two_cycle, ["w"], zring, depth=2, seed=11, eq_samples=4)
     assert a.render_text() == b.render_text()
     assert a.render_kv() == b.render_kv()
+
+
+# -- the report's witness decision ---------------------------------------------------------
+
+
+def witness_windows():
+    """(transversal, graph, targets): the outsplit fixture over both retained
+    sets at depths 2-5, and each instance of the acceptance corpus at depth
+    3, where most instances have vertices without a connector."""
+    g = load_graph(OUTSPLIT_TEXT)
+    for f0 in (["ua", "ub"], ["u"]):
+        t = Transversal(g, f0)
+        for depth in (2, 3, 4, 5):
+            yield t, g, pairs_to_depth(g, depth)
+    for spec in sampling.collapse_corpus(13, 20):
+        yield Transversal(spec.graph, spec.f0), spec.graph, pairs_to_depth(spec.graph, 3)
+
+
+def test_report_decision_equals_the_witness_report():
+    """On every target of the windows, on both sides, the decision
+    morita_report reads equals the ok of the rendered witness report."""
+    zring = IntegerRing()
+    outcomes = {True: 0, False: 0}
+    for t, g, targets in witness_windows():
+        for pair in targets:
+            for side in ("psi", "phi"):
+                got = morita._holds(morita._witness_rows(t, g, _flat(pair), side))
+                assert got == surjectivity_witness(t, zring, pair, side).ok
+                outcomes[got] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+# (retained set, vertex, connector edges, depth) -> the parent's
+# witnesses.phi-verified row with that vertex's connector replaced.
+CORRUPTED_PHI_ROWS = {
+    # a wrong path: sa starts at ua, not at u, and ranges at u
+    (("u",), "u", ("sa",), 2): "fail (Z(u,u): factors.piece-1-blocks)",
+    (("u",), "u", ("sa",), 3): "fail (Z(u,u): factors.piece-1-blocks)",
+    # the unit at u, re-ranged outside the retained set
+    (("u",), "u", (), 3): "fail (Z(u,u): factors.piece-1-blocks)",
+    # paths from ua and ub that range outside the retained set {u}
+    (("ua", "ub"), "ua", ("ra", "sa"), 2): "fail (Z(sa,sa): factors.piece-1-blocks)",
+    (("ua", "ub"), "ub", ("rb",), 2): "fail (Z(sb,sb): factors.piece-1-blocks)",
+    (("ua", "ub"), "ub", ("rb",), 3):
+        "fail (Z(sa.ra.sb,sa.ra.sb): factors.piece-1-blocks)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED_PHI_ROWS), ids=repr)
+def test_corrupted_connectors_fail_the_report_as_before(case, monkeypatch):
+    """With one vertex's connector corrupted, morita_report names the first
+    failing target and its failed rows exactly as before witnesses were
+    decided without a report, and every target's decision still equals its
+    witness report's ok."""
+    t0, vertex, edges, depth = case
+    g = load_graph(OUTSPLIT_TEXT)
+    least = morita.least_connectors
+
+    def corrupted(graph, f0):
+        out = least(graph, f0)
+        out[vertex] = Path(graph, edges) if edges else vertex_path(graph, vertex)
+        return out
+
+    monkeypatch.setattr(morita, "least_connectors", corrupted)
+    zring = IntegerRing()
+    rep = morita_report(g, list(t0), zring, depth=depth, eq_samples=2)
+    assert rep.value("witnesses", "psi-verified") == "pass"
+    assert rep.value("witnesses", "phi-verified") == CORRUPTED_PHI_ROWS[case]
+    t = Transversal(g, [v for v in g.vertices if v not in t0])
+    failing = 0
+    for pair in pairs_to_depth(g, depth):
+        w = surjectivity_witness(t, zring, pair, "phi")
+        assert morita._holds(morita._witness_rows(t, g, _flat(pair), "phi")) == w.ok
+        failing += not w.ok
+    assert failing > 0

@@ -447,6 +447,27 @@ def test_zero_annihilates(loop_graph, zring, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("ring", [IntegerRing(), RationalRing(), IntegersMod(4)],
+                         ids=lambda r: r.name)
+@given(seed=st.integers(min_value=0, max_value=10 ** 9))
+@settings(max_examples=40, deadline=None)
+def test_add_all_matches_the_merged_terms(ring, seed):
+    """A sum of up to eight elements, zero ones included, equals the
+    element of all their terms, and the left fold of two-term sums; over q
+    the operands' denominators differ, so their lcm is taken."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=3, max_edges=4)
+    elements = [sampling.random_element(rng, g, ring, max_terms=4)
+                for _ in range(rng.randint(1, 8))]
+    if ring.name == "q":
+        elements = [scale(Fraction(1, rng.randint(1, 6)), f) for f in elements]
+    want = from_terms(g, ring, [item for f in elements for item in f.terms.items()])
+    fold = elements[0]
+    for f in elements[1:]:
+        fold = add(fold, f)
+    assert steinberg.add_all(elements) == want == fold
+
+
 def test_zero_summand_is_the_other_operand(loop_graph, two_cycle, zring, qring):
     """A zero summand returns the other operand itself, once the operands
     are known to share their graph and ring."""
