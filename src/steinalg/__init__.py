@@ -9,11 +9,10 @@ witnesses.  Everything is exact and deterministic; see the CLI in
 
 from .collapse import (CollapseCertificate, CollapseSpec, check_phi_fin_image,
                        collapse, collapsed_preimage, first_hit_extensions,
-                       phi_fin, phi_pair, pointed_groupoid_iso_check,
-                       validate_collapsible)
+                       phi_fin, pointed_groupoid_iso_check, validate_collapsible)
 from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
                        boundary_tails, compose_pairs, expand, invert_pair,
-                       minimal_pair, pair_contains, pairs_to_depth)
+                       pair_contains, pairs_to_depth)
 from .errors import InputError
 from .graph import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                     enumerate_paths, is_acyclic, is_prefix, load_graph,
@@ -23,9 +22,8 @@ from .leavitt import (WordSyntaxError, check_ck_relations, eval_word,
                       generator, indicator_as_word, parse_word)
 from .morita import (Corner, CornerSupportError, LinkingElement,
                      LinkingInvariantError, MoritaWitness, Transversal,
-                     corner_of, embed, eq_ops_check, least_connectors,
-                     linking_convolve, morita_report, phi, psi,
-                     surjectivity_witness)
+                     corner_of, eq_ops_check, least_connectors, linking_convolve,
+                     morita_report, phi, psi, surjectivity_witness)
 from .report import Report
 from .rings import (CoefficientRing, IntegerRing, IntegersMod, RationalRing,
                     ring_from_spec)

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cylinder import (PathPair, _flat, _minimal, _RangeLegIndex,
-                       pairs_to_depth)
+from .cylinder import _flat, _minimal, _RangeLegIndex, pairs_to_depth
 from .graph import (Edge, Graph, Path, VertexSubset, _path, concat,
                     enumerate_paths, is_acyclic, sources, subgraph, vertex_path)
 from .report import Report
@@ -168,10 +167,6 @@ def phi_fin(cert: CollapseCertificate, fpath: Path) -> Path:
     if not fpath.edges:
         return vertex_path(cert.original, fpath.vertex)
     return _path(cert.original, *_leg_image(cert.edge_paths, fpath.edges))
-
-
-def phi_pair(cert: CollapseCertificate, pair: PathPair) -> PathPair:
-    return PathPair(phi_fin(cert, pair.mu), phi_fin(cert, pair.nu))
 
 
 def collapsed_preimage(cert: CollapseCertificate, epath: Path):
@@ -334,9 +329,9 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # none; a basic set is never empty, so an indicator is never zero; and
     # the canonical form of one indicator is its minimal pair with
     # coefficient 1.  So transport(1_p) is the indicator of the pair
-    # image(p) = minimal_pair(phi(minimal_pair(p))), each side is zero or
-    # one such pair, and the sides agree when both are zero or both are the
-    # same pair.
+    # image(p) = minimal(phi(minimal(p))), minimal taking the minimal pair
+    # (cylinder._minimal), each side is zero or one such pair, and the
+    # sides agree when both are zero or both are the same pair.
     #
     # The minimal window, its images and the composites are flat pairs
     # (edge-id tuples, see cylinder._flat), and no PathPair is built here:
@@ -360,9 +355,9 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     #   leg, source, leg_range) is (phi(m[0]) + phi(suffix), phi(leg),
     #   source, m[3], leg_range).  phi(m[0]) is taken once per window pair.
     #   Each left plan is transported once, into the entries (j,
-    #   phi(suffix), phi(leg), source, leg_range), which are cached beside
-    #   it (see _RangeLegIndex.plan_with): like the plan they depend only on
-    #   m's source leg.  Where minimal_pair strips an edge of the composite
+    #   phi(suffix), phi(leg), source, leg_range), which are kept by the
+    #   plan's key: like the plan they depend only on m's source leg and
+    #   its range vertex.  Where _minimal strips an edge of the composite
     #   in the collapsed graph, which needs an edge that is the only one
     #   into its range vertex there, the stripped composite is transported.
     # - equal pairs have equal minimal pairs, so the two sides are compared
@@ -382,16 +377,19 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     left_index = _RangeLegIndex(flat_minimal)
     right_index = _RangeLegIndex(flat_images)
     strips = bool(F._sole_edge_range)
-
-    def transport_plan(plan):
-        return [(j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
-                for j, suffix, leg, source, leg_range in plan]
+    transported_plans = {}
 
     mult_defect = None
     for i, a in enumerate(fpairs):
         m, phi_m, image = flat_minimal[i], transported[i], flat_images[i]
         plain = image is phi_m and not strips       # nothing is stripped
-        left, left_images = left_index.plan_with(m, transport_plan)
+        left = left_index.plan(m)
+        key = (m[1], m[4])
+        left_images = transported_plans.get(key)
+        if left_images is None:
+            left_images = transported_plans[key] = [
+                (j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
+                for j, suffix, leg, source, leg_range in left]
         right = right_index.plan(image)
         b = None
         for x, tx, y in zip(left, left_images, right):
@@ -426,8 +424,9 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
 
 
 def _transport(paths):
-    """phi_pair on flat pairs of a well-formed certificate's collapsed
-    graph, as a function from flat pair to flat pair (see _leg_image).
+    """The path map on both legs of a flat pair of a well-formed
+    certificate's collapsed graph, as a function from flat pair to flat
+    pair (see _leg_image).
 
     Each distinct leg is mapped once: its image is memoized by the leg
     tuple, so equal image legs are one shared tuple.  The memo lives as

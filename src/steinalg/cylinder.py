@@ -23,9 +23,8 @@ parts of each composite, so ``convolve`` and the collapse move's
 multiplicative check form composites without calling ``_compose``.  The
 canonical form, ``convolve`` and the collapse move's windowed checks take
 only flat pairs into these, and build a ``PathPair`` (``_build``) only for
-a pair that leaves the kernel.  ``compose_pairs`` and
-``minimal_pair`` are the public forms of the two rules on ``PathPair``
-objects.
+a pair that leaves the kernel.  ``compose_pairs`` is the public form of
+the composition rule on ``PathPair`` objects.
 """
 
 from __future__ import annotations
@@ -272,8 +271,7 @@ class _RangeLegIndex:
     legs passing through its node equal or extend it.  The walk already
     knows which case holds and where the shorter leg stops, so the plan
     holds the composites' parts and no prefix is compared again.  Each
-    distinct source leg is walked once, and ``plan_with`` keeps a value a
-    caller derives from a plan beside it.
+    distinct source leg is walked once.
     """
 
     __slots__ = ("_pairs", "_roots", "_plans")
@@ -306,29 +304,13 @@ class _RangeLegIndex:
         extends p's source leg nu adds its own continuation past nu to p's
         range leg; a q whose range leg stops short of nu leaves p's range
         leg as it is and takes the rest of nu onto its source leg.  The
-        plan depends only on nu and its range vertex; the list is shared
-        between calls and is not to be changed."""
-        return self._cached(p)[0]
-
-    def plan_with(self, p, derive):
-        """``plan(p)`` and ``derive(plan(p))``.  Like the plan, the derived
-        value depends only on p's source leg and its range vertex, so derive
-        runs once per distinct leg, and its value is cached beside the plan
-        under the plan's key; it is shared between calls."""
-        plan = self.plan(p)
-        key = (p[1], p[4])
-        cached = self._plans[key]
-        if len(cached) == 1:
-            cached = self._plans[key] = (plan, derive(plan))
-        return cached
-
-    def _cached(self, p):
-        """The cache entry of p's source leg, ``(plan,)`` or ``(plan,
-        derived)``, built on the first call for that leg."""
+        plan depends only on nu and its range vertex, so it is built on
+        the first call for that key and cached under it; the list is
+        shared between calls and is not to be changed."""
         nu = p[1]
         key = (nu, p[4])
-        cached = self._plans.get(key)
-        if cached is None:
+        plan = self._plans.get(key)
+        if plan is None:
             pairs = self._pairs
             reaching, shorter = (), []
             node = self._roots.get(p[4])
@@ -349,18 +331,18 @@ class _RangeLegIndex:
                 plan.append((j, q[0][n:], q[1], q[2], q[4]))
             if shorter:
                 plan = sorted(plan + shorter, key=itemgetter(0))
-            cached = self._plans[key] = (plan,)
-        return cached
-
-    def partners(self, p):
-        """The positions, ascending, of the filed pairs q for which
-        ``_compose(p, q)`` is not None."""
-        return [entry[0] for entry in self.plan(p)]
+            self._plans[key] = plan
+        return plan
 
 
 def _minimal(graph: Graph, t):
-    """``minimal_pair`` on a flat pair of the graph; t itself when no edge
-    is stripped.
+    """The least flat pair with the same basic set as the flat pair t of
+    the graph; t itself when no edge is stripped.
+
+    Z(mu e, nu e) equals Z(mu, nu) exactly when e is the only edge ranging
+    at its range vertex, so the common last edge of both legs is stripped
+    for as long as that holds.  A basic set is never empty, and this pair
+    is the one term of its indicator's canonical form.
 
     The graph maps each edge that is the only edge into its range vertex
     to that vertex, so a strip step is one lookup of the common last edge,
@@ -383,19 +365,6 @@ def _minimal(graph: Graph, t):
         v = w
         k += 1
     return (mu[:-k], nu[:-k], v, t[3], t[4])
-
-
-def minimal_pair(p: PathPair) -> PathPair:
-    """The least pair with the same basic set as p.
-
-    Z(mu e, nu e) equals Z(mu, nu) exactly when e is the only edge ranging
-    at its range vertex, so the common last edge of both legs is stripped
-    for as long as that holds.  A basic set is never empty, and this pair
-    is the one term of its indicator's canonical form.
-    """
-    t = _flat(p)
-    m = _minimal(p.graph, t)
-    return p if m is t else _build(p.graph, m)
 
 
 def invert_pair(p: PathPair) -> PathPair:

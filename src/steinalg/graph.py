@@ -12,9 +12,9 @@ reproducible byte for byte.
 Validation happens once, at the boundary.  The public ``Path`` constructor
 checks that every edge id exists and that the edges compose, and computes
 both endpoints.  Operations on valid paths (``concat``, ``strip_prefix``,
-``Path.prefix``, ``enumerate_paths``) build their results with the private
-``_path``, which trusts the edges and endpoints it is given: each caller
-knows them from the paths it started from.
+``enumerate_paths``) build their results with the private ``_path``, which
+trusts the edges and endpoints it is given: each caller knows them from the
+paths it started from.
 """
 
 from __future__ import annotations
@@ -212,16 +212,6 @@ class Path:
         tie = self.graph.vertex_index(self.vertex) if not self.edges else -1
         return (tuple(idx(e) for e in self.edges), tie)
 
-    def prefix(self, n):
-        """The first n edges as a path (the vertex path at the range for n == 0)."""
-        if n >= len(self.edges):
-            return self
-        if n == 0:
-            return _path(self.graph, (), self.range_vertex, self.range_vertex)
-        edges = self.edges[:n]
-        return _path(self.graph, edges, self.range_vertex,
-                     self.graph._by_id[edges[-1]].source_vertex)
-
     def render(self):
         return self.vertex if not self.edges else ".".join(self.edges)
 
@@ -383,8 +373,14 @@ def serialize_graph(g: Graph) -> str:
 
 
 def load_graph_file(path) -> Graph:
+    """Parse a UTF-8 graph file; bytes that are not UTF-8 raise
+    GraphFormatError, like any other malformed graph text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError("graph file is not UTF-8 text: %s" % exc) from None
+    return load_graph(text)
 
 
 # -- structural queries --------------------------------------------------

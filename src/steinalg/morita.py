@@ -146,10 +146,6 @@ def _first_outside(flat_pairs, f0, corner: Corner):
                 None)
 
 
-def pair_supported_in(p: PathPair, f0, corner: Corner) -> bool:
-    return _first_outside((_flat(p),), f0, corner) is None
-
-
 def element_supported_in(f: SteinbergElement, f0, corner: Corner) -> bool:
     return _first_outside(f.flat, f0, corner) is None
 
@@ -200,13 +196,6 @@ class LinkingElement:
 
     def __repr__(self):
         return self.render()
-
-
-def embed(transversal, f: SteinbergElement, which: Corner) -> LinkingElement:
-    """Place a diagonal-block element into the matrix algebra."""
-    if which not in (Corner.GG, Corner.HH):
-        raise CornerSupportError("embed targets a diagonal block, not %s" % which.render())
-    return LinkingElement(transversal, f.ring, **{_BLOCK_NAMES[which]: f})
 
 
 def _check_linking_compatible(a: LinkingElement, b: LinkingElement):
@@ -285,8 +274,10 @@ class MoritaWitness:
     ``pieces`` is ((v, n),) with v in the (1,2) block and n in the (2,1)
     block, or () when the target admits no factorisation; the psi side
     multiplies v * n and the phi side n * v.  The report's
-    ``factors.piece-1-blocks`` row fails when a factor leaves its block, or
-    when n is None because v does not compose with the target.
+    ``factors.piece-1-blocks`` row fails when a factor leaves its block,
+    when n is None because v does not compose with the target, or on the
+    phi side when the connector does not start at the target's source
+    vertex.
     """
 
     side: str
@@ -355,8 +346,9 @@ def _witness_rows(transversal, graph, t, side):
     no connector.  Otherwise ``(v, blocks defect, unit-cover, reconstructs,
     matrix-reconstructs)``: the flat (1,2) factor v, the ``piece-1-blocks``
     defect text ("" when v and the (2,1) factor n sit in their blocks; n is
-    missing when v does not compose with the target), and the three
-    verification verdicts.
+    missing when v does not compose with the target; on the phi side v's
+    first leg is the connector, which must start at the target's source
+    vertex), and the three verification verdicts.
 
     This is exact: the product of two basic-pair indicators is the
     indicator of their composite, or zero when they do not compose; the
@@ -375,6 +367,7 @@ def _witness_rows(transversal, graph, t, side):
         if t[3] not in f0 or t[4] not in f0:
             return None
         v = (t[0], t[0], t[2], t[3], t[3])
+        defect = ""
         n = _compose(_invert(v), t)
         unit, unit_target = _compose(v, _invert(v)), v
         direct = None if n is None else _compose(v, n)
@@ -384,6 +377,8 @@ def _witness_rows(transversal, graph, t, side):
         if conn is None:
             return None
         v = (conn.edges, t[1], t[2], conn.range_vertex, t[4])
+        defect = ("" if conn.source_vertex == t[2] else
+                  "connector %s does not start at %s" % (conn.render(), t[2]))
         n = _compose(t, _invert(v))
         unit, unit_target = _compose(_invert(v), v), (t[1], t[1], t[2], t[4], t[4])
         direct = None if n is None else _compose(n, v)
@@ -391,7 +386,8 @@ def _witness_rows(transversal, graph, t, side):
     unit_cover = unit is not None and _minimal(graph, unit) == _minimal(graph, unit_target)
     reconstructs = direct is not None and _minimal(graph, direct) == _minimal(graph, t)
     matrix = reconstructs and _first_outside((direct,), f0, diagonal) is None
-    return v, _blocks_defect(graph, f0, v, n), unit_cover, reconstructs, matrix
+    defect = defect or _blocks_defect(graph, f0, v, n)
+    return v, defect, unit_cover, reconstructs, matrix
 
 
 def _holds(rows):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 
 from .collapse import CollapseSpec, collapse, validate_collapsible
-from .cylinder import BasicBisection, GroupoidProbe, PathPair
+from .cylinder import GroupoidProbe, PathPair
 from .graph import Graph, Path, VertexSubset, concat, vertex_path
-from .morita import Corner, Transversal
+from .morita import Corner
 from .steinberg import SteinbergElement, from_terms, zero
 
 
@@ -109,20 +109,6 @@ def random_corner_element(rng, g, ring, f0, corner: Corner,
     return from_terms(g, ring, terms)
 
 
-def random_bisection(rng, g, max_len=2, max_excluded=2) -> BasicBisection:
-    pair = random_pair(rng, g, max_len)
-    excluded = []
-    for _ in range(rng.randint(0, max_excluded)):
-        alpha = forward_walk(rng, g, pair.source_vertex, max_len)
-        if len(alpha) == 0:
-            es = g.edges_with_range(pair.source_vertex)
-            if not es:
-                break
-            alpha = Path(g, (rng.choice(es).id,))
-        excluded.append(alpha)
-    return BasicBisection(pair, excluded)
-
-
 def random_adequate_probe(rng, g, pair: PathPair, depth) -> GroupoidProbe:
     """A probe extending the pair by a shared tail of the given depth.
 
@@ -139,18 +125,7 @@ def random_adequate_probe(rng, g, pair: PathPair, depth) -> GroupoidProbe:
     return GroupoidProbe(concat(pair.mu, w), concat(pair.nu, w))
 
 
-# -- transversals and collapse instances --------------------------------------
-
-
-def random_transversal(rng, g) -> VertexSubset:
-    """A retained vertex set that every vertex can reach; the full vertex
-    set is the always-valid fallback."""
-    for _ in range(20):
-        k = rng.randint(1, len(g.vertices))
-        t = Transversal(g, rng.sample(g.vertices, k))
-        if not t.unreachable:
-            return t.f0
-    return VertexSubset(g, g.vertices)
+# -- collapse instances -------------------------------------------------------
 
 
 def random_collapse_spec(rng, g, max_new_edges=10):

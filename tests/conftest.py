@@ -1,26 +1,30 @@
 """Shared fixtures: the named small graphs, the shipped rings, and the
-seeded corpora the randomized tests draw from; the brute-force canonical
-form the canonical-form tests compare against; the pair rules on Path
-objects that the flat pair kernel is compared against; the range leg index
-that records its trie walks and the composites of its plans; probe membership
-and probe windows, the set semantics the pair operations are compared
-against; the relaxation that least connectors are compared against; the
-element-level surjectivity witness that the pair-level one is compared
-against; and the element-level word evaluator that the run rule of
-``eval_word`` is compared against."""
+seeded corpora the randomized tests draw from; the ring axioms each ring is
+checked against; the brute-force canonical form the canonical-form tests
+compare against; the pair rules on Path objects that the flat pair kernel
+is compared against, and the kernel's minimal pair and path map on
+PathPair objects; the range leg index that records its trie walks and the
+composites of its plans; probe membership and probe windows, the set
+semantics the pair operations are compared against; the relaxation that
+least connectors are compared against; the block rule on single pairs and
+the diagonal embedding; the element-level surjectivity witness that the
+pair-level one is compared against; the element-level word evaluator that
+the run rule of ``eval_word`` is compared against; and the random
+bisections and transversals the tests draw."""
 
 import pytest
 
-from steinalg import (Corner, Graph, GroupoidProbe, InputError, IntegerRing,
-                      IntegersMod, LinkingElement, MoritaWitness, Path,
-                      PathPair, RationalRing, Report, add, as_bisection,
-                      boundary_tails, compose_pairs, concat, convolve,
-                      corner_of, embed, expand, generator, indicator,
+from steinalg import (BasicBisection, Corner, CornerSupportError, Graph,
+                      GroupoidProbe, InputError, IntegerRing, IntegersMod,
+                      LinkingElement, MoritaWitness, Path, PathPair,
+                      RationalRing, Report, Transversal, VertexSubset, add,
+                      as_bisection, boundary_tails, compose_pairs, concat,
+                      convolve, corner_of, expand, generator, indicator,
                       invert_pair, is_prefix, linking_convolve, load_graph,
-                      negate, pairs_to_depth, parse_word, scale, strip_prefix,
-                      vertex_path, zero)
+                      negate, pairs_to_depth, parse_word, phi_fin, scale,
+                      strip_prefix, vertex_path, zero)
 from steinalg import sampling
-from steinalg.cylinder import _RangeLegIndex
+from steinalg.cylinder import _build, _flat, _minimal, _RangeLegIndex
 from steinalg.leavitt import (ProductWord, SumWord, SymbolWord, _scalar_value,
                               _strip_negations)
 
@@ -38,6 +42,36 @@ def long_line(n):
     vertices = ["x%d" % i for i in range(n)]
     edges = [("f%d" % i, vertices[i], vertices[i + 1]) for i in range(n - 1)]
     return Graph(vertices, edges)
+
+
+def ring_axioms_hold(ring, rng):
+    """Check the commutative-ring axioms on sampled triples; returns False
+    at the first round where an axiom fails, True otherwise, so the check
+    also runs under -O."""
+    for _ in range(200):
+        a, b, c = (ring.sample(rng) for _ in range(3))
+        axioms = (
+            (ring.add(a, b), ring.add(b, a)),
+            (ring.add(ring.add(a, b), c), ring.add(a, ring.add(b, c))),
+            (ring.add(a, ring.zero()), a),
+            (ring.add(a, ring.negate(a)), ring.zero()),
+            (ring.mul(a, b), ring.mul(b, a)),
+            (ring.mul(ring.mul(a, b), c), ring.mul(a, ring.mul(b, c))),
+            (ring.mul(a, ring.one()), a),
+            (ring.mul(a, ring.add(b, c)),
+             ring.add(ring.mul(a, b), ring.mul(a, c))),
+        )
+        if not all(ring.eq(lhs, rhs) for lhs, rhs in axioms):
+            return False
+    return True
+
+
+def prefix(path, n):
+    """The first n edges of a path as a path (the vertex path at its range
+    for n == 0)."""
+    if n == 0:
+        return vertex_path(path.graph, path.range_vertex)
+    return Path(path.graph, path.edges[:n])
 
 
 def common_depth_terms(graph, ring, raw_terms):
@@ -66,7 +100,7 @@ def common_depth_terms(graph, ring, raw_terms):
         by_parent = {}
         for p in terms:
             if p.mu.edges and p.nu.edges and p.mu.edges[-1] == p.nu.edges[-1]:
-                parent = PathPair(p.mu.prefix(len(p.mu) - 1), p.nu.prefix(len(p.nu) - 1))
+                parent = PathPair(prefix(p.mu, len(p.mu) - 1), prefix(p.nu, len(p.nu) - 1))
                 by_parent.setdefault(parent, []).append(p)
         for parent, kids in by_parent.items():
             coeffs = [terms[k] for k in kids]
@@ -104,7 +138,26 @@ def reference_minimal_pair(p):
         k += 1
     if not k:
         return p
-    return PathPair(p.mu.prefix(len(mu) - k), p.nu.prefix(len(nu) - k))
+    return PathPair(prefix(p.mu, len(mu) - k), prefix(p.nu, len(nu) - k))
+
+
+def minimal_pair(p):
+    """The flat kernel's minimal pair (``cylinder._minimal``) on a
+    PathPair; p itself when no edge is stripped."""
+    t = _flat(p)
+    m = _minimal(p.graph, t)
+    return p if m is t else _build(p.graph, m)
+
+
+def phi_pair(cert, pair):
+    """The path map of a collapse certificate on both legs of a pair."""
+    return PathPair(phi_fin(cert, pair.mu), phi_fin(cert, pair.nu))
+
+
+def partners(index, p):
+    """The positions, ascending, of the pairs filed in the range leg index
+    that compose with the flat pair p: the positions in its plan."""
+    return [entry[0] for entry in index.plan(p)]
 
 
 def plan_composites(p, plan):
@@ -204,6 +257,22 @@ def relaxed_connectors(graph, f0):
     return {v: best.get(v) for v in graph.vertices}
 
 
+def pair_supported_in(p, f0, corner):
+    """Whether the pair meets the corner's support rule: each leg the rule
+    constrains ranges in the retained set f0."""
+    row_req, col_req = corner.value
+    return ((not row_req or p.mu.range_vertex in f0)
+            and (not col_req or p.nu.range_vertex in f0))
+
+
+def embed(transversal, f, which):
+    """Place a diagonal-block element into the matrix algebra."""
+    if which not in (Corner.GG, Corner.HH):
+        raise CornerSupportError("embed targets a diagonal block, not %s" % which.render())
+    block = "f11" if which is Corner.GG else "f22"
+    return LinkingElement(transversal, f.ring, **{block: f})
+
+
 def element_level_surjectivity_witness(transversal, ring, pair, side):
     """``surjectivity_witness`` as it was when every row compared canonical
     elements: the oracle for the pair-level rows.
@@ -292,6 +361,32 @@ def element_level_eval_word(graph, word, ring):
     else:
         raise TypeError("not a word: %r" % (word,))
     return negate(element) if odd else element
+
+
+def random_bisection(rng, g, max_len=2, max_excluded=2):
+    """A random pair minus up to max_excluded random continuations."""
+    pair = sampling.random_pair(rng, g, max_len)
+    excluded = []
+    for _ in range(rng.randint(0, max_excluded)):
+        alpha = sampling.forward_walk(rng, g, pair.source_vertex, max_len)
+        if len(alpha) == 0:
+            es = g.edges_with_range(pair.source_vertex)
+            if not es:
+                break
+            alpha = Path(g, (rng.choice(es).id,))
+        excluded.append(alpha)
+    return BasicBisection(pair, excluded)
+
+
+def random_transversal(rng, g):
+    """A retained vertex set that every vertex can reach; the full vertex
+    set is the always-valid fallback."""
+    for _ in range(20):
+        k = rng.randint(1, len(g.vertices))
+        t = Transversal(g, rng.sample(g.vertices, k))
+        if not t.unreachable:
+            return t.f0
+    return VertexSubset(g, g.vertices)
 
 
 def sweep_graph(rng):

@@ -17,7 +17,8 @@ from steinalg import (Corner, IntegerRing, IntegersMod, PathPair,
                       pointed_groupoid_iso_check, serialize_graph,
                       surjectivity_witness, zero)
 from steinalg import cli, sampling
-from tests.conftest import TWO_CYCLE_TEXT, probe_window
+from tests.conftest import (TWO_CYCLE_TEXT, probe_window, random_bisection,
+                            random_transversal)
 
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
 FIXTURE_GRAPHS = ("loop_graph", "two_cycle", "outsplit_graph", "line_graph",
@@ -149,7 +150,7 @@ def test_criterion_4(graph_corpus, request):
     rng = sampling.rng_from_seed(404)
     for g in graph_corpus:
         for _ in range(25):
-            bis = sampling.random_bisection(rng, g, max_len=3)
+            bis = random_bisection(rng, g, max_len=3)
             assert (eval_word(g, indicator_as_word(bis), ring)
                     == indicator(bis, ring))
 
@@ -215,7 +216,7 @@ def test_criterion_7(graph_corpus):
     transversals = []
     psi_count = phi_count = 0
     for g in graph_corpus:
-        f0 = sampling.random_transversal(rng, g)
+        f0 = random_transversal(rng, g)
         transversals.append((g, f0))
         t = Transversal(g, f0)
         for pair in pairs_to_depth(g, 2):

@@ -173,6 +173,20 @@ def test_malformed_graph_file(graph_file, capsys):
     assert "undeclared" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["mul", "p(v)", "p(v)"], ["grade", "p(v)"], ["relations"],
+    ["collapse"], ["morita-check"],
+], ids=lambda argv: argv[0])
+def test_graph_file_that_is_not_utf8(argv, tmp_path, capsys):
+    """Undecodable bytes are malformed graph text (exit 2), not an
+    internal error."""
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, argv[0], "--graph", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: graph file is not UTF-8 text")
+
+
 def test_bad_word(graph_file, capsys):
     code, _, err = run(capsys, "grade", "--graph", graph_file(LOOP_TEXT), "q(v)")
     assert code == 2

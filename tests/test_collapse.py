@@ -17,8 +17,8 @@ from steinalg import (CollapseSpec, Graph, GroupoidProbe, InputError,
                       boundary_tails, check_phi_fin_image, collapse,
                       collapsed_preimage, compose_pairs, concat, convolve,
                       enumerate_paths, first_hit_extensions,
-                      from_terms, indicator, is_prefix, minimal_pair,
-                      pair_contains, pairs_to_depth, phi_fin, phi_pair,
+                      from_terms, indicator, is_prefix,
+                      pair_contains, pairs_to_depth, phi_fin,
                       load_graph, pointed_groupoid_iso_check,
                       serialize_graph, validate_collapsible, vertex_path)
 from steinalg import sampling
@@ -27,7 +27,8 @@ from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _legs_depth, _transport)
 from steinalg.cylinder import _build, _compose, _flat, _minimal
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line,
-                            probe_window, recording_range_leg_index)
+                            minimal_pair, phi_pair, probe_window,
+                            recording_range_leg_index)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 

@@ -17,13 +17,13 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       Path, PathPair, RationalRing, add, as_bisection,
                       boundary_tails, compose_pairs, concat, convolve,
                       enumerate_paths, expand, indicator, invert_pair,
-                      minimal_pair, pair_contains, pairs_to_depth,
-                      strip_prefix, vertex_path)
+                      pair_contains, pairs_to_depth, strip_prefix, vertex_path)
 from steinalg import Graph, collapse, load_graph, sampling
 from steinalg.collapse import _transport
 from steinalg.cylinder import _compose, _flat, _minimal, _RangeLegIndex
 from tests.conftest import (common_depth_terms, long_line, member,
-                            plan_composites, probes_in, reference_compose_pairs,
+                            minimal_pair, partners, plan_composites, prefix,
+                            probes_in, reference_compose_pairs,
                             reference_minimal_pair, sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -330,11 +330,11 @@ def test_plans_form_the_composites_of_the_composition_rule(seed):
     for pairs in windows:
         index = _RangeLegIndex(pairs)
         for p in pairs:
-            partners = index.partners(p)
+            found = partners(index, p)
             assert plan_composites(p, index.plan(p)) == [_compose(p, pairs[j])
-                                                         for j in partners]
-            assert partners == [j for j, q in enumerate(pairs)
-                                if _compose(p, q) is not None]
+                                                         for j in found]
+            assert found == [j for j, q in enumerate(pairs)
+                             if _compose(p, q) is not None]
 
 
 def test_expand_partitions(rose2, line_graph):
@@ -395,8 +395,7 @@ def test_trusted_paths_are_valid(seed):
     made = list(paths)
     for p in paths:
         for n in range(len(p) + 1):
-            made.append(p.prefix(n))
-            made.append(strip_prefix(p, p.prefix(n)))
+            made.append(strip_prefix(p, prefix(p, n)))
     for _ in range(30):
         p = rng.choice(paths)
         tails = [q for q in paths if q.range_vertex == p.source_vertex]

@@ -65,8 +65,6 @@ def test_path_basics(rose2):
     p = Path(rose2, ("a", "b"))
     assert (p.range_vertex, p.source_vertex, len(p)) == ("v", "v", 2)
     assert p.render() == "a.b"
-    assert p.prefix(1) == Path(rose2, ("a",))
-    assert p.prefix(0) == vertex_path(rose2, "v")
     assert vertex_path(rose2, "v").render() == "v"
 
 

@@ -16,7 +16,7 @@ from steinalg import leavitt, sampling
 from steinalg.leavitt import (MAX_NESTING, NegWord, ProductWord, ScalarWord,
                               SumWord, SymbolWord, _tokenize)
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
-                            element_level_eval_word)
+                            element_level_eval_word, random_bisection)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
@@ -519,5 +519,5 @@ def test_indicator_as_word_random(seed):
     ring = IntegersMod(4)
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
-    b = sampling.random_bisection(rng, g)
+    b = random_bisection(rng, g)
     assert eval_word(g, indicator_as_word(b), ring) == indicator(b, ring)

@@ -7,15 +7,16 @@ import pytest
 from steinalg import (Corner, CornerSupportError, Graph, IntegerRing,
                       IntegersMod, LinkingElement, Path, PathPair,
                       RationalRing, Transversal, add, concat, convolve,
-                      corner_of, embed, eq_ops_check, indicator,
+                      corner_of, eq_ops_check, indicator,
                       least_connectors, linking_convolve, load_graph,
                       morita_report, pairs_to_depth, phi, psi,
                       surjectivity_witness, vertex_path, zero)
 from steinalg import morita, sampling
 from steinalg.cylinder import _flat
-from steinalg.morita import element_supported_in, pair_supported_in
+from steinalg.morita import element_supported_in
 from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT,
-                            element_level_surjectivity_witness,
+                            element_level_surjectivity_witness, embed,
+                            pair_supported_in, random_transversal,
                             relaxed_connectors)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -261,7 +262,7 @@ def test_linking_convolve_matches_local_matmul(seed):
     ring = IntegersMod(4)
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
-    f0 = sampling.random_transversal(rng, g)
+    f0 = random_transversal(rng, g)
     t = Transversal(g, f0)
     a = random_linking(rng, g, ring, f0, t)
     b = random_linking(rng, g, ring, f0, t)
@@ -274,7 +275,7 @@ def test_linking_convolve_associative_distributive(seed):
     ring = IntegerRing()
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
-    f0 = sampling.random_transversal(rng, g)
+    f0 = random_transversal(rng, g)
     t = Transversal(g, f0)
     a, b, c = (random_linking(rng, g, ring, f0, t) for _ in range(3))
     assert (linking_convolve(linking_convolve(a, b), c)
@@ -322,7 +323,7 @@ def test_eq_ops_frozen_and_misassigned(two_cycle, zring):
 def test_eq_ops_on_random_tuples(ring, seed):
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
-    f0 = sampling.random_transversal(rng, g)
+    f0 = random_transversal(rng, g)
     t = Transversal(g, f0)
     args = [sampling.random_corner_element(rng, g, ring, f0, c)
             for c in (Corner.GZ, Corner.GZ, Corner.ZG, Corner.ZG)]
@@ -404,7 +405,7 @@ def test_witnesses_on_random_targets(seed):
     ring = IntegerRing()
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
-    f0 = sampling.random_transversal(rng, g)
+    f0 = random_transversal(rng, g)
     t = Transversal(g, f0)
     for _ in range(4):
         pair = sampling.random_pair(rng, g)
@@ -431,7 +432,7 @@ def test_pair_witness_matches_element_oracle(ring, seed):
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng, max_vertices=4, max_edges=6)
     kept = [v for v in g.vertices if rng.random() < 0.5]
-    for f0 in (sampling.random_transversal(rng, g), kept):
+    for f0 in (random_transversal(rng, g), kept):
         t = Transversal(g, f0)
         for pair in pairs_to_depth(g, 2):
             for side in ("psi", "phi"):
@@ -467,7 +468,7 @@ def test_pair_witness_on_corrupted_connectors(seed):
     ring = IntegerRing()
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng, max_vertices=4, max_edges=6)
-    t = Transversal(g, sampling.random_transversal(rng, g))
+    t = Transversal(g, random_transversal(rng, g))
     object.__setattr__(t, "_connectors", corrupt_connectors(rng, t))
     for pair in pairs_to_depth(g, 2):
         if t._connectors[pair.source_vertex].range_vertex in t.f0:
@@ -614,15 +615,19 @@ CORRUPTED_PHI_ROWS = {
     (("ua", "ub"), "ub", ("rb",), 2): "fail (Z(sb,sb): factors.piece-1-blocks)",
     (("ua", "ub"), "ub", ("rb",), 3):
         "fail (Z(sa.ra.sb,sa.ra.sb): factors.piece-1-blocks)",
+    # a path into the retained set {ua, ub} that starts at ua, not at u;
+    # every composite still forms, so only the source check catches it
+    (("u",), "u", ("ra", "sa"), 2): "fail (Z(u,u): factors.piece-1-blocks)",
+    (("u",), "u", ("ra", "sa"), 3): "fail (Z(u,u): factors.piece-1-blocks)",
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTED_PHI_ROWS), ids=repr)
 def test_corrupted_connectors_fail_the_report_as_before(case, monkeypatch):
     """With one vertex's connector corrupted, morita_report names the first
-    failing target and its failed rows exactly as before witnesses were
-    decided without a report, and every target's decision still equals its
-    witness report's ok."""
+    failing target and its failed rows (the first six cases exactly as
+    before witnesses were decided without a report), and every target's
+    decision still equals its witness report's ok."""
     t0, vertex, edges, depth = case
     g = load_graph(OUTSPLIT_TEXT)
     least = morita.least_connectors

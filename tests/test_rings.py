@@ -7,12 +7,13 @@ import pytest
 from steinalg import (InputError, IntegerRing, IntegersMod, RationalRing,
                       ring_from_spec)
 from steinalg.sampling import rng_from_seed
+from tests.conftest import ring_axioms_hold
 
 
 @pytest.mark.parametrize("ring", [IntegerRing(), RationalRing(),
                                   IntegersMod(2), IntegersMod(4), IntegersMod(7)])
 def test_axioms(ring):
-    assert ring.selftest(rng_from_seed(0))
+    assert ring_axioms_hold(ring, rng_from_seed(0))
 
 
 def test_selftest_reports_a_broken_axiom():
@@ -21,7 +22,7 @@ def test_selftest_reports_a_broken_axiom():
         def add(self, a, b):
             return a + b + 1
 
-    assert OffByOne().selftest(rng_from_seed(0)) is False
+    assert ring_axioms_hold(OffByOne(), rng_from_seed(0)) is False
 
 
 def test_mod_normalizes():
@@ -30,7 +31,6 @@ def test_mod_normalizes():
     assert ring.negate(1) == 3
     assert ring.mul(2, 2) == 0
     assert ring.from_int(-1) == 3
-    assert ring.sub(1, 2) == 3
     assert ring.one() == 1 and ring.zero() == 0
 
 
@@ -83,7 +83,6 @@ def test_rational_exactness():
     ring = RationalRing()
     assert ring.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert ring.mul(Fraction(2, 3), Fraction(3, 2)) == ring.one()
-    assert ring.sub(ring.one(), ring.one()) == ring.zero()
 
 
 def test_spec_parsing():

@@ -1,10 +1,12 @@
 """The example scripts and the benchmark's tracer still run against the
-package API, and no module imports a name it never uses."""
+package API, no module imports a name it never uses, and every public name
+of the package has a caller outside the tests."""
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -61,3 +63,58 @@ def test_modules_import_no_unused_names():
     unused = {str(p.relative_to(ROOT)): names
               for p in sorted(modules) if (names := unused_imports(p))}
     assert unused == {}
+
+
+def public_definitions(path):
+    """(qualified name, name) of each public module-level function and
+    class of a module, and of each public method of its classes."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [("%s.%s" % (node.name, item.name), item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def referenced_names(path, strings=False):
+    """The names a module reads, imports or reads as an attribute, and with
+    ``strings`` also its string constants."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_has_a_program_caller():
+    """Every name ``steinalg`` exports, and every public function, class and
+    method of its modules, is read by program code: the package modules
+    but ``__init__``, the scripts, or the benchmark, whose string constants
+    name the entry points its tracer wraps.  A name the README shows in
+    backticks counts as documented API.  Tests do not count, so a helper
+    only tests use belongs in ``tests/conftest.py``.  A method counts as
+    read when any attribute of that name is."""
+    package = ROOT / "src" / "steinalg"
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    seen = set()
+    for p in modules + sorted(SCRIPTS.glob("*.py")):
+        seen |= referenced_names(p)
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        seen |= referenced_names(p, strings=True)
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        seen.update(re.findall(r"[A-Za-z_]\w*", span))
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = [a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    wanted = [("__init__." + name, name) for name in exported]
+    wanted += [("%s.%s" % (p.stem, qualified), name)
+               for p in modules for qualified, name in public_definitions(p)]
+    assert sorted({qualified for qualified, name in wanted if name not in seen}) == []

@@ -20,6 +20,7 @@ from steinalg import (BasicBisection, Graph, GroupoidProbe, InputError,
 from steinalg import cylinder, sampling, steinberg
 from steinalg.cylinder import _flat, _RangeLegIndex
 from tests.conftest import (OUTSPLIT_TEXT, TWO_CYCLE_TEXT, common_depth_terms,
+                            partners, prefix, random_bisection,
                             recording_range_leg_index, sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -153,7 +154,7 @@ def sweep_terms(rng, g, ring):
             if p.min_depth <= 4:
                 raw.extend((q, ring.negate(c)) for q in expand(p, p.min_depth + 1))
         else:
-            raw.extend(indicator_terms(sampling.random_bisection(rng, g), ring))
+            raw.extend(indicator_terms(random_bisection(rng, g), ring))
     return raw
 
 
@@ -172,7 +173,7 @@ def test_canonical_terms_match_the_common_depth_oracle(seed):
     assert got == want
     assert ({p: ring.render(c) for p, c in got.items()}
             == {p: ring.render(c) for p, c in want.items()})
-    b = sampling.random_bisection(rng, g, max_excluded=3)
+    b = random_bisection(rng, g, max_excluded=3)
     assert indicator(b, ring).terms == common_depth_terms(g, ring, indicator_terms(b, ring))
 
 
@@ -359,8 +360,8 @@ def test_evaluate_matches_the_term_scan(seed):
         probes.append(sampling.random_adequate_probe(rng, g, p, rng.randint(1, 3)))
         if p.min_depth and p.mu.edges[-1] == p.nu.edges[-1]:
             # One step shallower: both legs drop their common last edge.
-            probes.append(GroupoidProbe(p.mu.prefix(len(p.mu) - 1),
-                                        p.nu.prefix(len(p.nu) - 1)))
+            probes.append(GroupoidProbe(prefix(p.mu, len(p.mu) - 1),
+                                        prefix(p.nu, len(p.nu) - 1)))
     for _ in range(6):
         p = sampling.random_pair(rng, g, max_len=rng.randint(0, 4))
         probes.append(GroupoidProbe(p.mu, p.nu))
@@ -537,7 +538,7 @@ def test_convolve_matches_the_double_loop_on_dense_elements(seed):
     window = pairs_to_depth(g, depths[-1])
     index = _RangeLegIndex([_flat(p) for p in window])
     for p in window:
-        assert index.partners(_flat(p)) == composable(p, window)
+        assert partners(index, _flat(p)) == composable(p, window)
     f, h = (dense_element(rng, g, ring, rng.choice(depths)) for _ in range(2))
     # A factor with one term takes no index; sparse factors check that too.
     k = sampling.random_element(rng, g, ring, max_terms=2)
@@ -548,7 +549,7 @@ def test_convolve_matches_the_double_loop_on_dense_elements(seed):
         assert list(product.terms) == list(want.terms)
     index = _RangeLegIndex([_flat(q) for q in h.terms])
     for p in f.terms:
-        assert index.partners(_flat(p)) == composable(p, list(h.terms))
+        assert partners(index, _flat(p)) == composable(p, list(h.terms))
 
 
 def rose(letters):
