@@ -23,7 +23,7 @@ from .leavitt import check_ck_relations, eval_word
 from .morita import morita_report
 from .report import Report
 from .rings import ring_from_spec
-from .steinberg import convolve, grade
+from .steinberg import add_all, convolve, grade
 
 
 class UsageError(Exception):
@@ -142,13 +142,8 @@ def cmd_grade(args) -> Report:
     rep.add("inputs", "word", args.words[0])
     rep.add("inputs", "ring", ring.name)
     f = eval_word(g, args.words[0], ring)
-    decomposition = _element_rows(rep, "element", f)
-    total = None
-    for n in decomposition.degrees():
-        part = decomposition.component(n)
-        total = part if total is None else total + part
-    rep.check("element", "components-sum-back",
-              (total if total is not None else f) == f)
+    parts = list(_element_rows(rep, "element", f).components.values())
+    rep.check("element", "components-sum-back", (add_all(parts) if parts else f) == f)
     return rep
 
 

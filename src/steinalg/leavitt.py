@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .cylinder import _build, _compose, _invert, as_bisection
+from .cylinder import _compose, _invert, as_bisection
 from .errors import InputError
 from .graph import concat
 from .report import Report
-from .steinberg import (SteinbergElement, add_all, convolve, indicator, negate,
-                        scale, zero)
+from .steinberg import SteinbergElement, add_all, convolve, negate, scale, zero
 
 
 # -- word syntax trees ----------------------------------------------------
@@ -300,7 +299,7 @@ def generator(graph, symbol, ring) -> SteinbergElement:
         if not isinstance(parsed, SymbolWord):
             raise InputError("%r is not a single generator symbol" % (symbol,))
         symbol = parsed
-    return indicator(_build(graph, _symbol_pair(graph, symbol)), ring)
+    return _run_element(graph, ring, _symbol_pair(graph, symbol))
 
 
 def _strip_negations(word):
@@ -339,7 +338,7 @@ def _scalar_value(word):
 
 def _run_element(graph, ring, t) -> SteinbergElement:
     """The indicator of the flat pair t: one term, coefficient one."""
-    return SteinbergElement(graph, ring, [(t, ring.int_ring().one())], 1)
+    return SteinbergElement(graph, ring, [(t, 1)], 1)
 
 
 def eval_word(graph, word, ring) -> SteinbergElement:

@@ -272,7 +272,9 @@ class MoritaWitness:
     """The off-diagonal factor pair reconstructing a single-pair indicator.
 
     ``pieces`` is ((v, n),) with v in the (1,2) block and n in the (2,1)
-    block, or () when the target admits no factorisation; the psi side
+    block, or () when the target admits no factorisation or, on the phi
+    side, when the connector does not start at the target's source vertex,
+    so that v would not be a pair; the psi side
     multiplies v * n and the phi side n * v.  The report's
     ``factors.piece-1-blocks`` row fails when a factor leaves its block,
     when n is None because v does not compose with the target, or on the
@@ -323,14 +325,17 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
                          "vertex %s cannot reach the retained set"
                          % pair.source_vertex):
             return MoritaWitness(side, pair, (), rep)
-        rep.add("target", "connector",
-                transversal._connectors[pair.source_vertex].render())
+        conn = transversal._connectors[pair.source_vertex]
+        rep.add("target", "connector", conn.render())
     fv, defect, unit_cover, reconstructs, matrix = rows
     rep.check("factors", "piece-1-blocks", not defect, defect)
     rep.check("factors", "pieces-disjoint", "vacuous", "single piece")
     rep.check("verification", "unit-cover", unit_cover)
     rep.check("verification", "reconstructs", reconstructs)
     rep.check("verification", "matrix-reconstructs", matrix)
+    if side == "phi" and conn.source_vertex != pair.source_vertex:
+        # v's first leg would be a connector that starts elsewhere: no pair.
+        return MoritaWitness(side, pair, (), rep)
     v = _build(g, fv)
     n = (compose_pairs(invert_pair(v), pair) if side == "psi"
          else compose_pairs(pair, invert_pair(v)))

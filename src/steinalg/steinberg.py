@@ -28,13 +28,14 @@ fan-out; it does not grow with the depth gap between unrelated terms.
 An element stores its normal form in one shape: ``flat``, a dict from flat
 pair (the edge-id tuples of the pair kernel in ``cylinder``) to int, over
 one denominator ``den``; term t stands for ``ring.lift(flat[t], den)``.
-The ints are normalized values of ``ring.int_ring()`` (zero is ``not c``,
-equality is ``==``), and den is reduced: gcd(den, *ints) == 1.  Over z and
-zmod:n the ints are the values and den is 1; over q they are numerators
-over the lcm of the denominators.  So equal functions have equal stored
-forms, and equality, hashing, sums, products, evaluation and grading run
-on them.  ``terms``, the element as {PathPair: ring value} in stored order,
-is built on first read and kept; rendering and the pointwise oracle read it.
+The ints are summed and multiplied plainly and reduced mod ``ring.modulus``
+when that is nonzero (zero is ``not c``, equality is ``==``), and den is
+reduced: gcd(den, *ints) == 1.  Over z and zmod:n the ints are the values
+and den is 1; over q they are numerators over the lcm of the
+denominators.  So equal functions have equal stored forms, and equality,
+hashing, sums, products, evaluation and grading run on them.  ``terms``,
+the element as {PathPair: ring value} in stored order, is built on first
+read and kept; rendering and the pointwise oracle read it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class SteinbergElement:
 
     __slots__ = ("graph", "ring", "flat", "den", "_terms")
 
-    def __init__(self, graph, ring, raw_terms, den=None):
+    def __init__(self, graph, ring, raw_terms, den):
         self.graph = graph
         self.ring = ring
         self.flat, self.den = _canonical_terms(graph, ring, raw_terms, den)
@@ -109,15 +110,10 @@ class SteinbergElement:
 
 def _canonical_terms(graph, ring, raw_terms, den):
     """The normal form of raw terms, (flat pair -> int, reduced den).  Raw
-    terms are (PathPair, ring value) pairs, or, with den, (flat pair, int)
-    pairs, each flat pair at most once, whose ints are normalized values of
-    ``ring.int_ring()`` over den."""
+    terms are (flat pair, int) pairs, each flat pair at most once, whose
+    ints over den are reduced mod ``ring.modulus`` when that is nonzero."""
     if not raw_terms:
         return {}, 1
-    walk = ring.int_ring()
-    if den is None:
-        flat_terms, den = ring.as_ints([(_flat(p), c) for p, c in raw_terms])
-        raw_terms = _merge(walk, flat_terms).items()
     # A chain is the pairs with one top (both legs with the common tail cut
     # off), each filed by its tail: two pairs meet only when they share a
     # top and one tail is a prefix of the other.  The range vertex tells
@@ -151,7 +147,7 @@ def _canonical_terms(graph, ring, raw_terms, den):
             tail, t, c = members
             out[_minimal(graph, t) if tail else t] = c
         else:
-            _walk_chain(graph, walk, top, members, out)
+            _walk_chain(graph, ring.modulus, top, members, out)
     # den > 1 only over q, where the ints are numerators: dividing them and
     # den by their common factor keeps every value.
     common = gcd(den, *out.values())
@@ -161,22 +157,31 @@ def _canonical_terms(graph, ring, raw_terms, den):
     return out, den
 
 
-def _merge(walk, terms):
+def _merge(terms, m):
     """The (flat pair, int) terms as a dict in first-seen order, the ints
-    of equal pairs summed in the ring walk."""
+    of equal pairs summed and then reduced mod m (see ``_reduce``)."""
     merged = {}
+    get = merged.get
     for t, c in terms:
-        acc = merged.get(t)
-        merged[t] = c if acc is None else walk.add(acc, c)
-    return merged
+        merged[t] = get(t, 0) + c
+    return _reduce(merged, m)
+
+
+def _reduce(ints, m):
+    """The dict ints with each value reduced mod m when m is nonzero."""
+    if m:
+        for t, c in ints.items():
+            ints[t] = c % m
+    return ints
 
 
 _MIXED = object()       # the value of a node whose fan carries several
 
 
-def _walk_chain(graph, walk, top, members, out):
+def _walk_chain(graph, m, top, members, out):
     """Put one chain's canonical pieces into out; its members (flat pair,
-    coefficient) are filed by tail, coefficients are ints of the ring walk.
+    coefficient) are filed by tail, coefficients are ints reduced mod m
+    when m is nonzero.
 
     The tree holds the member tails and their prefixes.  A node's sum is
     the total over the members at it and above it; it is the value on
@@ -208,12 +213,13 @@ def _walk_chain(graph, walk, top, members, out):
                 break
             sums[tail[:i]] = 0
     order = sorted(sums, key=len)
-    add = walk.add
     for t in order:
         acc = sums[t[:-1]] if t else 0
         own = members.get(t)
         if own is not None:
-            acc = add(acc, own[1]) if acc else own[1]
+            acc += own[1]
+            if m:
+                acc %= m
         sums[t] = acc
     below = {}          # node -> {edge id: the value of that branch}
     for t in reversed(order):
@@ -241,7 +247,7 @@ def _walk_chain(graph, walk, top, members, out):
 
 
 def zero(graph, ring) -> SteinbergElement:
-    return SteinbergElement(graph, ring, [])
+    return SteinbergElement(graph, ring, [], 1)
 
 
 def indicator(b, ring) -> SteinbergElement:
@@ -252,11 +258,10 @@ def indicator(b, ring) -> SteinbergElement:
     bisection cancels to the zero element during normalization.
     """
     b = as_bisection(b)
-    raw = [(b.pair, ring.one())]
-    minus_one = ring.negate(ring.one())
-    for alpha in b.excluded:
-        raw.append((b.pair.extend(alpha), minus_one))
-    return SteinbergElement(b.graph, ring, raw)
+    one = ring.one()
+    minus_one = ring.negate(one)
+    return from_terms(b.graph, ring, [(b.pair, one)] + [
+        (b.pair.extend(alpha), minus_one) for alpha in b.excluded])
 
 
 def from_terms(graph, ring, pairs_and_coeffs) -> SteinbergElement:
@@ -271,8 +276,9 @@ def from_terms(graph, ring, pairs_and_coeffs) -> SteinbergElement:
     for p, c in pairs_and_coeffs:
         if p.graph is not graph:
             raise ValueError("term pair on a different graph")
-        raw.append((p, ring.coerce(c)))
-    return SteinbergElement(graph, ring, raw)
+        raw.append((_flat(p), ring.coerce(c)))
+    flat_terms, den = ring.as_ints(raw)
+    return SteinbergElement(graph, ring, _merge(flat_terms, ring.modulus).items(), den)
 
 
 # -- module operations -----------------------------------------------------
@@ -297,9 +303,12 @@ def add_all(elements) -> SteinbergElement:
     denominators and merged into one raw term list, so a sum of n elements
     builds one element, not n - 1 running sums.  Zero operands add
     nothing: when at most one operand is nonzero, that operand (or the
-    last, when all are zero) is the sum itself.
+    last, when all are zero) is the sum itself.  An empty input raises
+    ValueError.
     """
     elements = list(elements)
+    if not elements:
+        raise ValueError("add_all needs at least one element")
     first = elements[0]
     for f in elements[1:]:
         _check_compatible(first, f)
@@ -309,7 +318,7 @@ def add_all(elements) -> SteinbergElement:
     den = lcm(*(f.den for f in nonzero))
     raw = [(t, c * (den // f.den)) for f in nonzero for t, c in f.flat.items()]
     return SteinbergElement(first.graph, first.ring,
-                            _merge(first.ring.int_ring(), raw).items(), den)
+                            _merge(raw, first.ring.modulus).items(), den)
 
 
 def negate(f) -> SteinbergElement:
@@ -320,9 +329,8 @@ def scale(r, f) -> SteinbergElement:
     """r times f; a scalar outside the ring raises InputError."""
     ring = f.ring
     [(_, k)], den = ring.as_ints([(None, ring.coerce(r))])
-    normal = ring.int_ring().from_int
-    raw = [(t, normal(k * c)) for t, c in f.flat.items()]
-    return SteinbergElement(f.graph, ring, raw, den * f.den)
+    raw = _reduce({t: k * c for t, c in f.flat.items()}, ring.modulus)
+    return SteinbergElement(f.graph, ring, raw.items(), den * f.den)
 
 
 def convolve(f, g) -> SteinbergElement:
@@ -347,7 +355,8 @@ def convolve(f, g) -> SteinbergElement:
     canonicalizing the numerators and then dividing gives the same terms in
     the same order.  Over zmod:n each merged sum is reduced mod n before
     the walk, which must come first: 2 * 2 + 2 * 2 = 8 is zero mod 4, and a
-    fan can be uniform mod n but not over the integers.
+    fan can be uniform mod n but not over the integers.  Over z and q the
+    sums are already the stored ints.
     """
     _check_compatible(f, g)
     if not f.flat:
@@ -371,9 +380,7 @@ def convolve(f, g) -> SteinbergElement:
                 composed = _compose(t, q)
                 if composed is not None:
                     merged[composed] = get(composed, 0) + c * d
-    normal = f.ring.int_ring().from_int
-    for t, c in merged.items():
-        merged[t] = normal(c)
+    _reduce(merged, f.ring.modulus)
     return SteinbergElement(f.graph, f.ring, merged.items(), f.den * g.den)
 
 
@@ -389,16 +396,18 @@ def evaluate(f, probe: GroupoidProbe):
     mu, nu = probe.mu_full, probe.nu_full
     if mu.graph is not f.graph:
         raise ValueError("probe and element live on different graphs")
-    flat, edge, walk = f.flat, f.graph.edge, f.ring.int_ring()
+    flat, edge, ring = f.flat, f.graph.edge, f.ring
     v, mu_range, nu_range = mu.source_vertex, mu.range_vertex, nu.range_vertex
     k, j = len(mu.edges), len(nu.edges)
     total = 0
     while True:
         c = flat.get((mu.edges[:k], nu.edges[:j], v, mu_range, nu_range))
         if c is not None:
-            total = walk.add(total, c)
+            total += c
         if not k or not j or mu.edges[k - 1] != nu.edges[j - 1]:
-            return f.ring.lift(total, f.den)
+            if ring.modulus:
+                total %= ring.modulus
+            return ring.lift(total, f.den)
         k -= 1
         j -= 1
         v = edge(mu.edges[k]).range_vertex

@@ -11,7 +11,8 @@ runs over both collapse sets at depths 4 and 5 in every shipped ring.
 ``grade`` and ``mul`` run on rose words whose terms lie several levels apart
 (depth gaps 6 and 10 on the 2-rose, 5 on the 3-rose) and on one mixed-degree
 word with scalars of both signs, in every shipped ring: they pin the
-canonical form of elements with nested terms.  A change that passes this
+canonical form of elements with nested terms.  ``relations`` runs on the
+2-rose and on the fixture in every shipped ring.  A change that passes this
 test leaves these reports unchanged.
 """
 
@@ -69,6 +70,9 @@ def _cases():
             "rose2", ["grade", "--ring", ring, MIXED_WORD])
         cases["mul-rose2-mixed-%s" % ring_name] = (
             "rose2", ["mul", "--ring", ring, MIXED_WORD, "s(b) * st(a) - 2 * p(v)"])
+        for graph in ("rose2", "outsplit"):
+            cases["relations-%s-%s" % (graph, ring_name)] = (
+                graph, ["relations", "--ring", ring])
     return cases
 
 

@@ -356,7 +356,7 @@ def test_generator_products_build_no_generator_elements(monkeypatch):
         raise AssertionError("generator product left the pair kernel")
 
     monkeypatch.setattr(leavitt, "convolve", refuse)
-    monkeypatch.setattr(leavitt, "indicator", refuse)
+    monkeypatch.setattr(leavitt, "generator", refuse)
     assert [eval_word(graph, text, RationalRing()) for text in texts] == want
 
 

@@ -489,6 +489,22 @@ def test_pair_witness_names_the_factor_outside_its_block(two_cycle, zring):
             == "fail (Z(w,w) violates the GZ support pattern)")
 
 
+def test_witness_with_a_connector_from_another_vertex_has_no_pieces(outsplit_graph,
+                                                                    zring):
+    """A connector that starts at another vertex than the target's source
+    vertex gives no factor pair: the witness returns no pieces and fails
+    ``factors.piece-1-blocks`` alone, naming the connector."""
+    t = Transversal(outsplit_graph, ["ua", "ub"])
+    object.__setattr__(t, "_connectors",
+                       dict(t._connectors, u=Path(outsplit_graph, ("ra", "sa"))))
+    u = vertex_path(outsplit_graph, "u")
+    w = surjectivity_witness(t, zring, PathPair(u, u), "phi")
+    assert w.pieces == ()
+    assert w.report.failures() == ["factors.piece-1-blocks"]
+    assert (w.report.value("factors", "piece-1-blocks")
+            == "fail (connector ra.sa does not start at u)")
+
+
 def test_witnesses_build_no_elements(monkeypatch):
     """Witnesses and a report without eq-ops samples convolve nothing, build
     no indicator and multiply no matrix elements."""

@@ -64,19 +64,31 @@ def test_is_zero_answers_from_the_normalized_value(ring, value, zero):
     (RationalRing(), [Fraction(1, 2 ** 61 - 1), Fraction(2, 3 ** 41)]),
 ])
 def test_values_round_trip_through_ints(ring, values):
-    """Each value is its int over the common denominator, and an int
-    product over the product of denominators is the ring product."""
+    """Each value is its int over the common denominator, and a plain int
+    product over the product of denominators, or a plain int sum over the
+    denominator, reduced mod the modulus when that is nonzero, is the ring
+    product or sum."""
     keyed, den = ring.as_ints(list(enumerate(values)))
     assert [key for key, _ in keyed] == list(range(len(values)))
     ints = [k for _, k in keyed]
     assert den >= 1 and all(type(k) is int for k in ints)
     assert [ring.lift(k, den) for k in ints] == values
     assert [type(ring.lift(k, den)) for k in ints] == [type(v) for v in values]
-    walk = ring.int_ring()
+
+    def reduce(k):
+        return k % ring.modulus if ring.modulus else k
+
     for a, x in zip(ints, values):
         for b, y in zip(ints, values):
-            assert ring.lift(walk.from_int(a * b), den * den) == ring.mul(x, y)
-            assert ring.lift(walk.add(a, b), den) == ring.add(x, y)
+            assert ring.lift(reduce(a * b), den * den) == ring.mul(x, y)
+            assert ring.lift(reduce(a + b), den) == ring.add(x, y)
+
+
+@pytest.mark.parametrize("ring,modulus", [(IntegerRing(), 0), (RationalRing(), 0),
+                                          (ring_from_spec("zmod:6"), 6)],
+                         ids=["z", "q", "zmod:6"])
+def test_modulus(ring, modulus):
+    assert ring.modulus == modulus
 
 
 def test_rational_exactness():

@@ -168,7 +168,7 @@ def test_canonical_terms_match_the_common_depth_oracle(seed):
     g = sweep_graph(rng)
     ring = rng.choice(RINGS + (IntegersMod(4),))
     raw = sweep_terms(rng, g, ring)
-    got = SteinbergElement(g, ring, list(raw)).terms
+    got = from_terms(g, ring, raw).terms
     want = common_depth_terms(g, ring, raw)
     assert got == want
     assert ({p: ring.render(c) for p, c in got.items()}
@@ -264,7 +264,7 @@ def test_canonicalize_is_idempotent(seed):
     f = sampling.random_element(rng, g, IntegerRing())
 
     def canonicalize(x):
-        return SteinbergElement(x.graph, x.ring, list(x.terms.items()))
+        return from_terms(x.graph, x.ring, x.terms.items())
 
     assert canonicalize(f) == f
     assert canonicalize(canonicalize(f)).terms == canonicalize(f).terms
@@ -469,6 +469,11 @@ def test_add_all_matches_the_merged_terms(ring, seed):
     assert steinberg.add_all(elements) == want == fold
 
 
+def test_add_all_of_nothing_is_a_value_error():
+    with pytest.raises(ValueError, match="add_all needs at least one element"):
+        steinberg.add_all(iter(()))
+
+
 def test_zero_summand_is_the_other_operand(loop_graph, two_cycle, zring, qring):
     """A zero summand returns the other operand itself, once the operands
     are known to share their graph and ring."""
@@ -495,7 +500,7 @@ def double_loop_convolve(f, g):
     """convolve by its definition: compose every term of f with every term
     of g and keep the composites in that order.  The oracle for the range
     leg index, which must build the same raw terms in the same order."""
-    return SteinbergElement(f.graph, f.ring, double_loop_raw_terms(f, g))
+    return from_terms(f.graph, f.ring, double_loop_raw_terms(f, g))
 
 
 def double_loop_raw_terms(f, g):
@@ -640,11 +645,11 @@ def unit_fan_factors(rng, ring, g):
     """f = sum c u_e Z(e,e) and h = sum u_e Z(e,e) on a rose over zmod:n,
     with c and the u_e units that square to 1: the product's fan is c on
     every branch mod n but c u_e^2, several values, over the integers."""
-    units = [u for u in range(1, ring.n) if gcd(u, ring.n) == 1]
+    units = [u for u in range(1, ring.modulus) if gcd(u, ring.modulus) == 1]
     c = rng.choice(units)
     u = [1, units[-1]] + [rng.choice(units) for _ in g.edges[2:]]
     rng.shuffle(u)
-    assert all(a * a % ring.n == 1 for a in u)
+    assert all(a * a % ring.modulus == 1 for a in u)
     loops = [Path(g, (e.id,)) for e in g.edges]
     f = from_terms(g, ring, [(PathPair(p, p), c * a) for p, a in zip(loops, u)])
     h = from_terms(g, ring, [(PathPair(p, p), a) for p, a in zip(loops, u)])
