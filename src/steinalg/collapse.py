@@ -298,17 +298,26 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # needs a collapsed preimage on both legs.  The preconditions make the
     # pieces a partition: the hits are nonempty, none extends another (each
     # stops at its first retained vertex), and each continuation passes one.
+    # A pair is covered exactly when both its legs are: a leg is covered
+    # when every first hit at its source vertex extends it to a path with
+    # a collapsed preimage.  Legs recur across the window, so each leg's
+    # verdict is decided once.
     pairs = pairs_to_depth(g, depth, ranges=f0, limit=_COVERAGE_PAIR_CAP)
     rep.add("coverage", "pairs", len(pairs))
-    hit_sets = {}
+    hit_sets, covered = {}, {}
+
+    def leg_covered(leg):
+        if leg not in covered:
+            v = leg.source_vertex
+            if v not in hit_sets:
+                hit_sets[v] = first_hit_extensions(g, t0, v)
+            covered[leg] = all(collapsed_preimage(cert, concat(leg, tau)) is not None
+                               for tau in hit_sets[v])
+        return covered[leg]
+
     cover_defect = None
     for pair in pairs:
-        v = pair.source_vertex
-        if v not in hit_sets:
-            hit_sets[v] = first_hit_extensions(g, t0, v)
-        if any(collapsed_preimage(cert, concat(pair.mu, tau)) is None
-               or collapsed_preimage(cert, concat(pair.nu, tau)) is None
-               for tau in hit_sets[v]):
+        if not (leg_covered(pair.mu) and leg_covered(pair.nu)):
             cover_defect = "piece of %s has no collapsed preimage" % pair.render()
             break
     rep.check("coverage", "first-hit-splitting", cover_defect is None,
@@ -328,15 +337,24 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # indicator of their composite pair, or zero when compose_pairs finds
     # none; a basic set is never empty, so an indicator is never zero; and
     # the canonical form of one indicator is its minimal pair with
-    # coefficient 1.  So transport(1_p) is the indicator of the pair
-    # image(p) = minimal(phi(minimal(p))), minimal taking the minimal pair
-    # (cylinder._minimal), each side is zero or one such pair, and the
-    # sides agree when both are zero or both are the same pair.
+    # coefficient 1 (cylinder._minimal).  So transport(1_a) is the
+    # indicator of phi(m), m the minimal pair of a, each side is zero or one
+    # such indicator, and the sides agree when both are zero or both are
+    # indicators of one basic set.
     #
-    # The minimal window, its images and the composites are flat pairs
+    # The right side composes the transports phi(m) as they are, never
+    # minimized in the original graph, and that is exact for every
+    # certificate, honest or corrupt: minimizing keeps a pair's basic set,
+    # and the product of two indicators depends only on their two sets.
+    # So phi(m) and its minimal pair compose with the same partners, into
+    # composites with the same basic set, and "composes on one side only"
+    # and "the two composites have different minimal pairs" decide what
+    # they decide on minimized transports.
+    #
+    # The minimal window, its transports and the composites are flat pairs
     # (edge-id tuples, see cylinder._flat), and no PathPair is built here:
     # the defect text renders the window's own pairs.  The minimal window
-    # and its images are indexed by range leg, so for each a only the b
+    # and its transports are indexed by range leg, so for each a only the b
     # that compose on at least one side are visited, in ascending order:
     # the first defect is the least b that composes on one side only or
     # whose two composites disagree, as in the loop over every combination.
@@ -350,22 +368,27 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # - phi on a leg is the concatenation of its edges' abbreviated paths
     #   (_leg_image), so phi(mu + suffix) = phi(mu) + phi(suffix), and the
     #   well-formedness check above gives each collapsed edge's path the
-    #   edge's own endpoints, so an image pair keeps the collapsed pair's
-    #   vertices.  So phi of the left composite of a plan entry (j, suffix,
-    #   leg, source, leg_range) is (phi(m[0]) + phi(suffix), phi(leg),
-    #   source, m[3], leg_range).  phi(m[0]) is taken once per window pair.
-    #   Each left plan is transported once, into the entries (j,
-    #   phi(suffix), phi(leg), source, leg_range), which are kept by the
-    #   plan's key: like the plan they depend only on m's source leg and
-    #   its range vertex.  Where _minimal strips an edge of the composite
-    #   in the collapsed graph, which needs an edge that is the only one
-    #   into its range vertex there, the stripped composite is transported.
+    #   edge's own endpoints, so a transported pair keeps the collapsed
+    #   pair's vertices.  So phi of the left composite of a plan entry (j,
+    #   suffix, leg, source, leg_range) is (phi(m[0]) + phi(suffix),
+    #   phi(leg), source, m[3], leg_range).  Each left plan is transported
+    #   once, into the entries (j, phi(suffix), phi(leg), source,
+    #   leg_range), which are kept by the plan's key: like the plan they
+    #   depend only on m's source leg and its range vertex.  Where _minimal
+    #   strips an edge of the composite in the collapsed graph, which needs
+    #   an edge that is the only one into its range vertex there, the
+    #   stripped composite is transported.
     # - equal pairs have equal minimal pairs, so the two sides are compared
     #   as they are, and both are minimized only when they differ.  Where
-    #   neither a's image nor the composite is stripped, both sides' first
-    #   legs start with image[0] = phi(m[0]) and range at m[3], so the sides
-    #   are equal exactly when the transported entry equals the right plan's
-    #   entry, and neither side is formed.
+    #   the collapsed graph strips nothing, both sides' first legs start
+    #   with phi(m[0]) and range at m[3], so the sides are equal exactly
+    #   when the transported entry equals the right plan's entry, and
+    #   neither side is formed.
+    # - that comparison ends almost every combination of a well-formed
+    #   certificate.  There the edge paths from each vertex are its first
+    #   hits, a prefix-free set, so phi keeps the prefix order of legs and
+    #   the right plan of phi(m) equals the transported left plan entry for
+    #   entry.
     mult_depth = _legs_depth(F, depth)
     fpairs = pairs_to_depth(F, mult_depth)
     rep.add("multiplicative", "legs-depth", mult_depth)
@@ -373,16 +396,26 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
 
     flat_minimal = [_minimal(F, _flat(a)) for a in fpairs]
     transported = [transport(m) for m in flat_minimal]
-    flat_images = [_minimal(g, t) for t in transported]
     left_index = _RangeLegIndex(flat_minimal)
-    right_index = _RangeLegIndex(flat_images)
+    right_index = _RangeLegIndex(transported)
     strips = bool(F._sole_edge_range)
     transported_plans = {}
 
+    # The window is grouped by source vertex, and a plan's key (m's source
+    # leg and its range vertex) recurs in a later group only where the
+    # collapsed graph strips a pair.  So both indexes' plan caches and the
+    # transported plans are dropped when a group starts, and the check
+    # holds one group's plans at a time; a key that recurs is planned
+    # again, to the same entries.
     mult_defect = None
+    group = None
     for i, a in enumerate(fpairs):
-        m, phi_m, image = flat_minimal[i], transported[i], flat_images[i]
-        plain = image is phi_m and not strips       # nothing is stripped
+        if a.mu.source_vertex != group:
+            group = a.mu.source_vertex
+            left_index._plans.clear()
+            right_index._plans.clear()
+            transported_plans.clear()
+        m, phi_m = flat_minimal[i], transported[i]
         left = left_index.plan(m)
         key = (m[1], m[4])
         left_images = transported_plans.get(key)
@@ -390,13 +423,13 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             left_images = transported_plans[key] = [
                 (j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
                 for j, suffix, leg, source, leg_range in left]
-        right = right_index.plan(image)
+        right = right_index.plan(phi_m)
         b = None
         for x, tx, y in zip(left, left_images, right):
             if x[0] != y[0]:
                 b = min(x[0], y[0])     # it composes on one side only
                 break
-            if plain and tx == y:
+            if not strips and tx == y:
                 continue
             j, suffix, leg, source, leg_range = x
             if strips:
@@ -407,7 +440,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             else:
                 lhs = (phi_m[0] + tx[1], tx[2], source, m[3], leg_range)
             _, suffix, leg, source, leg_range = y
-            rhs = (image[0] + suffix, leg, source, image[3], leg_range)
+            rhs = (phi_m[0] + suffix, leg, source, phi_m[3], leg_range)
             if lhs != rhs and _minimal(g, lhs) != _minimal(g, rhs):
                 b = j
                 break

@@ -433,7 +433,9 @@ def pairs_to_depth(g: Graph, depth: int, ranges=None, limit=None):
     checks of the collapse move and the context report all read this list.
     With ``ranges`` only legs ranging at those vertices are paired; with
     ``limit`` the list stops after that many pairs, and the pairs past it
-    are never built.
+    are never built.  The paths are: every path of length <= depth is
+    listed (``enumerate_paths``) and grouped before the first pair is
+    made, so ``limit`` bounds the pairs but not that listing.
     """
     return list(islice(_pair_window(g, depth, ranges), limit))
 

@@ -25,7 +25,7 @@ from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
                                _legs_depth, _transport)
-from steinalg.cylinder import _build, _compose, _flat, _minimal
+from steinalg.cylinder import _build, _compose, _flat, _minimal, _RangeLegIndex
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line,
                             minimal_pair, phi_pair, probe_window,
                             recording_range_leg_index)
@@ -630,6 +630,46 @@ def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
     assert cert.f0 is cert.f0
 
 
+def test_coverage_decides_each_leg_once(monkeypatch):
+    """Step (c) asks for a collapsed preimage at most once per distinct leg
+    of its window and first hit at the leg's source vertex, on honest
+    certificates and with a collapsed edge dropped.  Its verdict and
+    defect are those of the loop that asks for both legs of every pair's
+    pieces in turn."""
+    outsplit = load_graph(OUTSPLIT_TEXT)
+    certs = [collapse(CollapseSpec(outsplit, t0)) for t0 in (["u"], ["ua", "ub"])]
+    certs += [collapse(spec) for spec in corpus(13)]
+    certs += [drop_collapsed_edge(c, c.collapsed.edges[0].id)
+              for c in certs if c.collapsed.edges]
+    module = importlib.import_module("steinalg.collapse")
+    preimage = module.collapsed_preimage
+    asked = []
+
+    def recording_preimage(cert, epath):
+        asked.append(epath)
+        return preimage(cert, epath)
+
+    monkeypatch.setattr(module, "collapsed_preimage", recording_preimage)
+    for cert in certs:
+        g, t0 = cert.original, cert.t0
+        window = pairs_to_depth(g, 3, ranges=cert.f0, limit=_COVERAGE_PAIR_CAP)
+        first = next((pair for pair in window
+                      if any(preimage(cert, concat(pair.mu, tau)) is None
+                             or preimage(cert, concat(pair.nu, tau)) is None
+                             for tau in first_hit_extensions(g, t0, pair.source_vertex))),
+                     None)
+        asked.clear()
+        rep = pointed_groupoid_iso_check(cert, 3)
+        assert rep.value("coverage", "first-hit-splitting") == (
+            "pass" if first is None
+            else "fail (piece of %s has no collapsed preimage)" % first.render())
+        legs = {leg for pair in window for leg in (pair.mu, pair.nu)}
+        allowed = Counter(concat(leg, tau) for leg in legs
+                          for tau in first_hit_extensions(g, t0, leg.source_vertex))
+        assert asked
+        assert not Counter(asked) - allowed
+
+
 def parallel_pairs(cert):
     """The ordered pairs of distinct collapsed edges with equal endpoints."""
     F = cert.collapsed
@@ -705,24 +745,25 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
     """Collapsing ua and ub leaves no edge that is the only one into its
     range vertex, so step (d) strips no composite.  It then transports the
     probes, the window pairs and each distinct left plan's entries once,
-    and no combination; and it minimizes in the original graph once per
-    window image and twice per combination whose unminimized sides
-    differ: 7,826 of the 18,675 that compose on both sides."""
+    and no combination.  It composes the transports unminimized, and the
+    transported left composite equals the right one on each of the 18,675
+    combinations that compose on both sides, so it minimizes nothing in
+    the original graph."""
     cert = collapse(CollapseSpec(outsplit_graph, ["ua", "ub"]))
     F, g = cert.collapsed, cert.original
     assert not F._sole_edge_range
     window = pairs_to_depth(F, _legs_depth(F, 5))
     minimal = [_flat(minimal_pair(a)) for a in window]
-    images = [_flat(minimal_pair(phi_pair(cert, minimal_pair(a)))) for a in window]
+    transports = [_flat(phi_pair(cert, minimal_pair(a))) for a in window]
     both = differ = 0
-    for m, image in zip(minimal, images):
-        for n, other in zip(minimal, images):
-            left, right = _compose(m, n), _compose(image, other)
+    for m, phi_m in zip(minimal, transports):
+        for n, phi_n in zip(minimal, transports):
+            left, right = _compose(m, n), _compose(phi_m, phi_n)
             if left is None or right is None:
                 continue
             both += 1
             differ += _flat(phi_pair(cert, minimal_pair(_build(F, left)))) != right
-    assert (both, differ) == (18675, 7826)
+    assert (both, differ) == (18675, 0)
     plan_entries = 0
     for key in {(m[1], m[4]) for m in minimal}:
         plan_entries += sum(1 for n in minimal
@@ -751,7 +792,7 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
     assert rep.ok
     probes = int(rep.value("transport", "probes"))
     assert len(transported) == probes + len(window) + plan_entries
-    assert minimized == {"collapsed": len(window), "original": len(window) + 2 * differ}
+    assert minimized == {"collapsed": len(window)}
 
 
 # -- the memoized transport ----------------------------------------------------------
@@ -783,6 +824,28 @@ def test_transport_matches_phi_pair_on_windows_and_composites():
                 c = _compose(m, n)
                 if c is not None:
                     assert transport(c) == _flat(phi_pair(cert, _build(F, c)))
+
+
+def test_right_plans_are_the_transported_left_plans():
+    """The fact behind step (d)'s fast path: on a well-formed certificate
+    each vertex's edge paths are its first hits, so the path map keeps the
+    prefix order of legs, and the plan of each window pair's transport,
+    over the transports, equals its left plan with every entry
+    transported."""
+    certs = honest_certificates()
+    certs.append((collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["ua", "ub"])), 5))
+    for cert, depth in certs:
+        F = cert.collapsed
+        transport = _transport(cert.edge_paths)
+        minimal = [_minimal(F, _flat(a))
+                   for a in pairs_to_depth(F, _legs_depth(F, depth))]
+        transported = [transport(m) for m in minimal]
+        left_index = _RangeLegIndex(minimal)
+        right_index = _RangeLegIndex(transported)
+        for m, phi_m in zip(minimal, transported):
+            want = [(j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
+                    for j, suffix, leg, source, leg_range in left_index.plan(m)]
+            assert right_index.plan(phi_m) == want
 
 
 def resourced_outsplit():
@@ -837,6 +900,31 @@ def test_iso_reports_are_pinned():
     assert sum(" then " in d for d in defects) == 4
     assert (report_digest(reports)
             == "4afba94ad9170744c17cd3df8db52575a3284b9d9b29d35ab7da0ac4fcbbaca7")
+
+
+def test_iso_reports_on_both_collapsed_outsplit_vertices_are_pinned():
+    """The sha256 of the kv reports of pointed_groupoid_iso_check on the
+    outsplit fixture with ua and ub collapsed, taken before step (d)
+    composed unminimized transports: the certificate at depths 2-5, and
+    the certificate with each of its two collapsed edges dropped at depths
+    2 and 3.  The dropped reports fail coverage and
+    transport-multiplicative, as the element-level oracle's do."""
+    cert = collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["ua", "ub"]))
+    assert (report_digest(pointed_groupoid_iso_check(cert, d) for d in (2, 3, 4, 5))
+            == "191e59560993cc65979d37b5bbbe2fad9c589b42753438f33ac5ba0689d624ac")
+    dropped = [drop_collapsed_edge(cert, e.id) for e in cert.collapsed.edges]
+    assert len(dropped) == 2
+    reports = [pointed_groupoid_iso_check(c, d) for c in dropped for d in (2, 3)]
+    assert (report_digest(reports)
+            == "c4cd67b991667992846ddffb689dd1105908e9bd4183935785f606d86f2dc1be")
+    assert all(r.failures() == ["coverage.first-hit-splitting",
+                                "multiplicative.transport-multiplicative"]
+               for r in reports)
+    for variant in dropped:
+        products = {}
+        for depth in (2, 3):
+            want = element_level_iso_check(variant, depth, products).render_kv()
+            assert pointed_groupoid_iso_check(variant, depth).render_kv() == want
 
 
 def corrupted_certificates():
