@@ -18,9 +18,10 @@ make two paths render alike, the later takes the first free render~k, k >= 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from itertools import islice
 
-from .cylinder import _flat, _minimal, _RangeLegIndex, pairs_to_depth
+from .cylinder import _build, _minimal, _RangeLegIndex, _window
 from .graph import (Edge, Graph, Path, VertexSubset, _path, concat,
                     enumerate_paths, is_acyclic, sources, subgraph, vertex_path)
 from .report import Report
@@ -276,14 +277,14 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # defined on every probe: well-formedness gives each collapsed edge a
     # path with the edge's own endpoints, so both legs' images start at the
     # pair's source.  The probes (mu, |mu| - |nu|, nu) of the collapsed
-    # graph are the pairs (mu, nu) of its window, each transported as a flat
-    # pair (see step (d)).  Two flat images are equal exactly when their
-    # image legs are equal paths, so the image set decides injectivity.  One
-    # transport serves steps (a) and (d); its image legs are shared tuples,
-    # so the image set holds each distinct leg once.
+    # graph are the flat pairs (mu, nu) of its window, each transported (see
+    # step (d)).  Two flat images are equal exactly when their image legs
+    # are equal paths, so the image set decides injectivity.  One transport
+    # serves steps (a) and (d); its image legs are shared tuples, so the
+    # image set holds each distinct leg once.
     transport = _transport(cert.edge_paths)
-    fprobes = pairs_to_depth(F, depth, limit=_INJECTIVITY_PROBE_CAP)
-    images = {transport(_flat(pr)) for pr in fprobes}
+    fprobes = list(islice(_window(F, depth), _INJECTIVITY_PROBE_CAP))
+    images = {transport(t) for t in fprobes}
     rep.add("transport", "probes", len(fprobes))
     rep.check("transport", "defined", True)
     # It fixes the units: phi_fin sends the unit at v to the unit at v, an
@@ -300,25 +301,22 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # stops at its first retained vertex), and each continuation passes one.
     # A pair is covered exactly when both its legs are: a leg is covered
     # when every first hit at its source vertex extends it to a path with
-    # a collapsed preimage.  Legs recur across the window, so each leg's
-    # verdict is decided once.
-    pairs = pairs_to_depth(g, depth, ranges=f0, limit=_COVERAGE_PAIR_CAP)
+    # a collapsed preimage.  Legs recur across the window, so each source
+    # vertex's first hits and each leg's verdict are found once per check.
+    pairs = list(islice(_window(g, depth, f0), _COVERAGE_PAIR_CAP))
     rep.add("coverage", "pairs", len(pairs))
-    hit_sets, covered = {}, {}
+    hits = cache(partial(first_hit_extensions, g, t0))
 
-    def leg_covered(leg):
-        if leg not in covered:
-            v = leg.source_vertex
-            if v not in hit_sets:
-                hit_sets[v] = first_hit_extensions(g, t0, v)
-            covered[leg] = all(collapsed_preimage(cert, concat(leg, tau)) is not None
-                               for tau in hit_sets[v])
-        return covered[leg]
+    @cache
+    def leg_covered(edges, v, leg_range):
+        leg = _path(g, edges, leg_range, v)
+        return all(collapsed_preimage(cert, concat(leg, tau)) is not None
+                   for tau in hits(v))
 
     cover_defect = None
-    for pair in pairs:
-        if not (leg_covered(pair.mu) and leg_covered(pair.nu)):
-            cover_defect = "piece of %s has no collapsed preimage" % pair.render()
+    for t in pairs:
+        if not (leg_covered(t[0], t[2], t[3]) and leg_covered(t[1], t[2], t[4])):
+            cover_defect = "piece of %s has no collapsed preimage" % _build(g, t).render()
             break
     rep.check("coverage", "first-hit-splitting", cover_defect is None,
               cover_defect or "")
@@ -351,16 +349,16 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # and "the two composites have different minimal pairs" decide what
     # they decide on minimized transports.
     #
-    # The minimal window, its transports and the composites are flat pairs
-    # (edge-id tuples, see cylinder._flat), and no PathPair is built here:
-    # the defect text renders the window's own pairs.  The minimal window
-    # and its transports are indexed by range leg, so for each a only the b
-    # that compose on at least one side are visited, in ascending order:
-    # the first defect is the least b that composes on one side only or
-    # whose two composites disagree, as in the loop over every combination.
-    # The two sides' plans for a (see _RangeLegIndex.plan) are walked in
-    # lockstep by position, and each composite is formed from its plan
-    # entry, so no combination calls the composition rule.
+    # The window, its minimal pairs, their transports and the composites are
+    # flat pairs (edge-id tuples, see cylinder._flat), and a PathPair is
+    # built only to render the defect text from the window's own pairs.  The
+    # minimal window and its transports are indexed by range leg, so for
+    # each a only the b that compose on at least one side are visited, in
+    # ascending order: the first defect is the least b that composes on one
+    # side only or whose two composites disagree, as in the loop over every
+    # combination.  The two sides' plans for a (see _RangeLegIndex.plan)
+    # are walked in lockstep by position, and each composite is formed from
+    # its plan entry, so no combination calls the composition rule.
     #
     # A combination transports a leg only where the collapsed graph strips
     # its composite, and minimizes in the original graph only where its two
@@ -390,11 +388,11 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     #   the right plan of phi(m) equals the transported left plan entry for
     #   entry.
     mult_depth = _legs_depth(F, depth)
-    fpairs = pairs_to_depth(F, mult_depth)
+    fpairs = list(_window(F, mult_depth))
     rep.add("multiplicative", "legs-depth", mult_depth)
     rep.add("multiplicative", "pairs", len(fpairs))
 
-    flat_minimal = [_minimal(F, _flat(a)) for a in fpairs]
+    flat_minimal = [_minimal(F, a) for a in fpairs]
     transported = [transport(m) for m in flat_minimal]
     left_index = _RangeLegIndex(flat_minimal)
     right_index = _RangeLegIndex(transported)
@@ -410,8 +408,8 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     mult_defect = None
     group = None
     for i, a in enumerate(fpairs):
-        if a.mu.source_vertex != group:
-            group = a.mu.source_vertex
+        if a[2] != group:
+            group = a[2]
             left_index._plans.clear()
             right_index._plans.clear()
             transported_plans.clear()
@@ -449,7 +447,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             if rest:
                 b = rest[0][0]      # it composes on the longer side only
         if b is not None:
-            mult_defect = "%s then %s" % (a.render(), fpairs[b].render())
+            mult_defect = "%s then %s" % (_build(F, a).render(), _build(F, fpairs[b]).render())
             break
     rep.check("multiplicative", "transport-multiplicative", mult_defect is None,
               mult_defect or "")

@@ -11,9 +11,9 @@ actual groupoid elements in membership tests.
 Validation happens once, at the boundary.  The public ``PathPair`` and
 ``GroupoidProbe`` constructors check that both legs live on one graph and
 share their source vertex.  ``PathPair.extend``, ``invert_pair``, the
-pieces of ``expand`` and the pairs of the window (``pairs_to_depth``) are
-built with the private ``_pair``, which checks nothing: each result shares
-its source by construction.
+pieces of ``expand`` and the pairs of ``pairs_to_depth`` are built with the
+private ``_pair``, which checks nothing: each result shares its source by
+construction.
 
 Inside the kernel a pair is flat, a plain tuple of edge ids and vertices
 (see ``_flat``): ``_compose`` is the composition rule, ``_minimal`` the
@@ -23,13 +23,16 @@ parts of each composite, so ``convolve`` and the collapse move's
 multiplicative check form composites without calling ``_compose``.  The
 canonical form, ``convolve`` and the collapse move's windowed checks take
 only flat pairs into these, and build a ``PathPair`` (``_build``) only for
-a pair that leaves the kernel.  ``compose_pairs`` is the public form of
-the composition rule on ``PathPair`` objects.
+a pair that leaves the kernel.  The pair window (``_window``) is flat too:
+``pairs_to_depth`` builds its ``PathPair`` form only for callers outside
+the kernel.  ``compose_pairs`` is the public form of the composition rule
+on ``PathPair`` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import islice
 from operator import itemgetter
 
@@ -428,26 +431,36 @@ def boundary_tails(g: Graph, v, depth: int):
 def pairs_to_depth(g: Graph, depth: int, ranges=None, limit=None):
     """Every pair Z(mu, nu) with legs of length <= depth, canonically ordered.
 
+    The ``PathPair`` form of the flat window (``_window``), for callers
+    outside the kernel: the pairs are the window's, in its order, with
+    ``ranges`` as there; with ``limit`` the list stops after that many
+    pairs, and the pairs past it are never built.  Each leg's ``Path`` is
+    built once and shared by the pairs that hold it, as a leg recurs in
+    every pair of its group.
+    """
+    leg = cache(partial(_path, g))
+    return [_pair(leg(mu, mu_range, v), leg(nu, nu_range, v))
+            for mu, nu, v, mu_range, nu_range in islice(_window(g, depth, ranges), limit)]
+
+
+def _window(g: Graph, depth: int, ranges=None):
+    """The pair window, flat: every flat pair (mu, nu, v, mu's range, nu's
+    range) whose legs have length <= depth, yielded in canonical order.
+
     Paths are grouped by source vertex in declaration order, and each group
     pairs every leg with every leg in lexicographic order.  The windowed
-    checks of the collapse move and the context report all read this list.
-    With ``ranges`` only legs ranging at those vertices are paired; with
-    ``limit`` the list stops after that many pairs, and the pairs past it
-    are never built.  The paths are: every path of length <= depth is
-    listed (``enumerate_paths``) and grouped before the first pair is
-    made, so ``limit`` bounds the pairs but not that listing.
+    checks of the collapse move read this generator and build a
+    ``PathPair`` only to render a defect.  With ``ranges`` only legs
+    ranging at those vertices are paired.  Pairs are made as they are
+    read, but every path of length <= depth is listed
+    (``enumerate_paths``) and grouped before the first pair is yielded, so
+    stopping early bounds the pairs but not that listing.
     """
-    return list(islice(_pair_window(g, depth, ranges), limit))
-
-
-def _pair_window(g: Graph, depth: int, ranges):
-    by_source = {}
+    by_source = {v: [] for v in g.vertices}
     for p in enumerate_paths(g, max_len=depth):
         if ranges is None or p.range_vertex in ranges:
-            by_source.setdefault(p.source_vertex, []).append(p)
-    for v in g.vertices:
-        group = by_source.get(v, ())
-        # Legs of one group share their source vertex.
-        for a in group:
-            for b in group:
-                yield _pair(a, b)
+            by_source[p.source_vertex].append((p.edges, p.range_vertex))
+    for v, group in by_source.items():
+        for a, a_range in group:
+            for b, b_range in group:
+                yield (a, b, v, a_range, b_range)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .collapse import CollapseSpec, collapse, pointed_groupoid_iso_check
 from .cylinder import (PathPair, _build, _compose, _flat, _invert, _minimal,
                        compose_pairs, invert_pair, pairs_to_depth)
-from .graph import Graph, Path, VertexSubset, concat, vertex_path
+from .graph import Graph, Path, VertexSubset, concat, enumerate_paths, vertex_path
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, zero
 
@@ -151,6 +151,8 @@ def element_supported_in(f: SteinbergElement, f0, corner: Corner) -> bool:
 
 
 def _require_support(f: SteinbergElement, f0, corner: Corner, role):
+    if f.graph is not f0.graph:
+        raise ValueError("%s lives on a different graph" % role)
     # .terms follows .flat's order, so this names the first term outside.
     t = _first_outside(f.flat, f0, corner)
     if t is not None:
@@ -308,6 +310,8 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
     """
     if side not in ("psi", "phi"):
         raise ValueError("side must be 'psi' or 'phi'")
+    if pair.graph is not transversal.graph:
+        raise ValueError("target pair lives on a different graph")
     f0 = transversal.f0
     rep = Report("surjectivity witness (%s side)" % side)
     rep.add("target", "pair", pair.render())
@@ -442,18 +446,25 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     rep.check("transversal", "meets-every-orbit", not unreachable,
               "unreachable: %s" % ",".join(unreachable) if unreachable else "")
 
-    pairs = pairs_to_depth(graph, depth)
-    cells = {c: [] for c in Corner}
-    for p in pairs:
-        cells[corner_of(p, f0)].append(p)
+    # The window is never listed.  A window pair is two legs with one
+    # source vertex, so with a_v legs from v ranging in f0 and b_v outside,
+    # a cell counts the sum over v of a_v^2, a_v b_v, b_v a_v or b_v^2.
+    # legs[v] is [b_v, a_v], indexed by whether a leg is retained, as the
+    # corner's value is.
+    legs = {}
+    for p in enumerate_paths(graph, max_len=depth):
+        legs.setdefault(p.source_vertex, [0, 0])[p.range_vertex in f0] += 1
+    cells = {c: sum(n[c.value[0]] * n[c.value[1]] for n in legs.values()) for c in Corner}
     for c in Corner:
-        rep.add("corners", c.render(), len(cells[c]))
+        rep.add("corners", c.render(), cells[c])
 
     if not unreachable:
-        for side, targets in (("psi", cells[Corner.GG]), ("phi", pairs)):
-            capped = targets[:_WITNESS_CAP]
-            rep.add("witnesses", "%s-targets" % side,
-                    "%d of %d" % (len(capped), len(targets)))
+        # The psi targets are the GG pairs, the phi targets every pair, each
+        # read from the window in its order up to the cap.
+        for side, ranges, total in (("psi", f0, cells[Corner.GG]),
+                                    ("phi", None, sum(cells.values()))):
+            capped = pairs_to_depth(graph, depth, ranges=ranges, limit=_WITNESS_CAP)
+            rep.add("witnesses", "%s-targets" % side, "%d of %d" % (len(capped), total))
             # Only whether every row holds is read here; the first failing
             # target's witness report names its failed rows.
             bad = None

@@ -8,6 +8,7 @@ set operations on those probe sets.
 """
 
 import copy
+from itertools import islice
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       pair_contains, pairs_to_depth, strip_prefix, vertex_path)
 from steinalg import Graph, collapse, load_graph, sampling
 from steinalg.collapse import _transport
-from steinalg.cylinder import _compose, _flat, _minimal, _RangeLegIndex
+from steinalg.cylinder import _compose, _flat, _minimal, _RangeLegIndex, _window
 from tests.conftest import (common_depth_terms, long_line, member,
                             minimal_pair, partners, plan_composites, prefix,
                             probes_in, reference_compose_pairs,
@@ -166,7 +167,8 @@ def test_pairs_to_depth_groups_by_source(outsplit_graph):
 @settings(max_examples=100, deadline=None)
 def test_pair_window_filters_and_stops_early(seed, depth, limit):
     """``ranges`` keeps the pairs whose legs both range there, and ``limit``
-    cuts the list, each in the order of the full window."""
+    cuts the list, each in the order of the full window; the list is the
+    flat window's, built."""
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
     keep = [v for v in g.vertices if rng.random() < 0.5]
@@ -175,6 +177,8 @@ def test_pair_window_filters_and_stops_early(seed, depth, limit):
     assert pairs_to_depth(g, depth, ranges=keep) == kept
     assert pairs_to_depth(g, depth, ranges=keep, limit=limit) == kept[:limit]
     assert pairs_to_depth(g, depth, limit=limit) == full[:limit]
+    assert (list(islice(_window(g, depth, keep), limit))
+            == [_flat(p) for p in pairs_to_depth(g, depth, keep, limit)])
 
 
 # -- pair-level operations ----------------------------------------------------

@@ -1,5 +1,7 @@
 """The linking matrix algebra, its context maps, and surjectivity witnesses."""
 
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
@@ -330,6 +332,24 @@ def test_eq_ops_on_random_tuples(ring, seed):
     assert eq_ops_check(t, *args)
 
 
+def test_context_maps_reject_operands_from_another_graph(zring):
+    """Two loads of one text are two graphs: operands and targets from the
+    other load are rejected, not computed on."""
+    g, h = load_graph(OUTSPLIT_TEXT), load_graph(OUTSPLIT_TEXT)
+    t = Transversal(g, ["u"])
+    unit = PathPair(vertex_path(h, "u"), vertex_path(h, "u"))
+    m = indicator(unit, zring)
+    with pytest.raises(ValueError, match="psi left factor lives on a different graph"):
+        psi(t, m, m)
+    with pytest.raises(ValueError, match="phi left factor lives on a different graph"):
+        phi(t, m, m)
+    with pytest.raises(ValueError, match="m lives on a different graph"):
+        eq_ops_check(t, m, m, m, m)
+    for side in ("psi", "phi"):
+        with pytest.raises(ValueError, match="target pair lives on a different graph"):
+            surjectivity_witness(t, zring, unit, side)
+
+
 # -- witnesses -------------------------------------------------------------------------
 
 
@@ -579,6 +599,39 @@ def test_morita_report_certifies_transversal_failure(zring):
     assert "transversal.meets-every-orbit" in rep.failures()
     assert rep.value("witnesses", "skipped") == "vacuous (transversal failed)"
     assert "context.surjective-morita-context" in rep.failures()
+
+
+@given(seeds, st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_morita_report_counts_match_the_listed_window(seed, depth):
+    """The corner rows and both witness target rows equal a count of the
+    listed window, each pair classified by corner_of."""
+    spec = sampling.collapse_corpus(seed, 1)[0]
+    g, f0 = spec.graph, spec.f0
+    rep = morita_report(g, spec.t0, IntegerRing(), depth=depth, eq_samples=0)
+    pairs = pairs_to_depth(g, depth)
+    cells = {c: sum(corner_of(p, f0) is c for p in pairs) for c in Corner}
+    assert {c: rep.value("corners", c.render()) for c in Corner} == \
+        {c: str(n) for c, n in cells.items()}
+    met = rep.value("transversal", "meets-every-orbit") == "pass"
+    for side, total in (("psi", cells[Corner.GG]), ("phi", len(pairs))):
+        want = "%d of %d" % (min(total, morita._WITNESS_CAP), total) if met else None
+        assert rep.value("witnesses", "%s-targets" % side) == want
+
+
+def test_morita_report_does_not_list_the_window(zring):
+    """On the 2-rose with a tail at depth 8 the window holds 586,757 pairs;
+    the report counts them and lists at most the witness cap per side."""
+    g = load_graph("vertices: v, w\nedge: a v <- v\nedge: b v <- v\nedge: c w <- v\n")
+    tracemalloc.start()
+    try:
+        rep = morita_report(g, [], zring, depth=8, eq_samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert rep.value("witnesses", "phi-targets") == "1024 of 586757"
+    assert peak < 8 * 2 ** 20
 
 
 def test_morita_report_is_deterministic(two_cycle, zring):
