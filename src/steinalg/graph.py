@@ -9,12 +9,25 @@ Vertices and edges keep their declaration order, and every enumeration and
 tie-break in the package derives from that order, so all outputs are
 reproducible byte for byte.
 
-Validation happens once, at the boundary.  The public ``Path`` constructor
-checks that every edge id exists and that the edges compose, and computes
-both endpoints.  Operations on valid paths (``concat``, ``strip_prefix``,
-``enumerate_paths``) build their results with the private ``_path``, which
-trusts the edges and endpoints it is given: each caller knows them from the
-paths it started from.
+Validation happens once, at the boundary.  A graph is checked where it
+enters:
+
+- ``Graph`` reads its edges one at a time, in order (``_read_edges``): each
+  id is a word and new, both endpoints are declared vertices, and the first
+  edge to fail a check is named; the same pass files each edge;
+- ``load_graph`` checks the syntax of each line while it splits the edge
+  lines into id, range and source columns, and stops at the first bad line.
+  Split fields are words, so it decides the rest over whole columns: no id
+  repeats (a dict's size) and every endpoint is declared (set inclusion).
+  Only when one of these fails does it read the edges with ``_read_edges``,
+  to name the first failure with its line;
+- ``serialize_graph`` refuses an id that the text format cannot carry.
+
+The public ``Path`` constructor checks that every edge id exists and that
+the edges compose, and computes both endpoints.  Operations on valid paths
+(``concat``, ``strip_prefix``, ``enumerate_paths``) build their results
+with the private ``_path``, which trusts the edges and endpoints it is
+given: each caller knows them from the paths it started from.
 """
 
 from __future__ import annotations
@@ -75,13 +88,53 @@ def _is_id(x):
     return isinstance(x, str) and x.split() == [x]
 
 
+def _vertex_index(vertices):
+    """Vertex id -> position in ``vertices``; raises GraphFormatError at
+    the first bad or repeated id."""
+    index = {}
+    for v in vertices:
+        if not _is_id(v):
+            raise GraphFormatError("bad vertex id %r" % (v,))
+        if v in index:
+            raise GraphFormatError("duplicate vertex id %r" % (v,))
+        index[v] = len(index)
+    return index
+
+
+def _read_edges(items, by_id, into, outof):
+    """Read the items one at a time, in order: make each an ``Edge``, check
+    that its id is a new word and its endpoints are declared vertices, and
+    file it in ``by_id`` under its id and in ``into`` and ``outof`` under its
+    range and source vertex.  Raises GraphFormatError at the first item that
+    fails a check; ``len(by_id)`` is then its position."""
+    for e in items:
+        if not isinstance(e, Edge):
+            e = _edge_of_triple(e)
+        eid, rv, sv = e.id, e.range_vertex, e.source_vertex
+        if not _is_id(eid):
+            raise GraphFormatError("bad edge id %r" % (eid,))
+        if eid in by_id:
+            raise GraphFormatError("duplicate edge id %r" % (eid,))
+        # Declared vertices are strings, and only those are looked up, so
+        # an unhashable endpoint is reported like any other.
+        received = into.get(rv) if isinstance(rv, str) else None
+        if received is None:
+            raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, rv))
+        sent = outof.get(sv) if isinstance(sv, str) else None
+        if sent is None:
+            raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, sv))
+        by_id[eid] = e
+        received.append(e)
+        sent.append(e)
+
+
 class Graph:
     """A finite directed graph with ordered vertices and edges.
 
     Vertex and edge ids are nonempty strings without whitespace.  Edges are
     ``Edge`` objects or (id, range, source) triples.  The constructor reads
-    each edge once: it checks the id, that the id is new and that both
-    endpoints are declared, then files the edge by its endpoints.
+    each edge once, in order: it raises at the first that fails a check,
+    and files each other one by its endpoints.
     """
 
     def __init__(self, vertices, edges):
@@ -89,36 +142,19 @@ class Graph:
         if isinstance(vertices, str):
             raise GraphFormatError("vertex list %r must be a collection of "
                                    "vertex ids, not one string" % (vertices,))
-        self.vertices = tuple(vertices)
-        index = {}
-        for v in self.vertices:
-            if not _is_id(v):
-                raise GraphFormatError("bad vertex id %r" % (v,))
-            if v in index:
-                raise GraphFormatError("duplicate vertex id %r" % (v,))
-            index[v] = len(index)
-        into = {v: [] for v in self.vertices}
-        outof = {v: [] for v in self.vertices}
+        vertices = tuple(vertices)
+        index = _vertex_index(vertices)
         by_id = {}
-        for e in edges:
-            if not isinstance(e, Edge):
-                e = _edge_of_triple(e)
-            eid, rv, sv = e.id, e.range_vertex, e.source_vertex
-            if not _is_id(eid):
-                raise GraphFormatError("bad edge id %r" % (eid,))
-            if eid in by_id:
-                raise GraphFormatError("duplicate edge id %r" % (eid,))
-            # Declared vertices are strings, and only those are looked up,
-            # so an unhashable endpoint is reported like any other.
-            received = into.get(rv) if isinstance(rv, str) else None
-            if received is None:
-                raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, rv))
-            sent = outof.get(sv) if isinstance(sv, str) else None
-            if sent is None:
-                raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, sv))
-            by_id[eid] = e
-            received.append(e)
-            sent.append(e)
+        into = {v: [] for v in vertices}
+        outof = {v: [] for v in vertices}
+        _read_edges(edges, by_id, into, outof)
+        self._store(vertices, index, by_id, into, outof)
+
+    def _store(self, vertices, index, by_id, into, outof):
+        """Keep vertices and edges that passed every check: ``by_id`` holds
+        the edges in order, ``into`` and ``outof`` each vertex's edges in
+        order by range and by source."""
+        self.vertices = vertices
         self.edges = tuple(by_id.values())
         self._vertex_index = index
         self._edge_index = {eid: i for i, eid in enumerate(by_id)}
@@ -327,45 +363,107 @@ class VertexSubset:
 #   edge: e1 v <- w
 #
 # declares r(e1) = v and s(e1) = w.  Comments and blank lines are skipped;
-# the first payload line must be the vertex list.
+# the first payload line must be the vertex list.  Vertex ids are separated
+# by commas and a '#' starts a comment, so no id may hold a '#', and no
+# vertex id a ','.
+
+
+def _edge_fields(line, lineno):
+    """The id, range and source of one edge line; raises GraphFormatError
+    tagged with the line when it is no edge declaration."""
+    line = line.strip()
+    if not line.startswith("edge:"):
+        raise GraphFormatError("expected 'edge:' declaration", lineno)
+    fields = line[len("edge:"):].split()
+    if len(fields) != 4 or fields[2] != "<-":
+        raise GraphFormatError(
+            "edge syntax is 'edge: <id> <range> <- <source>'", lineno)
+    return fields[0], fields[1], fields[3]
 
 
 def load_graph(text: str) -> Graph:
     """Parse graph text; raises GraphFormatError with a line number.
 
-    Parsing checks the syntax of each line; ``Graph`` checks the ids, and
-    its errors are tagged with the line of the edge it was reading.
+    Parsing splits each edge line into the id, range and source columns,
+    and stops at the first line that is no edge declaration.  The edges
+    before it pass the constructor's checks, and the first edge to fail one
+    is named with its line; that error comes before the syntax error, which
+    lies on a later line.
     """
-    lines = ((n, line) for n, raw in enumerate(text.splitlines(), start=1)
-             if (line := raw.partition("#")[0].strip()))
-    lineno, line = next(lines, (None, None))
-    if line is None:
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [line.partition("#")[0] for line in raw]
+    numbered = enumerate(raw, start=1)
+    for vline, line in numbered:
+        if line := line.strip():
+            break
+    else:
         raise GraphFormatError("missing 'vertices:' declaration")
     if not line.startswith("vertices:"):
-        raise GraphFormatError("expected 'vertices:' declaration first", lineno)
+        raise GraphFormatError("expected 'vertices:' declaration first", vline)
     body = line[len("vertices:"):].strip()
-    vertices = [v.strip() for v in body.split(",") if v.strip()] if body else []
-
-    def edges():
-        nonlocal lineno
-        for lineno, line in lines:
-            if not line.startswith("edge:"):
-                raise GraphFormatError("expected 'edge:' declaration", lineno)
-            fields = line[len("edge:"):].split()
-            if len(fields) != 4 or fields[2] != "<-":
-                raise GraphFormatError(
-                    "edge syntax is 'edge: <id> <range> <- <source>'", lineno)
-            yield _edge(fields[0], fields[1], fields[3])
-
+    vertices = tuple(v.strip() for v in body.split(",") if v.strip()) if body else ()
     try:
-        return Graph(vertices, edges())
+        index = _vertex_index(vertices)
     except GraphFormatError as exc:
-        if exc.line is not None:
-            raise
-        raise GraphFormatError(str(exc), lineno) from None
+        raise GraphFormatError(str(exc), vline) from None
+    ids, ranges, sources = [], [], []
+    syntax = None
+    for lineno, line in numbered:
+        match line.split():
+            case ["edge:", eid, rv, "<-", sv]:
+                pass
+            case []:
+                continue
+            case _:
+                # Every other line takes the full rule: "edge:e1 v <- w" is
+                # an edge, and the rule names what is wrong with a bad line.
+                try:
+                    eid, rv, sv = _edge_fields(line, lineno)
+                except GraphFormatError as exc:
+                    syntax = exc
+                    break
+        ids.append(eid)
+        ranges.append(rv)
+        sources.append(sv)
+    edges = [_edge(i, r, s) for i, r, s in zip(ids, ranges, sources)]
+    by_id = dict(zip(ids, edges))
+    into = {v: [] for v in vertices}
+    outof = {v: [] for v in vertices}
+    # Split fields are words, so every id is one; what is left to check is
+    # that no id repeats and every endpoint is declared.
+    if len(by_id) == len(edges) and index.keys() >= {*ranges, *sources}:
+        for e, rv, sv in zip(edges, ranges, sources):
+            into[rv].append(e)
+            outof[sv].append(e)
+    else:
+        by_id = {}
+        try:
+            _read_edges(edges, by_id, into, outof)
+        except GraphFormatError as exc:
+            # Edge i is the i-th payload line after the vertex list, as every
+            # payload line before the first syntax error is an edge.
+            lines = [n for n, line in enumerate(raw[vline:], start=vline + 1)
+                     if line.strip()]
+            raise GraphFormatError(str(exc), lines[len(by_id)]) from None
+    if syntax is not None:
+        raise syntax
+    g = object.__new__(Graph)
+    g._store(vertices, index, by_id, into, outof)
+    return g
 
 
 def serialize_graph(g: Graph) -> str:
+    """The text that ``load_graph`` reads back as ``g``; raises
+    GraphFormatError for an id the format cannot carry."""
+    for v in g.vertices:
+        if "," in v:
+            raise GraphFormatError("vertex id %r cannot be written: ',' "
+                                   "separates vertex ids" % (v,))
+    for x in g.vertices + tuple(e.id for e in g.edges):
+        if "#" in x:
+            raise GraphFormatError("id %r cannot be written: '#' starts a "
+                                   "comment" % (x,))
     lines = ["vertices: " + ", ".join(g.vertices)]
     for e in g.edges:
         lines.append("edge: %s %s <- %s" % (e.id, e.range_vertex, e.source_vertex))
@@ -373,9 +471,10 @@ def serialize_graph(g: Graph) -> str:
 
 
 def load_graph_file(path) -> Graph:
-    """Parse a UTF-8 graph file; bytes that are not UTF-8 raise
-    GraphFormatError, like any other malformed graph text."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a UTF-8 graph file, with or without a byte-order mark; bytes
+    that are not UTF-8 raise GraphFormatError, like any other malformed
+    graph text."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -133,8 +133,16 @@ def least_connectors(graph: Graph, f0):
 # -- corners ----------------------------------------------------------------
 
 
+def _require_same_graph(graph: Graph, f0, role):
+    """A retained set given as a ``VertexSubset`` names vertices of its own
+    graph; a plain collection of vertex names is read on any graph."""
+    if isinstance(f0, VertexSubset) and f0.graph is not graph:
+        raise ValueError("%s lives on a different graph" % role)
+
+
 def corner_of(p: PathPair, f0) -> Corner:
     """The unique cell of a basic pair."""
+    _require_same_graph(p.graph, f0, "pair")
     return Corner((p.mu.range_vertex in f0, p.nu.range_vertex in f0))
 
 
@@ -147,12 +155,12 @@ def _first_outside(flat_pairs, f0, corner: Corner):
 
 
 def element_supported_in(f: SteinbergElement, f0, corner: Corner) -> bool:
+    _require_same_graph(f.graph, f0, "element")
     return _first_outside(f.flat, f0, corner) is None
 
 
 def _require_support(f: SteinbergElement, f0, corner: Corner, role):
-    if f.graph is not f0.graph:
-        raise ValueError("%s lives on a different graph" % role)
+    _require_same_graph(f.graph, f0, role)
     # .terms follows .flat's order, so this names the first term outside.
     t = _first_outside(f.flat, f0, corner)
     if t is not None:

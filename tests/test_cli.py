@@ -187,6 +187,16 @@ def test_graph_file_that_is_not_utf8(argv, tmp_path, capsys):
     assert err.startswith("error: graph file is not UTF-8 text")
 
 
+def test_graph_file_with_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 file that starts with a byte-order mark is read as the text
+    after the mark."""
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + TWO_CYCLE_TEXT.encode())
+    code, out, err = run(capsys, "validate", "--graph", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("validate: pass\n")
+
+
 def test_bad_word(graph_file, capsys):
     code, _, err = run(capsys, "grade", "--graph", graph_file(LOOP_TEXT), "q(v)")
     assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from steinalg import (Graph, GraphFormatError, Path, VertexSubset, concat,
+from steinalg import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                       enumerate_paths, is_acyclic, is_prefix, load_graph,
                       serialize_graph, sources, strip_prefix, subgraph,
                       vertex_path)
@@ -20,6 +20,26 @@ def test_load_serialize_roundtrip(two_cycle):
     assert again.vertices == two_cycle.vertices
     assert [(e.id, e.range_vertex, e.source_vertex) for e in again.edges] == \
         [(e.id, e.range_vertex, e.source_vertex) for e in two_cycle.edges]
+
+
+@pytest.mark.parametrize("vertices,edges,message", [
+    (["a,b"], [], "vertex id 'a,b' cannot be written: ',' separates vertex ids"),
+    (["v#"], [], "id 'v#' cannot be written: '#' starts a comment"),
+    (["v", "w"], [("e#1", "v", "w")], "id 'e#1' cannot be written: '#' starts a comment"),
+], ids=["comma-in-vertex", "hash-in-vertex", "hash-in-edge"])
+def test_serialize_refuses_ids_the_format_cannot_carry(vertices, edges, message):
+    """Text that would load as another graph, or fail to load, is not
+    written: a ',' splits a vertex id in two, and a '#' cuts a line."""
+    with pytest.raises(GraphFormatError) as exc:
+        serialize_graph(Graph(vertices, edges))
+    assert str(exc.value) == message
+
+
+def test_serialize_writes_every_other_id():
+    """Ids that look like the format's own tokens still load back."""
+    g = Graph(["v:1", "<-", "edge:"], [("edge:", "v:1", "<-"), ("<-", "<-", "edge:"),
+                                       ("a,b", "edge:", "v:1")])
+    assert graph_maps(load_graph(serialize_graph(g))) == graph_maps(g)
 
 
 def test_load_ignores_blank_lines_and_comments():
@@ -36,6 +56,12 @@ FORMAT_ERRORS = [
     ("vertices: v\nbogus line", "edge", 2),
     ("vertices: v\nedge: e v -> v", "edge syntax", 2),
     ("# nothing here\n", "missing", None),
+    # Two errors: the first in file order wins, and the loader stops at
+    # its first syntax error.
+    ("vertices: v\nedge: e v <- v\nedge: e v <- v\nbogus line", "duplicate edge", 3),
+    ("vertices: v\nedge: e v <- v\nedge: f v -> v\nedge: g v <- w", "edge syntax", 3),
+    ("vertices: v w, x, x", "bad vertex id", 1),
+    ("vertices: v, v\nbogus line", "duplicate vertex", 1),
 ]
 
 
@@ -185,25 +211,143 @@ def test_graph_constructor_mirrors_loader():
         Graph(["x"], [("l", "x", "y")])
 
 
-@pytest.mark.parametrize("vertices,edges", [
-    ("vw", []),
-    (["v", "w"], ["eab"]),
-    ([1], []),
-    (["v"], [("e", "v")]),
-    (["v"], [3]),
-    (["v"], [(1, "v", "v")]),
-    (["v"], [("e", ["v"], "v")]),
-    (["v"], [("e", "v", None)]),
-    (["v", ""], []),
-    (["v w"], []),
+@pytest.mark.parametrize("vertices,edges,message", [
+    ("vw", [], None),
+    (["v", "w"], ["eab"], None),
+    ([1], [], None),
+    (["v"], [("e", "v")], None),
+    (["v"], [3], None),
+    (["v"], [(1, "v", "v")], None),
+    (["v"], [("e", ["v"], "v")], None),
+    (["v"], [("e", "v", None)], None),
+    (["v", ""], [], None),
+    (["v w"], [], None),
+    # Two errors each: the first in vertex, then edge order is named.
+    (["v", "v", ""], [], "duplicate vertex id 'v'"),
+    (["v"], [("e", "v", "w"), ("e", "v", "v")], "edge 'e' uses undeclared vertex 'w'"),
+    (["v"], [("e f", "v", "v"), ("g", "v", "v"), ("g", "v", "v")], "bad edge id 'e f'"),
+    (["v"], [("", "v", "v"), 3], "bad edge id ''"),
+    (["v", "v"], [3], "duplicate vertex id 'v'"),
+    # A triple that can be read only once is read once.
+    (["v"], [iter(("e", "v", "w"))], "edge 'e' uses undeclared vertex 'w'"),
 ], ids=["vertex-string", "edge-string", "vertex-int", "edge-pair", "edge-int",
         "edge-id-int", "unhashable-range", "none-source", "empty-vertex",
-        "spaced-vertex"])
-def test_graph_constructor_rejects_bad_input(vertices, edges):
+        "spaced-vertex", "duplicate-then-bad-vertex", "undeclared-then-duplicate",
+        "bad-id-then-duplicate", "bad-id-then-not-an-edge",
+        "duplicate-vertex-then-not-an-edge", "one-shot-triple"])
+def test_graph_constructor_rejects_bad_input(vertices, edges, message):
     """Strings are not read as lists of ids, and ids, edges and endpoints
-    of the wrong type are format errors rather than bare TypeErrors."""
-    with pytest.raises(GraphFormatError):
+    of the wrong type are format errors rather than bare TypeErrors.  With
+    two errors, the message names the first."""
+    with pytest.raises(GraphFormatError) as exc:
         Graph(vertices, edges)
+    if message is not None:
+        assert str(exc.value) == message
+
+
+def test_graph_constructor_names_a_bad_edge_before_a_failing_iterable():
+    """Edges come from any iterable; one that fails after a bad edge
+    still gets the bad edge named, and one that fails after good edges
+    passes its own error on."""
+    def edges(first):
+        yield first
+        raise RuntimeError("no more edges")
+    with pytest.raises(GraphFormatError, match="bad edge id ''"):
+        Graph(["v"], edges(("", "v", "v")))
+    with pytest.raises(RuntimeError, match="no more edges"):
+        Graph(["v"], edges(("e", "v", "v")))
+
+
+def first_error(vertices, edges):
+    """The message of the first bad vertex or edge, read one at a time in
+    order, or None: the reference the constructor's verdict is held to."""
+    declared = set()
+    for v in vertices:
+        if not (isinstance(v, str) and v.split() == [v]):
+            return "bad vertex id %r" % (v,)
+        if v in declared:
+            return "duplicate vertex id %r" % (v,)
+        declared.add(v)
+    seen = set()
+    for e in edges:
+        if isinstance(e, Edge):
+            e = (e.id, e.range_vertex, e.source_vertex)
+        if isinstance(e, str) or not isinstance(e, tuple) or len(e) != 3:
+            return "edge %r must be an Edge or an (id, range, source) triple" % (e,)
+        eid, rv, sv = e
+        if not (isinstance(eid, str) and eid.split() == [eid]):
+            return "bad edge id %r" % (eid,)
+        if eid in seen:
+            return "duplicate edge id %r" % (eid,)
+        seen.add(eid)
+        for x in (rv, sv):
+            if not (isinstance(x, str) and x in declared):
+                return "edge %r uses undeclared vertex %r" % (eid, x)
+    return None
+
+
+BAD_VERTICES = ["", "a b", 1, ["v1"]]
+BAD_EDGES = [3, "abc", ("e", "v1")]
+BAD_IDS = ["", "e 1", 1, ("e",), ["e"]]
+BAD_ENDPOINTS = ["zz", "", None, ["v1"], 1]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9))
+@settings(max_examples=300, deadline=None)
+def test_graph_constructor_names_the_first_error(seed):
+    """Random graphs with up to three faults of every kind, at random
+    places: the constructor raises the message of the first fault in
+    vertex, then edge order, and builds the graph when there is none."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=8, max_edges=20)
+    vertices = list(g.vertices)
+    edges = [e if rng.random() < 0.5 else (e.id, e.range_vertex, e.source_vertex)
+             for e in g.edges]
+    for _ in range(rng.randint(0, 3)):
+        i, kind = rng.randrange(len(edges)), rng.randrange(6)
+        eid, rv, sv = edges[i] if isinstance(edges[i], tuple) and len(edges[i]) == 3 \
+            else ("e1", "v1", "v1")
+        if kind == 0:
+            vertices[rng.randrange(len(vertices))] = rng.choice(
+                BAD_VERTICES + [rng.choice(vertices)])
+        elif kind == 1:
+            edges[i] = rng.choice(BAD_EDGES)
+        elif kind == 2:
+            edges[i] = (rng.choice(BAD_IDS), rv, sv)
+        elif kind == 3:
+            edges[i] = (rng.choice(g.edges).id, rv, sv)
+        elif kind == 4:
+            edges[i] = (eid, rng.choice(BAD_ENDPOINTS), sv)
+        else:
+            edges[i] = Edge(eid, rv, rng.choice(BAD_ENDPOINTS))
+    want = first_error(vertices, edges)
+    if want is None:
+        assert Graph(vertices, edges).edges == tuple(
+            e if isinstance(e, Edge) else Edge(*e) for e in edges)
+    else:
+        with pytest.raises(GraphFormatError) as exc:
+            Graph(vertices, edges)
+        assert str(exc.value) == want
+
+
+GRAPH_MAPS = ("vertices", "edges", "_vertex_index", "_edge_index", "_by_id",
+              "_edges_with_range", "_edges_with_source", "_sole_edge_range")
+
+
+def graph_maps(g):
+    """Every map a graph keeps; a dict as its item list, so order counts."""
+    maps = (getattr(g, name) for name in GRAPH_MAPS)
+    return [list(m.items()) if isinstance(m, dict) else m for m in maps]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9))
+@settings(max_examples=200, deadline=None)
+def test_load_rebuilds_every_map(seed):
+    """Loading the serialized text of a graph rebuilds every map the
+    constructor made, in order."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=12, max_edges=40)
+    assert graph_maps(load_graph(serialize_graph(g))) == graph_maps(g)
 
 
 def test_ids_reject_exactly_whitespace():

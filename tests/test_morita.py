@@ -348,6 +348,14 @@ def test_context_maps_reject_operands_from_another_graph(zring):
     for side in ("psi", "phi"):
         with pytest.raises(ValueError, match="target pair lives on a different graph"):
             surjectivity_witness(t, zring, unit, side)
+    with pytest.raises(ValueError, match="pair lives on a different graph"):
+        corner_of(unit, t.f0)
+    for corner in Corner:
+        with pytest.raises(ValueError, match="element lives on a different graph"):
+            element_supported_in(m, t.f0, corner)
+    # A plain collection of vertex names is read on any graph.
+    assert corner_of(unit, ["u"]) == Corner.GG
+    assert element_supported_in(m, ["u"], Corner.GG)
 
 
 # -- witnesses -------------------------------------------------------------------------
