@@ -6,7 +6,7 @@ are rendered deterministically, so repeated runs are byte-identical.
 
 Exit codes: 0 all checks pass, 1 usage error, 2 unreadable or invalid
 input, 3 a certified check failed, 4 internal failure (a broken invariant,
-or a ValueError that is not rejected input).
+a ValueError that is not rejected input, or memory running out).
 """
 
 from __future__ import annotations
@@ -201,6 +201,16 @@ def main(argv=None) -> int:
         return 2
     except (AssertionError, RuntimeError, ValueError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
+        return 4
+    except (MemoryError, SystemError):
+        # Out of memory; CPython can report a failed allocation as a
+        # SystemError.  The traceback keeps every frame of the failed run
+        # alive, so the message is printed once the handler has let it go.
+        rep = None
+    if rep is None:
+        print("internal error: %s ran out of memory%s" % (
+            args.command, "; try a smaller --depth than %d" % args.depth
+            if "depth" in args else ""), file=sys.stderr)
         return 4
     sys.stdout.write(rep.render(args.fmt))
     return 0 if rep.ok else 3

@@ -24,6 +24,9 @@ same function), and term comparison would wrongly separate them.  The walk
 visits the stored pairs' tails, their prefixes and the fans below them, so
 its cost is polynomial in the number of terms, their depth and the
 fan-out; it does not grow with the depth gap between unrelated terms.
+Most chains skip the walk: a lone pair with no common tail is its own top
+and its own piece, and a chain whose tails have at most one edge, a root
+and some branches of one fan, is folded or split in one pass.
 
 An element stores its normal form in one shape: ``flat``, a dict from flat
 pair (the edge-id tuples of the pair kernel in ``cylinder``) to int, over
@@ -33,7 +36,10 @@ when that is nonzero (zero is ``not c``, equality is ``==``), and den is
 reduced: gcd(den, *ints) == 1.  Over z and zmod:n the ints are the values
 and den is 1; over q they are numerators over the lcm of the
 denominators.  So equal functions have equal stored forms, and equality,
-hashing, sums, products, evaluation and grading run on them.  ``terms``,
+hashing, sums, products, evaluation and grading run on them.  Evaluation
+looks up only the cuts of a probe whose legs fit in the element's longest
+stored leg (``max_path_len``, kept after its first call), so it costs
+lookups in the element's depth, not in the probe's length.  ``terms``,
 the element as {PathPair: ring value} in stored order, is built on first
 read and kept; rendering and the pointwise oracle read it.
 """
@@ -42,22 +48,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import itemgetter
 
 from .cylinder import (GroupoidProbe, _build, _compose, _flat, _minimal,
                        _RangeLegIndex, as_bisection)
 from .graph import concat, strip_prefix
 
 
+_mu, _nu = itemgetter(0), itemgetter(1)      # a flat pair's legs
+
+
 class SteinbergElement:
     """A canonical-form element; construct via the module functions."""
 
-    __slots__ = ("graph", "ring", "flat", "den", "_terms")
+    __slots__ = ("graph", "ring", "flat", "den", "_terms", "_depth")
 
     def __init__(self, graph, ring, raw_terms, den):
         self.graph = graph
         self.ring = ring
         self.flat, self.den = _canonical_terms(graph, ring, raw_terms, den)
         self._terms = None
+        self._depth = None
 
     @property
     def terms(self):
@@ -74,7 +85,11 @@ class SteinbergElement:
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
     def max_path_len(self):
-        return max((max(len(t[0]), len(t[1])) for t in self.flat), default=0)
+        """The longest leg of a stored pair; computed on first call and kept."""
+        if self._depth is None:
+            self._depth = max(max(map(len, map(_mu, self.flat)), default=0),
+                              max(map(len, map(_nu, self.flat)), default=0))
+        return self._depth
 
     def render(self):
         if not self.flat:
@@ -114,13 +129,15 @@ def _canonical_terms(graph, ring, raw_terms, den):
     ints over den are reduced mod ``ring.modulus`` when that is nonzero."""
     if not raw_terms:
         return {}, 1
-    # A chain is the pairs with one top (both legs with the common tail cut
-    # off), each filed by its tail: two pairs meet only when they share a
-    # top and one tail is a prefix of the other.  The range vertex tells
-    # apart tops whose legs are both vertices.  Most chains have one
-    # member, so a chain's first member is filed as (tail, pair, int), and
-    # the chain becomes a dict by tail when a second member arrives.
+    # A chain is the pairs with one top, the flat pair of both legs with
+    # the common tail cut off, each filed by its tail: two pairs meet only
+    # when they share a top and one tail is a prefix of the other.  Most
+    # chains have one member.  A pair with no common tail is its own top
+    # and is filed under itself as its bare int; a lone pair with a tail is
+    # filed as (tail, pair, int).  The chain becomes a dict by tail when a
+    # second member arrives.
     chains = {}
+    edge = graph.edge
     for t, c in raw_terms:
         if not c:
             continue
@@ -129,25 +146,35 @@ def _canonical_terms(graph, ring, raw_terms, den):
             k, n = 1, min(len(mu), len(nu))
             while k < n and mu[-1 - k] == nu[-1 - k]:
                 k += 1
-            top = (mu[:-k], nu[:-k], t[3])
+            top = (mu[:-k], nu[:-k], edge(mu[-k]).range_vertex, t[3], t[4])
             tail = mu[-k:]
+            members = chains.get(top)
+            if members is None:
+                chains[top] = (tail, t, c)
+            elif members.__class__ is tuple:
+                chains[top] = {members[0]: members[1:], tail: (t, c)}
+            elif members.__class__ is dict:
+                members[tail] = (t, c)
+            else:       # the root, filed as its bare int
+                chains[top] = {(): (top, members), tail: (t, c)}
         else:
-            top, tail = (mu, nu, t[3]), ()
-        members = chains.get(top)
-        if members is None:
-            chains[top] = (tail, t, c)
-        elif members.__class__ is tuple:
-            chains[top] = {members[0]: members[1:], tail: (t, c)}
-        else:
-            members[tail] = (t, c)
+            members = chains.get(t)
+            if members is None:
+                chains[t] = c
+            elif members.__class__ is tuple:
+                chains[t] = {members[0]: members[1:], (): (t, c)}
+            else:
+                members[()] = (t, c)
     out = {}
     for top, members in chains.items():
         if members.__class__ is tuple:
-            # A lone pair with no common tail is already its minimal pair.
-            tail, t, c = members
-            out[_minimal(graph, t) if tail else t] = c
-        else:
+            # A lone pair with a common tail strips it while its edges are
+            # the only ones into their range vertices.
+            out[_minimal(graph, members[1])] = members[2]
+        elif members.__class__ is dict:
             _walk_chain(graph, ring.modulus, top, members, out)
+        else:
+            out[top] = members
     # den > 1 only over q, where the ints are numerators: dividing them and
     # den by their common factor keeps every value.
     common = gcd(den, *out.values())
@@ -179,9 +206,9 @@ _MIXED = object()       # the value of a node whose fan carries several
 
 
 def _walk_chain(graph, m, top, members, out):
-    """Put one chain's canonical pieces into out; its members (flat pair,
-    coefficient) are filed by tail, coefficients are ints reduced mod m
-    when m is nonzero.
+    """Put one chain's canonical pieces into out; top is the chain's root
+    as a flat pair, its members (flat pair, coefficient) are filed by tail,
+    coefficients are ints reduced mod m when m is nonzero.
 
     The tree holds the member tails and their prefixes.  A node's sum is
     the total over the members at it and above it; it is the value on
@@ -191,11 +218,11 @@ def _walk_chain(graph, m, top, members, out):
     value (a mixed branch has emitted its own).  The root is emitted when
     its value is nonzero.
     """
-    top_mu, top_nu, mu_range = top
-    first, (t, _) = next(iter(members.items()))
-    nu_range = t[4]
+    if max(map(len, members)) < 2:
+        _walk_fan(graph, m, top, members, out)
+        return
+    top_mu, top_nu, root_source, mu_range, nu_range = top
     edge = graph.edge
-    root_source = edge(first[0]).range_vertex if first else t[2]
 
     def source(tail):
         return edge(tail[-1]).source_vertex if tail else root_source
@@ -241,6 +268,40 @@ def _walk_chain(graph, m, top, members, out):
             below.setdefault(t[:-1], {})[t[-1]] = value
         elif value is not _MIXED and value:
             out[piece(t)] = value
+
+
+def _walk_fan(graph, m, top, members, out):
+    """``_walk_chain`` for a chain whose tails have at most one edge: the
+    root and some branches of its one fan.  A branch's value is the root's
+    sum plus its own int; the chain folds to the root when every branch of
+    the fan carries one value, and otherwise emits its nonzero branches in
+    fan order."""
+    root = members.get(())
+    total = root[1] if root is not None else 0
+    kids = {}
+    for tail, (_, c) in members.items():
+        if tail:
+            c += total
+            kids[tail[0]] = c % m if m else c
+    fan = graph.edges_with_range(top[2])
+    values = set(kids.values())
+    if len(kids) < len(fan):
+        values.add(total)
+    if len(values) == 1:
+        value = values.pop()
+        if value:
+            out[top] = value
+        return
+    top_mu, top_nu, _, mu_range, nu_range = top
+    for e in fan:
+        got = members.get((e.id,))
+        if got is not None:
+            value = kids[e.id]
+            if value:
+                out[got[0]] = value
+        elif total:
+            out[(top_mu + (e.id,), top_nu + (e.id,), e.source_vertex,
+                 mu_range, nu_range)] = total
 
 
 # -- constructors ----------------------------------------------------------
@@ -390,27 +451,40 @@ def evaluate(f, probe: GroupoidProbe):
 
     A pair contains the probe (mu x, nu x) exactly when it is the probe's
     two truncations with a common tail cut off, so the candidates are looked
-    up as flat pairs, shortest common tail first, instead of scanning every
-    term; the sum is lifted to a ring value once.
+    up as flat pairs instead of scanning every term.  A stored leg is at
+    most ``f.max_path_len()`` long, so the cuts start at the first one whose
+    legs both fit in that length, when the tail cut off there is common to
+    both legs; the lookups are bounded by the element's depth, not the
+    probe's length.  The sum is lifted to a ring value once.
     """
     mu, nu = probe.mu_full, probe.nu_full
     if mu.graph is not f.graph:
         raise ValueError("probe and element live on different graphs")
     flat, edge, ring = f.flat, f.graph.edge, f.ring
-    v, mu_range, nu_range = mu.source_vertex, mu.range_vertex, nu.range_vertex
-    k, j = len(mu.edges), len(nu.edges)
+    mu_edges, nu_edges = mu.edges, nu.edges
+    k, j = len(mu_edges), len(nu_edges)
+    cut = max(k, j) - f.max_path_len()
+    if cut > 0:
+        if cut > k or cut > j or mu_edges[k - cut:] != nu_edges[j - cut:]:
+            return ring.lift(0, f.den)
+        k -= cut
+        j -= cut
+        v = edge(mu_edges[k]).range_vertex
+    else:
+        v = mu.source_vertex
+    mu_range, nu_range = mu.range_vertex, nu.range_vertex
     total = 0
     while True:
-        c = flat.get((mu.edges[:k], nu.edges[:j], v, mu_range, nu_range))
+        c = flat.get((mu_edges[:k], nu_edges[:j], v, mu_range, nu_range))
         if c is not None:
             total += c
-        if not k or not j or mu.edges[k - 1] != nu.edges[j - 1]:
+        if not k or not j or mu_edges[k - 1] != nu_edges[j - 1]:
             if ring.modulus:
                 total %= ring.modulus
             return ring.lift(total, f.den)
         k -= 1
         j -= 1
-        v = edge(mu.edges[k]).range_vertex
+        v = edge(mu_edges[k]).range_vertex
 
 
 def oracle_convolve_at(f, g, probe: GroupoidProbe):

@@ -4,6 +4,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -258,6 +259,17 @@ def test_nested_word_within_the_bound_evaluates(shape, graph_file, capsys):
     assert "\ncanonical: %s\n" % canonical in out
 
 
+def test_word_starting_with_a_dash_after_double_dash(graph_file, capsys):
+    """A word that starts with "-" reads as an option unless "--" ends the
+    options before it (README, Command line)."""
+    path = graph_file(LOOP_TEXT)
+    code, _, err = run(capsys, "grade", "--graph", path, "-s(e)")
+    assert code == 1 and "required: word" in err
+    code, out, err = run(capsys, "grade", "--graph", path, "--", "-s(e)")
+    assert (code, err) == (0, "")
+    assert "\ncanonical: -1 * Z(e,v)\n" in out
+
+
 def test_bad_ring_spec(graph_file, capsys):
     code, _, err = run(capsys, "relations", "--graph", graph_file(LOOP_TEXT),
                        "--ring", "gf:9")
@@ -341,6 +353,40 @@ def test_other_value_errors_are_internal(graph_file, capsys, monkeypatch):
     code, out, err = run(capsys, "validate", "--graph", graph_file(LOOP_TEXT))
     assert code == 4 and out == ""
     assert "internal error: boom" in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, SystemError])
+@pytest.mark.parametrize("argv,want", [
+    (["collapse", "--t0", "w", "--depth", "20"],
+     "internal error: collapse ran out of memory; try a smaller --depth than 20\n"),
+    (["mul", "s(e1)", "s(e2)"], "internal error: mul ran out of memory\n"),
+])
+def test_running_out_of_memory_exits_4(error, argv, want, graph_file, capsys,
+                                       monkeypatch):
+    """A MemoryError, or the SystemError CPython raises when an allocation
+    fails inside a call, is an internal failure: exit 4 and one stderr line
+    that names the subcommand and, where it has one, its --depth.  The
+    line is printed after the failed run's frames, and what they hold, are
+    let go."""
+    class Payload:
+        pass
+
+    payloads, freed = [], []
+
+    def boom(args):
+        payload = Payload()
+        payloads.append(weakref.ref(payload))
+        raise error()
+
+    def spy(*items, **kwargs):
+        freed.append(payloads[0]() is None)
+        print(*items, **kwargs)
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], boom)
+    monkeypatch.setattr(cli, "print", spy, raising=False)
+    code, out, err = run(capsys, argv[0], "--graph", graph_file(TWO_CYCLE_TEXT), *argv[1:])
+    assert (code, out, err) == (4, "", want)
+    assert freed == [True]
 
 
 # -- determinism and packaging -----------------------------------------------------------

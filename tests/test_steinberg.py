@@ -19,9 +19,10 @@ from steinalg import (BasicBisection, Graph, GroupoidProbe, InputError,
                       ring_from_spec, scale, vertex_path, zero)
 from steinalg import cylinder, sampling, steinberg
 from steinalg.cylinder import _flat, _RangeLegIndex
-from tests.conftest import (OUTSPLIT_TEXT, TWO_CYCLE_TEXT, common_depth_terms,
-                            partners, prefix, random_bisection,
-                            recording_range_leg_index, sweep_graph)
+from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
+                            common_depth_terms, partners, prefix,
+                            random_bisection, recording_range_leg_index,
+                            sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
@@ -235,6 +236,65 @@ def test_lone_member_keeps_a_tail_of_shared_edges(rose2, zring):
     assert f.terms == common_depth_terms(g, zring, [(p, 3)])
 
 
+# Graphs for one-level chains under the top Z(a,b), whose legs share the
+# source vertex that the branches' fan ranges at.  On "source" the fan is a,
+# b, x, and x comes from the source vertex s; on "single" the fan is c
+# alone, the only edge into w, so a lone branch strips back to the top.
+FAN_GRAPHS = {
+    "rose2": ROSE2_TEXT,
+    "source": "vertices: v, s\nedge: a v <- v\nedge: b v <- v\nedge: x v <- s\n",
+    "single": "vertices: v, w\nedge: a v <- w\nedge: b v <- w\nedge: c w <- v\n",
+}
+
+
+def fan_members(case, fan):
+    """The chain's (tail, coefficient) members in arrival order."""
+    if case == "uniform":
+        return [((), 1)] + [((e,), 2) for e in fan]
+    if case == "partial":
+        return [((), 1), ((fan[0],), 2)]
+    if case == "no-root":
+        return [((e,), i + 1) for i, e in enumerate(fan[:2])]
+    if case == "cancels":
+        return [((), 2)] + [((e,), 2) for e in fan]
+    assert case == "root-last"
+    return [((fan[0],), 3), ((), 1)]
+
+
+@pytest.mark.parametrize("graph,case,want", [
+    ("rose2", "uniform", ["Z(a,b) 3", "Z(b,a) 3"]),
+    ("rose2", "partial", ["Z(a.a,b.a) 3", "Z(a.b,b.b) 1", "Z(b,a) 3"]),
+    ("rose2", "no-root", ["Z(a.a,b.a) 1", "Z(a.b,b.b) 2", "Z(b,a) 3"]),
+    ("rose2", "cancels", ["Z(b,a) 3"]),
+    ("rose2", "root-last", ["Z(a.a,b.a) 4", "Z(a.b,b.b) 1", "Z(b,a) 3"]),
+    ("source", "uniform", ["Z(a,b) 3", "Z(b,a) 3"]),
+    ("source", "partial", ["Z(a.a,b.a) 3", "Z(a.b,b.b) 1", "Z(a.x,b.x) 1", "Z(b,a) 3"]),
+    ("source", "no-root", ["Z(a.a,b.a) 1", "Z(a.b,b.b) 2", "Z(b,a) 3"]),
+    ("source", "cancels", ["Z(b,a) 3"]),
+    ("source", "root-last", ["Z(a.a,b.a) 4", "Z(a.b,b.b) 1", "Z(a.x,b.x) 1", "Z(b,a) 3"]),
+    ("single", "uniform", ["Z(a,b) 3", "Z(b,a) 3"]),
+    ("single", "partial", ["Z(a,b) 3", "Z(b,a) 3"]),
+    ("single", "no-root", ["Z(a,b) 1", "Z(b,a) 3"]),
+    ("single", "cancels", ["Z(b,a) 3"]),
+    ("single", "root-last", ["Z(a,b) 4", "Z(b,a) 3"]),
+])
+def test_one_level_chain_folds_or_splits_in_fan_order(graph, case, want):
+    """A chain of the top Z(a,b) and branches one edge below it, with the
+    lone pair Z(b,a) arriving second.  A fan whose branches all carry one
+    value folds to the top (a fan of one edge always does); otherwise its
+    nonzero branches come out in fan order, where the chain's first member
+    arrived.  Over zmod:4 the "cancels" chain sums to 0 on every branch."""
+    g = load_graph(FAN_GRAPHS[graph])
+    ring = ring_from_spec("zmod:4" if case == "cancels" else "z")
+    fan = [e.id for e in g.edges_with_range(g.edge("a").source_vertex)]
+    raw = [(PathPair(Path(g, ("a",) + tail), Path(g, ("b",) + tail)), c)
+           for tail, c in fan_members(case, fan)]
+    raw.insert(1, (PathPair(Path(g, ("b",)), Path(g, ("a",))), 3))
+    f = from_terms(g, ring, raw)
+    assert rendered_terms(f) == want
+    assert f.terms == common_depth_terms(g, ring, raw)
+
+
 @pytest.mark.parametrize("letters,gap", [("ab", 64), ("abc", 40),
                                          ("abcdefghijklmnopqrstuvwxyz", 30)])
 def test_deep_nested_pair_has_the_closed_form(letters, gap, zring):
@@ -369,6 +429,42 @@ def test_evaluate_matches_the_term_scan(seed):
         assert any(not ring.is_zero(evaluate(f, pr)) for pr in probes)
     for pr in probes:
         assert evaluate(f, pr) == scan_evaluate(f, pr)
+
+
+@pytest.mark.parametrize("spec", ["z", "q", "zmod:4"])
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_evaluate_cuts_the_probe_to_the_element_depth(spec, seed):
+    """evaluate starts at the first cut of the probe whose legs fit in the
+    element's longest leg, and sums what the scan sums: on probes reaching
+    0-12 edges past that depth, on vertex legs, on probes that stop at a
+    source vertex, and on an element whose depth is not yet kept."""
+    rng = sampling.rng_from_seed(seed)
+    g = rng.choice([sampling.random_graph(rng, max_vertices=4, max_edges=8),
+                    load_graph(FAN_GRAPHS["source"])])
+    ring = ring_from_spec(spec)
+    f = sampling.random_element(rng, g, ring, max_terms=5, max_len=3)
+    v = vertex_path(g, rng.choice(g.vertices))
+    walk = sampling.backward_walk(rng, g, v.range_vertex, 2)
+    f = f + from_terms(g, ring, [(PathPair(v, v), ring.sample_nonzero(rng)),
+                                 (PathPair(walk, v), ring.sample_nonzero(rng))])
+    depth = max((max(len(p.mu), len(p.nu)) for p in f.terms), default=0)
+    anchors = list(f.terms) + [sampling.random_pair(rng, g, max_len=rng.randint(0, 3))
+                               for _ in range(4)]
+    probes = []
+    for p in anchors:
+        reach = depth + rng.randint(0, 12) - max(len(p.mu), len(p.nu))
+        probes.append(sampling.random_adequate_probe(rng, g, p, max(reach, 0)))
+        probes.append(GroupoidProbe(p.mu, p.nu))
+    if not f.is_zero():
+        assert any(not ring.is_zero(evaluate(f, pr)) for pr in probes)
+    assert f.max_path_len() == depth
+    for pr in probes:
+        want = scan_evaluate(f, pr)
+        assert evaluate(f, pr) == want
+        fresh = from_terms(g, ring, f.terms.items())
+        assert evaluate(fresh, pr) == want
+        assert fresh.max_path_len() == depth
 
 
 # -- convolution vs the pointwise oracle ---------------------------------------
