@@ -18,7 +18,7 @@ import sys
 from .collapse import CollapseSpec, check_phi_fin_image, collapse, \
     pointed_groupoid_iso_check, validate_collapsible
 from .errors import InputError
-from .graph import load_graph_file
+from .graph import _comma_list, load_graph_file
 from .leavitt import check_ck_relations, eval_word
 from .morita import morita_report
 from .report import Report
@@ -33,11 +33,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _vertex_list(text):
-    """The --t0 value: comma-separated vertex ids, blanks dropped."""
-    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def _depth(text):
@@ -59,7 +54,7 @@ def build_parser() -> _Parser:
     def common(sp, t0=False, ring=False, depth=False, seed=False):
         sp.add_argument("--graph", required=True, help="graph file")
         if t0:
-            sp.add_argument("--t0", type=_vertex_list, default=None,
+            sp.add_argument("--t0", type=_comma_list, default=None,
                             help="comma-separated vertices to collapse")
         if ring:
             sp.add_argument("--ring", default="z", help="z, q, or zmod:N")

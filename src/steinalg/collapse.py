@@ -362,7 +362,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     #
     # A combination transports a leg only where the collapsed graph strips
     # its composite, and minimizes in the original graph only where its two
-    # sides differ:
+    # sides differ.  Both are decided per composite:
     # - phi on a leg is the concatenation of its edges' abbreviated paths
     #   (_leg_image), so phi(mu + suffix) = phi(mu) + phi(suffix), and the
     #   well-formedness check above gives each collapsed edge's path the
@@ -372,16 +372,17 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     #   phi(leg), source, m[3], leg_range).  Each left plan is transported
     #   once, into the entries (j, phi(suffix), phi(leg), source,
     #   leg_range), which are kept by the plan's key: like the plan they
-    #   depend only on m's source leg and its range vertex.  Where _minimal
-    #   strips an edge of the composite in the collapsed graph, which needs
-    #   an edge that is the only one into its range vertex there, the
-    #   stripped composite is transported.
+    #   depend only on m's source leg and its range vertex.
+    # - _minimal strips a composite in the collapsed graph exactly when both
+    #   legs end in one edge that is the only edge into its range vertex
+    #   there, and the legs end where suffix (or m[0]) and leg end.  So each
+    #   plan entry decides it, and only a composite that strips is formed.
     # - equal pairs have equal minimal pairs, so the two sides are compared
     #   as they are, and both are minimized only when they differ.  Where
-    #   the collapsed graph strips nothing, both sides' first legs start
-    #   with phi(m[0]) and range at m[3], so the sides are equal exactly
-    #   when the transported entry equals the right plan's entry, and
-    #   neither side is formed.
+    #   the composite strips nothing, both sides' first legs start with
+    #   phi(m[0]) and range at m[3], so the sides are equal exactly when
+    #   the transported entry equals the right plan's entry, and neither
+    #   side is formed.
     # - that comparison ends almost every combination of a well-formed
     #   certificate.  There the edge paths from each vertex are its first
     #   hits, a prefix-free set, so phi keeps the prefix order of legs and
@@ -396,7 +397,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     transported = [transport(m) for m in flat_minimal]
     left_index = _RangeLegIndex(flat_minimal)
     right_index = _RangeLegIndex(transported)
-    strips = bool(F._sole_edge_range)
+    sole = F._sole_edge_range
     transported_plans = {}
 
     # The window is grouped by source vertex, and a plan's key (m's source
@@ -427,20 +428,17 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             if x[0] != y[0]:
                 b = min(x[0], y[0])     # it composes on one side only
                 break
-            if not strips and tx == y:
+            if sole and x[2] and x[2][-1] in sole and (x[1] or m[0])[-1:] == x[2][-1:]:
+                _, suffix, leg, source, leg_range = x
+                lhs = transport(_minimal(F, (m[0] + suffix, leg, source, m[3], leg_range)))
+            elif tx == y:
                 continue
-            j, suffix, leg, source, leg_range = x
-            if strips:
-                composite = (m[0] + suffix, leg, source, m[3], leg_range)
-                stripped = _minimal(F, composite)
-            if strips and stripped is not composite:
-                lhs = transport(stripped)
             else:
-                lhs = (phi_m[0] + tx[1], tx[2], source, m[3], leg_range)
+                lhs = (phi_m[0] + tx[1], tx[2], tx[3], m[3], tx[4])
             _, suffix, leg, source, leg_range = y
             rhs = (phi_m[0] + suffix, leg, source, phi_m[3], leg_range)
             if lhs != rhs and _minimal(g, lhs) != _minimal(g, rhs):
-                b = j
+                b = x[0]
                 break
         else:
             rest = left[len(right):] or right[len(left):]

@@ -368,6 +368,12 @@ class VertexSubset:
 # vertex id a ','.
 
 
+def _comma_list(text):
+    """Comma-separated ids, each stripped, blanks dropped: the body of a
+    'vertices:' line and the CLI's --t0 value."""
+    return tuple(v for v in map(str.strip, text.split(",")) if v)
+
+
 def _edge_fields(line, lineno):
     """The id, range and source of one edge line; raises GraphFormatError
     tagged with the line when it is no edge declaration."""
@@ -402,7 +408,7 @@ def load_graph(text: str) -> Graph:
     if not line.startswith("vertices:"):
         raise GraphFormatError("expected 'vertices:' declaration first", vline)
     body = line[len("vertices:"):].strip()
-    vertices = tuple(v.strip() for v in body.split(",") if v.strip()) if body else ()
+    vertices = _comma_list(body)
     try:
         index = _vertex_index(vertices)
     except GraphFormatError as exc:

@@ -281,15 +281,14 @@ def eq_ops_check(transversal, m, m_prime, n, n_prime) -> bool:
 class MoritaWitness:
     """The off-diagonal factor pair reconstructing a single-pair indicator.
 
-    ``pieces`` is ((v, n),) with v in the (1,2) block and n in the (2,1)
-    block, or () when the target admits no factorisation or, on the phi
-    side, when the connector does not start at the target's source vertex,
-    so that v would not be a pair; the psi side
-    multiplies v * n and the phi side n * v.  The report's
-    ``factors.piece-1-blocks`` row fails when a factor leaves its block,
-    when n is None because v does not compose with the target, or on the
-    phi side when the connector does not start at the target's source
-    vertex.
+    The psi side multiplies v * n and the phi side n * v, v meant for the
+    (1,2) block and n for the (2,1) block.  ``pieces`` is ((v, n),), or ()
+    when the target is out of the side's reach or, on the phi side, when
+    the connector starts at another vertex than the target's source: v's
+    first leg would be the connector, so v would be no pair.  The report's
+    ``factors.piece-1-blocks`` row fails then, when n is None because v
+    does not compose with the target, and when the connector ranges outside
+    the retained set, which puts v outside block (1,2).
     """
 
     side: str
@@ -339,12 +338,12 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
             return MoritaWitness(side, pair, (), rep)
         conn = transversal._connectors[pair.source_vertex]
         rep.add("target", "connector", conn.render())
-    fv, defect, unit_cover, reconstructs, matrix = rows
+    fv, defect, unit_cover, reconstructs = rows
     rep.check("factors", "piece-1-blocks", not defect, defect)
     rep.check("factors", "pieces-disjoint", "vacuous", "single piece")
     rep.check("verification", "unit-cover", unit_cover)
     rep.check("verification", "reconstructs", reconstructs)
-    rep.check("verification", "matrix-reconstructs", matrix)
+    rep.check("verification", "matrix-reconstructs", reconstructs)
     if side == "phi" and conn.source_vertex != pair.source_vertex:
         # v's first leg would be a connector that starts elsewhere: no pair.
         return MoritaWitness(side, pair, (), rep)
@@ -360,24 +359,31 @@ def _witness_rows(transversal, graph, t, side):
 
     None when the target is out of the side's reach: on the psi side a leg
     ranges outside the retained set, on the phi side its source vertex has
-    no connector.  Otherwise ``(v, blocks defect, unit-cover, reconstructs,
-    matrix-reconstructs)``: the flat (1,2) factor v, the ``piece-1-blocks``
-    defect text ("" when v and the (2,1) factor n sit in their blocks; n is
-    missing when v does not compose with the target; on the phi side v's
-    first leg is the connector, which must start at the target's source
-    vertex), and the three verification verdicts.
+    no connector.  Otherwise ``(v, blocks defect, unit-cover,
+    reconstructs)``: the flat (1,2) factor v, the ``piece-1-blocks`` defect
+    text ("" when v and the (2,1) factor n sit in their blocks), and two
+    verification verdicts.  The unit set of the (1,2) factor is the
+    matching unit set of the target: range units on the psi side, source
+    units on the phi side.
 
-    This is exact: the product of two basic-pair indicators is the
-    indicator of their composite, or zero when they do not compose; the
-    canonical form of an indicator is its minimal pair with coefficient
-    one; and one is nonzero in every coefficient ring, so two indicators
-    are equal exactly when their minimal pairs are, and no indicator is
-    zero.  The rows are therefore the same for every ring.  A product of
-    an f12-only and an f21-only matrix element has one nonzero block,
-    f11 = v * n or f22 = n * v, so the matrix row holds when that product
-    reconstructs the target inside the diagonal block's support rule.  The
-    unit set of the (1,2) factor is the matching unit set of the target:
-    range units on the psi side, source units on the phi side.
+    The verdicts are exact and the same in every ring: the product of two
+    basic-pair indicators is the indicator of their composite, or zero when
+    they do not compose; an indicator's canonical form is its minimal pair
+    with coefficient one, which no ring makes zero; so two indicators are
+    equal exactly when their minimal pairs are.
+
+    The connector decides the blocks.  ``_compose(p, q)`` ranges its legs
+    where p's first leg and q's second leg range.  On the psi side v ranges
+    its first leg at t[3], n = v^-1 t its second at t[4], and v n at both,
+    all retained by the guard.  On the phi side v's first leg is the
+    connector, n = t v^-1 ranges its second leg where the connector does,
+    and n v lands in block (2,2), which constrains no leg.  So both factors
+    sit in their blocks exactly when v's first leg ranges in the retained
+    set, and ``matrix-reconstructs``, which multiplies an f12-only by an
+    f21-only matrix element into the one block v n or n v, equals
+    ``reconstructs``.  Defects are named in order: a connector that starts
+    at another vertex than t (v is then no pair), a missing n, and v
+    outside block (1,2).
     """
     f0 = transversal.f0
     if side == "psi":
@@ -388,7 +394,6 @@ def _witness_rows(transversal, graph, t, side):
         n = _compose(_invert(v), t)
         unit, unit_target = _compose(v, _invert(v)), v
         direct = None if n is None else _compose(v, n)
-        diagonal = Corner.GG
     else:
         conn = transversal._connectors.get(t[2])
         if conn is None:
@@ -399,30 +404,18 @@ def _witness_rows(transversal, graph, t, side):
         n = _compose(t, _invert(v))
         unit, unit_target = _compose(_invert(v), v), (t[1], t[1], t[2], t[4], t[4])
         direct = None if n is None else _compose(n, v)
-        diagonal = Corner.HH
+    if not defect and n is None:
+        defect = "no second factor"
+    elif not defect and v[3] not in f0:
+        defect = "%s violates the GZ support pattern" % _build(graph, v).render()
     unit_cover = unit is not None and _minimal(graph, unit) == _minimal(graph, unit_target)
     reconstructs = direct is not None and _minimal(graph, direct) == _minimal(graph, t)
-    matrix = reconstructs and _first_outside((direct,), f0, diagonal) is None
-    defect = defect or _blocks_defect(graph, f0, v, n)
-    return v, defect, unit_cover, reconstructs, matrix
+    return v, defect, unit_cover, reconstructs
 
 
 def _holds(rows):
-    """Whether every row of a witness holds, given its ``_witness_rows``;
-    ``matrix-reconstructs`` holds only where ``reconstructs`` does."""
-    return rows is not None and not rows[1] and rows[2] and rows[4]
-
-
-def _blocks_defect(graph, f0, v, n):
-    """Why the flat factor pair (v, n) does not sit in blocks (1,2) and
-    (2,1), or "" when it does."""
-    if n is None:
-        return "no second factor"
-    for t, corner in ((v, Corner.GZ), (n, Corner.ZG)):
-        if _first_outside((t,), f0, corner) is not None:
-            return "%s violates the %s support pattern" % (
-                _build(graph, t).render(), corner.render())
-    return ""
+    """Whether every row of a witness holds, given its ``_witness_rows``."""
+    return rows is not None and not rows[1] and rows[2] and rows[3]
 
 
 # -- the end-to-end report -----------------------------------------------------

@@ -795,6 +795,45 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
     assert minimized == {"collapsed": len(window)}
 
 
+def test_multiplicative_check_strips_only_composites_that_end_in_a_sole_edge(
+        outsplit_graph, monkeypatch):
+    """Collapsing ua leaves rb the only edge into ub, so step (d) strips
+    some composites.  It minimizes in the collapsed graph each window pair
+    and each composite whose two legs end in one such edge, 170 and 112 at
+    depth 5, and no other composite.  In the original graph it minimizes
+    both sides of each combination whose transported left composite, as
+    minimized in the collapsed graph, differs from the right one."""
+    cert = collapse(CollapseSpec(outsplit_graph, ["ua"]))
+    F, g = cert.collapsed, cert.original
+    sole = F._sole_edge_range
+    assert sole == {"rb": "ub"}
+    window = pairs_to_depth(F, _legs_depth(F, 5))
+    minimal = [_flat(minimal_pair(a)) for a in window]
+    transports = [_flat(phi_pair(cert, minimal_pair(a))) for a in window]
+    strips = differ = 0
+    for m, phi_m in zip(minimal, transports):
+        for n, phi_n in zip(minimal, transports):
+            left, right = _compose(m, n), _compose(phi_m, phi_n)
+            if left is None or right is None:
+                continue
+            strips += bool(left[0] and left[1] and left[0][-1] == left[1][-1]
+                           and left[0][-1] in sole)
+            differ += _flat(phi_pair(cert, minimal_pair(_build(F, left)))) != right
+    assert (len(window), strips, differ) == (170, 112, 112)
+
+    module = importlib.import_module("steinalg.collapse")
+    minimized = Counter()
+    minimal_rule = module._minimal
+
+    def counting_minimal(graph, t):
+        minimized["original" if graph is g else "collapsed"] += 1
+        return minimal_rule(graph, t)
+
+    monkeypatch.setattr(module, "_minimal", counting_minimal)
+    assert pointed_groupoid_iso_check(cert, 5).ok
+    assert minimized == {"collapsed": len(window) + strips, "original": 2 * differ}
+
+
 # -- the memoized transport ----------------------------------------------------------
 
 
@@ -920,6 +959,33 @@ def test_iso_reports_on_both_collapsed_outsplit_vertices_are_pinned():
     assert all(r.failures() == ["coverage.first-hit-splitting",
                                 "multiplicative.transport-multiplicative"]
                for r in reports)
+    for variant in dropped:
+        products = {}
+        for depth in (2, 3):
+            want = element_level_iso_check(variant, depth, products).render_kv()
+            assert pointed_groupoid_iso_check(variant, depth).render_kv() == want
+
+
+def test_iso_reports_on_collapsed_outsplit_ua_are_pinned():
+    """The sha256 of the kv reports of pointed_groupoid_iso_check on the
+    outsplit fixture with ua collapsed, where rb is the only edge into ub
+    and step (d) strips composites, taken before it decided stripping per
+    composite: the certificate at depths 2-5, and the certificate with
+    each of its three collapsed edges dropped at depths 2 and 3.  Every
+    dropped report fails coverage, four of them also
+    transport-multiplicative, as the element-level oracle's do."""
+    cert = collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["ua"]))
+    assert cert.collapsed._sole_edge_range
+    assert (report_digest(pointed_groupoid_iso_check(cert, d) for d in (2, 3, 4, 5))
+            == "d93205f20e51136bebe59c504e93db429faecf56c7c04f13d74e921ed2be4330")
+    dropped = [drop_collapsed_edge(cert, e.id) for e in cert.collapsed.edges]
+    assert len(dropped) == 3
+    reports = [pointed_groupoid_iso_check(c, d) for c in dropped for d in (2, 3)]
+    assert (report_digest(reports)
+            == "dea4daed639c6f4a3797cdca18c5090c0ce3287b66b4bac5a2d7976c4aa755f6")
+    assert sum("multiplicative.transport-multiplicative" in r.failures()
+               for r in reports) == 4
+    assert all("coverage.first-hit-splitting" in r.failures() for r in reports)
     for variant in dropped:
         products = {}
         for depth in (2, 3):

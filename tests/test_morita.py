@@ -470,7 +470,10 @@ def test_pair_witness_matches_element_oracle(ring, seed):
 def corrupt_connectors(rng, t):
     """Per vertex, a connector that is not its least one: a path leaving
     the retained set where the vertex lies outside it, else a longer path
-    into it through one edge out of the vertex, where there is one."""
+    into it through one edge out of the vertex, where there is one.  Then
+    about a third of the vertices, where there is another vertex, take a
+    random path from another vertex instead, ranging in or outside the
+    retained set."""
     g, f0 = t.graph, t.f0
     bad = dict(t._connectors)
     for u in g.vertices:
@@ -483,29 +486,48 @@ def corrupt_connectors(rng, t):
                   for e in g.edges_with_source(u)]
         if longer:
             bad[u] = rng.choice(longer)
+    for u in g.vertices:
+        others = [w for w in g.vertices if w != u]
+        if others and rng.random() < 1 / 3:
+            bad[u] = sampling.backward_walk(rng, g, rng.choice(others), 2)
     return bad
 
 
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_pair_witness_on_corrupted_connectors(seed):
-    """A connector ranging outside the retained set makes the oracle's
-    matrix blocks raise; the pair witness reports it as
-    ``factors.piece-1-blocks`` and nothing else.  A longer connector into
-    the retained set still factors every target, as the oracle agrees."""
+    """A corrupted connector fails ``factors.piece-1-blocks`` alone, its
+    defects named in order.  One that starts at another vertex gives no
+    pair v, as PathPair's own check agrees, and no pieces, wherever it
+    ranges.  Else one ranging outside the retained set makes the oracle's
+    matrix blocks raise, and the pair witness names v outside block (1,2).
+    A longer connector into the retained set still factors every target,
+    as the oracle agrees.  The second factor n = t v^-1 takes t's own
+    second leg, so no connector leaves it missing."""
     ring = IntegerRing()
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng, max_vertices=4, max_edges=6)
     t = Transversal(g, random_transversal(rng, g))
     object.__setattr__(t, "_connectors", corrupt_connectors(rng, t))
     for pair in pairs_to_depth(g, 2):
-        if t._connectors[pair.source_vertex].range_vertex in t.f0:
+        conn = t._connectors[pair.source_vertex]
+        if conn.source_vertex == pair.source_vertex and conn.range_vertex in t.f0:
             assert assert_matches_oracle(t, ring, pair, "phi").ok
             continue
-        with pytest.raises(CornerSupportError):
-            element_level_surjectivity_witness(t, ring, pair, "phi")
         w = surjectivity_witness(t, ring, pair, "phi")
         assert w.report.failures() == ["factors.piece-1-blocks"]
+        if conn.source_vertex != pair.source_vertex:
+            with pytest.raises(ValueError, match="common source vertex"):
+                PathPair(conn, pair.nu)
+            assert w.pieces == ()
+            want = "connector %s does not start at %s" % (conn.render(),
+                                                          pair.source_vertex)
+        else:
+            with pytest.raises(CornerSupportError):
+                element_level_surjectivity_witness(t, ring, pair, "phi")
+            want = "%s violates the GZ support pattern" % w.pieces[0][0].render()
+            assert w.pieces[0][0] == PathPair(conn, pair.nu)
+        assert w.report.value("factors", "piece-1-blocks") == "fail (%s)" % want
 
 
 def test_pair_witness_names_the_factor_outside_its_block(two_cycle, zring):
@@ -535,11 +557,12 @@ def test_witness_with_a_connector_from_another_vertex_has_no_pieces(outsplit_gra
 
 def test_witnesses_build_no_elements(monkeypatch):
     """Witnesses and a report without eq-ops samples convolve nothing, build
-    no indicator and multiply no matrix elements."""
+    no indicator, multiply no matrix elements and scan no block: the
+    connector decides the blocks."""
     def refuse(*args, **kwargs):
         raise AssertionError("a witness fell back to elements")
 
-    for name in ("convolve", "linking_convolve", "indicator"):
+    for name in ("convolve", "linking_convolve", "indicator", "_first_outside"):
         monkeypatch.setattr(morita, name, refuse, raising=False)
     g = load_graph(OUTSPLIT_TEXT)
     zring = IntegerRing()
