@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import islice
 
-from .cylinder import _build, _minimal, _RangeLegIndex, _window
+from .cylinder import _build, _legs_by_source, _minimal, _RangeLegIndex, _window
 from .graph import (Edge, Graph, Path, VertexSubset, _path, concat,
                     enumerate_paths, is_acyclic, sources, subgraph, vertex_path)
 from .report import Report
@@ -277,22 +277,32 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # defined on every probe: well-formedness gives each collapsed edge a
     # path with the edge's own endpoints, so both legs' images start at the
     # pair's source.  The probes (mu, |mu| - |nu|, nu) of the collapsed
-    # graph are the flat pairs (mu, nu) of its window, each transported (see
-    # step (d)).  Two flat images are equal exactly when their image legs
-    # are equal paths, so the image set decides injectivity.  One transport
-    # serves steps (a) and (d); its image legs are shared tuples, so the
-    # image set holds each distinct leg once.
+    # graph are the flat pairs (mu, nu) of its window, in window order up to
+    # the cap, and a probe's image is its two legs' images (see step (d)).
+    # One transport serves steps (a) and (d).
     transport = _transport(cert.edge_paths)
-    fprobes = list(islice(_window(F, depth), _INJECTIVITY_PROBE_CAP))
-    images = {transport(t) for t in fprobes}
-    rep.add("transport", "probes", len(fprobes))
+    probes, injective = 0, True
+    for v, legs in _legs_by_source(F, depth).items():
+        # (b) injectivity on the probe window.  Images of probes from
+        # different groups never collide, as every image starts at its
+        # probe's source vertex.  A group's probes are L_v x L_v in row
+        # order, so its first take probes have as second legs the first
+        # min(n, take) of its n legs, and as first legs only legs among
+        # those: a second row starts only after the first is complete.  The
+        # first row pairs one image with each of theirs, so the probes have
+        # distinct images exactly when those legs do.  A leg's image is read
+        # off its pair with the unit at v, once per leg.
+        take = min(len(legs) ** 2, _INJECTIVITY_PROBE_CAP - probes)
+        used = legs[:take]
+        injective = injective and len(
+            {transport((a, (), v, a_range, v)) for a, a_range in used}) == len(used)
+        probes += take
+    rep.add("transport", "probes", probes)
     rep.check("transport", "defined", True)
     # It fixes the units: phi_fin sends the unit at v to the unit at v, an
     # original vertex by vertices-retained.
     rep.check("transport", "units-fixed", True)
-
-    # (b) injectivity on the probe window: the probes are distinct.
-    rep.check("transport", "injective", len(images) == len(fprobes))
+    rep.check("transport", "injective", injective)
 
     # (c) every basic set with retained ranges splits into the pieces
     # Z(mu tau, nu tau), tau a first hit at its source vertex, and each piece
@@ -402,10 +412,20 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
 
     # The window is grouped by source vertex, and a plan's key (m's source
     # leg and its range vertex) recurs in a later group only where the
-    # collapsed graph strips a pair.  So both indexes' plan caches and the
-    # transported plans are dropped when a group starts, and the check
-    # holds one group's plans at a time; a key that recurs is planned
-    # again, to the same entries.
+    # collapsed graph strips a pair.  So both indexes' plan caches, the
+    # transported plans and the clean tags are dropped when a group starts,
+    # and the check holds one group's plans at a time; a key that recurs
+    # is planned again, to the same entries.
+    #
+    # A walk that ends every entry at tx == y, strips nothing and leaves no
+    # rest finds no defect, and it read m only through its plan key and
+    # the last edge of m[0]: the plans, the left images and the one-sided
+    # test are functions of the key, and the strip test reads m only
+    # through m[0][-1:].  phi_m[0] and m[3] are read only after a walk has
+    # left the tx == y path.  So such a walk's tag (the key and that last
+    # edge) is kept in clean, and a later pair with the same tag is not
+    # walked again.
+    clean = set()
     mult_defect = None
     group = None
     for i, a in enumerate(fpairs):
@@ -414,9 +434,13 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             left_index._plans.clear()
             right_index._plans.clear()
             transported_plans.clear()
+            clean.clear()
         m, phi_m = flat_minimal[i], transported[i]
-        left = left_index.plan(m)
         key = (m[1], m[4])
+        tag = (key, m[0][-1:])
+        if tag in clean:
+            continue
+        left = left_index.plan(m)
         left_images = transported_plans.get(key)
         if left_images is None:
             left_images = transported_plans[key] = [
@@ -424,6 +448,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
                 for j, suffix, leg, source, leg_range in left]
         right = right_index.plan(phi_m)
         b = None
+        fast = True
         for x, tx, y in zip(left, left_images, right):
             if x[0] != y[0]:
                 b = min(x[0], y[0])     # it composes on one side only
@@ -435,6 +460,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
                 continue
             else:
                 lhs = (phi_m[0] + tx[1], tx[2], tx[3], m[3], tx[4])
+            fast = False
             _, suffix, leg, source, leg_range = y
             rhs = (phi_m[0] + suffix, leg, source, phi_m[3], leg_range)
             if lhs != rhs and _minimal(g, lhs) != _minimal(g, rhs):
@@ -444,6 +470,8 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             rest = left[len(right):] or right[len(left):]
             if rest:
                 b = rest[0][0]      # it composes on the longer side only
+            elif fast:
+                clean.add(tag)
         if b is not None:
             mult_defect = "%s then %s" % (_build(F, a).render(), _build(F, fpairs[b]).render())
             break

@@ -23,9 +23,10 @@ parts of each composite, so ``convolve`` and the collapse move's
 multiplicative check form composites without calling ``_compose``.  The
 canonical form, ``convolve`` and the collapse move's windowed checks take
 only flat pairs into these, and build a ``PathPair`` (``_build``) only for
-a pair that leaves the kernel.  The pair window (``_window``) is flat too:
-``pairs_to_depth`` builds its ``PathPair`` form only for callers outside
-the kernel.  ``compose_pairs`` is the public form of the composition rule
+a pair that leaves the kernel.  The pair window (``_window``) is flat too,
+the product of each source vertex's legs (``_legs_by_source``), which the
+checks that decide per leg read directly: ``pairs_to_depth`` builds its
+``PathPair`` form only for callers outside the kernel.  ``compose_pairs`` is the public form of the composition rule
 on ``PathPair`` objects.
 """
 
@@ -443,24 +444,33 @@ def pairs_to_depth(g: Graph, depth: int, ranges=None, limit=None):
             for mu, nu, v, mu_range, nu_range in islice(_window(g, depth, ranges), limit)]
 
 
-def _window(g: Graph, depth: int, ranges=None):
-    """The pair window, flat: every flat pair (mu, nu, v, mu's range, nu's
-    range) whose legs have length <= depth, yielded in canonical order.
-
-    Paths are grouped by source vertex in declaration order, and each group
-    pairs every leg with every leg in lexicographic order.  The windowed
-    checks of the collapse move read this generator and build a
-    ``PathPair`` only to render a defect.  With ``ranges`` only legs
-    ranging at those vertices are paired.  Pairs are made as they are
-    read, but every path of length <= depth is listed
-    (``enumerate_paths``) and grouped before the first pair is yielded, so
-    stopping early bounds the pairs but not that listing.
-    """
+def _legs_by_source(g: Graph, depth: int, ranges=None):
+    """The legs of the pair window: every path of length <= depth as (its
+    edge ids, its range vertex), grouped by source vertex in declaration
+    order and listed in ``enumerate_paths`` order within a group.  With
+    ``ranges`` only paths ranging at those vertices are kept, and a group
+    may be empty; without it each group holds at least its vertex's empty
+    path.  Every path of length <= depth is listed."""
     by_source = {v: [] for v in g.vertices}
     for p in enumerate_paths(g, max_len=depth):
         if ranges is None or p.range_vertex in ranges:
             by_source[p.source_vertex].append((p.edges, p.range_vertex))
-    for v, group in by_source.items():
+    return by_source
+
+
+def _window(g: Graph, depth: int, ranges=None):
+    """The pair window, flat: every flat pair (mu, nu, v, mu's range, nu's
+    range) whose legs have length <= depth, yielded in canonical order.
+
+    Each group of ``_legs_by_source`` pairs every leg with every leg in
+    lexicographic order, so the window is the product L_v x L_v of each
+    source vertex's legs.  The windowed checks of the collapse move read
+    this generator and build a ``PathPair`` only to render a defect.  With
+    ``ranges`` only legs ranging at those vertices are paired.  Pairs are
+    made as they are read, but the legs are listed before the first pair
+    is yielded, so stopping early bounds the pairs but not that listing.
+    """
+    for v, group in _legs_by_source(g, depth, ranges).items():
         for a, a_range in group:
             for b, b_range in group:
                 yield (a, b, v, a_range, b_range)

@@ -28,9 +28,9 @@ import enum
 from dataclasses import dataclass, field
 
 from .collapse import CollapseSpec, collapse, pointed_groupoid_iso_check
-from .cylinder import (PathPair, _build, _compose, _flat, _invert, _minimal,
-                       compose_pairs, invert_pair, pairs_to_depth)
-from .graph import Graph, Path, VertexSubset, concat, enumerate_paths, vertex_path
+from .cylinder import (PathPair, _build, _compose, _flat, _invert, _legs_by_source,
+                       _minimal, compose_pairs, invert_pair, pairs_to_depth)
+from .graph import Graph, Path, VertexSubset, concat, vertex_path
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, zero
 
@@ -353,7 +353,7 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
     return MoritaWitness(side, pair, ((v, n),), rep)
 
 
-def _witness_rows(transversal, graph, t, side):
+def _witness_rows(transversal, graph, t, side, unit_covers=None):
     """The rows of the witness of the flat target t on one side, each
     decided once on flat pairs of the graph.
 
@@ -384,6 +384,12 @@ def _witness_rows(transversal, graph, t, side):
     ``reconstructs``.  Defects are named in order: a connector that starts
     at another vertex than t (v is then no pair), a missing n, and v
     outside block (1,2).
+
+    ``unit-cover`` depends on v alone, which holds one leg of t: the first
+    on the psi side, the second and the connector of its source on the
+    phi side.  A caller deciding many targets of one side passes
+    ``unit_covers``, a dict of that side's verdicts by v, and each is
+    decided once for the targets sharing its v.
     """
     f0 = transversal.f0
     if side == "psi":
@@ -392,7 +398,6 @@ def _witness_rows(transversal, graph, t, side):
         v = (t[0], t[0], t[2], t[3], t[3])
         defect = ""
         n = _compose(_invert(v), t)
-        unit, unit_target = _compose(v, _invert(v)), v
         direct = None if n is None else _compose(v, n)
     else:
         conn = transversal._connectors.get(t[2])
@@ -402,13 +407,21 @@ def _witness_rows(transversal, graph, t, side):
         defect = ("" if conn.source_vertex == t[2] else
                   "connector %s does not start at %s" % (conn.render(), t[2]))
         n = _compose(t, _invert(v))
-        unit, unit_target = _compose(_invert(v), v), (t[1], t[1], t[2], t[4], t[4])
         direct = None if n is None else _compose(n, v)
     if not defect and n is None:
         defect = "no second factor"
     elif not defect and v[3] not in f0:
         defect = "%s violates the GZ support pattern" % _build(graph, v).render()
-    unit_cover = unit is not None and _minimal(graph, unit) == _minimal(graph, unit_target)
+    if unit_covers is None:
+        unit_covers = {}
+    unit_cover = unit_covers.get(v)
+    if unit_cover is None:
+        if side == "psi":
+            unit, unit_target = _compose(v, _invert(v)), v
+        else:
+            unit, unit_target = _compose(_invert(v), v), (v[1], v[1], v[2], v[4], v[4])
+        unit_cover = unit_covers[v] = (
+            unit is not None and _minimal(graph, unit) == _minimal(graph, unit_target))
     reconstructs = direct is not None and _minimal(graph, direct) == _minimal(graph, t)
     return v, defect, unit_cover, reconstructs
 
@@ -450,12 +463,13 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     # The window is never listed.  A window pair is two legs with one
     # source vertex, so with a_v legs from v ranging in f0 and b_v outside,
     # a cell counts the sum over v of a_v^2, a_v b_v, b_v a_v or b_v^2.
-    # legs[v] is [b_v, a_v], indexed by whether a leg is retained, as the
-    # corner's value is.
-    legs = {}
-    for p in enumerate_paths(graph, max_len=depth):
-        legs.setdefault(p.source_vertex, [0, 0])[p.range_vertex in f0] += 1
-    cells = {c: sum(n[c.value[0]] * n[c.value[1]] for n in legs.values()) for c in Corner}
+    # legs holds (b_v, a_v) per v, indexed by whether a leg is retained, as
+    # the corner's value is.
+    legs = []
+    for group in _legs_by_source(graph, depth).values():
+        retained = sum(1 for _, leg_range in group if leg_range in f0)
+        legs.append((len(group) - retained, retained))
+    cells = {c: sum(n[c.value[0]] * n[c.value[1]] for n in legs) for c in Corner}
     for c in Corner:
         rep.add("corners", c.render(), cells[c])
 
@@ -467,10 +481,12 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
             capped = pairs_to_depth(graph, depth, ranges=ranges, limit=_WITNESS_CAP)
             rep.add("witnesses", "%s-targets" % side, "%d of %d" % (len(capped), total))
             # Only whether every row holds is read here; the first failing
-            # target's witness report names its failed rows.
+            # target's witness report names its failed rows.  The side's
+            # unit-cover verdicts are kept for the whole loop.
             bad = None
+            unit_covers = {}
             for p in capped:
-                if not _holds(_witness_rows(transversal, graph, _flat(p), side)):
+                if not _holds(_witness_rows(transversal, graph, _flat(p), side, unit_covers)):
                     w = surjectivity_witness(transversal, ring, p, side)
                     bad = "%s: %s" % (p.render(), ", ".join(w.report.failures()))
                     break

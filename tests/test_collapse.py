@@ -25,7 +25,8 @@ from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
                                _legs_depth, _transport)
-from steinalg.cylinder import _build, _compose, _flat, _minimal, _RangeLegIndex
+from steinalg.cylinder import (_build, _compose, _flat, _minimal, _RangeLegIndex,
+                               _window)
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line,
                             minimal_pair, phi_pair, probe_window,
                             recording_range_leg_index)
@@ -571,21 +572,37 @@ def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
     assert built == []
 
 
+def walked_pairs(window, minimal):
+    """The positions of the window pairs step (d) walks on an honest
+    certificate whose composites strip nothing: the first pair of each
+    tag, the plan key of its minimal pair with the last edge of that
+    pair's first leg, within each source vertex's group."""
+    seen, walked = set(), []
+    for i, (a, m) in enumerate(zip(window, minimal)):
+        tag = (a[2], (m[1], m[4]), m[0][-1:])
+        if tag not in seen:
+            seen.add(tag)
+            walked.append(i)
+    return walked
+
+
 def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
                                                                  monkeypatch):
     """Step (d) forms its composites from one plan per distinct source leg
-    on each side: the flat composition rule is never called, each side's
-    trie is walked once per distinct source leg, and the composites formed
-    on each side are, with multiplicity, those the rule gives on the
-    combinations that compose there."""
+    on each side, and walks a pair's plans only for the first pair of its
+    tag: the flat composition rule is never called, each side's trie is
+    walked once per distinct source leg, and the composites formed on each
+    side are, with multiplicity, those the rule gives on the combinations
+    of each walked pair that compose there."""
     cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
     F = cert.collapsed
-    minimal = [minimal_pair(a) for a in pairs_to_depth(F, _legs_depth(F, 5))]
+    assert not F._sole_edge_range
+    window = pairs_to_depth(F, _legs_depth(F, 5))
+    minimal = [minimal_pair(a) for a in window]
     images = [minimal_pair(phi_pair(cert, m)) for m in minimal]
-    composing = sum(1 for side in (minimal, images) for p in side for q in side
-                    if compose_pairs(p, q) is not None)
-    assert 0 < composing < 2 * len(minimal) ** 2
     sides = [[_flat(p) for p in side] for side in (minimal, images)]
+    walked = walked_pairs([_flat(a) for a in window], sides[0])
+    assert 0 < len(walked) < len(window)
     calls, walks, formed = [], [], []
     module = importlib.import_module("steinalg.collapse")
     kernel = importlib.import_module("steinalg.cylinder")
@@ -606,10 +623,9 @@ def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
     assert len(walks) == sum(len({(t[1], t[4]) for t in side}) for side in sides)
     assert len(formed) == 2
     for got, side in zip(formed, sides):
-        want = Counter(compose(p, q) for p in side for q in side)
+        want = Counter(compose(side[i], q) for i in walked for q in side)
         del want[None]
         assert Counter(got) == want
-    assert sum(len(got) for got in formed) == composing
 
 
 def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
@@ -743,9 +759,9 @@ def test_pair_check_matches_element_oracle_on_every_corruption(kind, seed):
 def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_graph,
                                                                      monkeypatch):
     """Collapsing ua and ub leaves no edge that is the only one into its
-    range vertex, so step (d) strips no composite.  It then transports the
-    probes, the window pairs and each distinct left plan's entries once,
-    and no combination.  It composes the transports unminimized, and the
+    range vertex, so step (d) strips no composite.  It then transports each
+    leg of the probe window, each window pair and each distinct left plan's
+    entries once, and no combination.  It composes the transports unminimized, and the
     transported left composite equals the right one on each of the 18,675
     combinations that compose on both sides, so it minimizes nothing in
     the original graph."""
@@ -790,8 +806,9 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
     monkeypatch.setattr(module, "_transport", counting_transport)
     rep = pointed_groupoid_iso_check(cert, 5)
     assert rep.ok
-    probes = int(rep.value("transport", "probes"))
-    assert len(transported) == probes + len(window) + plan_entries
+    legs = list(enumerate_paths(F, max_len=5))
+    assert rep.value("transport", "probes") == str(len(legs) ** 2)
+    assert len(transported) == len(legs) + len(window) + plan_entries
     assert minimized == {"collapsed": len(window)}
 
 
@@ -832,6 +849,115 @@ def test_multiplicative_check_strips_only_composites_that_end_in_a_sole_edge(
     monkeypatch.setattr(module, "_minimal", counting_minimal)
     assert pointed_groupoid_iso_check(cert, 5).ok
     assert minimized == {"collapsed": len(window) + strips, "original": 2 * differ}
+
+
+def brute_force_injectivity(cert, depth, cap):
+    """Step (a)'s rows by the set of transported probes: the probe count
+    and whether the first cap probes of the window have distinct images."""
+    images = [phi_pair(cert, a) for a in pairs_to_depth(cert.collapsed, depth, limit=cap)]
+    return str(len(images)), "pass" if len(set(images)) == len(images) else "fail"
+
+
+def assert_injectivity_rows(monkeypatch, cert, depth, caps):
+    """At every cap, step (a)'s probe count and injectivity verdict are
+    those of the brute-force set of transported probes."""
+    module = importlib.import_module("steinalg.collapse")
+    verdicts = set()
+    for cap in caps:
+        monkeypatch.setattr(module, "_INJECTIVITY_PROBE_CAP", cap)
+        rep = pointed_groupoid_iso_check(cert, depth)
+        got = rep.value("transport", "probes"), rep.value("transport", "injective")
+        assert got == brute_force_injectivity(cert, depth, cap), cap
+        verdicts.add(got[1])
+    return verdicts
+
+
+def test_injectivity_is_decided_per_leg_at_every_cap(rose2, monkeypatch):
+    """On the rose2 certificate that gives b the path of a, the images of
+    the window's first probes are distinct up to Z(v,a) and repeat from
+    Z(v,b) on.  Every cap from 1 to the window's 49 probes, so the cap falls
+    inside a row of the one group, gives the brute-force rows."""
+    cert = collapse(CollapseSpec(rose2, []))
+    a = Path(rose2, ("a",))
+    bad = dataclasses.replace(cert, edge_paths={"a": a, "b": a})
+    window = len(pairs_to_depth(bad.collapsed, 2))
+    assert window == 49
+    assert assert_injectivity_rows(
+        monkeypatch, bad, 2, range(1, window + 1)) == {"pass", "fail"}
+
+
+@given(seeds, st.integers(min_value=1, max_value=2))
+@settings(max_examples=10, deadline=None)
+def test_injectivity_matches_brute_force_on_corruptions(seed, depth):
+    """On certificates corrupted in the ways well-formedness lets through,
+    every cap from 1 to the window size gives the brute-force rows, the
+    caps falling inside groups of several source vertices."""
+    rng = sampling.rng_from_seed(seed)
+    certs = [c for c in map(collapse, corpus(7) + corpus(13)) if c.collapsed.edges]
+    bad = well_formed_corruption(rng, certs)
+    window = len(pairs_to_depth(bad.collapsed, depth))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_injectivity_rows(monkeypatch, bad, depth, range(1, window + 1))
+
+
+def test_injectivity_on_outsplit_where_the_cap_falls_mid_group(outsplit_graph,
+                                                                  monkeypatch):
+    """Collapsing u leaves two vertices with 63 legs each at depth 5, so
+    the window holds 7,938 probes and the cap of 4,000 stops 31 probes into
+    the second group.  That cap and caps at and around each group's end
+    give the brute-force rows."""
+    cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
+    assert len(pairs_to_depth(cert.collapsed, 5)) == 7938
+    rep = pointed_groupoid_iso_check(cert, 5)
+    assert rep.value("transport", "probes") == str(_INJECTIVITY_PROBE_CAP) == "4000"
+    caps = (1, 62, 63, 64, 3968, 3969, 3970, _INJECTIVITY_PROBE_CAP, 7937, 7938, 8000)
+    assert assert_injectivity_rows(monkeypatch, cert, 5, caps) == {"pass"}
+
+
+def test_multiplicative_check_walks_each_clean_tag_once():
+    """Step (d) keeps one verdict per tag: the plan key of a window pair's
+    minimal pair with the last edge of its first leg, within the window
+    pair's source vertex group.  In the collapsed graph e0 and e2 are the
+    only edges into v1 and v2, and the key of the unit at v1 recurs with
+    first legs ending in no edge, in e0 and in e2.  A tag none of whose
+    composites both legs end in one such edge is walked once; a tag with
+    such a composite is walked for each of its pairs.  The report is the
+    element-level oracle's at each depth."""
+    g = Graph(["v1", "v2", "v3"], [("e0", "v1", "v1"), ("e1", "v3", "v1"),
+                                   ("e2", "v2", "v1")])
+    cert = collapse(CollapseSpec(g, ["v3"]))
+    F = cert.collapsed
+    sole = F._sole_edge_range
+    assert sole == {"e0": "v1", "e2": "v2"}
+    module = importlib.import_module("steinalg.collapse")
+    for depth in (1, 2, 3):
+        window = list(_window(F, _legs_depth(F, depth)))
+        minimal = [_minimal(F, a) for a in window]
+        tags = [(a[2], (m[1], m[4]), m[0][-1:]) for a, m in zip(window, minimal)]
+        assert len({tag[:2] for tag in tags}) < len(set(tags))
+        stripping = set()
+        for tag, m in zip(tags, minimal):
+            for n in minimal:
+                c = _compose(m, n)
+                if c and c[0] and c[1] and c[0][-1] == c[1][-1] and c[0][-1] in sole:
+                    stripping.add(tag)
+        want = (len(set(tags) - stripping)
+                + sum(1 for tag in tags if tag in stripping))
+        assert want < len(window)
+        walked = []
+
+        class CountingIndex(_RangeLegIndex):
+            def plan(self, p):
+                walked.append(self)
+                return super().plan(p)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(module, "_RangeLegIndex", CountingIndex)
+            rep = pointed_groupoid_iso_check(cert, depth)
+        assert rep.ok
+        assert rep.render_kv() == element_level_iso_check(cert, depth, {}).render_kv()
+        left = walked[0]
+        assert sum(1 for index in walked if index is left) == want
 
 
 # -- the memoized transport ----------------------------------------------------------
