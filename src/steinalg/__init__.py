@@ -9,7 +9,7 @@ witnesses.  Everything is exact and deterministic; see the CLI in
 
 from .collapse import (CollapseCertificate, CollapseSpec, check_phi_fin_image,
                        collapse, collapsed_preimage, first_hit_extensions,
-                       phi_fin, pointed_groupoid_iso_check, validate_collapsible)
+                       pointed_groupoid_iso_check, validate_collapsible)
 from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
                        boundary_tails, compose_pairs, expand, invert_pair,
                        pair_contains, pairs_to_depth)

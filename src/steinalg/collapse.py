@@ -22,8 +22,8 @@ from functools import cache, cached_property, partial
 from itertools import islice
 
 from .cylinder import _build, _legs_by_source, _minimal, _RangeLegIndex, _window
-from .graph import (Edge, Graph, Path, VertexSubset, _path, concat,
-                    enumerate_paths, is_acyclic, sources, subgraph, vertex_path)
+from .graph import (Edge, Graph, Path, VertexSubset, _flat_paths, _path, concat,
+                    is_acyclic, sources, subgraph, vertex_path)
 from .report import Report
 
 # Deterministic work caps for the windowed checks; enumeration order is
@@ -162,16 +162,8 @@ def _leg_image(paths, edges):
             paths[edges[0]].range_vertex, paths[edges[-1]].source_vertex)
 
 
-def phi_fin(cert: CollapseCertificate, fpath: Path) -> Path:
-    """The path map: expand each collapsed edge to the path it abbreviates.
-    Trusts the certificate to be well formed, as the checks establish."""
-    if not fpath.edges:
-        return vertex_path(cert.original, fpath.vertex)
-    return _path(cert.original, *_leg_image(cert.edge_paths, fpath.edges))
-
-
 def collapsed_preimage(cert: CollapseCertificate, epath: Path):
-    """The collapsed path mapping to epath under phi_fin, or None.
+    """The collapsed path mapping to epath under the path map, or None.
 
     A path between retained vertices splits uniquely at its retained-vertex
     visits; each segment is looked up in the certificate's edge_of_path.
@@ -224,25 +216,36 @@ def _check_well_formed(cert: CollapseCertificate, rep: Report) -> bool:
 
 def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
     """Certify the path map is a bijection onto the paths between retained
-    vertices, windowed at the given original-graph path length."""
+    vertices, windowed at the given original-graph path length.
+
+    Both sides are flat: a path is keyed by its edge ids, a vertex path by
+    its vertex, and a collapsed path's image is its leg image
+    (``_leg_image``).  A ``Path`` is built only for the paths the images
+    miss, to name the least one.  A negative max_len raises ValueError.
+    """
     rep = Report("path map image")
     if not _check_well_formed(cert, rep):
         return rep
-    g, f0 = cert.original, cert.f0
-    target = set(p for p in enumerate_paths(g, max_len=max_len)
-                 if p.range_vertex in f0 and p.source_vertex in f0)
+    g, f0, paths = cert.original, cert.f0, cert.edge_paths
+    # The paths between retained vertices, each under its key.
+    target = {edges or v: (edges, v, source)
+              for edges, v, source in _flat_paths(g, max_len, f0)
+              if source in f0}
     # Collapsed edges never shorten, so collapsed paths beyond the window
     # map outside it and can be skipped outright.
     images = []
-    for p in enumerate_paths(cert.collapsed, max_len=max_len):
-        q = phi_fin(cert, p)
-        if len(q) <= max_len:
-            images.append(q)
+    for edges, v, _ in _flat_paths(cert.collapsed, max_len):
+        if not edges:
+            images.append(v)
+        elif len(image := _leg_image(paths, edges)[0]) <= max_len:
+            images.append(image)
     rep.add("window", "max-len", max_len)
     rep.add("window", "collapsed-paths", len(images))
     rep.add("window", "target-paths", len(target))
-    rep.check("bijection", "injective", len(images) == len(set(images)))
-    missing = sorted(target - set(images), key=Path.sort_key)
+    hit = set(images)
+    rep.check("bijection", "injective", len(images) == len(hit))
+    missing = sorted((_path(g, *target[k]) for k in target.keys() - hit),
+                     key=Path.sort_key)
     rep.check("bijection", "covers-window", not missing,
               "" if not missing else "first missing %s" % missing[0].render())
     # Every kept image lies in the target: well-formedness makes the
@@ -299,8 +302,8 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
         probes += take
     rep.add("transport", "probes", probes)
     rep.check("transport", "defined", True)
-    # It fixes the units: phi_fin sends the unit at v to the unit at v, an
-    # original vertex by vertices-retained.
+    # It fixes the units: the path map sends the unit at v to the unit at
+    # v, an original vertex by vertices-retained.
     rep.check("transport", "units-fixed", True)
     rep.check("transport", "injective", injective)
 

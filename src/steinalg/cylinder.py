@@ -37,8 +37,8 @@ from functools import cache, partial
 from itertools import islice
 from operator import itemgetter
 
-from .graph import (Graph, Path, _path, concat, enumerate_paths, is_prefix,
-                    strip_prefix)
+from .graph import (Graph, Path, _flat_paths, _path, concat, enumerate_paths,
+                    is_prefix, strip_prefix)
 
 
 class PathPair:
@@ -452,9 +452,9 @@ def _legs_by_source(g: Graph, depth: int, ranges=None):
     may be empty; without it each group holds at least its vertex's empty
     path.  Every path of length <= depth is listed."""
     by_source = {v: [] for v in g.vertices}
-    for p in enumerate_paths(g, max_len=depth):
-        if ranges is None or p.range_vertex in ranges:
-            by_source[p.source_vertex].append((p.edges, p.range_vertex))
+    for edges, leg_range, v in _flat_paths(g, depth):
+        if ranges is None or leg_range in ranges:
+            by_source[v].append((edges, leg_range))
     return by_source
 
 

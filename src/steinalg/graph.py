@@ -27,7 +27,9 @@ The public ``Path`` constructor checks that every edge id exists and that
 the edges compose, and computes both endpoints.  Operations on valid paths
 (``concat``, ``strip_prefix``, ``enumerate_paths``) build their results
 with the private ``_path``, which trusts the edges and endpoints it is
-given: each caller knows them from the paths it started from.
+given: each caller knows them from the paths it started from.  Callers that
+read only edge ids and endpoints walk the paths flat (``_flat_paths``) and
+build no ``Path`` at all.
 """
 
 from __future__ import annotations
@@ -502,26 +504,32 @@ def enumerate_paths(g: Graph, from_range=None, max_len=0):
     Paths appear in lexicographic declaration order (vertex paths first),
     which makes the unfiltered output closed under taking prefixes.
     """
+    roots = [from_range] if from_range is not None else g.vertices
+    return [_path(g, edges, v, source)
+            for edges, v, source in _flat_paths(g, max_len, roots)]
+
+
+def _flat_paths(g: Graph, max_len, roots=None):
+    """The paths of ``enumerate_paths``, in its order, as flat paths (edge
+    ids, range vertex, source vertex), ranging at each of ``roots`` in turn
+    (every vertex by default).  Raises ValueError for a negative max_len and
+    InputError for an undeclared root, when the walk reaches it."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    roots = [from_range] if from_range is not None else list(g.vertices)
-    out = []
-    for v in roots:
+    for v in g.vertices if roots is None else roots:
         if not g.has_vertex(v):
             raise InputError("unknown vertex %r" % (v,))
         # An explicit stack, children pushed last edge first, pops paths in
         # the same pre-order a recursive walk would visit them in, without
         # reaching the interpreter's recursion limit on long paths.
-        stack = [vertex_path(g, v)]
+        stack = [((), v)]
         while stack:
-            path = stack.pop()
-            out.append(path)
-            if len(path) < max_len:
+            edges, source = stack.pop()
+            yield edges, v, source
+            if len(edges) < max_len:
                 # Each edge e ranging at the path's source extends it.
-                stack.extend(_path(g, path.edges + (e.id,), path.range_vertex,
-                                   e.source_vertex)
-                             for e in reversed(g.edges_with_range(path.source_vertex)))
-    return out
+                stack.extend((edges + (e.id,), e.source_vertex)
+                             for e in reversed(g.edges_with_range(source)))
 
 
 def is_acyclic(g: Graph) -> bool:

@@ -353,7 +353,7 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
     return MoritaWitness(side, pair, ((v, n),), rep)
 
 
-def _witness_rows(transversal, graph, t, side, unit_covers=None):
+def _witness_rows(transversal, graph, t, side):
     """The rows of the witness of the flat target t on one side, each
     decided once on flat pairs of the graph.
 
@@ -385,11 +385,13 @@ def _witness_rows(transversal, graph, t, side, unit_covers=None):
     at another vertex than t (v is then no pair), a missing n, and v
     outside block (1,2).
 
-    ``unit-cover`` depends on v alone, which holds one leg of t: the first
-    on the psi side, the second and the connector of its source on the
-    phi side.  A caller deciding many targets of one side passes
-    ``unit_covers``, a dict of that side's verdicts by v, and each is
-    decided once for the targets sharing its v.
+    Every row but a defect's text reads t only through its source vertex,
+    so one target decides the rows of all targets sharing its source
+    vertex.  On the psi side n = v^-1 t = t, v n = t and v v^-1 = v: every
+    row holds on every target whose legs range in the retained set.  On the
+    phi side n = (t's first leg, connector), n v = t and v^-1 v is the unit
+    at t's second leg: the rows read t only through the connector of t[2].
+    ``morita_report`` decides each source vertex once that way.
     """
     f0 = transversal.f0
     if side == "psi":
@@ -412,16 +414,11 @@ def _witness_rows(transversal, graph, t, side, unit_covers=None):
         defect = "no second factor"
     elif not defect and v[3] not in f0:
         defect = "%s violates the GZ support pattern" % _build(graph, v).render()
-    if unit_covers is None:
-        unit_covers = {}
-    unit_cover = unit_covers.get(v)
-    if unit_cover is None:
-        if side == "psi":
-            unit, unit_target = _compose(v, _invert(v)), v
-        else:
-            unit, unit_target = _compose(_invert(v), v), (v[1], v[1], v[2], v[4], v[4])
-        unit_cover = unit_covers[v] = (
-            unit is not None and _minimal(graph, unit) == _minimal(graph, unit_target))
+    if side == "psi":
+        unit, unit_target = _compose(v, _invert(v)), v
+    else:
+        unit, unit_target = _compose(_invert(v), v), (v[1], v[1], v[2], v[4], v[4])
+    unit_cover = unit is not None and _minimal(graph, unit) == _minimal(graph, unit_target)
     reconstructs = direct is not None and _minimal(graph, direct) == _minimal(graph, t)
     return v, defect, unit_cover, reconstructs
 
@@ -429,6 +426,37 @@ def _witness_rows(transversal, graph, t, side, unit_covers=None):
 def _holds(rows):
     """Whether every row of a witness holds, given its ``_witness_rows``."""
     return rows is not None and not rows[1] and rows[2] and rows[3]
+
+
+def _first_witness_failure(transversal, ring, groups, depth, side):
+    """The ``<side>-verified`` failure text of ``morita_report``: the first
+    failing target under ``_WITNESS_CAP`` and its witness's failed rows, or
+    None when every such target has a witness.
+
+    ``groups`` maps each source vertex v to the legs of the side's targets,
+    in ``_legs_by_source`` order; the targets are the window's pairs, the
+    product L_v x L_v of each group in turn.  One ``_witness_rows`` call on
+    a group's first target (l, l), l its first leg, decides every target of
+    the group, so a group with a target under the cap is decided once, and
+    when it fails, that first target is the first failing one.
+    """
+    graph = transversal.graph
+    seen = 0
+    for v, group in groups.items():
+        if seen >= _WITNESS_CAP:
+            break
+        if not group:
+            continue
+        leg, leg_range = group[0]
+        if not _holds(_witness_rows(transversal, graph,
+                                    (leg, leg, v, leg_range, leg_range), side)):
+            # The window's pair at position seen is that target.
+            ranges = transversal.f0 if side == "psi" else None
+            pair = pairs_to_depth(graph, depth, ranges, limit=seen + 1)[-1]
+            w = surjectivity_witness(transversal, ring, pair, side)
+            return "%s: %s" % (pair.render(), ", ".join(w.report.failures()))
+        seen += len(group) ** 2
+    return None
 
 
 # -- the end-to-end report -----------------------------------------------------
@@ -440,9 +468,18 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     Requires the collapse preconditions (raised otherwise); transversal
     failure is reported, not raised, because it is a certified negative
     answer rather than bad input.
+
+    The corners are counted from the legs per source vertex, and the window
+    is never listed.  Each side witnesses the window's targets up to
+    ``_WITNESS_CAP`` and decides them once per source vertex, on the
+    vertex's first target (see ``_first_witness_failure``).  ``eq_samples``
+    random tuples test the psi/phi identities; with none the row is
+    vacuous, and a negative count raises ValueError.
     """
     from . import sampling
 
+    if eq_samples < 0:
+        raise ValueError("eq_samples must be >= 0, got %d" % eq_samples)
     spec = CollapseSpec(graph, t0)
     cert = collapse(spec)
     f0 = spec.f0
@@ -465,31 +502,21 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     # a cell counts the sum over v of a_v^2, a_v b_v, b_v a_v or b_v^2.
     # legs holds (b_v, a_v) per v, indexed by whether a leg is retained, as
     # the corner's value is.
-    legs = []
-    for group in _legs_by_source(graph, depth).values():
-        retained = sum(1 for _, leg_range in group if leg_range in f0)
-        legs.append((len(group) - retained, retained))
+    by_source = _legs_by_source(graph, depth)
+    kept = {v: [leg for leg in group if leg[1] in f0] for v, group in by_source.items()}
+    legs = [(len(group) - len(kept[v]), len(kept[v])) for v, group in by_source.items()]
     cells = {c: sum(n[c.value[0]] * n[c.value[1]] for n in legs) for c in Corner}
     for c in Corner:
         rep.add("corners", c.render(), cells[c])
 
     if not unreachable:
-        # The psi targets are the GG pairs, the phi targets every pair, each
-        # read from the window in its order up to the cap.
-        for side, ranges, total in (("psi", f0, cells[Corner.GG]),
-                                    ("phi", None, sum(cells.values()))):
-            capped = pairs_to_depth(graph, depth, ranges=ranges, limit=_WITNESS_CAP)
-            rep.add("witnesses", "%s-targets" % side, "%d of %d" % (len(capped), total))
-            # Only whether every row holds is read here; the first failing
-            # target's witness report names its failed rows.  The side's
-            # unit-cover verdicts are kept for the whole loop.
-            bad = None
-            unit_covers = {}
-            for p in capped:
-                if not _holds(_witness_rows(transversal, graph, _flat(p), side, unit_covers)):
-                    w = surjectivity_witness(transversal, ring, p, side)
-                    bad = "%s: %s" % (p.render(), ", ".join(w.report.failures()))
-                    break
+        # The psi targets are the GG pairs, the product of each vertex's
+        # retained legs; the phi targets every pair.
+        for side, groups, total in (("psi", kept, cells[Corner.GG]),
+                                    ("phi", by_source, sum(cells.values()))):
+            rep.add("witnesses", "%s-targets" % side,
+                    "%d of %d" % (min(total, _WITNESS_CAP), total))
+            bad = _first_witness_failure(transversal, ring, groups, depth, side)
             rep.check("witnesses", "%s-verified" % side, bad is None, bad or "")
     else:
         rep.check("witnesses", "skipped", "vacuous", "transversal failed")
@@ -507,7 +534,10 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
             eq_bad = "tuple %d" % tuples
             break
     rep.add("eq-ops", "tuples", tuples)
-    rep.check("eq-ops", "identities", eq_bad is None, eq_bad or "")
+    if tuples:
+        rep.check("eq-ops", "identities", eq_bad is None, eq_bad or "")
+    else:
+        rep.check("eq-ops", "identities", "vacuous", "no tuples sampled")
 
     rep.add("collapse", "collapsed-graph", "%d vertices, %d edges"
             % (len(cert.collapsed.vertices), len(cert.collapsed.edges)))

@@ -4,6 +4,12 @@ Every generator takes an explicit random.Random, so a corpus is a pure
 function of its seed.  Walks prefer short objects: the exact algebra blows
 up quickly in path length, and the test budget lives on many small cases
 rather than few deep ones.
+
+Pairs and elements are drawn flat: a walk extends a tuple of edge ids, a
+pair is a flat pair (see ``cylinder._flat``), and an element is built from
+flat terms the way ``from_terms`` builds it after flattening, so no ``Path``
+is made per step and ``random_pair`` builds its ``PathPair`` once.  The
+constraint vertices are checked once per call, at the boundary.
 """
 
 from __future__ import annotations
@@ -11,10 +17,10 @@ from __future__ import annotations
 import random
 
 from .collapse import CollapseSpec, collapse, validate_collapsible
-from .cylinder import GroupoidProbe, PathPair
+from .cylinder import GroupoidProbe, PathPair, _build
 from .graph import Graph, Path, VertexSubset, concat, vertex_path
 from .morita import Corner
-from .steinberg import SteinbergElement, from_terms, zero
+from .steinberg import SteinbergElement, _from_flat, zero
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -39,26 +45,61 @@ def corpus_graphs(seed, count=20):
 # -- paths and pairs --------------------------------------------------------
 
 
-def forward_walk(rng, g, start, max_len) -> Path:
-    """A random path ranging at start, extended at the source end."""
-    p = vertex_path(g, start)
+def _forward(rng, g, start, max_len):
+    """A random path ranging at start, extended at the source end, as (its
+    edge ids, its source vertex)."""
+    edges, source = (), start
     for _ in range(rng.randint(0, max_len)):
-        es = g.edges_with_range(p.source_vertex)
+        es = g.edges_with_range(source)
         if not es:
             break
-        p = Path(g, p.edges + (rng.choice(es).id,))
-    return p
+        e = rng.choice(es)
+        edges += (e.id,)
+        source = e.source_vertex
+    return edges, source
 
 
-def backward_walk(rng, g, end, max_len) -> Path:
-    """A random path with source end, extended at the range end."""
-    p = vertex_path(g, end)
+def _backward(rng, g, end, max_len):
+    """A random path with source end, extended at the range end, as (its
+    edge ids, its range vertex)."""
+    edges, range_vertex = (), end
     for _ in range(rng.randint(0, max_len)):
-        es = g.edges_with_source(p.range_vertex)
+        es = g.edges_with_source(range_vertex)
         if not es:
             break
-        p = Path(g, (rng.choice(es).id,) + p.edges)
-    return p
+        e = rng.choice(es)
+        edges = (e.id,) + edges
+        range_vertex = e.range_vertex
+    return edges, range_vertex
+
+
+def _constraints(g, row_in, col_in):
+    """row_in and col_in as tuples (None stays None).  An empty one admits
+    no pair and raises ValueError; an undeclared vertex raises InputError,
+    as ``vertex_path`` does."""
+    allowed = [None if a is None else tuple(a) for a in (row_in, col_in)]
+    for name, a in zip(("row_in", "col_in"), allowed):
+        if a is not None and not a:
+            raise ValueError("%s is empty: no leg can range there" % name)
+    for a in allowed:
+        for v in a or ():
+            vertex_path(g, v)   # raises InputError for an undeclared vertex
+    return allowed
+
+
+def _random_flat_pair(rng, g, max_len, row_in, col_in):
+    """``random_pair`` as a flat pair, on constraints already checked."""
+    roots = row_in if row_in is not None else g.vertices
+    for _ in range(40):
+        mu_range = rng.choice(roots)
+        mu, v = _forward(rng, g, mu_range, max_len)
+        for _ in range(20):
+            nu, nu_range = _backward(rng, g, v, max_len)
+            if col_in is None or nu_range in col_in:
+                return (mu, nu, v, mu_range, nu_range)
+    anchor = (row_in if row_in is not None
+              else col_in if col_in is not None else g.vertices)[0]
+    return ((), (), anchor, anchor, anchor)
 
 
 def random_pair(rng, g, max_len=2, row_in=None, col_in=None) -> PathPair:
@@ -67,32 +108,23 @@ def random_pair(rng, g, max_len=2, row_in=None, col_in=None) -> PathPair:
     row_in / col_in restrict where the first / second leg may range; the
     fallback unit pair always satisfies the constraints because both kinds
     of constraint admit a vertex pair over a constrained vertex.  An empty
-    constraint admits no pair and raises ValueError.
+    constraint admits no pair and raises ValueError; an undeclared vertex
+    in either raises InputError.
     """
-    for name, allowed in (("row_in", row_in), ("col_in", col_in)):
-        if allowed is not None and not tuple(allowed):
-            raise ValueError("%s is empty: no leg can range there" % name)
-    for _ in range(40):
-        roots = tuple(row_in) if row_in is not None else g.vertices
-        mu = forward_walk(rng, g, rng.choice(roots), max_len)
-        nu = None
-        for _ in range(20):
-            cand = backward_walk(rng, g, mu.source_vertex, max_len)
-            if col_in is None or cand.range_vertex in col_in:
-                nu = cand
-                break
-        if nu is not None:
-            return PathPair(mu, nu)
-    anchor = next(iter(row_in if row_in is not None
-                       else col_in if col_in is not None else g.vertices))
-    unit = vertex_path(g, anchor)
-    return PathPair(unit, unit)
+    row_in, col_in = _constraints(g, row_in, col_in)
+    return _build(g, _random_flat_pair(rng, g, max_len, row_in, col_in))
+
+
+def _random_flat_element(rng, g, ring, max_terms, max_len, row_in=None, col_in=None):
+    """An element of random flat terms on constraints already checked."""
+    terms = [(_random_flat_pair(rng, g, max_len, row_in, col_in),
+              ring.coerce(ring.sample(rng)))
+             for _ in range(rng.randint(0, max_terms))]
+    return _from_flat(g, ring, terms)
 
 
 def random_element(rng, g, ring, max_terms=3, max_len=2) -> SteinbergElement:
-    terms = [(random_pair(rng, g, max_len), ring.sample(rng))
-             for _ in range(rng.randint(0, max_terms))]
-    return from_terms(g, ring, terms)
+    return _random_flat_element(rng, g, ring, max_terms, max_len)
 
 
 def random_corner_element(rng, g, ring, f0, corner: Corner,
@@ -102,11 +134,8 @@ def random_corner_element(rng, g, ring, f0, corner: Corner,
     row_req, col_req = corner.value
     if (row_req or col_req) and not tuple(f0):
         return zero(g, ring)
-    row_in = f0 if row_req else None
-    col_in = f0 if col_req else None
-    terms = [(random_pair(rng, g, max_len, row_in, col_in), ring.sample(rng))
-             for _ in range(rng.randint(0, max_terms))]
-    return from_terms(g, ring, terms)
+    row_in, col_in = _constraints(g, f0 if row_req else None, f0 if col_req else None)
+    return _random_flat_element(rng, g, ring, max_terms, max_len, row_in, col_in)
 
 
 def random_adequate_probe(rng, g, pair: PathPair, depth) -> GroupoidProbe:

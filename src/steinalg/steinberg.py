@@ -338,6 +338,12 @@ def from_terms(graph, ring, pairs_and_coeffs) -> SteinbergElement:
         if p.graph is not graph:
             raise ValueError("term pair on a different graph")
         raw.append((_flat(p), ring.coerce(c)))
+    return _from_flat(graph, ring, raw)
+
+
+def _from_flat(graph, ring, raw):
+    """The element of (flat pair, coefficient) terms of the graph, each
+    coefficient already a value of the ring: ``from_terms`` past its checks."""
     flat_terms, den = ring.as_ints(raw)
     return SteinbergElement(graph, ring, _merge(flat_terms, ring.modulus).items(), den)
 

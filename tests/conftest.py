@@ -2,13 +2,16 @@
 seeded corpora the randomized tests draw from; the ring axioms each ring is
 checked against; the brute-force canonical form the canonical-form tests
 compare against; the pair rules on Path objects that the flat pair kernel
-is compared against, and the kernel's minimal pair and path map on
-PathPair objects; the range leg index that records its trie walks and the
-composites of its plans; probe membership and probe windows, the set
+is compared against, and the kernel's minimal pair and the path map on
+Path and PathPair objects; the path map's image check on Path objects; the
+range leg index that records its trie walks and the composites of its
+plans; probe membership and probe windows, the set
 semantics the pair operations are compared against; the relaxation that
 least connectors are compared against; the block rule on single pairs and
 the diagonal embedding; the element-level surjectivity witness that the
-pair-level one is compared against; the element-level word evaluator that
+pair-level one is compared against, and the per-target witness loop that
+the report's per-vertex one is compared against; the Path walks that the
+flat samplers are compared against; the element-level word evaluator that
 the run rule of ``eval_word`` is compared against; and the random
 bisections and transversals the tests draw."""
 
@@ -19,12 +22,16 @@ from steinalg import (BasicBisection, Corner, CornerSupportError, Graph,
                       LinkingElement, MoritaWitness, Path, PathPair,
                       RationalRing, Report, Transversal, VertexSubset, add,
                       as_bisection, boundary_tails, compose_pairs, concat,
-                      convolve, corner_of, expand, generator, indicator,
-                      invert_pair, is_prefix, linking_convolve, load_graph,
-                      negate, pairs_to_depth, parse_word, phi_fin, scale,
-                      strip_prefix, vertex_path, zero)
+                      convolve, corner_of, enumerate_paths, expand, from_terms,
+                      generator, indicator, invert_pair, is_prefix,
+                      linking_convolve, load_graph, negate, pairs_to_depth,
+                      parse_word, scale, strip_prefix, surjectivity_witness,
+                      vertex_path, zero)
 from steinalg import sampling
+from steinalg.collapse import _check_well_formed, _leg_image
 from steinalg.cylinder import _build, _flat, _minimal, _RangeLegIndex
+from steinalg.graph import _path
+from steinalg.morita import _holds, _witness_rows
 from steinalg.leavitt import (ProductWord, SumWord, SymbolWord, _scalar_value,
                               _strip_negations)
 
@@ -147,6 +154,40 @@ def minimal_pair(p):
     t = _flat(p)
     m = _minimal(p.graph, t)
     return p if m is t else _build(p.graph, m)
+
+
+def phi_fin(cert, fpath):
+    """The path map: expand each collapsed edge to the path it abbreviates.
+    Trusts the certificate to be well formed, as the checks establish."""
+    if not fpath.edges:
+        return vertex_path(cert.original, fpath.vertex)
+    return _path(cert.original, *_leg_image(cert.edge_paths, fpath.edges))
+
+
+def path_map_image_report(cert, max_len):
+    """``check_phi_fin_image`` on ``Path`` objects, as it was before both
+    sides went flat: every path of each graph is enumerated, every
+    collapsed path mapped by ``phi_fin``, and the sets compared as paths."""
+    rep = Report("path map image")
+    if not _check_well_formed(cert, rep):
+        return rep
+    g, f0 = cert.original, cert.f0
+    target = set(p for p in enumerate_paths(g, max_len=max_len)
+                 if p.range_vertex in f0 and p.source_vertex in f0)
+    images = []
+    for p in enumerate_paths(cert.collapsed, max_len=max_len):
+        q = phi_fin(cert, p)
+        if len(q) <= max_len:
+            images.append(q)
+    rep.add("window", "max-len", max_len)
+    rep.add("window", "collapsed-paths", len(images))
+    rep.add("window", "target-paths", len(target))
+    rep.check("bijection", "injective", len(images) == len(set(images)))
+    missing = sorted(target - set(images), key=Path.sort_key)
+    rep.check("bijection", "covers-window", not missing,
+              "" if not missing else "first missing %s" % missing[0].render())
+    rep.check("bijection", "lands-in-window", True)
+    return rep
 
 
 def phi_pair(cert, pair):
@@ -330,6 +371,94 @@ def element_level_surjectivity_witness(transversal, ring, pair, side):
     return MoritaWitness(side, pair, ((v, n),), rep)
 
 
+def per_target_witness_rows(transversal, ring, depth, cap):
+    """The ``witnesses`` rows of ``morita_report`` (transversal met) as they
+    were when every target was decided: each side lists its targets up to
+    the cap with ``pairs_to_depth``, flattens each with ``_flat`` and decides
+    its rows with ``_witness_rows``, and the first failing target's witness
+    report names the failed rows."""
+    graph, f0 = transversal.graph, transversal.f0
+    window = pairs_to_depth(graph, depth)
+    rows = []
+    for side, ranges in (("psi", f0), ("phi", None)):
+        total = sum(1 for p in window if ranges is None or corner_of(p, f0) is Corner.GG)
+        capped = pairs_to_depth(graph, depth, ranges=ranges, limit=cap)
+        rows.append(("%s-targets" % side, "%d of %d" % (len(capped), total)))
+        bad = None
+        for p in capped:
+            if not _holds(_witness_rows(transversal, graph, _flat(p), side)):
+                w = surjectivity_witness(transversal, ring, p, side)
+                bad = "%s: %s" % (p.render(), ", ".join(w.report.failures()))
+                break
+        rows.append(("%s-verified" % side, "pass" if bad is None else "fail (%s)" % bad))
+    return rows
+
+
+def forward_walk(rng, g, start, max_len):
+    """A random path ranging at start, extended at the source end: the
+    ``Path`` walk the flat sampler is compared against."""
+    p = vertex_path(g, start)
+    for _ in range(rng.randint(0, max_len)):
+        es = g.edges_with_range(p.source_vertex)
+        if not es:
+            break
+        p = Path(g, p.edges + (rng.choice(es).id,))
+    return p
+
+
+def backward_walk(rng, g, end, max_len):
+    """A random path with source end, extended at the range end."""
+    p = vertex_path(g, end)
+    for _ in range(rng.randint(0, max_len)):
+        es = g.edges_with_source(p.range_vertex)
+        if not es:
+            break
+        p = Path(g, (rng.choice(es).id,) + p.edges)
+    return p
+
+
+def path_walk_pair(rng, g, max_len=2, row_in=None, col_in=None):
+    """``sampling.random_pair`` on ``Path`` walks, as it was before the
+    sampler went flat: the same draws in the same order."""
+    for name, allowed in (("row_in", row_in), ("col_in", col_in)):
+        if allowed is not None and not tuple(allowed):
+            raise ValueError("%s is empty: no leg can range there" % name)
+    for _ in range(40):
+        roots = tuple(row_in) if row_in is not None else g.vertices
+        mu = forward_walk(rng, g, rng.choice(roots), max_len)
+        nu = None
+        for _ in range(20):
+            cand = backward_walk(rng, g, mu.source_vertex, max_len)
+            if col_in is None or cand.range_vertex in col_in:
+                nu = cand
+                break
+        if nu is not None:
+            return PathPair(mu, nu)
+    anchor = next(iter(row_in if row_in is not None
+                       else col_in if col_in is not None else g.vertices))
+    unit = vertex_path(g, anchor)
+    return PathPair(unit, unit)
+
+
+def path_walk_element(rng, g, ring, max_terms=3, max_len=2):
+    """``sampling.random_element`` on ``Path`` walks and ``from_terms``."""
+    terms = [(path_walk_pair(rng, g, max_len), ring.sample(rng))
+             for _ in range(rng.randint(0, max_terms))]
+    return from_terms(g, ring, terms)
+
+
+def path_walk_corner_element(rng, g, ring, f0, corner, max_terms=2, max_len=2):
+    """``sampling.random_corner_element`` on ``Path`` walks and ``from_terms``."""
+    row_req, col_req = corner.value
+    if (row_req or col_req) and not tuple(f0):
+        return zero(g, ring)
+    row_in = f0 if row_req else None
+    col_in = f0 if col_req else None
+    terms = [(path_walk_pair(rng, g, max_len, row_in, col_in), ring.sample(rng))
+             for _ in range(rng.randint(0, max_terms))]
+    return from_terms(g, ring, terms)
+
+
 def element_level_eval_word(graph, word, ring):
     """``eval_word`` as a left fold of generators and convolutions: every
     symbol is its generator's element, every factor is convolved onto the
@@ -368,7 +497,7 @@ def random_bisection(rng, g, max_len=2, max_excluded=2):
     pair = sampling.random_pair(rng, g, max_len)
     excluded = []
     for _ in range(rng.randint(0, max_excluded)):
-        alpha = sampling.forward_walk(rng, g, pair.source_vertex, max_len)
+        alpha = forward_walk(rng, g, pair.source_vertex, max_len)
         if len(alpha) == 0:
             es = g.edges_with_range(pair.source_vertex)
             if not es:

@@ -18,7 +18,7 @@ from steinalg import (CollapseSpec, Graph, GroupoidProbe, InputError,
                       collapsed_preimage, compose_pairs, concat, convolve,
                       enumerate_paths, first_hit_extensions,
                       from_terms, indicator, is_prefix,
-                      pair_contains, pairs_to_depth, phi_fin,
+                      pair_contains, pairs_to_depth,
                       load_graph, pointed_groupoid_iso_check,
                       serialize_graph, validate_collapsible, vertex_path)
 from steinalg import sampling
@@ -28,8 +28,8 @@ from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
 from steinalg.cylinder import (_build, _compose, _flat, _minimal, _RangeLegIndex,
                                _window)
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line,
-                            minimal_pair, phi_pair, probe_window,
-                            recording_range_leg_index)
+                            minimal_pair, path_map_image_report, phi_fin,
+                            phi_pair, probe_window, recording_range_leg_index)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -701,17 +701,55 @@ def well_formed_corruption(rng, certs):
     if kind == "move":
         certs = [c for c in certs if parallel_pairs(c)]
     cert = rng.choice(certs)
-    F, paths = cert.collapsed, cert.edge_paths
     if kind == "drop":
-        return drop_collapsed_edge(cert, rng.choice(F.edges).id)
+        return drop_collapsed_edge(cert, rng.choice(cert.collapsed.edges).id)
     if kind == "duplicate":
-        e = rng.choice(F.edges)
-        return dataclasses.replace(
-            cert, collapsed=Graph(F.vertices, F.edges + (("dup", e.range_vertex,
-                                                          e.source_vertex),)),
-            edge_paths=dict(paths, dup=paths[e.id]))
-    e, other = rng.choice(parallel_pairs(cert))
-    return dataclasses.replace(cert, edge_paths=dict(paths, **{e.id: paths[other.id]}))
+        return duplicate_collapsed_edge(cert, rng.choice(cert.collapsed.edges))
+    return move_collapsed_edge(cert, *rng.choice(parallel_pairs(cert)))
+
+
+def duplicate_collapsed_edge(cert, e):
+    """The certificate with e's path also under a new edge parallel to e."""
+    F = cert.collapsed
+    return dataclasses.replace(
+        cert, collapsed=Graph(F.vertices, F.edges + (("dup", e.range_vertex,
+                                                      e.source_vertex),)),
+        edge_paths=dict(cert.edge_paths, dup=cert.edge_paths[e.id]))
+
+
+def move_collapsed_edge(cert, e, other):
+    """The certificate with e given the path of other, an edge parallel to e."""
+    return dataclasses.replace(
+        cert, edge_paths=dict(cert.edge_paths, **{e.id: cert.edge_paths[other.id]}))
+
+
+def test_path_map_image_matches_the_path_oracle():
+    """The report equals the Path-based check's byte for byte: on the
+    certificates of four corpora at max-len 0-5, and with one of their
+    first two collapsed edges dropped or duplicated, or given a parallel
+    edge's path, at max-len 2-4, which fails covers-window, naming the
+    first missing path, and injective.  A negative max-len raises on a
+    well-formed certificate and is never read on a malformed one."""
+    failures = Counter()
+    for seed in (1, 7, 13, 21):
+        for cert in map(collapse, corpus(seed)):
+            edges = cert.collapsed.edges[:2]
+            corrupted = ([drop_collapsed_edge(cert, e.id) for e in edges]
+                         + [duplicate_collapsed_edge(cert, e) for e in edges]
+                         + [move_collapsed_edge(cert, e, other)
+                            for e, other in parallel_pairs(cert)[:2]])
+            for c, lengths in [(cert, range(6))] + [(c, range(2, 5)) for c in corrupted]:
+                for n in lengths:
+                    got = check_phi_fin_image(c, n)
+                    assert got.render_kv() == path_map_image_report(c, n).render_kv()
+                    failures.update(got.failures())
+            with pytest.raises(ValueError, match="max_len must be >= 0"):
+                check_phi_fin_image(cert, -1)
+            malformed = dataclasses.replace(cert, edge_paths={})
+            if cert.collapsed.edges:
+                assert (check_phi_fin_image(malformed, -1).render_kv()
+                        == path_map_image_report(malformed, -1).render_kv())
+    assert failures["bijection.covers-window"] > 0 and failures["bijection.injective"] > 0
 
 
 @given(seeds, st.integers(min_value=2, max_value=5))

@@ -22,9 +22,9 @@ from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
 from steinalg import Graph, collapse, load_graph, sampling
 from steinalg.collapse import _transport
 from steinalg.cylinder import _compose, _flat, _minimal, _RangeLegIndex, _window
-from tests.conftest import (common_depth_terms, long_line, member,
-                            minimal_pair, partners, plan_composites, prefix,
-                            probes_in, reference_compose_pairs,
+from tests.conftest import (common_depth_terms, forward_walk, long_line,
+                            member, minimal_pair, partners, plan_composites,
+                            prefix, probes_in, reference_compose_pairs,
                             reference_minimal_pair, sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -256,7 +256,7 @@ def test_minimal_pair_is_the_indicator_term(seed, ring):
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng)
     p = sampling.random_pair(rng, g, max_len=3)
-    p = p.extend(sampling.forward_walk(rng, g, p.source_vertex, 3))
+    p = p.extend(forward_walk(rng, g, p.source_vertex, 3))
     assert common_depth_terms(g, ring, [(p, ring.one())]) == {minimal_pair(p): ring.one()}
     assert list(indicator(p, ring).terms) == [minimal_pair(p)]
 
@@ -302,7 +302,7 @@ def test_pair_rules_match_the_path_level_references(seed):
     pairs = pairs_to_depth(g, 1)
     for _ in range(8):
         p = sampling.random_pair(rng, g, max_len=3)
-        pairs.append(p.extend(sampling.forward_walk(rng, g, p.source_vertex, 2)))
+        pairs.append(p.extend(forward_walk(rng, g, p.source_vertex, 2)))
     for p in pairs:
         assert minimal_pair(p) == reference_minimal_pair(p)
     composed = [compose_pairs(p, q) for p in pairs for q in pairs]

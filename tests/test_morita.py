@@ -1,25 +1,31 @@
 """The linking matrix algebra, its context maps, and surjectivity witnesses."""
 
+import itertools
+import random
 import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from steinalg import (Corner, CornerSupportError, Graph, IntegerRing,
-                      IntegersMod, LinkingElement, Path, PathPair,
-                      RationalRing, Transversal, add, concat, convolve,
-                      corner_of, eq_ops_check, indicator,
+from steinalg import (Corner, CornerSupportError, Graph, InputError,
+                      IntegerRing, IntegersMod, LinkingElement, Path, PathPair,
+                      RationalRing, SteinbergElement, Transversal, add,
+                      concat, convolve, corner_of, eq_ops_check, indicator,
                       least_connectors, linking_convolve, load_graph,
                       morita_report, pairs_to_depth, phi, psi,
                       surjectivity_witness, vertex_path, zero)
 from steinalg import morita, sampling
 from steinalg.cylinder import _flat
 from steinalg.morita import element_supported_in
-from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT,
+from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, backward_walk,
                             element_level_surjectivity_witness, embed,
-                            pair_supported_in, random_transversal,
-                            relaxed_connectors)
+                            long_line, pair_supported_in,
+                            path_walk_corner_element, path_walk_element,
+                            path_walk_pair, per_target_witness_rows,
+                            random_transversal, relaxed_connectors)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
@@ -478,18 +484,19 @@ def corrupt_connectors(rng, t):
     bad = dict(t._connectors)
     for u in g.vertices:
         if u not in f0:
-            bad[u] = sampling.backward_walk(rng, g, u, 2)
+            bad[u] = backward_walk(rng, g, u, 2)
             if bad[u].range_vertex in f0:
                 bad[u] = vertex_path(g, u)
             continue
         longer = [concat(t._connectors[e.range_vertex], Path(g, (e.id,)))
-                  for e in g.edges_with_source(u)]
+                  for e in g.edges_with_source(u)
+                  if t._connectors[e.range_vertex] is not None]
         if longer:
             bad[u] = rng.choice(longer)
     for u in g.vertices:
         others = [w for w in g.vertices if w != u]
         if others and rng.random() < 1 / 3:
-            bad[u] = sampling.backward_walk(rng, g, rng.choice(others), 2)
+            bad[u] = backward_walk(rng, g, rng.choice(others), 2)
     return bad
 
 
@@ -597,6 +604,83 @@ def test_corner_sampling_with_an_empty_retained_set(corner, zring):
                                  [] if col_req else None)
 
 
+def draw_both(state, draw, oracle, *args):
+    """The flat draw and the Path-walk oracle's draw on args from one rng
+    state, each with its generator's state after it.  An element is given
+    as its stored form in order and its rendering, an exception as its
+    type and message."""
+    out = []
+    for f in (draw, oracle):
+        rng = random.Random()
+        rng.setstate(state)
+        try:
+            got = f(rng, *args)
+        except (ValueError, InputError) as exc:
+            got = (type(exc), str(exc))
+        if isinstance(got, SteinbergElement):
+            got = (list(got.flat.items()), got.den, got.render())
+        out.append((got, rng.getstate()))
+    return out
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_flat_sampling_draws_what_the_path_walk_draws(ring, seed):
+    """random_pair, random_element and random_corner_element draw what the
+    Path walks draw, term by term, and leave the generator in the same
+    state: on random graphs, whose source vertices stop walks early, and on
+    a line, with and without constraints, for every corner over a random
+    retained set, which may be empty."""
+    rng = sampling.rng_from_seed(seed)
+    if seed % 3:
+        g = sampling.random_graph(rng, max_vertices=5, max_edges=8)
+    else:
+        g = long_line(4)
+    f0 = [v for v in g.vertices if rng.random() < 0.5]
+    row = rng.choice([None, f0 or g.vertices[:1]])
+    col = rng.choice([None, f0 or g.vertices[-1:]])
+    max_len = rng.randint(0, 3)
+    state = rng.getstate()
+    flat, path = draw_both(state, sampling.random_pair, path_walk_pair, g, max_len, row, col)
+    assert flat == path
+    flat, path = draw_both(state, sampling.random_element, path_walk_element, g, ring)
+    assert flat == path
+    for corner in Corner:
+        flat, path = draw_both(state, sampling.random_corner_element,
+                               path_walk_corner_element, g, ring, f0, corner)
+        assert flat == path
+
+
+def test_flat_sampling_takes_the_unit_fallback_as_the_path_walk_does(line_graph):
+    """On the line a <- b <- c no leg of length <= 1 ranges at c from a
+    pair whose first leg ranges at a, so all 40 x 20 tries fail and both
+    samplers fall back to the unit pair at the first row vertex."""
+    state = random.Random(3).getstate()
+    flat, path = draw_both(state, sampling.random_pair, path_walk_pair,
+                           line_graph, 1, ["a"], ["c"])
+    assert flat == path
+    assert flat[0].render() == "Z(a,a)"
+
+
+@pytest.mark.parametrize("row, col, error, message", [
+    ([], None, ValueError, "row_in is empty: no leg can range there"),
+    (None, [], ValueError, "col_in is empty: no leg can range there"),
+    (["x"], [], ValueError, "col_in is empty: no leg can range there"),
+    (["x"], None, InputError, "vertex path needs a declared vertex, got 'x'"),
+    (None, ["x"], InputError, "vertex path needs a declared vertex, got 'x'"),
+    (["x"], ["x"], InputError, "vertex path needs a declared vertex, got 'x'"),
+])
+def test_sampling_rejects_empty_and_undeclared_constraints(line_graph, row, col, error,
+                                                           message):
+    """An empty constraint raises ValueError and a constraint of undeclared
+    vertices raises InputError, as the Path walk raised them."""
+    state = random.Random(5).getstate()
+    flat, path = draw_both(state, sampling.random_pair, path_walk_pair,
+                           line_graph, 2, row, col)
+    assert flat[0] == path[0] == (error, message)
+
+
 # -- the pipeline ------------------------------------------------------------------------
 
 
@@ -617,6 +701,17 @@ def test_morita_report_empty_collapse(two_cycle, zring):
     assert rep.ok
     assert rep.value("setup", "collapsed") == "(none)"
     assert rep.value("corners", "HH") == "0"
+
+
+def test_morita_report_without_eq_samples_is_vacuous(two_cycle, zring):
+    """No sampled tuple tests no identity: the row is vacuous, not a pass,
+    and a negative sample count is refused."""
+    rep = morita_report(two_cycle, ["w"], zring, depth=2, eq_samples=0)
+    assert rep.value("eq-ops", "tuples") == "0"
+    assert rep.value("eq-ops", "identities") == "vacuous (no tuples sampled)"
+    assert rep.ok
+    with pytest.raises(ValueError, match="eq_samples must be >= 0"):
+        morita_report(two_cycle, ["w"], zring, depth=2, eq_samples=-1)
 
 
 def test_morita_report_rejects_bad_collapse(loop_graph, zring):
@@ -749,3 +844,93 @@ def test_corrupted_connectors_fail_the_report_as_before(case, monkeypatch):
         assert morita._holds(morita._witness_rows(t, g, _flat(pair), "phi")) == w.ok
         failing += not w.ok
     assert failing > 0
+
+
+def target_groups(pairs):
+    """The positions in a target list where a source vertex's targets
+    start, and the list's length."""
+    out, pos = [], 0
+    for _, group in itertools.groupby(pairs, key=lambda p: p.source_vertex):
+        out.append(pos)
+        pos += sum(1 for _ in group)
+    return out + [pos]
+
+
+def recorded_report(mp, *args, **kwargs):
+    """morita_report with its witness decisions recorded: the (side, source
+    vertex) of each ``_witness_rows`` call and each ``_flat`` call made
+    outside ``surjectivity_witness``, and the side of each witness built."""
+    calls, flats, witnesses, inside = [], [], [], []
+    rows, witness, flat = morita._witness_rows, morita.surjectivity_witness, morita._flat
+
+    def record_rows(transversal, graph, t, side):
+        if not inside:
+            calls.append((side, t[2]))
+        return rows(transversal, graph, t, side)
+
+    def record_witness(transversal, ring, pair, side):
+        witnesses.append(side)
+        inside.append(side)
+        try:
+            return witness(transversal, ring, pair, side)
+        finally:
+            inside.pop()
+
+    def record_flat(p):
+        if not inside:
+            flats.append(p)
+        return flat(p)
+
+    with mp.context() as inner:
+        inner.setattr(morita, "_witness_rows", record_rows)
+        inner.setattr(morita, "surjectivity_witness", record_witness)
+        inner.setattr(morita, "_flat", record_flat)
+        rep = morita_report(*args, **kwargs)
+    return rep, calls, flats, witnesses
+
+
+def test_witness_sections_match_the_per_target_loop():
+    """On collapse instances whose connectors are corrupted (three in four)
+    or left as they are, with the witness cap just before, at and just past
+    each boundary between source vertices' targets, the witness rows equal
+    the per-target loop's, the failing target and its failed rows included.
+    The report decides each side's source vertex at most once, flattens no
+    pair, and builds a witness only for a side that fails."""
+    zring = IntegerRing()
+    outcomes = Counter()
+    for seed in range(24):
+        spec = sampling.collapse_corpus(seed, 1)[0]
+        g, t0 = spec.graph, spec.t0
+        depth = 1 + seed % 3
+        least = morita.least_connectors
+
+        def corrupted(graph, f0, seed=seed):
+            out = least(graph, f0)
+            if seed % 4:
+                t = SimpleNamespace(graph=graph, f0=f0, _connectors=out)
+                out = corrupt_connectors(sampling.rng_from_seed(seed), t)
+            return out
+
+        window = pairs_to_depth(g, depth)
+        retained = [p for p in window if corner_of(p, spec.f0) is Corner.GG]
+        caps = {max(b + d, 0) for pairs in (window, retained)
+                for b in target_groups(pairs) for d in (-1, 0, 1)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(morita, "least_connectors", corrupted)
+            t = Transversal(g, spec.f0)
+            for cap in sorted(caps | {morita._WITNESS_CAP}):
+                mp.setattr(morita, "_WITNESS_CAP", cap)
+                rep, calls, flats, witnesses = recorded_report(mp, g, t0, zring,
+                                                               depth=depth, eq_samples=0)
+                if t.unreachable:
+                    want = [("skipped", "vacuous (transversal failed)")]
+                else:
+                    want = per_target_witness_rows(t, zring, depth, cap)
+                assert rep.section("witnesses") == want
+                assert max(Counter(calls).values(), default=0) <= 1
+                assert flats == []
+                assert witnesses == [side for side in ("psi", "phi")
+                                     if rep.value("witnesses", "%s-verified" % side)
+                                     not in (None, "pass")]
+                outcomes[str(rep.value("witnesses", "phi-verified"))[:4]] += 1
+    assert outcomes["pass"] > 0 and outcomes["fail"] > 0 and outcomes["None"] > 0

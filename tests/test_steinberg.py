@@ -20,9 +20,9 @@ from steinalg import (BasicBisection, Graph, GroupoidProbe, InputError,
 from steinalg import cylinder, sampling, steinberg
 from steinalg.cylinder import _flat, _RangeLegIndex
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
-                            common_depth_terms, partners, prefix,
-                            random_bisection, recording_range_leg_index,
-                            sweep_graph)
+                            backward_walk, common_depth_terms, forward_walk,
+                            partners, prefix, random_bisection,
+                            recording_range_leg_index, sweep_graph)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
@@ -143,7 +143,7 @@ def sweep_terms(rng, g, ring):
         elif kind == 1:
             base = rng.choice(raw)[0]
             if base.min_depth <= 3:
-                alpha = sampling.forward_walk(rng, g, base.source_vertex, 3)
+                alpha = forward_walk(rng, g, base.source_vertex, 3)
                 raw.append((base.extend(alpha), c))
         elif kind == 2:
             raw.append((rng.choice(raw)[0], c))
@@ -445,7 +445,7 @@ def test_evaluate_cuts_the_probe_to_the_element_depth(spec, seed):
     ring = ring_from_spec(spec)
     f = sampling.random_element(rng, g, ring, max_terms=5, max_len=3)
     v = vertex_path(g, rng.choice(g.vertices))
-    walk = sampling.backward_walk(rng, g, v.range_vertex, 2)
+    walk = backward_walk(rng, g, v.range_vertex, 2)
     f = f + from_terms(g, ring, [(PathPair(v, v), ring.sample_nonzero(rng)),
                                  (PathPair(walk, v), ring.sample_nonzero(rng))])
     depth = max((max(len(p.mu), len(p.nu)) for p in f.terms), default=0)
