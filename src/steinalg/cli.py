@@ -96,7 +96,7 @@ def _shared_parser() -> _Parser:
 
 def _graph_section(rep, g):
     rep.add("graph", "vertices", ", ".join(g.vertices))
-    rep.add("graph", "edges", len(g.edges))
+    rep.add("graph", "edges", len(g.edge_ids))
     rep.check("graph", "well-formed", True)
 
 

@@ -220,8 +220,10 @@ def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
 
     Both sides are flat: a path is keyed by its edge ids, a vertex path by
     its vertex, and a collapsed path's image is its leg image
-    (``_leg_image``).  A ``Path`` is built only for the paths the images
-    miss, to name the least one.  A negative max_len raises ValueError.
+    (``_leg_image``).  The collapsed graph is walked only as far as the
+    images fit in the window, and each path is mapped once.  A ``Path`` is
+    built only for the paths the images miss, to name the least one.  A
+    negative max_len raises ValueError.
     """
     rep = Report("path map image")
     if not _check_well_formed(cert, rep):
@@ -231,14 +233,20 @@ def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
     target = {edges or v: (edges, v, source)
               for edges, v, source in _flat_paths(g, max_len, f0)
               if source in f0}
-    # Collapsed edges never shorten, so collapsed paths beyond the window
-    # map outside it and can be skipped outright.
-    images = []
-    for edges, v, _ in _flat_paths(cert.collapsed, max_len):
-        if not edges:
-            images.append(v)
-        elif len(image := _leg_image(paths, edges)[0]) <= max_len:
-            images.append(image)
+    # Every collapsed edge maps to a nonempty path, so an image is longer
+    # than the image of each prefix: the walk carries its image's length
+    # and ends a branch once the image would leave the window.
+    F = cert.collapsed
+    images = list(F.vertices)
+    stack = [((), v, 0) for v in F.vertices]
+    while stack:
+        edges, source, length = stack.pop()
+        for e in F.edges_with_range(source):
+            longer = length + len(paths[e.id])
+            if longer <= max_len:
+                walk = edges + (e.id,)
+                images.append(_leg_image(paths, walk)[0])
+                stack.append((walk, e.source_vertex, longer))
     rep.add("window", "max-len", max_len)
     rep.add("window", "collapsed-paths", len(images))
     rep.add("window", "target-paths", len(target))

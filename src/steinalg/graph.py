@@ -10,18 +10,26 @@ tie-break in the package derives from that order, so all outputs are
 reproducible byte for byte.
 
 Validation happens once, at the boundary.  A graph is checked where it
-enters:
+enters, and is then kept as its vertex tuple and three edge columns: the
+ids (``edge_ids``), range vertices and source vertices, in declaration order.
 
 - ``Graph`` reads its edges one at a time, in order (``_read_edges``): each
   id is a word and new, both endpoints are declared vertices, and the first
-  edge to fail a check is named; the same pass files each edge;
+  edge to fail a check is named.  It keeps the ``Edge`` objects it read;
 - ``load_graph`` checks the syntax of each line while it splits the edge
-  lines into id, range and source columns, and stops at the first bad line.
-  Split fields are words, so it decides the rest over whole columns: no id
-  repeats (a dict's size) and every endpoint is declared (set inclusion).
-  Only when one of these fails does it read the edges with ``_read_edges``,
-  to name the first failure with its line;
+  lines into the three columns, and stops at the first bad line.  Split
+  fields are words, so it decides the rest over whole columns: no id
+  repeats (a set's size) and every endpoint is declared (set inclusion).
+  When both hold, the columns are the graph and no ``Edge`` is built.  Only
+  when one fails does it read the edges with ``_read_edges``, to name the
+  first failure with its line;
 - ``serialize_graph`` refuses an id that the text format cannot carry.
+
+Everything else a graph offers is derived from the columns on first read:
+the ``Edge`` objects (``edges``), the lookups by id and the edge lists by
+range and by source vertex.  Each is built once, by a ``cached_property``,
+and is a plain instance attribute after that.  A reader of the vertices and
+the edge ids alone, such as ``steinalg validate``, builds none of them.
 
 The public ``Path`` constructor checks that every edge id exists and that
 the edges compose, and computes both endpoints.  Operations on valid paths
@@ -35,6 +43,7 @@ build no ``Path`` at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError
 
@@ -77,7 +86,7 @@ def _edge_of_triple(t) -> Edge:
     # A str would unpack as its characters.
     if not isinstance(t, str):
         try:
-            return Edge(*t)
+            return _edge(*t)
         except TypeError:
             pass
     raise GraphFormatError("edge %r must be an Edge or an (id, range, "
@@ -103,31 +112,27 @@ def _vertex_index(vertices):
     return index
 
 
-def _read_edges(items, by_id, into, outof):
+def _read_edges(items, index, edges):
     """Read the items one at a time, in order: make each an ``Edge``, check
-    that its id is a new word and its endpoints are declared vertices, and
-    file it in ``by_id`` under its id and in ``into`` and ``outof`` under its
-    range and source vertex.  Raises GraphFormatError at the first item that
-    fails a check; ``len(by_id)`` is then its position."""
+    that its id is a new word and its endpoints are vertices of ``index``,
+    and append it to ``edges``.  Raises GraphFormatError at the first item
+    that fails a check; ``len(edges)`` is then its position."""
+    seen = set()
     for e in items:
         if not isinstance(e, Edge):
             e = _edge_of_triple(e)
-        eid, rv, sv = e.id, e.range_vertex, e.source_vertex
+        eid = e.id
         if not _is_id(eid):
             raise GraphFormatError("bad edge id %r" % (eid,))
-        if eid in by_id:
+        if eid in seen:
             raise GraphFormatError("duplicate edge id %r" % (eid,))
-        # Declared vertices are strings, and only those are looked up, so
-        # an unhashable endpoint is reported like any other.
-        received = into.get(rv) if isinstance(rv, str) else None
-        if received is None:
-            raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, rv))
-        sent = outof.get(sv) if isinstance(sv, str) else None
-        if sent is None:
-            raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, sv))
-        by_id[eid] = e
-        received.append(e)
-        sent.append(e)
+        for v in (e.range_vertex, e.source_vertex):
+            # Declared vertices are strings, and only those are looked up,
+            # so an unhashable endpoint is reported like any other.
+            if not (isinstance(v, str) and v in index):
+                raise GraphFormatError("edge %r uses undeclared vertex %r" % (eid, v))
+        seen.add(eid)
+        edges.append(e)
 
 
 class Graph:
@@ -135,8 +140,11 @@ class Graph:
 
     Vertex and edge ids are nonempty strings without whitespace.  Edges are
     ``Edge`` objects or (id, range, source) triples.  The constructor reads
-    each edge once, in order: it raises at the first that fails a check,
-    and files each other one by its endpoints.
+    each edge once, in order, and raises at the first that fails a check.
+
+    A graph is stored as ``vertices`` and three edge columns: ``edge_ids``
+    and the range and source vertex of each edge, in declaration order.
+    ``edges`` and the lookup maps are built from the columns on first read.
     """
 
     def __init__(self, vertices, edges):
@@ -146,27 +154,57 @@ class Graph:
                                    "vertex ids, not one string" % (vertices,))
         vertices = tuple(vertices)
         index = _vertex_index(vertices)
-        by_id = {}
-        into = {v: [] for v in vertices}
-        outof = {v: [] for v in vertices}
-        _read_edges(edges, by_id, into, outof)
-        self._store(vertices, index, by_id, into, outof)
+        checked = []
+        _read_edges(edges, index, checked)
+        self._store(vertices, index, tuple(e.id for e in checked),
+                    tuple(e.range_vertex for e in checked),
+                    tuple(e.source_vertex for e in checked))
+        self.edges = tuple(checked)
 
-    def _store(self, vertices, index, by_id, into, outof):
-        """Keep vertices and edges that passed every check: ``by_id`` holds
-        the edges in order, ``into`` and ``outof`` each vertex's edges in
-        order by range and by source."""
+    def _store(self, vertices, index, ids, ranges, sources):
+        """Keep vertices and edge columns that passed every check."""
         self.vertices = vertices
-        self.edges = tuple(by_id.values())
         self._vertex_index = index
-        self._edge_index = {eid: i for i, eid in enumerate(by_id)}
-        self._by_id = by_id
-        self._edges_with_range = {v: tuple(es) for v, es in into.items()}
-        self._edges_with_source = {v: tuple(es) for v, es in outof.items()}
-        # Edge id -> range vertex, for each edge that is the only edge into
-        # its range vertex: the edges a minimal pair strips (cylinder._minimal).
-        self._sole_edge_range = {es[0].id: v for v, es in into.items()
-                                 if len(es) == 1}
+        self.edge_ids = ids
+        self._ranges = ranges
+        self._sources = sources
+
+    # -- derived on first read -------------------------------------------
+
+    @cached_property
+    def edges(self):
+        """The ``Edge`` of each edge, in declaration order."""
+        return tuple(map(_edge, self.edge_ids, self._ranges, self._sources))
+
+    @cached_property
+    def _by_id(self):
+        return dict(zip(self.edge_ids, self.edges))
+
+    @cached_property
+    def _edge_index(self):
+        return {eid: i for i, eid in enumerate(self.edge_ids)}
+
+    def _edges_by(self, column):
+        """Each vertex's edges, in order, by the vertex in ``column``."""
+        groups = {v: [] for v in self.vertices}
+        for e, v in zip(self.edges, column):
+            groups[v].append(e)
+        return {v: tuple(es) for v, es in groups.items()}
+
+    @cached_property
+    def _edges_with_range(self):
+        return self._edges_by(self._ranges)
+
+    @cached_property
+    def _edges_with_source(self):
+        return self._edges_by(self._sources)
+
+    @cached_property
+    def _sole_edge_range(self):
+        """Edge id -> range vertex, for each edge that is the only edge into
+        its range vertex: the edges a minimal pair strips (cylinder._minimal)."""
+        return {es[0].id: v for v, es in self._edges_with_range.items()
+                if len(es) == 1}
 
     # -- lookups ---------------------------------------------------------
 
@@ -194,7 +232,7 @@ class Graph:
         return not self._edges_with_range[v]
 
     def __repr__(self):
-        return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
+        return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edge_ids))
 
 
 class Path:
@@ -396,7 +434,8 @@ def load_graph(text: str) -> Graph:
     and stops at the first line that is no edge declaration.  The edges
     before it pass the constructor's checks, and the first edge to fail one
     is named with its line; that error comes before the syntax error, which
-    lies on a later line.
+    lies on a later line.  The columns become the graph as they are: no
+    ``Edge`` and no lookup map is built until one is read.
     """
     raw = text.splitlines()
     if "#" in text:
@@ -434,30 +473,22 @@ def load_graph(text: str) -> Graph:
         ids.append(eid)
         ranges.append(rv)
         sources.append(sv)
-    edges = [_edge(i, r, s) for i, r, s in zip(ids, ranges, sources)]
-    by_id = dict(zip(ids, edges))
-    into = {v: [] for v in vertices}
-    outof = {v: [] for v in vertices}
     # Split fields are words, so every id is one; what is left to check is
     # that no id repeats and every endpoint is declared.
-    if len(by_id) == len(edges) and index.keys() >= {*ranges, *sources}:
-        for e, rv, sv in zip(edges, ranges, sources):
-            into[rv].append(e)
-            outof[sv].append(e)
-    else:
-        by_id = {}
+    if len(set(ids)) != len(ids) or not index.keys() >= {*ranges, *sources}:
+        checked = []
         try:
-            _read_edges(edges, by_id, into, outof)
+            _read_edges(zip(ids, ranges, sources), index, checked)
         except GraphFormatError as exc:
             # Edge i is the i-th payload line after the vertex list, as every
             # payload line before the first syntax error is an edge.
             lines = [n for n, line in enumerate(raw[vline:], start=vline + 1)
                      if line.strip()]
-            raise GraphFormatError(str(exc), lines[len(by_id)]) from None
+            raise GraphFormatError(str(exc), lines[len(checked)]) from None
     if syntax is not None:
         raise syntax
     g = object.__new__(Graph)
-    g._store(vertices, index, by_id, into, outof)
+    g._store(vertices, index, tuple(ids), tuple(ranges), tuple(sources))
     return g
 
 
@@ -468,13 +499,13 @@ def serialize_graph(g: Graph) -> str:
         if "," in v:
             raise GraphFormatError("vertex id %r cannot be written: ',' "
                                    "separates vertex ids" % (v,))
-    for x in g.vertices + tuple(e.id for e in g.edges):
+    for x in g.vertices + g.edge_ids:
         if "#" in x:
             raise GraphFormatError("id %r cannot be written: '#' starts a "
                                    "comment" % (x,))
     lines = ["vertices: " + ", ".join(g.vertices)]
-    for e in g.edges:
-        lines.append("edge: %s %s <- %s" % (e.id, e.range_vertex, e.source_vertex))
+    for edge in zip(g.edge_ids, g._ranges, g._sources):
+        lines.append("edge: %s %s <- %s" % edge)
     return "\n".join(lines) + "\n"
 
 

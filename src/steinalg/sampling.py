@@ -97,19 +97,21 @@ def _random_flat_pair(rng, g, max_len, row_in, col_in):
             nu, nu_range = _backward(rng, g, v, max_len)
             if col_in is None or nu_range in col_in:
                 return (mu, nu, v, mu_range, nu_range)
-    anchor = (row_in if row_in is not None
-              else col_in if col_in is not None else g.vertices)[0]
-    return ((), (), anchor, anchor, anchor)
+    units = [v for v in row_in or col_in or g.vertices if col_in is None or v in col_in]
+    if not units:
+        raise ValueError("no pair was drawn with its legs ranging in row_in "
+                         "and col_in, and they share no vertex for a unit pair")
+    return ((), (), units[0], units[0], units[0])
 
 
 def random_pair(rng, g, max_len=2, row_in=None, col_in=None) -> PathPair:
     """A random basic pair, optionally with constrained range vertices.
 
-    row_in / col_in restrict where the first / second leg may range; the
-    fallback unit pair always satisfies the constraints because both kinds
-    of constraint admit a vertex pair over a constrained vertex.  An empty
-    constraint admits no pair and raises ValueError; an undeclared vertex
-    in either raises InputError.
+    row_in / col_in restrict where the first / second leg may range.  When
+    no walk finds a pair, the unit pair at the first row_in vertex that
+    col_in also holds is returned, and ValueError is raised when there is
+    none.  An empty constraint admits no pair and raises ValueError; an
+    undeclared vertex in either raises InputError.
     """
     row_in, col_in = _constraints(g, row_in, col_in)
     return _build(g, _random_flat_pair(rng, g, max_len, row_in, col_in))

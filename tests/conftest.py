@@ -12,8 +12,12 @@ the diagonal embedding; the element-level surjectivity witness that the
 pair-level one is compared against, and the per-target witness loop that
 the report's per-vertex one is compared against; the Path walks that the
 flat samplers are compared against; the element-level word evaluator that
-the run rule of ``eval_word`` is compared against; and the random
-bisections and transversals the tests draw."""
+the run rule of ``eval_word`` is compared against; the line-by-line graph
+file reader that the loader's errors are compared against, and the large
+generated graph texts; and the random bisections and transversals the tests
+draw."""
+
+import random
 
 import pytest
 
@@ -42,6 +46,62 @@ OUTSPLIT_TEXT = ("vertices: u, ua, ub\n"
                  "edge: sa u <- ua\nedge: sb u <- ub\n")
 LINE_TEXT = "vertices: a, b, c\nedge: f1 a <- b\nedge: f2 b <- c\n"
 ROSE2_TEXT = "vertices: v\nedge: a v <- v\nedge: b v <- v\n"
+
+
+def random_graph_text(seed, n_edges, edges_per_vertex=8):
+    """A graph of n_edges random edges over n_edges / 8 vertices, drawn the
+    way the benchmark's parse-deep workload draws its validate inputs."""
+    rng = random.Random(seed)
+    vertices = ["v%d" % i for i in range(max(1, n_edges // edges_per_vertex))]
+    lines = ["vertices: " + ", ".join(vertices)]
+    lines += ["edge: e%d %s <- %s" % (i, rng.choice(vertices), rng.choice(vertices))
+              for i in range(n_edges)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_graph_file_error(data):
+    """The error a graph file of these bytes must be rejected with, as
+    (message, line number or None), or None for a valid graph.  The lines
+    are read one at a time, and each vertex and edge is checked as it is
+    read, so the first fault in file order is the one named."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        return "graph file is not UTF-8 text: %s" % exc, None
+    declared = seen = None
+    for n, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        if declared is None:
+            if not line.startswith("vertices:"):
+                return "expected 'vertices:' declaration first", n
+            declared, seen = set(), set()
+            for v in line[len("vertices:"):].split(","):
+                v = v.strip()
+                if not v:
+                    continue
+                if v.split() != [v]:
+                    return "bad vertex id %r" % (v,), n
+                if v in declared:
+                    return "duplicate vertex id %r" % (v,), n
+                declared.add(v)
+            continue
+        if not line.startswith("edge:"):
+            return "expected 'edge:' declaration", n
+        fields = line[len("edge:"):].split()
+        if len(fields) != 4 or fields[2] != "<-":
+            return "edge syntax is 'edge: <id> <range> <- <source>'", n
+        eid, rv, _, sv = fields
+        if eid in seen:
+            return "duplicate edge id %r" % (eid,), n
+        for v in (rv, sv):
+            if v not in declared:
+                return "edge %r uses undeclared vertex %r" % (eid, v), n
+        seen.add(eid)
+    if declared is None:
+        return "missing 'vertices:' declaration", None
+    return None
 
 
 def long_line(n):
@@ -434,9 +494,11 @@ def path_walk_pair(rng, g, max_len=2, row_in=None, col_in=None):
                 break
         if nu is not None:
             return PathPair(mu, nu)
-    anchor = next(iter(row_in if row_in is not None
-                       else col_in if col_in is not None else g.vertices))
-    unit = vertex_path(g, anchor)
+    units = [v for v in row_in or col_in or g.vertices if col_in is None or v in col_in]
+    if not units:
+        raise ValueError("no pair was drawn with its legs ranging in row_in "
+                         "and col_in, and they share no vertex for a unit pair")
+    unit = vertex_path(g, units[0])
     return PathPair(unit, unit)
 
 

@@ -7,11 +7,14 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from steinalg import (InputError, IntegerRing, Path, VertexSubset, cli,
                       enumerate_paths, eval_word, generator, load_graph,
-                      parse_word, ring_from_spec, vertex_path)
-from tests.conftest import LOOP_TEXT, OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT
+                      parse_word, ring_from_spec, sampling, serialize_graph,
+                      vertex_path)
+from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
+                            reference_graph_file_error)
 
 
 @pytest.fixture
@@ -186,6 +189,87 @@ def test_graph_file_that_is_not_utf8(argv, tmp_path, capsys):
     code, out, err = run(capsys, argv[0], "--graph", str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: graph file is not UTF-8 text")
+
+
+# Faults drawn into a graph file; each takes two drawn integers that pick
+# where it goes and what it copies.
+LOADER_FAULTS = ("repeated-id", "undeclared-endpoint", "broken-syntax",
+                 "blank-line", "comment-line", "byte-order-mark", "not-utf8")
+BROKEN_LINES = ("bogus line", "edge: x v1 -> v1", "edge: x v1 <-", "edge:",
+                "vertices: v1", "edge: x v1 <- v1 v1", "edge:x v1 <- v1",
+                "\ufeffedge: x v1 <- v1")
+BLANK_LINES = ("", "   ", "\t", "\f")
+COMMENT_LINES = ("# a comment", "   # indented", "#", "edge: c v1 <- v1 # trailing")
+
+
+def is_edge_line(line):
+    fields = line.split()
+    return len(fields) == 5 and fields[0] == "edge:" and fields[3] == "<-"
+
+
+def with_faults(text, faults):
+    """The bytes of a graph text with each (kind, i, j) fault applied in
+    turn; i picks a line or byte, j what is put there."""
+    lines = text.splitlines()
+    head = b""
+    tail = []
+    for kind, i, j in faults:
+        edges = [k for k, line in enumerate(lines) if is_edge_line(line)]
+        if kind == "repeated-id" and edges:
+            src, dst = lines[edges[j % len(edges)]], edges[i % len(edges)]
+            fields = lines[dst].split()
+            fields[1] = src.split()[1]
+            lines[dst] = " ".join(fields)
+        elif kind == "undeclared-endpoint" and edges:
+            dst = edges[i % len(edges)]
+            fields = lines[dst].split()
+            fields[2 if j % 2 else 4] = "nowhere"
+            lines[dst] = " ".join(fields)
+        elif kind in ("broken-syntax", "blank-line", "comment-line"):
+            choices = {"broken-syntax": BROKEN_LINES, "blank-line": BLANK_LINES,
+                       "comment-line": COMMENT_LINES}[kind]
+            lines.insert(i % (len(lines) + 1), choices[j % len(choices)])
+        elif kind == "byte-order-mark":
+            head += "\ufeff".encode()
+        elif kind == "not-utf8":
+            tail.append((i, (b"\xff", b"\xc3(", b"\xe2\x82", b"\x80")[j % 4]))
+    data = head + ("\n".join(lines) + "\n").encode()
+    for i, junk in tail:
+        at = i % (len(data) + 1)
+        data = data[:at] + junk + data[at:]
+    return data
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 9),
+       faults=st.lists(st.tuples(st.sampled_from(LOADER_FAULTS),
+                                 st.integers(min_value=0, max_value=10 ** 6),
+                                 st.integers(min_value=0, max_value=10 ** 6)),
+                       max_size=3))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_validate_rejects_faulty_graph_files_as_a_line_reader_does(seed, faults,
+                                                                   tmp_path, capsys):
+    """``validate`` on a small random graph file with up to three faults
+    exits 0 exactly when a line-by-line reader accepts the file, and
+    otherwise exits 2 with one stderr line that names the reader's first
+    fault and its line, and nothing on stdout.  Two runs print the same."""
+    rng = sampling.rng_from_seed(seed)
+    text = serialize_graph(sampling.random_graph(rng, max_vertices=5, max_edges=8))
+    data = with_faults(text, faults)
+    path = tmp_path / "graph.txt"
+    path.write_bytes(data)
+    first = run(capsys, "validate", "--graph", str(path))
+    assert run(capsys, "validate", "--graph", str(path)) == first
+    code, out, err = first
+    want = reference_graph_file_error(data)
+    if want is None:
+        assert (code, err) == (0, "")
+        assert out.startswith("validate: pass\n")
+    else:
+        message, line = want
+        if line is not None:
+            message = "line %d: %s" % (line, message)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_graph_file_with_a_byte_order_mark(tmp_path, capsys):

@@ -1199,6 +1199,25 @@ def test_image_reports_are_pinned():
                    for c in dropped + corrupted_certificates())
 
 
+def test_image_check_maps_only_collapsed_paths_whose_image_fits(monkeypatch):
+    """On the acceptance corpus's instance 7 at max-len 5, the collapsed
+    graph has 364 paths of at most 5 collapsed edges, and only 12 map into
+    the window: the check maps each of the 11 that are edge paths once, and
+    no path whose image is longer than max-len."""
+    cert = collapse(corpus(13)[7])
+    module = importlib.import_module("steinalg.collapse")
+    real = module._leg_image
+    mapped = []
+    monkeypatch.setattr(module, "_leg_image",
+                        lambda paths, edges: mapped.append(edges) or real(paths, edges))
+    rep = check_phi_fin_image(cert, 5)
+    assert rep.ok
+    assert rep.value("window", "collapsed-paths") == "12"
+    assert len(enumerate_paths(cert.collapsed, max_len=5)) == 364
+    assert len(mapped) == len(set(mapped)) == 11
+    assert all(len(real(cert.edge_paths, edges)[0]) <= 5 for edges in mapped)
+
+
 # -- the checks read edge_paths, not edge names ---------------------------------------
 
 

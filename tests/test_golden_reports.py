@@ -12,8 +12,10 @@ runs over both collapse sets at depths 4 and 5 in every shipped ring.
 (depth gaps 6 and 10 on the 2-rose, 5 on the 3-rose) and on one mixed-degree
 word with scalars of both signs, in every shipped ring: they pin the
 canonical form of elements with nested terms.  ``relations`` runs on the
-2-rose and on the fixture in every shipped ring.  A change that passes this
-test leaves these reports unchanged.
+2-rose and on the fixture in every shipped ring.  ``validate`` runs on two
+generated graphs of 1,000 and 4,000 edges, in both report formats, and with
+a collapse set on a corpus graph.  A change that passes this test leaves
+these reports unchanged.
 """
 
 from pathlib import Path
@@ -21,13 +23,16 @@ from pathlib import Path
 import pytest
 
 from steinalg import cli
-from tests.conftest import OUTSPLIT_TEXT, ROSE2_TEXT
+from tests.conftest import OUTSPLIT_TEXT, ROSE2_TEXT, random_graph_text
 
 DATA = Path(__file__).parent / "data"
 
 CORPUS_GRAPHS = {"corpus-1": "v1,v3", "corpus-7": "v1,v3,v4"}
+# Sizes of the generated graphs ``validate`` runs on; each is its own seed.
+RANDOM_GRAPH_EDGES = (1000, 4000)
 GRAPH_TEXTS = {"outsplit": OUTSPLIT_TEXT, "rose2": ROSE2_TEXT,
-               "rose3": ROSE2_TEXT + "edge: c v <- v\n"}
+               "rose3": ROSE2_TEXT + "edge: c v <- v\n",
+               **{"random-%d" % n: random_graph_text(n, n) for n in RANDOM_GRAPH_EDGES}}
 RINGS = (("z", "z"), ("q", "q"), ("zmod:4", "zmod4"))
 # (graph, name, x): grade p(v) + s(x) st(x) and multiply s(x) by st(x) + p(v).
 DEEP_WORDS = (("rose2", "g6", "abbaba"), ("rose2", "g10", "aababbbaba"),
@@ -73,6 +78,11 @@ def _cases():
         for graph in ("rose2", "outsplit"):
             cases["relations-%s-%s" % (graph, ring_name)] = (
                 graph, ["relations", "--ring", ring])
+    for n in RANDOM_GRAPH_EDGES:
+        for fmt in ("kv", "text"):
+            cases["validate-random-%d-%s" % (n, fmt)] = (
+                "random-%d" % n, ["validate", "--format", fmt])
+    cases["validate-corpus-7"] = ("corpus-7", ["validate", "--t0", CORPUS_GRAPHS["corpus-7"]])
     return cases
 
 
@@ -80,7 +90,8 @@ CASES = _cases()
 
 
 def run_case(name, tmp_path):
-    """The exit code and stdout of one case, run in-process."""
+    """The exit code and stdout of one case, run in-process; a case's own
+    ``--format`` comes after the default kv and wins."""
     graph, argv = CASES[name]
     text = GRAPH_TEXTS.get(graph) or (DATA / ("%s.graph" % graph)).read_text()
     path = tmp_path / "graph.txt"

@@ -10,8 +10,8 @@ from steinalg import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                       enumerate_paths, is_acyclic, is_prefix, load_graph,
                       serialize_graph, sources, strip_prefix, subgraph,
                       vertex_path)
-from steinalg import sampling
-from tests.conftest import TWO_CYCLE_TEXT, long_line
+from steinalg import cli, graph as graph_module, sampling
+from tests.conftest import TWO_CYCLE_TEXT, long_line, random_graph_text
 
 
 def test_load_serialize_roundtrip(two_cycle):
@@ -348,6 +348,37 @@ def test_load_rebuilds_every_map(seed):
     rng = sampling.rng_from_seed(seed)
     g = sampling.random_graph(rng, max_vertices=12, max_edges=40)
     assert graph_maps(load_graph(serialize_graph(g))) == graph_maps(g)
+
+
+# The maps a graph derives from its edge columns on first read.
+DERIVED_MAPS = ("edges", "_by_id", "_edge_index", "_edges_with_range",
+                "_edges_with_source", "_sole_edge_range")
+
+
+def test_validate_builds_no_edge_and_no_map(tmp_path, monkeypatch, capsys):
+    """``steinalg validate`` reads the vertices and the edge ids alone: on a
+    4,000-edge file it builds no ``Edge`` and leaves every derived map
+    unbuilt.  The first ``edges_with_range`` call then builds maps equal to
+    the ones ``Graph()`` builds from the same edges."""
+    text = random_graph_text(4000, 4000)
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    built = []
+    edge = graph_module._edge
+    monkeypatch.setattr(graph_module, "_edge", lambda *a: built.append(a) or edge(*a))
+    loaded = []
+    load = cli.load_graph_file
+    monkeypatch.setattr(cli, "load_graph_file", lambda p: loaded.append(load(p)) or loaded[0])
+    assert cli.main(["validate", "--graph", str(path), "--format", "kv"]) == 0
+    assert "edges = 4000\n" in capsys.readouterr().out
+    [g] = loaded
+    assert built == []
+    assert [name for name in DERIVED_MAPS if name in vars(g)] == []
+    g.edges_with_range("v0")
+    assert len(built) == 4000
+    triples = [(eid, rv, sv) for _, eid, rv, _, sv in map(str.split, text.splitlines()[1:])]
+    assert graph_maps(g) == graph_maps(Graph(g.vertices, triples))
+    assert len(built) == 2 * 4000
 
 
 def test_ids_reject_exactly_whitespace():

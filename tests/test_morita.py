@@ -654,13 +654,14 @@ def test_flat_sampling_draws_what_the_path_walk_draws(ring, seed):
 
 def test_flat_sampling_takes_the_unit_fallback_as_the_path_walk_does(line_graph):
     """On the line a <- b <- c no leg of length <= 1 ranges at c from a
-    pair whose first leg ranges at a, so all 40 x 20 tries fail and both
-    samplers fall back to the unit pair at the first row vertex."""
+    pair whose first leg ranges at a, so all 40 x 20 tries fail.  No unit
+    pair has its range in both {a} and {c}, so both samplers raise."""
     state = random.Random(3).getstate()
     flat, path = draw_both(state, sampling.random_pair, path_walk_pair,
                            line_graph, 1, ["a"], ["c"])
     assert flat == path
-    assert flat[0].render() == "Z(a,a)"
+    assert flat[0] == (ValueError, "no pair was drawn with its legs ranging in row_in "
+                       "and col_in, and they share no vertex for a unit pair")
 
 
 @pytest.mark.parametrize("row, col, error, message", [
