@@ -8,16 +8,16 @@ witnesses.  Everything is exact and deterministic; see the CLI in
 """
 
 from .collapse import (CollapseCertificate, CollapseSpec, check_phi_fin_image,
-                       collapse, collapsed_preimage, first_hit_extensions,
-                       pointed_groupoid_iso_check, validate_collapsible)
+                       collapse, first_hit_extensions, pointed_groupoid_iso_check,
+                       validate_collapsible)
 from .cylinder import (BasicBisection, GroupoidProbe, PathPair, as_bisection,
-                       boundary_tails, compose_pairs, expand, invert_pair,
-                       pair_contains, pairs_to_depth)
+                       boundary_tails, compose_pairs, expand, pair_contains,
+                       pairs_to_depth)
 from .errors import InputError
 from .graph import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                     enumerate_paths, is_acyclic, is_prefix, load_graph,
                     load_graph_file, serialize_graph, sources, strip_prefix,
-                    subgraph, vertex_path)
+                    subgraph)
 from .leavitt import (WordSyntaxError, check_ck_relations, eval_word,
                       generator, indicator_as_word, parse_word)
 from .morita import (Corner, CornerSupportError, LinkingElement,

@@ -13,6 +13,9 @@ trusted.
 The checks read the path map, both ways, from ``edge_paths`` and never parse
 an edge name.  A new edge is named by its path's render; where ids with "."
 make two paths render alike, the later takes the first free render~k, k >= 2.
+Paths are flat (see ``graph``): one walk finds the first hits and one
+split maps a path back; a ``Path`` is built only for ``edge_paths``, the
+result of ``first_hit_extensions`` and a path that a report names.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from functools import cache, cached_property, partial
 from itertools import islice
 
 from .cylinder import _build, _legs_by_source, _minimal, _RangeLegIndex, _window
-from .graph import (Edge, Graph, Path, VertexSubset, _flat_paths, _path, concat,
-                    is_acyclic, sources, subgraph, vertex_path)
+from .graph import (Edge, Graph, VertexSubset, _as_subset, _flat_paths, _path,
+                    _require_vertex, is_acyclic, sources, subgraph)
 from .report import Report
 
 # Deterministic work caps for the windowed checks; enumeration order is
@@ -41,12 +44,8 @@ class CollapseSpec:
     t0: VertexSubset
 
     def __init__(self, graph, t0):
-        if not isinstance(t0, VertexSubset):
-            t0 = VertexSubset(graph, t0)
-        if t0.graph is not graph:
-            raise ValueError("vertex subset belongs to a different graph")
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t0", _as_subset(graph, t0))
 
     @cached_property
     def f0(self) -> VertexSubset:
@@ -76,7 +75,7 @@ def validate_collapsible(spec: CollapseSpec) -> Report:
     return rep
 
 
-def first_hit_extensions(graph: Graph, t0: VertexSubset, v):
+def first_hit_extensions(graph: Graph, t0, v):
     """Continuations from v up to their first retained vertex.
 
     The empty path when v is already retained; otherwise every path ranging
@@ -84,23 +83,26 @@ def first_hit_extensions(graph: Graph, t0: VertexSubset, v):
     retained vertex reached.  Needs the collapsed region acyclic and free
     of graph sources, which bounds the walk.
     """
-    if v not in t0:
-        return [vertex_path(graph, v)]
+    _require_vertex(graph, v)
+    return [_path(graph, edges, v, source)
+            for edges, source in _first_hits(graph, _as_subset(graph, t0), v)]
+
+
+def _first_hits(graph: Graph, t0: VertexSubset, v):
+    """``first_hit_extensions`` flat: (edge ids, source vertex) per hit.
+    An explicit stack keeps long paths off the recursion limit; children go
+    on it last edge first, so the hits pop in edge-index order."""
     bound = len(graph.vertices) + 1
-    out = []
-    # Depth first on an explicit stack of edge-id tuples, so long collapsed
-    # paths do not reach the recursion limit; each hit becomes a Path once.
-    stack = [(e.id,) for e in reversed(graph.edges_with_range(v))]
+    out, stack = [], [((), v)]
     while stack:
-        edges = stack.pop()
-        u = graph.edge(edges[-1]).source_vertex
+        edges, u = stack.pop()
         if u not in t0:
-            out.append(Path(graph, edges))
-            continue
-        if len(edges) >= bound:
+            out.append((edges, u))
+        elif len(edges) >= bound:
             raise ValueError("collapsed region contains a cycle through %r" % (u,))
-        stack.extend(edges + (e.id,) for e in reversed(graph.edges_with_range(u)))
-    out.sort(key=Path.sort_key)
+        else:
+            stack.extend((edges + (e.id,), e.source_vertex)
+                         for e in reversed(graph.edges_with_range(u)))
     return out
 
 
@@ -134,23 +136,20 @@ def collapse(spec: CollapseSpec) -> CollapseCertificate:
     if not rep.ok:
         raise ValueError("collapse preconditions failed: %s" % ", ".join(rep.failures()))
     g, t0, f0 = spec.graph, spec.t0, spec.f0
-    paths = []
-    for f in f0:
-        for e in g.edges_with_range(f):
-            head = Path(g, (e.id,))
-            for tau in first_hit_extensions(g, t0, head.source_vertex):
-                paths.append(concat(head, tau))
-    paths.sort(key=Path.sort_key)
+    # Edges into f0 in order, each with its first hits: edge-index order.
+    paths = [((e.id,) + hit, e.range_vertex, source)
+             for e in g.edges if e.range_vertex in f0
+             for hit, source in _first_hits(g, t0, e.source_vertex)]
     # No suffixed name is a render, so a render only one path has is kept.
-    renders = {p.render() for p in paths}
+    renders = {".".join(edges) for edges, _, _ in paths}
     edge_paths = {}
-    for p in paths:
-        name = base = p.render()
+    for edges, range_vertex, source in paths:
+        name = base = ".".join(edges)
         k = 1
         while name in edge_paths or (name != base and name in renders):
             k += 1
             name = "%s~%d" % (base, k)
-        edge_paths[name] = p
+        edge_paths[name] = _path(g, edges, range_vertex, source)
     edges = [Edge(name, p.range_vertex, p.source_vertex) for name, p in edge_paths.items()]
     return CollapseCertificate(g, t0, Graph(list(f0), edges), edge_paths)
 
@@ -162,32 +161,22 @@ def _leg_image(paths, edges):
             paths[edges[0]].range_vertex, paths[edges[-1]].source_vertex)
 
 
-def collapsed_preimage(cert: CollapseCertificate, epath: Path):
-    """The collapsed path mapping to epath under the path map, or None.
-
-    A path between retained vertices splits uniquely at its retained-vertex
-    visits; each segment is looked up in the certificate's edge_of_path.
-    """
-    F = cert.collapsed
-    f0 = cert.f0
-    if epath.range_vertex not in f0 or epath.source_vertex not in f0:
-        return None
-    if not epath.edges:
-        return vertex_path(F, epath.vertex) if F.has_vertex(epath.vertex) else None
-    g, edge_of_path = cert.original, cert.edge_of_path
-    ids = []
-    start = 0
-    for i, e in enumerate(epath.edges, start=1):
-        if g.edge(e).source_vertex in f0:
-            eid = edge_of_path.get(epath.edges[start:i])
-            if eid is None:
+def _collapsed_edges(cert: CollapseCertificate, edges):
+    """The collapsed preimage of a nonempty path between retained vertices,
+    as collapsed edge ids, or None.  The path splits at its retained-vertex
+    visits; each segment's id in ``edge_of_path`` must be a collapsed edge
+    that composes with the one before."""
+    g, f0, by_id = cert.original, cert.f0, cert.collapsed._by_id
+    edge_of_path = cert.edge_of_path
+    found, start = [], 0
+    for i, e in enumerate(edges, start=1):
+        if g._by_id[e].source_vertex in f0:
+            fe = by_id.get(edge_of_path.get(edges[start:i]))
+            if fe is None or (found and found[-1].source_vertex != fe.range_vertex):
                 return None
-            ids.append(eid)
+            found.append(fe)
             start = i
-    try:
-        return Path(F, tuple(ids))
-    except ValueError:
-        return None
+    return tuple(fe.id for fe in found)
 
 
 def _check_well_formed(cert: CollapseCertificate, rep: Report) -> bool:
@@ -222,8 +211,8 @@ def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
     its vertex, and a collapsed path's image is its leg image
     (``_leg_image``).  The collapsed graph is walked only as far as the
     images fit in the window, and each path is mapped once.  A ``Path`` is
-    built only for the paths the images miss, to name the least one.  A
-    negative max_len raises ValueError.
+    built only to name the least path the images miss.  A negative max_len
+    raises ValueError.
     """
     rep = Report("path map image")
     if not _check_well_formed(cert, rep):
@@ -252,10 +241,14 @@ def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
     rep.add("window", "target-paths", len(target))
     hit = set(images)
     rep.check("bijection", "injective", len(images) == len(hit))
-    missing = sorted((_path(g, *target[k]) for k in target.keys() - hit),
-                     key=Path.sort_key)
-    rep.check("bijection", "covers-window", not missing,
-              "" if not missing else "first missing %s" % missing[0].render())
+    # The least missing path in Path.sort_key order.
+    idx = g._edge_index
+    missing = min(target.keys() - hit, default=None,
+                  key=lambda k: (tuple(idx[e] for e in target[k][0]),
+                                 -1 if target[k][0] else g.vertex_index(k)))
+    rep.check("bijection", "covers-window", missing is None,
+              "" if missing is None else
+              "first missing %s" % _path(g, *target[missing]).render())
     # Every kept image lies in the target: well-formedness makes the
     # vertices retained and each edge's path a path between retained
     # vertices, so an image is a path between retained vertices, and it
@@ -324,19 +317,19 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # when every first hit at its source vertex extends it to a path with
     # a collapsed preimage.  Legs recur across the window, so each source
     # vertex's first hits and each leg's verdict are found once per check.
+    # An extended leg runs between retained vertices.  An empty one has the
+    # collapsed graph's vertex as its preimage, by vertices-retained.
     pairs = list(islice(_window(g, depth, f0), _COVERAGE_PAIR_CAP))
     rep.add("coverage", "pairs", len(pairs))
-    hits = cache(partial(first_hit_extensions, g, t0))
+    hits = cache(partial(_first_hits, g, t0))
 
     @cache
-    def leg_covered(edges, v, leg_range):
-        leg = _path(g, edges, leg_range, v)
-        return all(collapsed_preimage(cert, concat(leg, tau)) is not None
-                   for tau in hits(v))
+    def leg_covered(leg, v):
+        return all(_collapsed_edges(cert, leg + hit) is not None for hit, _ in hits(v))
 
     cover_defect = None
     for t in pairs:
-        if not (leg_covered(t[0], t[2], t[3]) and leg_covered(t[1], t[2], t[4])):
+        if not (leg_covered(t[0], t[2]) and leg_covered(t[1], t[2])):
             cover_defect = "piece of %s has no collapsed preimage" % _build(g, t).render()
             break
     rep.check("coverage", "first-hit-splitting", cover_defect is None,

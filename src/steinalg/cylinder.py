@@ -8,26 +8,23 @@ excluded paths.  All operations below are symbolic and exact; nothing
 infinite is ever materialized.  ``GroupoidProbe`` truncations stand in for
 actual groupoid elements in membership tests.
 
-Validation happens once, at the boundary.  The public ``PathPair`` and
-``GroupoidProbe`` constructors check that both legs live on one graph and
-share their source vertex.  ``PathPair.extend``, ``invert_pair``, the
-pieces of ``expand`` and the pairs of ``pairs_to_depth`` are built with the
-private ``_pair``, which checks nothing: each result shares its source by
-construction.
-
-Inside the kernel a pair is flat, a plain tuple of edge ids and vertices
-(see ``_flat``): ``_compose`` is the composition rule, ``_minimal`` the
-minimal-pair rule, and ``_RangeLegIndex`` files flat pairs by range leg.
-Its plan for a source leg lists the pairs that compose with it and the
-parts of each composite, so ``convolve`` and the collapse move's
+Inside the package a pair is flat, a tuple of edge ids and vertices (see
+``_flat``): ``_compose`` is the composition rule, ``_invert`` the inverse,
+``_minimal`` the minimal-pair rule, and ``_RangeLegIndex`` files flat pairs
+by range leg.  Its plan for a source leg lists the pairs that compose with
+it and the parts of each composite, so ``convolve`` and the collapse move's
 multiplicative check form composites without calling ``_compose``.  The
-canonical form, ``convolve`` and the collapse move's windowed checks take
-only flat pairs into these, and build a ``PathPair`` (``_build``) only for
-a pair that leaves the kernel.  The pair window (``_window``) is flat too,
-the product of each source vertex's legs (``_legs_by_source``), which the
-checks that decide per leg read directly: ``pairs_to_depth`` builds its
-``PathPair`` form only for callers outside the kernel.  ``compose_pairs`` is the public form of the composition rule
-on ``PathPair`` objects.
+pair window (``_window``) is the product of each source vertex's legs
+(``_legs_by_source``), which the checks that decide per leg read directly.
+
+``PathPair``, ``BasicBisection`` and ``GroupoidProbe`` are the API's view.
+Their constructors check that both legs live on one graph and share their
+source vertex, where a value enters from a caller; program code builds a
+``PathPair`` with the trusting ``_build`` only for a value a public
+function returns or a report renders.  ``compose_pairs`` and
+``pairs_to_depth`` wrap ``_compose`` and ``_window``.  The boundary
+classes, ``expand``, ``pair_contains`` and ``boundary_tails`` work on
+``Path`` objects.
 """
 
 from __future__ import annotations
@@ -37,8 +34,7 @@ from functools import cache, partial
 from itertools import islice
 from operator import itemgetter
 
-from .graph import (Graph, Path, _flat_paths, _path, concat, enumerate_paths,
-                    is_prefix, strip_prefix)
+from .graph import Graph, Path, _flat_paths, _path, concat, is_prefix, strip_prefix
 
 
 class PathPair:
@@ -246,7 +242,7 @@ def _compose(p, q):
 
 
 def _invert(t):
-    """``invert_pair`` on a flat pair."""
+    """The inverse of a flat pair: its legs swapped."""
     return (t[1], t[0], t[2], t[4], t[3])
 
 
@@ -371,10 +367,6 @@ def _minimal(graph: Graph, t):
     return (mu[:-k], nu[:-k], v, t[3], t[4])
 
 
-def invert_pair(p: PathPair) -> PathPair:
-    return _pair(p.nu, p.mu)
-
-
 def expand(p: PathPair, target_depth: int):
     """Split Z(p) into the disjoint union over one-edge continuations until
     every piece has min depth target_depth or is source terminated.
@@ -419,11 +411,9 @@ def pair_contains(p: PathPair, probe: GroupoidProbe) -> bool:
 
 def boundary_tails(g: Graph, v, depth: int):
     """Continuation truncations from v: length == depth, or source terminated."""
-    out = []
-    for w in enumerate_paths(g, from_range=v, max_len=depth):
-        if len(w) == depth or g.is_source(w.source_vertex):
-            out.append(w)
-    return out
+    return [_path(g, edges, v, source)
+            for edges, _, source in _flat_paths(g, depth, [v])
+            if len(edges) == depth or g.is_source(source)]
 
 
 # -- the pair window --------------------------------------------------------

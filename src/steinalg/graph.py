@@ -31,13 +31,13 @@ range and by source vertex.  Each is built once, by a ``cached_property``,
 and is a plain instance attribute after that.  A reader of the vertices and
 the edge ids alone, such as ``steinalg validate``, builds none of them.
 
-The public ``Path`` constructor checks that every edge id exists and that
-the edges compose, and computes both endpoints.  Operations on valid paths
-(``concat``, ``strip_prefix``, ``enumerate_paths``) build their results
-with the private ``_path``, which trusts the edges and endpoints it is
-given: each caller knows them from the paths it started from.  Callers that
-read only edge ids and endpoints walk the paths flat (``_flat_paths``) and
-build no ``Path`` at all.
+Inside the package a path is flat: its edge-id tuple, with its range and
+source vertex alongside (``_flat_paths``), ordered by its edges' indexes.
+``Path`` is the API's view of it.  Its constructor checks that the edge ids
+exist and compose, where a path enters from a caller; program code builds
+a ``Path`` with the trusting ``_path`` only for a value that a public
+function returns or a report renders.  ``concat``, ``strip_prefix`` and
+``is_prefix`` serve the boundary classes of ``cylinder`` and the oracle.
 """
 
 from __future__ import annotations
@@ -256,9 +256,7 @@ class Path:
                 prev = e
             range_vertex, source_vertex = first.range_vertex, prev.source_vertex
         else:
-            if vertex is None or not graph.has_vertex(vertex):
-                raise InputError(
-                    "vertex path needs a declared vertex, got %r" % (vertex,))
+            _require_vertex(graph, vertex)
             range_vertex = source_vertex = vertex
         self.graph = graph
         self.edges = edges
@@ -295,6 +293,12 @@ class Path:
         return "Path(%s)" % self.render()
 
 
+def _require_vertex(graph, v):
+    """Raise InputError unless v is a declared vertex of the graph."""
+    if not graph.has_vertex(v):
+        raise InputError("vertex path needs a declared vertex, got %r" % (v,))
+
+
 def _known_edge(graph, edge_id) -> Edge:
     try:
         return graph.edge(edge_id)
@@ -314,10 +318,6 @@ def _path(graph, edges, range_vertex, source_vertex) -> Path:
     p.range_vertex = range_vertex
     p.source_vertex = source_vertex
     return p
-
-
-def vertex_path(graph, v) -> Path:
-    return Path(graph, (), v)
 
 
 def concat(p: Path, q: Path) -> Path:
@@ -394,6 +394,16 @@ class VertexSubset:
 
     def render(self):
         return ",".join(self.members)
+
+
+def _as_subset(graph, members, role="vertex subset") -> VertexSubset:
+    """members read as a ``VertexSubset`` of the graph by its rule; a subset
+    of another graph raises ValueError, naming the role of the value."""
+    if not isinstance(members, VertexSubset):
+        return VertexSubset(graph, members)
+    if members.graph is not graph:
+        raise ValueError("%s lives on a different graph" % role)
+    return members
 
 
 # -- text format ---------------------------------------------------------

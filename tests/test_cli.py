@@ -11,10 +11,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from steinalg import (InputError, IntegerRing, Path, VertexSubset, cli,
                       enumerate_paths, eval_word, generator, load_graph,
-                      parse_word, ring_from_spec, sampling, serialize_graph,
-                      vertex_path)
-from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
-                            reference_graph_file_error)
+                      parse_word, ring_from_spec, sampling, serialize_graph)
+from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, ROSE2_TEXT,
+                            TWO_CYCLE_TEXT, reference_graph_file_error,
+                            vertex_path)
 
 
 @pytest.fixture
@@ -471,6 +471,77 @@ def test_running_out_of_memory_exits_4(error, argv, want, graph_file, capsys,
     code, out, err = run(capsys, argv[0], "--graph", graph_file(TWO_CYCLE_TEXT), *argv[1:])
     assert (code, out, err) == (4, "", want)
     assert freed == [True]
+
+
+# -- the certifier end to end ----------------------------------------------------------
+
+
+T0_NOISE = ("nowhere", "", " ", "v1")
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 9),
+       faults=st.lists(st.tuples(st.sampled_from(LOADER_FAULTS),
+                                 st.integers(min_value=0, max_value=10 ** 6),
+                                 st.integers(min_value=0, max_value=10 ** 6)),
+                       max_size=2),
+       command=st.sampled_from(["collapse", "morita-check"]),
+       t0=st.none() | st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=4),
+       depth=st.integers(min_value=0, max_value=3),
+       ring=st.sampled_from(["z", "q", "zmod:4", "zmod:x"]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_certifier_keeps_its_exit_code_contract(seed, faults, command, t0, depth, ring,
+                                                tmp_path, capsys):
+    """``collapse`` and ``morita-check`` on a small random graph file with up
+    to two faults and a --t0 list that may name unknown, repeated or empty
+    vertices exit 0, 2 or 3.  Only exit 2 writes to stderr, one line and no
+    traceback, and then nothing to stdout.  Two runs print the same bytes,
+    and the kv and text reports agree on ok.  A wrong certified FAIL (exit
+    3) on a valid instance is a known defect of the orbit test, so exit 3
+    is not judged further."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng, max_vertices=4, max_edges=6)
+    path = tmp_path / "graph.txt"
+    path.write_bytes(with_faults(serialize_graph(g), faults))
+    argv = [command, "--graph", str(path), "--depth", str(depth)]
+    if t0 is not None:
+        names = g.vertices + T0_NOISE
+        argv += ["--t0", ",".join(names[i % len(names)] for i in t0)]
+    if command == "morita-check":
+        argv += ["--ring", ring]
+    code, out, err = run(capsys, *argv, "--format", "kv")
+    assert run(capsys, *argv, "--format", "kv") == (code, out, err)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        return
+    assert err == ""
+    text_code, text, _ = run(capsys, *argv, "--format", "text")
+    assert text_code == code
+    assert ("ok = true" in out.splitlines()[:3]) == (": pass" in text.splitlines()[0])
+    assert (code == 0) == ("ok = true" in out.splitlines()[:3])
+
+
+def test_the_certifier_builds_no_validating_path(graph_file, capsys, monkeypatch):
+    """``morita-check`` and ``collapse`` on the outsplit fixture read paths
+    flat: the validating ``Path`` constructor never runs, while each
+    ``Path`` the reports need is built by the trusting ``_path``."""
+    path = graph_file(OUTSPLIT_TEXT)
+    calls = []
+    init = Path.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "__init__", counting_init)
+    for argv in (["morita-check", "--t0", "u"], ["collapse", "--t0", "ua,ub"]):
+        code, out, err = run(capsys, *argv, "--graph", path, "--depth", "3")
+        assert (code, err) == (0, "")
+    assert calls == []
+    Path(load_graph(OUTSPLIT_TEXT), ("ra",))
+    assert len(calls) == 1
 
 
 # -- determinism and packaging -----------------------------------------------------------

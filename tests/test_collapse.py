@@ -13,23 +13,23 @@ import pytest
 
 from steinalg import (CollapseSpec, Graph, GroupoidProbe, InputError,
                       IntegerRing, Path, PathPair, Report, SteinbergElement,
-                      Transversal, VertexSubset,
-                      boundary_tails, check_phi_fin_image, collapse,
-                      collapsed_preimage, compose_pairs, concat, convolve,
-                      enumerate_paths, first_hit_extensions,
-                      from_terms, indicator, is_prefix,
-                      pair_contains, pairs_to_depth,
-                      load_graph, pointed_groupoid_iso_check,
-                      serialize_graph, validate_collapsible, vertex_path)
+                      Transversal, VertexSubset, boundary_tails,
+                      check_phi_fin_image, collapse, compose_pairs, concat,
+                      convolve, enumerate_paths, first_hit_extensions,
+                      from_terms, indicator, is_prefix, pair_contains,
+                      pairs_to_depth, load_graph, pointed_groupoid_iso_check,
+                      serialize_graph, validate_collapsible)
 from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
-                               _legs_depth, _transport)
+                               _collapsed_edges, _legs_depth, _transport)
 from steinalg.cylinder import (_build, _compose, _flat, _minimal, _RangeLegIndex,
                                _window)
-from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT, long_line,
-                            minimal_pair, path_map_image_report, phi_fin,
-                            phi_pair, probe_window, recording_range_leg_index)
+from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
+                            collapsed_preimage, long_line, minimal_pair,
+                            path_map_image_report, phi_fin, phi_pair,
+                            probe_window, recording_range_leg_index,
+                            vertex_path)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -647,31 +647,31 @@ def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
 
 
 def test_coverage_decides_each_leg_once(monkeypatch):
-    """Step (c) asks for a collapsed preimage at most once per distinct leg
-    of its window and first hit at the leg's source vertex, on honest
+    """Step (c) splits a leg extended by a first hit at the leg's source
+    vertex at most once per distinct leg of its window and hit, on honest
     certificates and with a collapsed edge dropped.  Its verdict and
-    defect are those of the loop that asks for both legs of every pair's
-    pieces in turn."""
+    defect are those of the loop that asks for the collapsed preimage of
+    both legs of every pair's pieces in turn."""
     outsplit = load_graph(OUTSPLIT_TEXT)
     certs = [collapse(CollapseSpec(outsplit, t0)) for t0 in (["u"], ["ua", "ub"])]
     certs += [collapse(spec) for spec in corpus(13)]
     certs += [drop_collapsed_edge(c, c.collapsed.edges[0].id)
               for c in certs if c.collapsed.edges]
     module = importlib.import_module("steinalg.collapse")
-    preimage = module.collapsed_preimage
+    split = module._collapsed_edges
     asked = []
 
-    def recording_preimage(cert, epath):
-        asked.append(epath)
-        return preimage(cert, epath)
+    def recording_split(cert, edges):
+        asked.append(edges)
+        return split(cert, edges)
 
-    monkeypatch.setattr(module, "collapsed_preimage", recording_preimage)
+    monkeypatch.setattr(module, "_collapsed_edges", recording_split)
     for cert in certs:
         g, t0 = cert.original, cert.t0
         window = pairs_to_depth(g, 3, ranges=cert.f0, limit=_COVERAGE_PAIR_CAP)
         first = next((pair for pair in window
-                      if any(preimage(cert, concat(pair.mu, tau)) is None
-                             or preimage(cert, concat(pair.nu, tau)) is None
+                      if any(collapsed_preimage(cert, concat(pair.mu, tau)) is None
+                             or collapsed_preimage(cert, concat(pair.nu, tau)) is None
                              for tau in first_hit_extensions(g, t0, pair.source_vertex))),
                      None)
         asked.clear()
@@ -680,7 +680,7 @@ def test_coverage_decides_each_leg_once(monkeypatch):
             "pass" if first is None
             else "fail (piece of %s has no collapsed preimage)" % first.render())
         legs = {leg for pair in window for leg in (pair.mu, pair.nu)}
-        allowed = Counter(concat(leg, tau) for leg in legs
+        allowed = Counter(concat(leg, tau).edges for leg in legs
                           for tau in first_hit_extensions(g, t0, leg.source_vertex))
         assert asked
         assert not Counter(asked) - allowed
@@ -1255,3 +1255,83 @@ def test_checks_read_edge_paths_not_edge_names():
             for p in enumerate_paths(other.collapsed, max_len=depth):
                 assert collapsed_preimage(other, phi_fin(other, p)) == p
     assert passing == 48
+
+
+def collapse_pin_groups():
+    """The certificates the collapse pins check, by group: outsplit with
+    each collapsed set, four collapse corpora, each corpus certificate with
+    its first collapsed edge dropped, duplicated or given the path of the
+    first edge parallel to it, and the corrupted certificates."""
+    g = load_graph(OUTSPLIT_TEXT)
+    certs = [collapse(spec) for s in (1, 7, 13, 21) for spec in corpus(s)]
+    edged = [c for c in certs if c.collapsed.edges]
+    return {
+        "outsplit": [collapse(CollapseSpec(g, t0))
+                     for t0 in (["u"], ["ua"], ["ub"], ["ua", "ub"])],
+        "corpora": certs,
+        "dropped": [drop_collapsed_edge(c, c.collapsed.edges[0].id) for c in edged],
+        "duplicated": [duplicate_collapsed_edge(c, c.collapsed.edges[0]) for c in edged],
+        "moved": [move_collapsed_edge(c, *parallel_pairs(c)[0])
+                  for c in certs if parallel_pairs(c)],
+        "corrupted": corrupted_certificates(),
+    }
+
+
+def test_collapse_reports_are_pinned():
+    """The sha256 of the image reports at max-len 3 and 4 and the iso
+    reports at depths 2 and 3 of each group of ``collapse_pin_groups``,
+    recorded before the certifier's internals moved to flat paths, with
+    each group's size and how many of its reports fail."""
+    got = {}
+    for name, certs in collapse_pin_groups().items():
+        reports = [check_phi_fin_image(c, n) for c in certs for n in (3, 4)]
+        reports += [pointed_groupoid_iso_check(c, d) for c in certs for d in (2, 3)]
+        got[name] = (len(certs), sum(not r.ok for r in reports), report_digest(reports))
+    assert got == COLLAPSE_PINS
+
+
+COLLAPSE_PINS = {
+    "outsplit": (4, 0, "46edf574c344b429ff50c0c113b81ed5a9bb67af81d8c50f324140079d9f6d22"),
+    "corpora": (80, 0, "e8408dbc8f4144a22bdb67ab1e428dc7940ed5d93a6a95d8f7dd616593da210d"),
+    "dropped": (71, 284, "05999d874e8ed0fbdfa040ef3f61ed7769eb32769c9edb1a493c435b6aedaa85"),
+    "duplicated": (71, 284, "4fc4d644b2aa25cc32453ad74e10b1abd7177a6bb5e5d839ef65226a81740b2a"),
+    "moved": (42, 168, "e92ba03524efa4885adacc1b48ea21fed463025c17f3848c68f608ca82a59816"),
+    "corrupted": (5, 20, "0505b77d789ed4c56a50bdb9037c30688f0c5419ea0701dae5f3e57be9c7e120"),
+}
+
+
+def swap_edge_paths(cert, e, other):
+    """The certificate with the paths of two collapsed edges exchanged."""
+    paths = cert.edge_paths
+    return dataclasses.replace(
+        cert, edge_paths=dict(paths, **{e.id: paths[other.id], other.id: paths[e.id]}))
+
+
+def with_ghost_key(cert, e):
+    """The certificate whose edge_paths also holds e's path under a key that
+    names no collapsed edge, after e's own, so edge_of_path finds the key."""
+    return dataclasses.replace(cert, edge_paths=dict(cert.edge_paths,
+                                                     ghost=cert.edge_paths[e.id]))
+
+
+def test_split_decides_what_the_collapsed_preimage_decides():
+    """Step (c)'s flat split gives the edges of the collapsed preimage, or
+    None where there is none, for every nonempty path of length <= 3
+    between retained vertices: on the pinned certificate groups, and with
+    an edge_paths key that names no collapsed edge or two edges' paths
+    exchanged, whose ids then do not compose in the collapsed graph."""
+    groups = collapse_pin_groups()
+    edged = [c for c in groups["corpora"] if c.collapsed.edges]
+    certs = [c for group in groups.values() for c in group]
+    certs += [with_ghost_key(c, c.collapsed.edges[0]) for c in edged]
+    certs += [swap_edge_paths(c, *c.collapsed.edges[:2])
+              for c in edged if len(c.collapsed.edges) > 1]
+    verdicts = Counter()
+    for cert in certs:
+        f0 = cert.f0
+        for p in enumerate_paths(cert.original, max_len=3):
+            if p.edges and p.range_vertex in f0 and p.source_vertex in f0:
+                want = collapsed_preimage(cert, p)
+                assert _collapsed_edges(cert, p.edges) == (want and want.edges)
+                verdicts[want is None] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0

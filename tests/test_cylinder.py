@@ -17,15 +17,16 @@ import pytest
 from steinalg import (BasicBisection, GroupoidProbe, IntegerRing, IntegersMod,
                       Path, PathPair, RationalRing, add, as_bisection,
                       boundary_tails, compose_pairs, concat, convolve,
-                      enumerate_paths, expand, indicator, invert_pair,
-                      pair_contains, pairs_to_depth, strip_prefix, vertex_path)
+                      enumerate_paths, expand, indicator, pair_contains,
+                      pairs_to_depth, strip_prefix)
 from steinalg import Graph, collapse, load_graph, sampling
 from steinalg.collapse import _transport
 from steinalg.cylinder import _compose, _flat, _minimal, _RangeLegIndex, _window
-from tests.conftest import (common_depth_terms, forward_walk, long_line,
-                            member, minimal_pair, partners, plan_composites,
-                            prefix, probes_in, reference_compose_pairs,
-                            reference_minimal_pair, sweep_graph)
+from tests.conftest import (common_depth_terms, forward_walk, invert_pair,
+                            long_line, member, minimal_pair, partners,
+                            plan_composites, prefix, probes_in,
+                            reference_compose_pairs, reference_minimal_pair,
+                            sweep_graph, vertex_path)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 

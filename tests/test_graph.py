@@ -8,10 +8,9 @@ import pytest
 
 from steinalg import (Edge, Graph, GraphFormatError, Path, VertexSubset, concat,
                       enumerate_paths, is_acyclic, is_prefix, load_graph,
-                      serialize_graph, sources, strip_prefix, subgraph,
-                      vertex_path)
+                      serialize_graph, sources, strip_prefix, subgraph)
 from steinalg import cli, graph as graph_module, sampling
-from tests.conftest import TWO_CYCLE_TEXT, long_line, random_graph_text
+from tests.conftest import TWO_CYCLE_TEXT, long_line, random_graph_text, vertex_path
 
 
 def test_load_serialize_roundtrip(two_cycle):

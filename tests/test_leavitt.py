@@ -11,12 +11,13 @@ from steinalg import (BasicBisection, InputError, IntegerRing, IntegersMod,
                       Path, PathPair, RationalRing, WordSyntaxError, add,
                       check_ck_relations, convolve, eval_word, generator,
                       indicator, indicator_as_word, load_graph, parse_word,
-                      scale, vertex_path)
+                      scale)
 from steinalg import leavitt, sampling
 from steinalg.leavitt import (MAX_NESTING, NegWord, ProductWord, ScalarWord,
                               SumWord, SymbolWord, _tokenize)
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
-                            element_level_eval_word, random_bisection)
+                            element_level_eval_word, random_bisection,
+                            vertex_path)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))

@@ -1,5 +1,6 @@
 """The linking matrix algebra, its context maps, and surjectivity witnesses."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -13,10 +14,11 @@ import pytest
 from steinalg import (Corner, CornerSupportError, Graph, InputError,
                       IntegerRing, IntegersMod, LinkingElement, Path, PathPair,
                       RationalRing, SteinbergElement, Transversal, add,
-                      concat, convolve, corner_of, eq_ops_check, indicator,
-                      least_connectors, linking_convolve, load_graph,
-                      morita_report, pairs_to_depth, phi, psi,
-                      surjectivity_witness, vertex_path, zero)
+                      concat, convolve, corner_of, eq_ops_check,
+                      first_hit_extensions, indicator, least_connectors,
+                      linking_convolve, load_graph, morita_report,
+                      pairs_to_depth, phi, psi, serialize_graph,
+                      surjectivity_witness, zero)
 from steinalg import morita, sampling
 from steinalg.cylinder import _flat
 from steinalg.morita import element_supported_in
@@ -25,7 +27,7 @@ from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, backward_walk,
                             long_line, pair_supported_in,
                             path_walk_corner_element, path_walk_element,
                             path_walk_pair, per_target_witness_rows,
-                            random_transversal, relaxed_connectors)
+                            random_transversal, relaxed_connectors, vertex_path)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
@@ -149,6 +151,49 @@ def test_least_connectors_match_the_relaxation(seed):
         got = least_connectors(g, f0)
         assert got == relaxed_connectors(g, f0)
         assert got["x"] is None
+
+
+def string_named_graph():
+    """A vertex ab next to a and b: "ab" read as its characters is {a, b}."""
+    return load_graph("vertices: a, b, ab\nedge: e a <- ab\nedge: f ab <- b\n")
+
+
+def z_e_e(g):
+    e = Path(g, ("e",))
+    return PathPair(e, e)
+
+
+def sampled_ranges(g, f0):
+    """The range vertices of the legs of five random GG elements over f0."""
+    rng = sampling.rng_from_seed(4)
+    return {leg.range_vertex for _ in range(5)
+            for p in sampling.random_corner_element(rng, g, IntegerRing(), f0,
+                                                    Corner.GG).terms
+            for leg in (p.mu, p.nu)}
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda g, f0: least_connectors(g, f0)["b"], "f"),
+    (lambda g, f0: corner_of(z_e_e(g), f0), Corner.HH),
+    (lambda g, f0: element_supported_in(indicator(z_e_e(g), IntegerRing()), f0,
+                                        Corner.GG), False),
+    (lambda g, f0: first_hit_extensions(g, f0, "ab"), ["f"]),
+    (lambda g, f0: sampled_ranges(g, f0), {"ab"}),
+], ids=["least_connectors", "corner_of", "element_supported_in",
+        "first_hit_extensions", "random_corner_element"])
+def test_a_vertex_set_given_as_one_string_is_rejected(call, want):
+    """Each entry point that takes a retained or collapsed vertex set reads
+    it by VertexSubset's rule: the string "ab" raises InputError rather
+    than naming {a, b}, and ["ab"] is the set {ab}."""
+    g = string_named_graph()
+    with pytest.raises(InputError, match="not one string"):
+        call(g, "ab")
+    got = call(g, ["ab"])
+    if isinstance(got, list):
+        got = [p.render() for p in got]
+    elif isinstance(got, Path):
+        got = got.render()
+    assert got == want
 
 
 def test_transversal_value_equality(two_cycle):
@@ -935,3 +980,102 @@ def test_witness_sections_match_the_per_target_loop():
                                      not in (None, "pass")]
                 outcomes[str(rep.value("witnesses", "phi-verified"))[:4]] += 1
     assert outcomes["pass"] > 0 and outcomes["fail"] > 0 and outcomes["None"] > 0
+
+
+# -- outputs pinned across internal rewrites ------------------------------------
+
+
+def text_digest(lines):
+    """The sha256 of the given lines, each ended by a newline."""
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+OUTSPLIT_T0S = (["u"], ["ua"], ["ub"], ["ua", "ub"])
+
+
+def render_witness(w):
+    """A witness as one line: its kv report and its pieces."""
+    pieces = ";".join("%s,%s" % (v.render(), "None" if n is None else n.render())
+                      for v, n in w.pieces)
+    return w.report.render_kv() + "pieces: " + pieces
+
+
+def morita_pin_groups():
+    """The outputs the Morita pins hash, by group: morita_report's kv
+    reports on outsplit and on four collapse corpora, and the surjectivity
+    witnesses of every depth-3 outsplit target on both sides, with the
+    least connectors and with corrupted ones."""
+    g = load_graph(OUTSPLIT_TEXT)
+    groups = {
+        "morita-outsplit": [morita_report(g, t0, ring, depth=d).render_kv()
+                            for t0 in OUTSPLIT_T0S for d in range(1, 6) for ring in RINGS],
+        "morita-corpora": [morita_report(spec.graph, spec.t0, RINGS[0], depth=2).render_kv()
+                           for s in (1, 7, 13, 21)
+                           for spec in sampling.collapse_corpus(s, 20)],
+    }
+    window = pairs_to_depth(g, 3)
+    honest, corrupted = [], []
+    for i, t0 in enumerate(OUTSPLIT_T0S):
+        t = Transversal(g, [v for v in g.vertices if v not in t0])
+        bad = Transversal(g, t.f0)
+        object.__setattr__(bad, "_connectors",
+                           corrupt_connectors(sampling.rng_from_seed(i), t))
+        for out, tr in ((honest, t), (corrupted, bad)):
+            out += [render_witness(surjectivity_witness(tr, RINGS[0], pair, side))
+                    for pair in window for side in ("psi", "phi")]
+    groups["witness-honest"] = honest
+    groups["witness-corrupted"] = corrupted
+    return groups
+
+
+def test_morita_reports_and_witnesses_are_pinned():
+    """The sha256 of each group of ``morita_pin_groups``, recorded before
+    the certifier's internals moved to flat paths, with the groups' sizes
+    and how many of their reports fail."""
+    groups = morita_pin_groups()
+    assert {k: (len(v), text_digest(v)) for k, v in groups.items()} == MORITA_PINS
+    assert sum("ok = false" in r for r in groups["morita-corpora"]) == MORITA_CORPORA_FAILING
+
+
+def sampler_pin_stream(seed):
+    """The draws of the seeded samplers from one seed, rendered: a collapse
+    corpus, then on a random graph and on outsplit random pairs (free and
+    constrained), adequate probes over them, and corner elements of every
+    block over a retained set."""
+    out = ["%s|%s" % (serialize_graph(spec.graph), spec.t0.render())
+           for spec in sampling.collapse_corpus(seed, 10)]
+    rng = sampling.rng_from_seed(seed)
+    for g in (sampling.random_graph(rng), load_graph(OUTSPLIT_TEXT)):
+        f0 = [v for v in g.vertices if rng.random() < 0.5] or list(g.vertices[:1])
+        for row, col in ((None, None), (f0, None), (None, f0), (f0, f0)):
+            try:
+                pair = sampling.random_pair(rng, g, rng.randint(0, 3), row, col)
+            except ValueError as exc:
+                out.append("ValueError: %s" % exc)
+                continue
+            out.append(pair.render())
+            out.append(sampling.random_adequate_probe(rng, g, pair, rng.randint(0, 3)).render())
+        for ring in RINGS:
+            for corner in Corner:
+                out.append(sampling.random_corner_element(rng, g, ring, f0, corner).render())
+        out.append(repr(rng.random()))
+    return out
+
+
+def test_sampler_streams_are_pinned():
+    """The sha256 of the seeded samplers' draws for seeds 0-49, recorded
+    before the samplers' walks moved to flat paths: equal streams keep
+    every seeded corpus and benchmark input as it was."""
+    lines = [line for seed in range(50) for line in sampler_pin_stream(seed)]
+    assert (len(lines), text_digest(lines)) == SAMPLER_PINS
+
+
+MORITA_PINS = {
+    "morita-outsplit": (60, "c8af3cb66495a4adeca809d4da18316151f07cd83fa0c6e0417d111c661141b6"),
+    "morita-corpora": (80, "7061644ca3d15a5a74f5c6adff0e472124e476d4fe60a0d133153fe32dfc0a8c"),
+    "witness-honest": (1224, "b083491fb677fedd1c2983f2e727d825df6c194e0297148666ea3a27b4d31eb0"),
+    "witness-corrupted":
+        (1224, "d909678e765bed725d0d5079e737a2f25e7c3bd93345f7861ef45ced2b4ae76b"),
+}
+MORITA_CORPORA_FAILING = 43
+SAMPLER_PINS = (2600, "32124eb14aa32aaacae1fc68cb1cafbee039633bf321fdfe323239de1cf5f8a1")

@@ -118,3 +118,37 @@ def test_every_public_name_has_a_program_caller():
     wanted += [("%s.%s" % (p.stem, qualified), name)
                for p in modules for qualified, name in public_definitions(p)]
     assert sorted({qualified for qualified, name in wanted if name not in seen}) == []
+
+
+# The object helpers: the validating Path and the operations and windows on
+# Path and PathPair objects.  Inside the package a path or pair is flat.
+OBJECT_HELPERS = {"Path", "concat", "strip_prefix", "is_prefix", "vertex_path",
+                  "enumerate_paths", "compose_pairs", "pairs_to_depth"}
+# The modules that may read them, and which: cylinder's boundary classes,
+# steinberg's pointwise oracle, and morita's compose_pairs and
+# pairs_to_depth, which the benchmark reads as attributes of morita.
+BOUNDARY_READS = {
+    "cylinder": {"Path", "concat", "is_prefix", "strip_prefix"},
+    "steinberg": {"concat", "strip_prefix"},
+    "morita": {"compose_pairs", "pairs_to_depth"},
+}
+
+
+def test_object_helpers_are_read_only_at_the_boundary():
+    """No package module but ``__init__``, which re-exports, and ``graph``,
+    which defines most of them, imports an object helper or reads one as an
+    attribute beyond its entry in BOUNDARY_READS."""
+    outside = {}
+    for p in sorted((ROOT / "src" / "steinalg").glob("*.py")):
+        if p.stem in ("__init__", "graph"):
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        extra = (names & OBJECT_HELPERS) - BOUNDARY_READS.get(p.stem, set())
+        if extra:
+            outside[p.stem] = sorted(extra)
+    assert outside == {}

@@ -12,17 +12,16 @@ import pytest
 
 from steinalg import (BasicBisection, Graph, GroupoidProbe, InputError,
                       IntegerRing, IntegersMod, Path, PathPair, RationalRing,
-                      SteinbergElement, add, compose_pairs,
-                      convolve, evaluate, expand, from_terms, grade,
-                      graded_component, indicator, load_graph, negate,
-                      oracle_convolve_at, pair_contains, pairs_to_depth,
-                      ring_from_spec, scale, vertex_path, zero)
+                      SteinbergElement, add, compose_pairs, convolve, evaluate,
+                      expand, from_terms, grade, graded_component, indicator,
+                      load_graph, negate, oracle_convolve_at, pair_contains,
+                      pairs_to_depth, ring_from_spec, scale, zero)
 from steinalg import cylinder, sampling, steinberg
 from steinalg.cylinder import _flat, _RangeLegIndex
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
                             backward_walk, common_depth_terms, forward_walk,
                             partners, prefix, random_bisection,
-                            recording_range_leg_index, sweep_graph)
+                            recording_range_leg_index, sweep_graph, vertex_path)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing())
