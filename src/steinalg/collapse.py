@@ -208,11 +208,11 @@ def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
     vertices, windowed at the given original-graph path length.
 
     Both sides are flat: a path is keyed by its edge ids, a vertex path by
-    its vertex, and a collapsed path's image is its leg image
-    (``_leg_image``).  The collapsed graph is walked only as far as the
-    images fit in the window, and each path is mapped once.  A ``Path`` is
-    built only to name the least path the images miss.  A negative max_len
-    raises ValueError.
+    its vertex, and a collapsed path's image is its edges' paths end to
+    end, extended by one edge's path at each step of the walk.  The
+    collapsed graph is walked only as far as the images fit in the window,
+    and each path is mapped once.  A ``Path`` is built only to name the
+    least path the images miss.  A negative max_len raises ValueError.
     """
     rep = Report("path map image")
     if not _check_well_formed(cert, rep):
@@ -223,19 +223,19 @@ def check_phi_fin_image(cert: CollapseCertificate, max_len: int) -> Report:
               for edges, v, source in _flat_paths(g, max_len, f0)
               if source in f0}
     # Every collapsed edge maps to a nonempty path, so an image is longer
-    # than the image of each prefix: the walk carries its image's length
-    # and ends a branch once the image would leave the window.
+    # than the image of each prefix: the walk carries its image and ends a
+    # branch once the image would leave the window.
     F = cert.collapsed
     images = list(F.vertices)
-    stack = [((), v, 0) for v in F.vertices]
+    stack = [((), v) for v in F.vertices]
     while stack:
-        edges, source, length = stack.pop()
+        image, source = stack.pop()
         for e in F.edges_with_range(source):
-            longer = length + len(paths[e.id])
-            if longer <= max_len:
-                walk = edges + (e.id,)
-                images.append(_leg_image(paths, walk)[0])
-                stack.append((walk, e.source_vertex, longer))
+            step = paths[e.id].edges
+            if len(image) + len(step) <= max_len:
+                longer = image + step
+                images.append(longer)
+                stack.append((longer, e.source_vertex))
     rep.add("window", "max-len", max_len)
     rep.add("window", "collapsed-paths", len(images))
     rep.add("window", "target-paths", len(target))

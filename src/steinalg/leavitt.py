@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from .cylinder import _compose, _invert, as_bisection
 from .errors import InputError
 from .report import Report
+from .rings import int_of_text, int_text
 from .steinberg import SteinbergElement, add_all, convolve, negate, scale, zero
 
 
@@ -103,7 +104,10 @@ class ScalarWord(_Word):
     value: int
 
     def _render_parts(self):
-        return [str(self.value)]
+        return [int_text(self.value)]
+
+    def _repr_parts(self):
+        return ["ScalarWord(value=", int_text(self.value), ")"]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -156,7 +160,7 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(int(text[i:j]))
+            tokens.append(int_of_text(text[i:j]))
             i = j
         elif c.isalnum() or c == "_":
             j = i
@@ -255,7 +259,8 @@ def parse_word(text):
         elif tok is None:
             return cur.close()
         else:
-            raise WordSyntaxError("trailing input from token %r" % (tok,))
+            raise WordSyntaxError("trailing input from token %s"
+                                  % (int_text(tok) if isinstance(tok, int) else repr(tok)))
         # A factor is complete: wrap it in the minus signs before it.
         for _ in range(cur.negs):
             word = NegWord(word)

@@ -21,9 +21,31 @@ form divides out gcd(D, *ints).
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError
+
+
+def int_text(n: int) -> str:
+    """The decimal text of an int of any size: str() refuses ints past
+    CPython's process-wide int/str digit limit (4,300 digits by default),
+    and Decimal converts exactly with no limit, leaving the limit as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def int_of_text(text: str) -> int:
+    """The int that text spells, as int() reads it; a run of decimal
+    digits may be of any length (see ``int_text``)."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.isdecimal():
+            raise
+        return int(Decimal(text))
 
 
 class CoefficientRing:
@@ -83,7 +105,7 @@ class CoefficientRing:
                 return a
 
     def render(self, a):
-        return str(a)
+        return int_text(a)
 
     def __eq__(self, other):
         return isinstance(other, CoefficientRing) and other.name == self.name
@@ -124,6 +146,10 @@ class RationalRing(CoefficientRing):
     def sample(self, rng):
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
+    def render(self, a):
+        text = int_text(a.numerator)
+        return text if a.denominator == 1 else text + "/" + int_text(a.denominator)
+
 
 class IntegersMod(CoefficientRing):
     """The ring of integers modulo n, values stored as residues 0..n-1."""
@@ -135,7 +161,7 @@ class IntegersMod(CoefficientRing):
         if n < 2:
             raise InputError("modulus must be >= 2")
         self.modulus = n
-        self.name = "zmod:%d" % n
+        self.name = "zmod:" + int_text(n)
 
     def normal(self, x):
         return x % self.modulus
@@ -152,7 +178,7 @@ def ring_from_spec(spec: str) -> CoefficientRing:
         return RationalRing()
     if spec.startswith("zmod:"):
         try:
-            n = int(spec.split(":", 1)[1])
+            n = int_of_text(spec.split(":", 1)[1])
         except ValueError:
             raise InputError("bad modulus in %r" % (spec,)) from None
         return IntegersMod(n)

@@ -19,7 +19,6 @@ import random
 from .collapse import CollapseSpec, collapse, validate_collapsible
 from .cylinder import GroupoidProbe, PathPair, _build
 from .graph import Graph, VertexSubset, _as_subset, _path, _require_vertex
-from .morita import Corner
 from .steinberg import SteinbergElement, _from_flat, zero
 
 
@@ -110,10 +109,11 @@ def random_element(rng, g, ring, max_terms=3, max_len=2) -> SteinbergElement:
     return _random_flat_element(rng, g, ring, max_terms, max_len)
 
 
-def random_corner_element(rng, g, ring, f0, corner: Corner,
+def random_corner_element(rng, g, ring, f0, corner,
                           max_terms=2, max_len=2) -> SteinbergElement:
-    """A random element supported in the corner's block; the zero element,
-    the block's only one, when the block constrains a leg and f0 is empty."""
+    """A random element supported in the block of ``corner``, a
+    ``morita.Corner``; the zero element, the block's only one, when the
+    block constrains a leg and f0 is empty."""
     f0 = _as_subset(g, f0).members
     row_req, col_req = corner.value
     if (row_req or col_req) and not f0:

@@ -474,21 +474,20 @@ def element_level_surjectivity_witness(transversal, ring, pair, side):
     return MoritaWitness(side, pair, ((v, n),), rep)
 
 
-def per_target_witness_rows(transversal, ring, depth, cap):
+def per_target_witness_rows(transversal, ring, depth):
     """The ``witnesses`` rows of ``morita_report`` (transversal met) as they
-    were when every target was decided: each side lists its targets up to
-    the cap with ``pairs_to_depth``, flattens each with ``_flat`` and decides
-    its rows with ``_witness_rows``, and the first failing target's witness
-    report names the failed rows."""
+    were when every target was decided: each side lists its targets with
+    ``pairs_to_depth``, flattens each with ``_flat`` and decides its rows
+    with ``_witness_rows``, and the first failing target's witness report
+    names the failed rows."""
     graph, f0 = transversal.graph, transversal.f0
     window = pairs_to_depth(graph, depth)
     rows = []
-    for side, ranges in (("psi", f0), ("phi", None)):
-        total = sum(1 for p in window if ranges is None or corner_of(p, f0) is Corner.GG)
-        capped = pairs_to_depth(graph, depth, ranges=ranges, limit=cap)
-        rows.append(("%s-targets" % side, "%d of %d" % (len(capped), total)))
+    for side in ("psi", "phi"):
+        targets = [p for p in window if side == "phi" or corner_of(p, f0) is Corner.GG]
+        rows.append(("%s-targets" % side, "%d of %d" % (len(targets), len(targets))))
         bad = None
-        for p in capped:
+        for p in targets:
             if not _holds(_witness_rows(transversal, graph, _flat(p), side)):
                 w = surjectivity_witness(transversal, ring, p, side)
                 bad = "%s: %s" % (p.render(), ", ".join(w.report.failures()))

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, exit code by exit code."""
 
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -209,10 +210,11 @@ def is_edge_line(line):
 
 def with_faults(text, faults):
     """The bytes of a graph text with each (kind, i, j) fault applied in
-    turn; i picks a line or byte, j what is put there."""
+    turn; i picks a line or byte, j what is put there.  Bytes are inserted
+    after the line faults, and flipped last."""
     lines = text.splitlines()
     head = b""
-    tail = []
+    tail, flips = [], []
     for kind, i, j in faults:
         edges = [k for k, line in enumerate(lines) if is_edge_line(line)]
         if kind == "repeated-id" and edges:
@@ -229,14 +231,23 @@ def with_faults(text, faults):
             choices = {"broken-syntax": BROKEN_LINES, "blank-line": BLANK_LINES,
                        "comment-line": COMMENT_LINES}[kind]
             lines.insert(i % (len(lines) + 1), choices[j % len(choices)])
+        elif kind == "drop-line" and lines:
+            del lines[i % len(lines)]
+        elif kind == "repeat-line" and lines:
+            lines.insert(i % len(lines), lines[i % len(lines)])
         elif kind == "byte-order-mark":
             head += "\ufeff".encode()
         elif kind == "not-utf8":
             tail.append((i, (b"\xff", b"\xc3(", b"\xe2\x82", b"\x80")[j % 4]))
+        elif kind == "flip-byte":
+            flips.append((i, 1 + j % 255))
     data = head + ("\n".join(lines) + "\n").encode()
     for i, junk in tail:
         at = i % (len(data) + 1)
         data = data[:at] + junk + data[at:]
+    for i, mask in flips:
+        at = i % len(data)
+        data = data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
     return data
 
 
@@ -313,6 +324,29 @@ def test_grade_of_a_unit_plus_a_deep_pair(graph_file, capsys):
     canonical = " + ".join(terms)
     assert "\ncanonical: %s\n" % canonical in out
     assert "components-sum-back: pass" in out
+
+
+@pytest.mark.parametrize("ring", ["z", "q", "zmod:7"])
+def test_coefficients_past_the_int_text_digit_limit(ring, graph_file, capsys):
+    """Coefficients longer than CPython's 4,300-digit int <-> str limit
+    parse and render exactly, and the process-wide limit is untouched: a
+    5,000-digit scalar, a product of two 4,000-digit ones, and the same
+    scalar after other tokens."""
+    path = graph_file("vertices: v\n")
+    limit = sys.get_int_max_str_digits()
+    n5, n4 = "9" * 5000, "9" * 4000
+    # (10^4000 - 1)^2 = 10^8000 - 2 * 10^4000 + 1.  Mod 7, 10^6 = 1, so
+    # 10^5000 - 1 = 10^2 - 1 = 1 and 10^4000 - 1 = 10^4 - 1 = 3, squared 2.
+    square = "9" * 3999 + "8" + "0" * 3999 + "1"
+    want = {"z": (n5, square), "q": (n5, square), "zmod:7": ("1", "2")}[ring]
+    for word, value in (("%s * p(v)" % n5, want[0]), ("%s * %s * p(v)" % (n4, n4), want[1])):
+        code, out, err = run(capsys, "grade", "--graph", path, "--ring", ring, word)
+        assert (code, err) == (0, "")
+        assert "\ncanonical: %s * Z(v,v)\n" % value in out
+        assert "\ncomponents-sum-back: pass\n" in out
+    code, out, err = run(capsys, "grade", "--graph", path, "--ring", ring, "p(v) " + n5)
+    assert (code, out, err) == (2, "", "error: trailing input from token %s\n" % n5)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def nested_words(n):
@@ -518,6 +552,102 @@ def test_certifier_keeps_its_exit_code_contract(seed, faults, command, t0, depth
         return
     assert err == ""
     text_code, text, _ = run(capsys, *argv, "--format", "text")
+    assert text_code == code
+    assert ("ok = true" in out.splitlines()[:3]) == (": pass" in text.splitlines()[0])
+    assert (code == 0) == ("ok = true" in out.splitlines()[:3])
+
+
+# Noise for the input commands.  A rename puts a character the formats
+# reserve (word syntax, the graph format's separators and comment mark, a
+# non-breaking space) into one id wherever the id occurs; the other faults
+# act on a line or on the file's bytes.
+INPUT_FAULTS = ("drop-line", "repeat-line", "flip-byte", "byte-order-mark", "not-utf8")
+RESERVED_CHARS = (",", "#", "(", ")", "*", "+", "-", ".", ":", "<-", "\u00a0", "\u0663")
+WORD_NOISE = ("*", " * ", "+", " - ", "-", "(", ")", " ", "@", "p()", "q(v1)",
+              "p(nowhere)", "s(", "\u0663", "\u00b2", "0", "07")
+DIGIT_RUNS = (1, 2, 40, 4300, 4301, 5000)
+RING_SPECS = ("z", "q", "zmod:2", "zmod:4", "zmod:7", "zmod:" + "9" * 5000,
+              "zmod:", "zmod:x", "zmod:1", "zmod:0", "zmod:-3", "zmod:1_0",
+              "zmod: 5", "gf:9", "", "Z", "q ")
+
+
+def renamed_text(g, renames):
+    """g's text with one id renamed per (i, j), i picking the id and j the
+    reserved character put into it, and the ids after the renames, as
+    (vertices, edge ids)."""
+    text = serialize_graph(g)
+    vertices, edges = list(g.vertices), list(g.edge_ids)
+    for i, j in renames:
+        ids = vertices if i % 2 else edges
+        k = (i // 2) % len(ids)
+        old = ids[k]
+        ids[k] = old[:1] + RESERVED_CHARS[j % len(RESERVED_CHARS)] + old[1:]
+        text = re.sub(r"(?<!\w)%s(?!\w)" % re.escape(old), ids[k], text)
+    return text, (vertices, edges)
+
+
+word_pieces = st.lists(
+    st.sampled_from(WORD_NOISE)
+    | st.tuples(st.sampled_from(("p", "s", "st")), st.integers(min_value=0, max_value=12))
+    | st.sampled_from(DIGIT_RUNS).map(lambda n: "9" * n),
+    min_size=1, max_size=6)
+
+
+def noisy_word(pieces, ids):
+    """The word of the drawn pieces: a (kind, i) piece names the i-th
+    vertex (p) or edge (s, st) when there is one, else an unknown id."""
+    vertices, edges = ids
+    out = []
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            kind, i = piece
+            names = vertices if kind == "p" else edges
+            piece = "%s(%s)" % (kind, names[i] if i < len(names) else "nowhere")
+        out.append(piece)
+    return "".join(out)
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 9),
+       renames=st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                                  st.integers(min_value=0, max_value=10 ** 6)),
+                        max_size=2),
+       faults=st.lists(st.tuples(st.sampled_from(INPUT_FAULTS),
+                                 st.integers(min_value=0, max_value=10 ** 6),
+                                 st.integers(min_value=0, max_value=10 ** 6)),
+                       max_size=3),
+       command=st.sampled_from(["validate", "mul", "grade", "relations"]),
+       words=st.tuples(word_pieces, word_pieces),
+       ring=st.sampled_from(RING_SPECS))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_input_commands_keep_their_exit_code_contract(seed, renames, faults, command,
+                                                      words, ring, tmp_path, capsys):
+    """``validate``, ``mul``, ``grade`` and ``relations`` on a small random
+    graph file with up to two renamed ids and three faults, noisy words with digit runs past
+    the int <-> str digit limit, and good and malformed ring specs exit 0, 2
+    or 3.  Exit 2 writes one stderr line, no traceback, and nothing to
+    stdout; the other exits write nothing to stderr.  Two runs print the
+    same bytes, and the kv and text reports agree on ok."""
+    rng = sampling.rng_from_seed(seed)
+    text, ids = renamed_text(sampling.random_graph(rng, max_vertices=4, max_edges=6),
+                             renames)
+    path = tmp_path / "graph.txt"
+    path.write_bytes(with_faults(text, faults))
+    argv = [command, "--graph", str(path)]
+    if command != "validate":
+        argv += ["--ring", ring]
+    nwords = {"mul": 2, "grade": 1}.get(command, 0)
+    # "--" ends the options, so a word may start with "-".
+    tail = ["--", *(noisy_word(w, ids) for w in words[:nwords])] if nwords else []
+    code, out, err = run(capsys, *argv, "--format", "kv", *tail)
+    assert run(capsys, *argv, "--format", "kv", *tail) == (code, out, err)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        return
+    assert err == ""
+    text_code, text, _ = run(capsys, *argv, "--format", "text", *tail)
     assert text_code == code
     assert ("ok = true" in out.splitlines()[:3]) == (": pass" in text.splitlines()[0])
     assert (code == 0) == ("ok = true" in out.splitlines()[:3])

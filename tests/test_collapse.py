@@ -1202,20 +1202,26 @@ def test_image_reports_are_pinned():
 def test_image_check_maps_only_collapsed_paths_whose_image_fits(monkeypatch):
     """On the acceptance corpus's instance 7 at max-len 5, the collapsed
     graph has 364 paths of at most 5 collapsed edges, and only 12 map into
-    the window: the check maps each of the 11 that are edge paths once, and
-    no path whose image is longer than max-len."""
+    the window: its one vertex and 11 edge paths.  The walk extends each of
+    the 12 once, reading the collapsed edges into its source once, and no
+    path whose image is longer than max-len."""
     cert = collapse(corpus(13)[7])
-    module = importlib.import_module("steinalg.collapse")
-    real = module._leg_image
-    mapped = []
-    monkeypatch.setattr(module, "_leg_image",
-                        lambda paths, edges: mapped.append(edges) or real(paths, edges))
+    F = cert.collapsed
+    assert len(enumerate_paths(F, max_len=5)) == 364
+    real = Graph.edges_with_range
+    extended = []
+
+    def spy(graph, v):
+        if graph is F:
+            extended.append(v)
+        return real(graph, v)
+
+    monkeypatch.setattr(Graph, "edges_with_range", spy)
     rep = check_phi_fin_image(cert, 5)
     assert rep.ok
     assert rep.value("window", "collapsed-paths") == "12"
-    assert len(enumerate_paths(cert.collapsed, max_len=5)) == 364
-    assert len(mapped) == len(set(mapped)) == 11
-    assert all(len(real(cert.edge_paths, edges)[0]) <= 5 for edges in mapped)
+    assert len(F.vertices) == 1
+    assert len(extended) == 12
 
 
 # -- the checks read edge_paths, not edge names ---------------------------------------

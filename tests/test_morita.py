@@ -1,8 +1,11 @@
 """The linking matrix algebra, its context maps, and surjectivity witnesses."""
 
 import hashlib
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -20,7 +23,7 @@ from steinalg import (Corner, CornerSupportError, Graph, InputError,
                       pairs_to_depth, phi, psi, serialize_graph,
                       surjectivity_witness, zero)
 from steinalg import morita, sampling
-from steinalg.cylinder import _flat
+from steinalg.cylinder import _flat, _legs_by_source
 from steinalg.morita import element_supported_in
 from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, backward_walk,
                             element_level_surjectivity_witness, embed,
@@ -31,6 +34,7 @@ from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, backward_walk,
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 RINGS = (IntegerRing(), RationalRing(), IntegersMod(4))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 BLOCK_CORNERS = {"f11": Corner.GG, "f12": Corner.GZ,
                  "f21": Corner.ZG, "f22": Corner.HH}
@@ -360,14 +364,76 @@ def test_psi_phi_enforce_supports(two_cycle, zring):
         phi(t, n, n)
 
 
-def test_eq_ops_frozen_and_misassigned(two_cycle, zring):
+def count_support_checks(mp):
+    """The roles ``morita._require_support`` is called with and the corners
+    ``morita.element_supported_in`` is called with, each function wrapped
+    for the rest of the monkeypatch context."""
+    roles, scans = [], []
+    require, supported = morita._require_support, morita.element_supported_in
+
+    def counting_require(f, f0, corner, role):
+        roles.append(role)
+        return require(f, f0, corner, role)
+
+    def counting_supported(f, f0, corner):
+        scans.append(corner)
+        return supported(f, f0, corner)
+
+    mp.setattr(morita, "_require_support", counting_require)
+    mp.setattr(morita, "element_supported_in", counting_supported)
+    return roles, scans
+
+
+# The error eq_ops_check raises when only the named factor lies outside its
+# block, as it was before each factor was checked once.
+EQ_OPS_ERRORS = {
+    "m": "m term Z(w,e1) violates the GZ support pattern",
+    "m'": "m' term Z(w,e1) violates the GZ support pattern",
+    "n": "n term Z(e1,w) violates the ZG support pattern",
+    "n'": "n' term Z(e1,w) violates the ZG support pattern",
+}
+
+
+def test_eq_ops_frozen_and_misassigned(two_cycle, zring, monkeypatch):
+    """One eq_ops_check call checks its four factors once each, in the
+    order m, m', n, n', and scans no product; a factor outside its block
+    raises the error naming it, the first bad one in that order."""
+    roles, scans = count_support_checks(monkeypatch)
     t = Transversal(two_cycle, ["v"])
     _, _, _, gz, zg = two_cycle_pairs(two_cycle)
     m = indicator(gz, zring)
     n = indicator(zg, zring)
     assert eq_ops_check(t, m, m, n, n)
-    with pytest.raises(CornerSupportError):
+    assert roles == ["m", "m'", "n", "n'"]
+    assert scans == []
+    for i, role in enumerate(EQ_OPS_ERRORS):
+        args = [m, m, n, n]
+        args[i] = n if i < 2 else m
+        with pytest.raises(CornerSupportError) as exc:
+            eq_ops_check(t, *args)
+        assert str(exc.value) == EQ_OPS_ERRORS[role]
+    with pytest.raises(CornerSupportError) as exc:
         eq_ops_check(t, n, n, m, m)
+    assert str(exc.value) == EQ_OPS_ERRORS["m"]
+
+
+def test_a_certify_round_checks_each_sampled_factor_once(tmp_path, monkeypatch):
+    """The benchmark's full certify round (seed 1) samples 640 eq-ops
+    factors over its eight morita-check cells; each is checked against its
+    block once, and no product is scanned."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    rnd = workloads.certify(1, "full", str(tmp_path))
+    roles, scans = count_support_checks(monkeypatch)
+    for op in rnd.ops:
+        assert op.check(op.run())
+    assert sum(op.kind == "morita-check" for op in rnd.ops) == 8
+    assert len(roles) == 640
+    assert scans == []
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
@@ -787,13 +853,13 @@ def test_morita_report_counts_match_the_listed_window(seed, depth):
         {c: str(n) for c, n in cells.items()}
     met = rep.value("transversal", "meets-every-orbit") == "pass"
     for side, total in (("psi", cells[Corner.GG]), ("phi", len(pairs))):
-        want = "%d of %d" % (min(total, morita._WITNESS_CAP), total) if met else None
+        want = "%d of %d" % (total, total) if met else None
         assert rep.value("witnesses", "%s-targets" % side) == want
 
 
 def test_morita_report_does_not_list_the_window(zring):
     """On the 2-rose with a tail at depth 8 the window holds 586,757 pairs;
-    the report counts them and lists at most the witness cap per side."""
+    the report counts them and witnesses them all without listing them."""
     g = load_graph("vertices: v, w\nedge: a v <- v\nedge: b v <- v\nedge: c w <- v\n")
     tracemalloc.start()
     try:
@@ -802,7 +868,8 @@ def test_morita_report_does_not_list_the_window(zring):
     finally:
         tracemalloc.stop()
     assert rep.ok
-    assert rep.value("witnesses", "phi-targets") == "1024 of 586757"
+    for side in ("psi", "phi"):
+        assert rep.value("witnesses", "%s-targets" % side) == "586757 of 586757"
     assert peak < 8 * 2 ** 20
 
 
@@ -935,51 +1002,91 @@ def recorded_report(mp, *args, **kwargs):
     return rep, calls, flats, witnesses
 
 
+def window_size(g, depth):
+    """The number of pairs in the window of the given depth, counted
+    without listing them: a pair is two legs with one source vertex."""
+    return sum(len(legs) ** 2 for legs in _legs_by_source(g, depth).values())
+
+
+def sources_with_targets(window, f0, side):
+    """The source vertices of a side's targets, in window order."""
+    return list(dict.fromkeys(p.source_vertex for p in window
+                              if side == "phi" or corner_of(p, f0) is Corner.GG))
+
+
 def test_witness_sections_match_the_per_target_loop():
-    """On collapse instances whose connectors are corrupted (three in four)
-    or left as they are, with the witness cap just before, at and just past
-    each boundary between source vertices' targets, the witness rows equal
-    the per-target loop's, the failing target and its failed rows included.
-    The report decides each side's source vertex at most once, flattens no
-    pair, and builds a witness only for a side that fails."""
+    """On the outsplit fixture over each retained set and on collapse
+    instances, at depths 0-7, past the 1,024 targets a side once stopped
+    at, with the least connectors and with corrupted ones, the witness rows
+    equal the per-target loop's, the failing target and its failed rows
+    included.  Each side decides each source vertex with a target once, in
+    window order, up to its first failing one; the report flattens no pair
+    and builds a witness only for a side that fails.  Windows of more than
+    4,000 pairs, which the per-target loop would list, are left out."""
     zring = IntegerRing()
     outcomes = Counter()
-    for seed in range(24):
-        spec = sampling.collapse_corpus(seed, 1)[0]
-        g, t0 = spec.graph, spec.t0
-        depth = 1 + seed % 3
-        least = morita.least_connectors
+    outsplit = load_graph(OUTSPLIT_TEXT)
+    instances = [(outsplit, t0) for t0 in OUTSPLIT_T0S]
+    instances += [(spec.graph, list(spec.t0)) for spec in
+                  (sampling.collapse_corpus(seed, 1)[0] for seed in range(24))]
+    least = morita.least_connectors
+    big = 0
+    for i, (g, t0) in enumerate(instances):
+        f0 = [v for v in g.vertices if v not in t0]
+        for depth in range(8):
+            if window_size(g, depth) > 4000:
+                break
+            big += window_size(g, depth) > 1024
+            window = pairs_to_depth(g, depth)
+            for corrupt in (False, True):
 
-        def corrupted(graph, f0, seed=seed):
-            out = least(graph, f0)
-            if seed % 4:
-                t = SimpleNamespace(graph=graph, f0=f0, _connectors=out)
-                out = corrupt_connectors(sampling.rng_from_seed(seed), t)
-            return out
+                def connectors(graph, f0, seed=8 * i + depth, corrupt=corrupt):
+                    out = least(graph, f0)
+                    if corrupt:
+                        t = SimpleNamespace(graph=graph, f0=f0, _connectors=out)
+                        out = corrupt_connectors(sampling.rng_from_seed(seed), t)
+                    return out
 
-        window = pairs_to_depth(g, depth)
-        retained = [p for p in window if corner_of(p, spec.f0) is Corner.GG]
-        caps = {max(b + d, 0) for pairs in (window, retained)
-                for b in target_groups(pairs) for d in (-1, 0, 1)}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(morita, "least_connectors", corrupted)
-            t = Transversal(g, spec.f0)
-            for cap in sorted(caps | {morita._WITNESS_CAP}):
-                mp.setattr(morita, "_WITNESS_CAP", cap)
-                rep, calls, flats, witnesses = recorded_report(mp, g, t0, zring,
-                                                               depth=depth, eq_samples=0)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(morita, "least_connectors", connectors)
+                    t = Transversal(g, f0)
+                    rep, calls, flats, witnesses = recorded_report(mp, g, t0, zring,
+                                                                   depth=depth, eq_samples=0)
                 if t.unreachable:
-                    want = [("skipped", "vacuous (transversal failed)")]
-                else:
-                    want = per_target_witness_rows(t, zring, depth, cap)
-                assert rep.section("witnesses") == want
-                assert max(Counter(calls).values(), default=0) <= 1
+                    assert rep.section("witnesses") == [("skipped",
+                                                         "vacuous (transversal failed)")]
+                    assert calls == flats == witnesses == []
+                    outcomes["None"] += 1
+                    continue
+                assert rep.section("witnesses") == per_target_witness_rows(t, zring, depth)
                 assert flats == []
-                assert witnesses == [side for side in ("psi", "phi")
-                                     if rep.value("witnesses", "%s-verified" % side)
-                                     not in (None, "pass")]
+                failed = [side for side in ("psi", "phi")
+                          if rep.value("witnesses", "%s-verified" % side) != "pass"]
+                assert witnesses == failed
+                for side in ("psi", "phi"):
+                    decided = [v for s, v in calls if s == side]
+                    want = sources_with_targets(window, t.f0, side)
+                    if side in failed:
+                        assert decided and decided == want[:len(decided)]
+                    else:
+                        assert decided == want
                 outcomes[str(rep.value("witnesses", "phi-verified"))[:4]] += 1
     assert outcomes["pass"] > 0 and outcomes["fail"] > 0 and outcomes["None"] > 0
+    assert big > 0
+
+
+def test_each_side_decides_each_source_vertex_once(zring):
+    """On outsplit with u collapsed at depth 7 each side has more than
+    1,024 targets, and the report decides each side's three source vertices
+    once each: six ``_witness_rows`` calls for 1,350 + 3,825 targets."""
+    g = load_graph(OUTSPLIT_TEXT)
+    with pytest.MonkeyPatch.context() as mp:
+        rep, calls, flats, witnesses = recorded_report(mp, g, ["u"], zring,
+                                                       depth=7, eq_samples=0)
+    assert calls == [(side, v) for side in ("psi", "phi") for v in g.vertices]
+    assert rep.value("witnesses", "psi-targets") == "1350 of 1350"
+    assert rep.value("witnesses", "phi-targets") == "3825 of 3825"
+    assert rep.ok and flats == witnesses == []
 
 
 # -- outputs pinned across internal rewrites ------------------------------------

@@ -65,6 +65,18 @@ def test_modules_import_no_unused_names():
     assert unused == {}
 
 
+def test_package_modules_import_only_at_module_level():
+    """No package module imports inside a function or method: an import
+    put off to call time is how a cycle between modules hides."""
+    nested = []
+    for p in sorted((ROOT / "src" / "steinalg").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += ["%s:%d" % (p.name, inner.lineno) for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
 def public_definitions(path):
     """(qualified name, name) of each public module-level function and
     class of a module, and of each public method of its classes."""
