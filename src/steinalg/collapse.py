@@ -21,8 +21,7 @@ result of ``first_hit_extensions`` and a path that a report names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
-from itertools import islice
+from functools import cached_property
 
 from .cylinder import _build, _legs_by_source, _minimal, _RangeLegIndex, _window
 from .graph import (Edge, Graph, VertexSubset, _as_subset, _flat_paths, _path,
@@ -267,6 +266,9 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     transport, which is decided on the pairs themselves (see step (d)).
     Step (c) checks only that each piece has a collapsed preimage; that the
     pieces partition the set follows from the preconditions (and is tested).
+    Steps (b) and (c) decide each leg the capped window reaches once and
+    form no pair; step (d) decides each plan key of a source vertex once
+    and walks a pair on its own only where that verdict leaves it open.
     """
     rep = Report("pointed groupoid isomorphism")
     if not _check_well_formed(cert, rep):
@@ -315,23 +317,31 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # stops at its first retained vertex), and each continuation passes one.
     # A pair is covered exactly when both its legs are: a leg is covered
     # when every first hit at its source vertex extends it to a path with
-    # a collapsed preimage.  Legs recur across the window, so each source
-    # vertex's first hits and each leg's verdict are found once per check.
-    # An extended leg runs between retained vertices.  An empty one has the
-    # collapsed graph's vertex as its preimage, by vertices-retained.
-    pairs = list(islice(_window(g, depth, f0), _COVERAGE_PAIR_CAP))
-    rep.add("coverage", "pairs", len(pairs))
-    hits = cache(partial(_first_hits, g, t0))
-
-    @cache
-    def leg_covered(leg, v):
-        return all(_collapsed_edges(cert, leg + hit) is not None for hit, _ in hits(v))
-
-    cover_defect = None
-    for t in pairs:
-        if not (leg_covered(t[0], t[2]) and leg_covered(t[1], t[2])):
-            cover_defect = "piece of %s has no collapsed preimage" % _build(g, t).render()
-            break
+    # a collapsed preimage.  An extended leg runs between retained vertices.
+    # An empty one has the collapsed graph's vertex as its preimage, by
+    # vertices-retained.
+    #
+    # The window is L_v x L_v for each source vertex v, L_v its legs that
+    # range at retained vertices, in row order up to the cap, so coverage
+    # is decided per leg as step (b) decides injectivity.  A group's first
+    # take pairs reach as second legs its first min(n, take) legs, and as
+    # first legs only legs among those.  So its first failing pair is
+    # (its first leg, the first uncovered leg among those), and each of
+    # those legs' verdicts is found once, in order, up to the first
+    # uncovered one; no pair is formed.
+    pairs, cover_defect = 0, None
+    for v, legs in _legs_by_source(g, depth, f0).items():
+        take = min(len(legs) ** 2, _COVERAGE_PAIR_CAP - pairs)
+        pairs += take
+        if cover_defect is None and take:
+            hits = _first_hits(g, t0, v)
+            bad = next((leg for leg in legs[:take]
+                        if any(_collapsed_edges(cert, leg[0] + hit) is None
+                               for hit, _ in hits)), None)
+            if bad is not None:
+                first = _build(g, (legs[0][0], bad[0], v, legs[0][1], bad[1]))
+                cover_defect = "piece of %s has no collapsed preimage" % first.render()
+    rep.add("coverage", "pairs", pairs)
     rep.check("coverage", "first-hit-splitting", cover_defect is None,
               cover_defect or "")
 
@@ -383,10 +393,9 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     #   edge's own endpoints, so a transported pair keeps the collapsed
     #   pair's vertices.  So phi of the left composite of a plan entry (j,
     #   suffix, leg, source, leg_range) is (phi(m[0]) + phi(suffix),
-    #   phi(leg), source, m[3], leg_range).  Each left plan is transported
-    #   once, into the entries (j, phi(suffix), phi(leg), source,
-    #   leg_range), which are kept by the plan's key: like the plan they
-    #   depend only on m's source leg and its range vertex.
+    #   phi(leg), source, m[3], leg_range).  The transported entry tx = (j,
+    #   phi(suffix), phi(leg), source, leg_range) depends, like the plan,
+    #   only on the plan's key, m's source leg and its range vertex.
     # - _minimal strips a composite in the collapsed graph exactly when both
     #   legs end in one edge that is the only edge into its range vertex
     #   there, and the legs end where suffix (or m[0]) and leg end.  So each
@@ -397,11 +406,12 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     #   phi(m[0]) and range at m[3], so the sides are equal exactly when
     #   the transported entry equals the right plan's entry, and neither
     #   side is formed.
-    # - that comparison ends almost every combination of a well-formed
-    #   certificate.  There the edge paths from each vertex are its first
-    #   hits, a prefix-free set, so phi keeps the prefix order of legs and
-    #   the right plan of phi(m) equals the transported left plan entry for
-    #   entry.
+    # - on a well-formed certificate that comparison ends every combination
+    #   whose composite strips nothing.  There the edge paths from each
+    #   vertex are its first hits, a prefix-free set, so phi keeps the
+    #   prefix order of legs and the right plan of phi(m) equals the
+    #   transported left plan entry for entry.  So each key is clean
+    #   (below), and only the pairs with a composite that strips are walked.
     mult_depth = _legs_depth(F, depth)
     fpairs = list(_window(F, mult_depth))
     rep.add("multiplicative", "legs-depth", mult_depth)
@@ -412,24 +422,48 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     left_index = _RangeLegIndex(flat_minimal)
     right_index = _RangeLegIndex(transported)
     sole = F._sole_edge_range
-    transported_plans = {}
+
+    def key_verdict(left, right):
+        """The verdict of a plan key from its two plans: None when the key
+        is not clean, else the last edges (as 1-tuples) through which an
+        entry with an empty suffix strips."""
+        if len(left) != len(right):
+            return None
+        strips = set()
+        for (j, suffix, leg, source, leg_range), y in zip(left, right):
+            if (j, source, leg_range) != (y[0], y[3], y[4]) or (
+                    transport((suffix, leg, None, None, None))[:2] != y[1:3]):
+                return None
+            if sole and leg and leg[-1] in sole:
+                if not suffix:
+                    strips.add(leg[-1:])
+                elif suffix[-1] == leg[-1]:
+                    return None
+        return strips
 
     # The window is grouped by source vertex, and a plan's key (m's source
     # leg and its range vertex) recurs in a later group only where the
     # collapsed graph strips a pair.  So both indexes' plan caches, the
-    # transported plans and the clean tags are dropped when a group starts,
-    # and the check holds one group's plans at a time; a key that recurs
-    # is planned again, to the same entries.
+    # transported plans and the key verdicts are dropped when a group
+    # starts, and the check holds one group's plans at a time; a key that
+    # recurs is planned again, to the same entries.
     #
-    # A walk that ends every entry at tx == y, strips nothing and leaves no
-    # rest finds no defect, and it read m only through its plan key and
-    # the last edge of m[0]: the plans, the left images and the one-sided
-    # test are functions of the key, and the strip test reads m only
-    # through m[0][-1:].  phi_m[0] and m[3] are read only after a walk has
-    # left the tx == y path.  So such a walk's tag (the key and that last
-    # edge) is kept in clean, and a later pair with the same tag is not
-    # walked again.
-    clean = set()
+    # A pair's walk reads m through its plan key, except in two places: the
+    # strip test of an entry with an empty suffix reads m[0][-1:], and the
+    # sides formed once an entry leaves the tx == y path read phi_m[0] and
+    # m[3].  The plans, their lengths, the left images and the one-sided
+    # test are functions of the key.  So a key is walked once, on its two
+    # plans, and called clean when they have equal length, every entry has
+    # tx == y, and no entry with a nonempty suffix strips; its verdict also
+    # keeps the last edges through which an entry with an empty suffix
+    # strips.  A pair of a clean key whose m[0][-1:] is not among those
+    # edges walks every entry to tx == y, strips nothing and leaves no
+    # rest, so it finds no defect and is not walked.  The verdict transports
+    # each entry through the transport's leg memo and keeps no list; every
+    # other pair is walked entry by entry, and only for those walks is its
+    # key's left plan transported into a list, once per key.
+    verdicts = {}
+    transported_plans = {}
     mult_defect = None
     group = None
     for i, a in enumerate(fpairs):
@@ -438,11 +472,13 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             left_index._plans.clear()
             right_index._plans.clear()
             transported_plans.clear()
-            clean.clear()
+            verdicts.clear()
         m, phi_m = flat_minimal[i], transported[i]
         key = (m[1], m[4])
-        tag = (key, m[0][-1:])
-        if tag in clean:
+        if key not in verdicts:
+            verdicts[key] = key_verdict(left_index.plan(m), right_index.plan(phi_m))
+        strips = verdicts[key]
+        if strips is not None and m[0][-1:] not in strips:
             continue
         left = left_index.plan(m)
         left_images = transported_plans.get(key)
@@ -452,7 +488,6 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
                 for j, suffix, leg, source, leg_range in left]
         right = right_index.plan(phi_m)
         b = None
-        fast = True
         for x, tx, y in zip(left, left_images, right):
             if x[0] != y[0]:
                 b = min(x[0], y[0])     # it composes on one side only
@@ -464,7 +499,6 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
                 continue
             else:
                 lhs = (phi_m[0] + tx[1], tx[2], tx[3], m[3], tx[4])
-            fast = False
             _, suffix, leg, source, leg_range = y
             rhs = (phi_m[0] + suffix, leg, source, phi_m[3], leg_range)
             if lhs != rhs and _minimal(g, lhs) != _minimal(g, rhs):
@@ -474,8 +508,6 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
             rest = left[len(right):] or right[len(left):]
             if rest:
                 b = rest[0][0]      # it composes on the longer side only
-            elif fast:
-                clean.add(tag)
         if b is not None:
             mult_defect = "%s then %s" % (_build(F, a).render(), _build(F, fpairs[b]).render())
             break

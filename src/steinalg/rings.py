@@ -38,13 +38,11 @@ def int_text(n: int) -> str:
 
 
 def int_of_text(text: str) -> int:
-    """The int that text spells, as int() reads it; a run of decimal
-    digits may be of any length (see ``int_text``)."""
+    """The int a nonempty run of decimal digits spells, however long the
+    run (see ``int_text``)."""
     try:
         return int(text)
     except ValueError:
-        if not text.isdecimal():
-            raise
         return int(Decimal(text))
 
 
@@ -177,9 +175,10 @@ def ring_from_spec(spec: str) -> CoefficientRing:
     if spec == "q":
         return RationalRing()
     if spec.startswith("zmod:"):
-        try:
-            n = int_of_text(spec.split(":", 1)[1])
-        except ValueError:
-            raise InputError("bad modulus in %r" % (spec,)) from None
-        return IntegersMod(n)
+        # The modulus is a nonempty run of decimal digits, as a word's
+        # coefficient is: no sign, blank or underscore that int() would take.
+        text = spec[len("zmod:"):]
+        if not text.isdecimal():
+            raise InputError("bad modulus in %r" % (spec,))
+        return IntegersMod(int_of_text(text))
     raise InputError("unknown ring spec %r (want z, q, or zmod:N)" % (spec,))

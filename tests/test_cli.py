@@ -395,6 +395,19 @@ def test_bad_ring_spec(graph_file, capsys):
     assert "unknown ring spec" in err
 
 
+@pytest.mark.parametrize("spec", ["zmod:1_0", "zmod: 5", "zmod:+7", "zmod:5 ", "zmod:5\n"])
+def test_modulus_is_a_run_of_decimal_digits(spec, graph_file, capsys):
+    """A modulus int() would read, but that is not a nonempty run of decimal
+    digits, is invalid input; the digits alone are a ring."""
+    path = graph_file(LOOP_TEXT)
+    code, out, err = run(capsys, "relations", "--graph", path, "--ring", spec)
+    assert (code, out, err) == (2, "", "error: bad modulus in %r\n" % spec)
+    digits = "".join(c for c in spec[len("zmod:"):] if c.isdecimal())
+    code, out, _ = run(capsys, "relations", "--graph", path, "--ring", "zmod:" + digits,
+                       "--format", "kv")
+    assert code == 0 and "ring = zmod:%d\n" % int(digits) in out
+
+
 def test_unknown_vertex_in_t0(graph_file, capsys):
     code, _, err = run(capsys, "validate", "--graph", graph_file(LOOP_TEXT),
                        "--t0", "zz")
@@ -405,6 +418,7 @@ def test_unknown_vertex_in_t0(graph_file, capsys):
     lambda g: ring_from_spec("gf:9"),
     lambda g: ring_from_spec("zmod:x"),
     lambda g: ring_from_spec("zmod:1"),
+    lambda g: ring_from_spec("zmod:+7"),
     lambda g: VertexSubset(g, ["zz"]),
     lambda g: vertex_path(g, "zz"),
     lambda g: Path(g, ("nope",)),
@@ -415,7 +429,7 @@ def test_unknown_vertex_in_t0(graph_file, capsys):
     lambda g: eval_word(g, "s(nope)", IntegerRing()),
     lambda g: eval_word(g, "3", IntegerRing()),
     lambda g: generator(g, "p(v) + p(v)", IntegerRing()),
-], ids=["ring-spec", "modulus-text", "modulus-value", "subset-vertex",
+], ids=["ring-spec", "modulus-text", "modulus-value", "modulus-sign", "subset-vertex",
         "path-vertex", "edge-id", "enumerate-vertex", "graph-text", "word",
         "word-vertex", "word-edge", "bare-scalar", "symbol"])
 def test_rejected_input_is_an_input_error(reject):
@@ -557,6 +571,52 @@ def test_certifier_keeps_its_exit_code_contract(seed, faults, command, t0, depth
     assert (code == 0) == ("ok = true" in out.splitlines()[:3])
 
 
+# Flag noise for validate and morita-check.  A long digit run is zeros
+# before a small depth, so a run int() reads is a depth of at most 3, and a
+# run past its 4,300-digit limit is refused as usage.
+DEPTH_NOISE = ("0", "1", "2", "3", "-1", "-30", "x", "", "2.0", "0x2",
+               "0" * 40 + "3", "0" * 4299 + "2", "0" * 4300 + "2", "0" * 5000 + "1")
+SEED_NOISE = ("0", "7", "-5", "x", "", "1e3", "9" * 40, "9" * 4300, "9" * 5000)
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 9),
+       command=st.sampled_from(["validate", "morita-check"]),
+       t0=st.none() | st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=4),
+       depth=st.none() | st.sampled_from(DEPTH_NOISE),
+       run_seed=st.none() | st.sampled_from(SEED_NOISE))
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_validate_and_morita_check_keep_their_exit_code_contract(
+        seed, command, t0, depth, run_seed, tmp_path, capsys):
+    """``validate`` and ``morita-check`` on a small random graph file, with a
+    --t0 list that may name unknown, repeated, blank or empty vertices, and
+    for morita-check a --depth and a --seed that may be negative,
+    non-numeric, empty or long digit runs, exit 0, 1, 2 or 3.  A usage
+    error or invalid input writes one stderr line, no traceback, and
+    nothing to stdout; the other exits write nothing to stderr.  Two runs
+    print the same bytes."""
+    g = sampling.random_graph(sampling.rng_from_seed(seed), max_vertices=4, max_edges=6)
+    path = tmp_path / "graph.txt"
+    path.write_text(serialize_graph(g))
+    argv = [command, "--graph", str(path), "--format", "kv"]
+    if t0 is not None:
+        names = g.vertices + T0_NOISE
+        argv += ["--t0", ",".join(names[i % len(names)] for i in t0)]
+    if command == "morita-check":
+        # "=" keeps a value that starts with "-" a value.
+        argv += ["--depth=" + depth] if depth is not None else []
+        argv += ["--seed=" + run_seed] if run_seed is not None else []
+    code, out, err = run(capsys, *argv)
+    assert run(capsys, *argv) == (code, out, err)
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code in (1, 2):
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("usage error: " if code == 1 else "error: ")
+    else:
+        assert err == "" and out
+
+
 # Noise for the input commands.  A rename puts a character the formats
 # reserve (word syntax, the graph format's separators and comment mark, a
 # non-breaking space) into one id wherever the id occurs; the other faults
@@ -566,9 +626,12 @@ RESERVED_CHARS = (",", "#", "(", ")", "*", "+", "-", ".", ":", "<-", "\u00a0", "
 WORD_NOISE = ("*", " * ", "+", " - ", "-", "(", ")", " ", "@", "p()", "q(v1)",
               "p(nowhere)", "s(", "\u0663", "\u00b2", "0", "07")
 DIGIT_RUNS = (1, 2, 40, 4300, 4301, 5000)
-RING_SPECS = ("z", "q", "zmod:2", "zmod:4", "zmod:7", "zmod:" + "9" * 5000,
-              "zmod:", "zmod:x", "zmod:1", "zmod:0", "zmod:-3", "zmod:1_0",
-              "zmod: 5", "gf:9", "", "Z", "q ")
+GOOD_RING_SPECS = ("z", "q", "zmod:2", "zmod:4", "zmod:7", "zmod:" + "9" * 5000)
+# A modulus is a nonempty run of decimal digits: int() would also take a
+# sign, blanks around it and underscores between digits.
+BAD_RING_SPECS = ("zmod:", "zmod:x", "zmod:1", "zmod:0", "zmod:-3", "zmod:1_0",
+                  "zmod: 5", "zmod:+7", "zmod:5 ", "gf:9", "", "Z", "q ")
+RING_SPECS = GOOD_RING_SPECS + BAD_RING_SPECS
 
 
 def renamed_text(g, renames):
@@ -642,6 +705,8 @@ def test_input_commands_keep_their_exit_code_contract(seed, renames, faults, com
     code, out, err = run(capsys, *argv, "--format", "kv", *tail)
     assert run(capsys, *argv, "--format", "kv", *tail) == (code, out, err)
     assert code in (0, 2, 3), err
+    if command != "validate" and ring in BAD_RING_SPECS:
+        assert code == 2, (ring, out)
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err.count("\n") == 1 and err.startswith("error: ")

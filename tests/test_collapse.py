@@ -23,8 +23,8 @@ from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
                                _collapsed_edges, _legs_depth, _transport)
-from steinalg.cylinder import (_build, _compose, _flat, _minimal, _RangeLegIndex,
-                               _window)
+from steinalg.cylinder import (_build, _compose, _flat, _legs_by_source, _minimal,
+                               _RangeLegIndex, _window)
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
                             collapsed_preimage, long_line, minimal_pair,
                             path_map_image_report, phi_fin, phi_pair,
@@ -575,13 +575,12 @@ def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
 def walked_pairs(window, minimal):
     """The positions of the window pairs step (d) walks on an honest
     certificate whose composites strip nothing: the first pair of each
-    tag, the plan key of its minimal pair with the last edge of that
-    pair's first leg, within each source vertex's group."""
+    plan key of a minimal pair within each source vertex's group."""
     seen, walked = set(), []
     for i, (a, m) in enumerate(zip(window, minimal)):
-        tag = (a[2], (m[1], m[4]), m[0][-1:])
-        if tag not in seen:
-            seen.add(tag)
+        key = (a[2], m[1], m[4])
+        if key not in seen:
+            seen.add(key)
             walked.append(i)
     return walked
 
@@ -590,10 +589,10 @@ def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
                                                                  monkeypatch):
     """Step (d) forms its composites from one plan per distinct source leg
     on each side, and walks a pair's plans only for the first pair of its
-    tag: the flat composition rule is never called, each side's trie is
-    walked once per distinct source leg, and the composites formed on each
-    side are, with multiplicity, those the rule gives on the combinations
-    of each walked pair that compose there."""
+    plan key: the flat composition rule is never called, each side's trie
+    is walked once per distinct source leg, and the composites formed on
+    each side are, with multiplicity, those the rule gives on the
+    combinations of each walked pair that compose there."""
     cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
     F = cert.collapsed
     assert not F._sole_edge_range
@@ -602,7 +601,7 @@ def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
     images = [minimal_pair(phi_pair(cert, m)) for m in minimal]
     sides = [[_flat(p) for p in side] for side in (minimal, images)]
     walked = walked_pairs([_flat(a) for a in window], sides[0])
-    assert 0 < len(walked) < len(window)
+    assert (len(window), len(walked)) == (98, 14)
     calls, walks, formed = [], [], []
     module = importlib.import_module("steinalg.collapse")
     kernel = importlib.import_module("steinalg.cylinder")
@@ -684,6 +683,50 @@ def test_coverage_decides_each_leg_once(monkeypatch):
                           for tau in first_hit_extensions(g, t0, leg.source_vertex))
         assert asked
         assert not Counter(asked) - allowed
+
+
+def test_coverage_computes_each_leg_verdict_once(monkeypatch):
+    """On honest certificates step (c) walks each source vertex's first
+    hits once and splits each leg the capped window reaches, extended by
+    each of those hits, exactly once: the splits asked for are, with
+    multiplicity, one per leg and hit.  A split's path can arise from two
+    legs, a leg through a collapsed vertex and its extension to the next
+    retained one, so that is a count of legs, not of paths.  The windows
+    include one the cap cuts inside a group."""
+    outsplit = load_graph(OUTSPLIT_TEXT)
+    checks = [(collapse(CollapseSpec(outsplit, t0)), depth)
+              for t0 in (["u"], ["ua", "ub"]) for depth in (3, 5)]
+    checks += [(collapse(spec), 3) for spec in corpus(13)]
+    module = importlib.import_module("steinalg.collapse")
+    split, first_hits = module._collapsed_edges, module._first_hits
+    asked, walked = [], []
+
+    def recording_split(cert, edges):
+        asked.append(edges)
+        return split(cert, edges)
+
+    def recording_first_hits(graph, t0, v):
+        walked.append(v)
+        return first_hits(graph, t0, v)
+
+    monkeypatch.setattr(module, "_collapsed_edges", recording_split)
+    monkeypatch.setattr(module, "_first_hits", recording_first_hits)
+    cut = 0
+    for cert, depth in checks:
+        g, t0 = cert.original, cert.t0
+        window = pairs_to_depth(g, depth, ranges=cert.f0, limit=_COVERAGE_PAIR_CAP)
+        legs = {leg for pair in window for leg in (pair.mu, pair.nu)}
+        last = window[-1].source_vertex
+        cut += (sum(p.source_vertex == last for p in window)
+                < len(_legs_by_source(g, depth, cert.f0)[last]) ** 2)
+        want = Counter(concat(leg, tau).edges for leg in legs
+                       for tau in first_hit_extensions(g, t0, leg.source_vertex))
+        asked.clear()
+        walked.clear()
+        assert pointed_groupoid_iso_check(cert, depth).ok
+        assert Counter(asked) == want
+        assert walked == list(dict.fromkeys(p.source_vertex for p in window))
+    assert cut
 
 
 def parallel_pairs(cert):
@@ -792,6 +835,60 @@ def test_pair_check_matches_element_oracle_on_every_corruption(kind, seed):
     for depth in (2, 3):
         want = element_level_iso_check(bad, depth, products).render_kv()
         assert pointed_groupoid_iso_check(bad, depth).render_kv() == want
+
+
+def cut_by_the_cap(cert, depth):
+    """Whether the coverage cap ends the window inside a source vertex's
+    group of L_v x L_v pairs."""
+    counts = [len(legs) ** 2 for legs in _legs_by_source(
+        cert.original, depth, cert.f0).values() if legs]
+    total = 0
+    for n in counts:
+        total += n
+        if total >= _COVERAGE_PAIR_CAP:
+            return total > _COVERAGE_PAIR_CAP
+    return False
+
+
+def test_coverage_defects_the_cap_cuts_match_the_element_oracle():
+    """The whole iso report equals the oracle's where the cap cuts the
+    coverage window inside a group.  The cap-hole instance of
+    collapse_corpus(15, 20), with its edge e6.e5 dropped, is cut at depths
+    3-6 and fails coverage at each but depth 3; it is compared at depths
+    1-5, and at depths 6-8, where the oracle's probe window alone holds
+    millions of pairs, its reports are pinned by a sha256 taken before
+    coverage was decided per leg.  Corpora 7 and 13 give each certificate
+    with its first collapsed edge dropped or duplicated, or with the first
+    edge of its first parallel pair given the other's path; each whose
+    window the cap cuts at depth 3 is compared at depths 1-3.  A dropped or moved edge fails
+    coverage in a cut window at least once; a duplicated edge only adds
+    preimages, so it never fails coverage."""
+    hole = drop_collapsed_edge(collapse(corpus(15)[2]), "e6.e5")
+    assert [cut_by_the_cap(hole, d) for d in range(1, 7)] == [False] * 2 + [True] * 4
+    checks = [(hole, range(1, 6), "hole")]
+    for cert in map(collapse, corpus(7) + corpus(13)):
+        if cert.collapsed.edges:
+            e = cert.collapsed.edges[0]
+            bad = {"drop": [drop_collapsed_edge(cert, e.id)],
+                   "duplicate": [duplicate_collapsed_edge(cert, e)],
+                   "move": [move_collapsed_edge(cert, *pair)
+                            for pair in parallel_pairs(cert)[:1]]}
+            checks += [(c, range(1, 4), kind) for kind in CORRUPTIONS
+                       for c in bad[kind] if cut_by_the_cap(c, 3)]
+    assert {kind for _, _, kind in checks} == {"hole", *CORRUPTIONS}
+    failing = set()
+    for cert, depths, kind in checks:
+        products = {}
+        for depth in depths:
+            rep = pointed_groupoid_iso_check(cert, depth)
+            want = element_level_iso_check(cert, depth, products)
+            assert rep.render_kv() == want.render_kv()
+            cover = rep.value("coverage", "first-hit-splitting")
+            if cut_by_the_cap(cert, depth) and cover != "pass":
+                failing.add(kind)
+    assert failing == {"hole", "drop", "move"}
+    assert (report_digest(pointed_groupoid_iso_check(hole, depth) for depth in (6, 7, 8))
+            == "8c80c4ff30efc317a0dab219bbb6a2fe3f0051e5fa4312f1fc9fe7829453c2af")
 
 
 def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_graph,
@@ -952,50 +1049,126 @@ def test_injectivity_on_outsplit_where_the_cap_falls_mid_group(outsplit_graph,
     assert assert_injectivity_rows(monkeypatch, cert, 5, caps) == {"pass"}
 
 
-def test_multiplicative_check_walks_each_clean_tag_once():
-    """Step (d) keeps one verdict per tag: the plan key of a window pair's
-    minimal pair with the last edge of its first leg, within the window
-    pair's source vertex group.  In the collapsed graph e0 and e2 are the
-    only edges into v1 and v2, and the key of the unit at v1 recurs with
-    first legs ending in no edge, in e0 and in e2.  A tag none of whose
-    composites both legs end in one such edge is walked once; a tag with
-    such a composite is walked for each of its pairs.  The report is the
+def test_multiplicative_check_walks_each_key_once():
+    """Step (d) keeps one verdict per plan key of a minimal pair, within
+    the window pair's source vertex group, and walks each key once for it.
+    A pair one of whose composites has both legs ending in one edge that is
+    the only edge into its range vertex is walked again in full; no other
+    pair is.  So the left plans handed out are the first pair of each key
+    and each such pair.  In the three-vertex graph e0 and e2 are such
+    edges, and the key of the unit at v1 recurs with first legs ending in
+    no edge, in e0 and in e2; collapsing ua leaves rb the one edge into ub.
+    On outsplit one walk per key and last edge of the first leg hands out
+    72 plans at each depth, against 50 here.  The report is the
     element-level oracle's at each depth."""
     g = Graph(["v1", "v2", "v3"], [("e0", "v1", "v1"), ("e1", "v3", "v1"),
                                    ("e2", "v2", "v1")])
-    cert = collapse(CollapseSpec(g, ["v3"]))
-    F = cert.collapsed
-    sole = F._sole_edge_range
-    assert sole == {"e0": "v1", "e2": "v2"}
+    three = collapse(CollapseSpec(g, ["v3"]))
+    assert three.collapsed._sole_edge_range == {"e0": "v1", "e2": "v2"}
+    outsplit = collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["ua"]))
     module = importlib.import_module("steinalg.collapse")
-    for depth in (1, 2, 3):
-        window = list(_window(F, _legs_depth(F, depth)))
-        minimal = [_minimal(F, a) for a in window]
-        tags = [(a[2], (m[1], m[4]), m[0][-1:]) for a, m in zip(window, minimal)]
-        assert len({tag[:2] for tag in tags}) < len(set(tags))
-        stripping = set()
-        for tag, m in zip(tags, minimal):
-            for n in minimal:
-                c = _compose(m, n)
-                if c and c[0] and c[1] and c[0][-1] == c[1][-1] and c[0][-1] in sole:
-                    stripping.add(tag)
-        want = (len(set(tags) - stripping)
-                + sum(1 for tag in tags if tag in stripping))
-        assert want < len(window)
-        walked = []
+    handed_out = []
+    for cert, depths in ((three, (1, 2, 3)), (outsplit, (3, 5))):
+        F = cert.collapsed
+        sole = F._sole_edge_range
+        for depth in depths:
+            window = list(_window(F, _legs_depth(F, depth)))
+            minimal = [_minimal(F, a) for a in window]
+            keys = [(a[2], m[1], m[4]) for a, m in zip(window, minimal)]
+            stripping = [any(c and c[0] and c[1] and c[0][-1] == c[1][-1]
+                             and c[0][-1] in sole for c in (_compose(m, n) for n in minimal))
+                         for m in minimal]
+            first = {}
+            for i, key in enumerate(keys):
+                first.setdefault(key, i)
+            want = Counter(minimal[i] for i in first.values())
+            want.update(m for m, strips in zip(minimal, stripping) if strips)
+            tags = {(key, m[0][-1:]) for key, m in zip(keys, minimal)}
+            assert len(first) < len(tags)
+            assert sum(want.values()) < len(window)
+            walked = []
 
-        class CountingIndex(_RangeLegIndex):
-            def plan(self, p):
-                walked.append(self)
-                return super().plan(p)
+            class CountingIndex(_RangeLegIndex):
+                def plan(self, p):
+                    walked.append((self, p))
+                    return super().plan(p)
 
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(module, "_RangeLegIndex", CountingIndex)
-            rep = pointed_groupoid_iso_check(cert, depth)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(module, "_RangeLegIndex", CountingIndex)
+                rep = pointed_groupoid_iso_check(cert, depth)
+            assert rep.ok
+            assert rep.render_kv() == element_level_iso_check(cert, depth, {}).render_kv()
+            left = walked[0][0]
+            assert Counter(p for index, p in walked if index is left) == want
+            handed_out.append(sum(want.values()))
+    assert handed_out == [9, 21, 39, 50, 50]
+
+
+def certify_round_checks():
+    """The iso checks of one round of perfbench's certify workload:
+    morita-check on outsplit at u and at ua,ub at depths 2-5, and collapse
+    on each certificate of the acceptance corpus at depth 2 or 3 by its
+    position."""
+    outsplit = load_graph(OUTSPLIT_TEXT)
+    checks = [(collapse(CollapseSpec(outsplit, t0)), depth)
+              for t0 in (["u"], ["ua", "ub"]) for depth in (2, 3, 4, 5)]
+    return checks + [(collapse(spec), 2 + i % 2) for i, spec in enumerate(corpus(13))]
+
+
+def test_certify_round_decides_each_key_and_leg_once(monkeypatch):
+    """Over one certify round, step (d) hands out 311 left plans of 10,385
+    entries: one per plan key in each group, 285 in all, and 26 for the
+    pairs walked in full, where one walk per key and last edge of the
+    first leg took 842 plans and 33,008 entries.  Step (c) decides 2,663
+    window pairs through 403 splits of a leg extended by a first hit, and
+    forms no pair: the original graph's window is never generated, and no
+    pair is built on a passing round."""
+    module = importlib.import_module("steinalg.collapse")
+    plans, windows, built = [], [], []
+    splits = []
+    split, window, build = module._collapsed_edges, module._window, module._build
+
+    class CountingIndex(_RangeLegIndex):
+        def plan(self, p):
+            entries = super().plan(p)
+            plans.append((self, len(entries)))
+            return entries
+
+    def counting_split(cert, edges):
+        splits.append(edges)
+        return split(cert, edges)
+
+    def recording_window(g, depth, ranges=None):
+        windows.append(g)
+        return window(g, depth, ranges)
+
+    def counting_build(g, t):
+        built.append(t)
+        return build(g, t)
+
+    monkeypatch.setattr(module, "_RangeLegIndex", CountingIndex)
+    monkeypatch.setattr(module, "_collapsed_edges", counting_split)
+    monkeypatch.setattr(module, "_window", recording_window)
+    monkeypatch.setattr(module, "_build", counting_build)
+    walked = entries = pairs = keys = asked = 0
+    for cert, depth in certify_round_checks():
+        plans.clear()
+        windows.clear()
+        splits.clear()
+        rep = pointed_groupoid_iso_check(cert, depth)
         assert rep.ok
-        assert rep.render_kv() == element_level_iso_check(cert, depth, {}).render_kv()
-        left = walked[0]
-        assert sum(1 for index in walked if index is left) == want
+        assert windows == [cert.collapsed]
+        F = cert.collapsed
+        keys += len({(a[2], m[1], m[4]) for a in _window(F, _legs_depth(F, depth))
+                     for m in [_minimal(F, a)]})
+        left = [n for index, n in plans if index is plans[0][0]]
+        walked += len(left)
+        entries += sum(left)
+        pairs += int(rep.value("coverage", "pairs"))
+        asked += len(splits)
+    assert (walked, entries, keys) == (311, 10385, 285)
+    assert (pairs, asked) == (2663, 403)
+    assert built == []
 
 
 # -- the memoized transport ----------------------------------------------------------
