@@ -22,7 +22,7 @@ from .graph import _comma_list, load_graph_file
 from .leavitt import check_ck_relations, eval_word
 from .morita import morita_report
 from .report import Report
-from .rings import ring_from_spec
+from .rings import int_of_text, int_text, ring_from_spec
 from .steinberg import add_all, convolve, grade
 
 
@@ -35,14 +35,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text):
+    """An int flag's value: a nonempty run of decimal digits, as a
+    ``zmod:`` modulus is, after at most one leading "-".  int() would also
+    take blanks, underscores and a "+"."""
+    negative = text[:1] == "-"
+    digits = text[1:] if negative else text
+    if not digits.isdecimal():
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    n = int_of_text(digits)
+    return -n if negative else n
+
+
 def _depth(text):
-    """The --depth value: a window depth, which cannot be negative."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if n < 0:
-        raise argparse.ArgumentTypeError("depth must be >= 0, got %d" % n)
+    """The --depth value: a window depth, an int written with no "-"."""
+    n = _integer(text)
+    if text[:1] == "-":
+        raise argparse.ArgumentTypeError("depth must be >= 0, got %s" % text)
     return n
 
 
@@ -62,7 +71,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--depth", type=_depth, default=3,
                             help="window depth for bounded checks")
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_integer, default=0)
         sp.add_argument("--format", dest="fmt", choices=("text", "kv"),
                         default="text")
 
@@ -204,7 +213,7 @@ def main(argv=None) -> int:
         rep = None
     if rep is None:
         print("internal error: %s ran out of memory%s" % (
-            args.command, "; try a smaller --depth than %d" % args.depth
+            args.command, "; try a smaller --depth than %s" % int_text(args.depth)
             if "depth" in args else ""), file=sys.stderr)
         return 4
     sys.stdout.write(rep.render(args.fmt))

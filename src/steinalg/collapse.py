@@ -267,8 +267,10 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     Step (c) checks only that each piece has a collapsed preimage; that the
     pieces partition the set follows from the preconditions (and is tested).
     Steps (b) and (c) decide each leg the capped window reaches once and
-    form no pair; step (d) decides each plan key of a source vertex once
-    and walks a pair on its own only where that verdict leaves it open.
+    form no pair.  Step (d) decides each plan key of a source vertex once,
+    by counting on both sides the window pairs whose range legs are
+    comparable with the key's source leg, and walks a pair's plans only
+    where that verdict leaves the pair open.
     """
     rep = Report("pointed groupoid isomorphism")
     if not _check_well_formed(cert, rep):
@@ -406,7 +408,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     #   phi(m[0]) and range at m[3], so the sides are equal exactly when
     #   the transported entry equals the right plan's entry, and neither
     #   side is formed.
-    # - on a well-formed certificate that comparison ends every combination
+    # - on an honest certificate that comparison ends every combination
     #   whose composite strips nothing.  There the edge paths from each
     #   vertex are its first hits, a prefix-free set, so phi keeps the
     #   prefix order of legs and the right plan of phi(m) equals the
@@ -423,45 +425,49 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     right_index = _RangeLegIndex(transported)
     sole = F._sole_edge_range
 
-    def key_verdict(left, right):
-        """The verdict of a plan key from its two plans: None when the key
-        is not clean, else the last edges (as 1-tuples) through which an
-        entry with an empty suffix strips."""
-        if len(left) != len(right):
-            return None
-        strips = set()
-        for (j, suffix, leg, source, leg_range), y in zip(left, right):
-            if (j, source, leg_range) != (y[0], y[3], y[4]) or (
-                    transport((suffix, leg, None, None, None))[:2] != y[1:3]):
-                return None
-            if sole and leg and leg[-1] in sole:
-                if not suffix:
-                    strips.add(leg[-1:])
-                elif suffix[-1] == leg[-1]:
-                    return None
-        return strips
-
     # The window is grouped by source vertex, and a plan's key (m's source
     # leg and its range vertex) recurs in a later group only where the
     # collapsed graph strips a pair.  So both indexes' plan caches, the
     # transported plans and the key verdicts are dropped when a group
     # starts, and the check holds one group's plans at a time; a key that
-    # recurs is planned again, to the same entries.
+    # recurs is decided again, to the same verdict.
     #
     # A pair's walk reads m through its plan key, except in two places: the
     # strip test of an entry with an empty suffix reads m[0][-1:], and the
     # sides formed once an entry leaves the tx == y path read phi_m[0] and
     # m[3].  The plans, their lengths, the left images and the one-sided
-    # test are functions of the key.  So a key is walked once, on its two
-    # plans, and called clean when they have equal length, every entry has
-    # tx == y, and no entry with a nonempty suffix strips; its verdict also
-    # keeps the last edges through which an entry with an empty suffix
-    # strips.  A pair of a clean key whose m[0][-1:] is not among those
-    # edges walks every entry to tx == y, strips nothing and leaves no
-    # rest, so it finds no defect and is not walked.  The verdict transports
-    # each entry through the transport's leg memo and keeps no list; every
-    # other pair is walked entry by entry, and only for those walks is its
-    # key's left plan transported into a list, once per key.
+    # test are functions of the key.  So a key is called clean when its two
+    # plans have equal length, every entry has tx == y, and no entry with a
+    # nonempty suffix strips; its verdict also keeps the last edges through
+    # which an entry with an empty suffix strips.  A pair of a clean key
+    # whose m[0][-1:] is not among those edges walks every entry to
+    # tx == y, strips nothing and leaves no rest, so it finds no defect and
+    # is not walked.
+    #
+    # The verdict is read off the two tries; no plan is formed for it.
+    # Past _check_well_formed, phi concatenates on edge tuples, phi(x + s) =
+    # phi(x) + phi(s) (_leg_image), maps each edge to a nonempty path and
+    # keeps each pair's vertices.  So for a range leg x comparable with the
+    # key's source leg nu (one a prefix of the other), phi(x) is comparable
+    # with phi(nu) the same way, and the left plan entry of x's pair,
+    # transported, is the right plan's entry of that pair.  So the left
+    # plan's positions are among the right plan's, and the plans match
+    # entry for entry exactly when the left trie files as many pairs
+    # comparable with nu as the right trie files comparable with phi(nu)
+    # (_RangeLegIndex.comparable).
+    #
+    # Only an entry whose second leg ends in a sole edge (the only edge into
+    # its range vertex) can strip, so a graph with none skips the strip
+    # part.  A pair filed at nu's node has an empty suffix and its own
+    # second leg: it adds that leg's last edge to the strips.  One filed
+    # below has a nonempty suffix ending where its range leg ends, so it
+    # strips only when its two legs end in one sole edge, and a minimal
+    # pair never does (_minimal would have stripped that edge).  An entry of a
+    # shorter range leg has an empty suffix and a second leg ending in
+    # nu[-1], so one test of nu[-1] decides them all.  Plans are handed out
+    # only for the pairs walked in full, those of unclean keys and those
+    # that strip, and only for those is a key's left plan transported into
+    # a list, once per key.
     verdicts = {}
     transported_plans = {}
     mult_defect = None
@@ -476,7 +482,7 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
         m, phi_m = flat_minimal[i], transported[i]
         key = (m[1], m[4])
         if key not in verdicts:
-            verdicts[key] = key_verdict(left_index.plan(m), right_index.plan(phi_m))
+            verdicts[key] = _key_verdict(left_index, right_index, flat_minimal, sole, m, phi_m)
         strips = verdicts[key]
         if strips is not None and m[0][-1:] not in strips:
             continue
@@ -536,6 +542,30 @@ def _transport(paths):
         return (mu, nu, v, mu_range, nu_range)
 
     return transport
+
+
+def _key_verdict(left_index, right_index, minimal, sole, m, phi_m):
+    """The verdict of step (d) on the plan key of m, whose transport is
+    phi_m, read off the two range leg indexes (see step (d)): None when the
+    key is not clean, else the last edges (as 1-tuples) through which an
+    entry with an empty suffix strips.  The left index files the pairs
+    minimal, and sole maps each edge that is the only edge into its range
+    vertex in the collapsed graph to that vertex."""
+    nu = m[1]
+    shorter, reaching, ending = left_index.comparable(nu, m[4])
+    right_shorter, right_reaching, _ = right_index.comparable(phi_m[1], phi_m[4])
+    if shorter + reaching != right_shorter + right_reaching:
+        return None
+    strips = set()
+    if not sole:
+        return strips
+    if shorter and nu[-1] in sole:
+        strips.add(nu[-1:])
+    for j in ending:
+        second = minimal[j][1]
+        if second and second[-1] in sole:
+            strips.add(second[-1:])
+    return strips
 
 
 def _legs_depth(graph: Graph, depth: int) -> int:

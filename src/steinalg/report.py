@@ -6,6 +6,8 @@ yields identical bytes, which the CLI relies on for reproducibility.
 
 from __future__ import annotations
 
+from .rings import int_text
+
 PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
@@ -26,7 +28,10 @@ class Report:
         return self._by_name[name]
 
     def add(self, section, key, value):
-        self.section(section).append((key, str(value)))
+        """Append a row; an int renders in full at any size (see
+        ``rings.int_text``), such as a depth given with 5,000 digits."""
+        self.section(section).append(
+            (key, int_text(value) if isinstance(value, int) else str(value)))
 
     def check(self, section, key, status, detail=""):
         """Record a named check; status may be a bool or a status string."""

@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from steinalg import (InputError, IntegerRing, Path, VertexSubset, cli,
+from steinalg import (Graph, InputError, IntegerRing, Path, VertexSubset, cli,
                       enumerate_paths, eval_word, generator, load_graph,
                       parse_word, ring_from_spec, sampling, serialize_graph)
 from tests.conftest import (LOOP_TEXT, OUTSPLIT_TEXT, ROSE2_TEXT,
@@ -151,10 +151,64 @@ def test_missing_required_flag(capsys):
 
 @pytest.mark.parametrize("command", ["collapse", "morita-check"])
 def test_negative_depth_is_a_usage_error(command, graph_file, capsys):
-    code, out, err = run(capsys, command, "--graph", graph_file(TWO_CYCLE_TEXT),
-                         "--t0", "w", "--depth", "-1")
-    assert code == 1 and out == ""
-    assert "usage error" in err and "depth must be >= 0" in err
+    for value in ("-1", "-30", "-0", "-" + "0" * 5000 + "1"):
+        code, out, err = run(capsys, command, "--graph", graph_file(TWO_CYCLE_TEXT),
+                             "--t0", "w", "--depth", value)
+        assert code == 1 and out == ""
+        assert err == "usage error: argument --depth: depth must be >= 0, got %s\n" % value
+
+
+@pytest.mark.parametrize("flag,value,row", [
+    ("--depth", "0" * 5000 + "2", "depth = 2"),
+    ("--depth", "\u0663", "depth = 3"),
+    ("--seed", "-5", "seed = -5"),
+    ("--seed", "0" * 40 + "7", "seed = 7"),
+    ("--seed", "9" * 5000, "seed = " + "9" * 5000),
+    ("--seed", "-" + "9" * 5000, "seed = -" + "9" * 5000)])
+def test_depth_and_seed_read_any_digit_run(flag, value, row, graph_file, capsys):
+    """A run of decimal digits of any length is read whole, and its row
+    names it: a zero-padded depth of 5,000 digits runs at depth 2, and a
+    seed of 5,000 digits is rendered, not refused by int()'s digit
+    limit."""
+    code, out, err = run(capsys, "morita-check", "--graph", graph_file(TWO_CYCLE_TEXT),
+                         "--t0", "w", "--format", "kv", flag + "=" + value)
+    assert (code, err) == (0, "")
+    assert row in out.splitlines()
+
+
+ACYCLIC_TEXT = "vertices: v, w\nedge: e w <- v\n"
+
+
+def test_a_depth_past_the_int_text_digit_limit_is_rendered_in_full(graph_file, capsys):
+    """On a graph with no cycle the window is finite at any depth, so a
+    depth of 5,000 nines runs, and each row that holds it, or a figure
+    read from it, is rendered whole rather than refused by int()'s
+    4,300-digit limit."""
+    depth = "9" * 5000
+    path = graph_file(ACYCLIC_TEXT)
+    code, out, err = run(capsys, "morita-check", "--graph", path, "--t0", "w",
+                         "--depth", depth, "--format", "kv")
+    assert code in (0, 3) and err == ""
+    assert "depth = " + depth in out.splitlines()
+    code, out, err = run(capsys, "collapse", "--graph", path, "--t0", "w",
+                         "--depth", depth, "--format", "kv")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert "max-len = 1" + "0" * 4999 + "1" in rows
+    assert "legs-depth = " + depth in rows
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--seed"])
+@pytest.mark.parametrize("value", ["2_0", " 2", "2 ", "+2", "1_000", "", "x", "2.0",
+                                   "-2_0", "--2"])
+def test_depth_and_seed_refuse_what_is_not_a_digit_run(flag, value, graph_file, capsys):
+    """A depth or seed is a nonempty run of decimal digits, as a zmod:
+    modulus is, and a seed may start with one "-": the blanks, underscores
+    and "+" that int() would take are usage errors."""
+    code, out, err = run(capsys, "morita-check", "--graph", graph_file(TWO_CYCLE_TEXT),
+                         "--t0", "w", flag + "=" + value)
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument %s: invalid int value: %r\n" % (flag, value)
 
 
 def test_wrong_word_count(graph_file, capsys):
@@ -571,12 +625,17 @@ def test_certifier_keeps_its_exit_code_contract(seed, faults, command, t0, depth
     assert (code == 0) == ("ok = true" in out.splitlines()[:3])
 
 
-# Flag noise for validate and morita-check.  A long digit run is zeros
-# before a small depth, so a run int() reads is a depth of at most 3, and a
-# run past its 4,300-digit limit is refused as usage.
-DEPTH_NOISE = ("0", "1", "2", "3", "-1", "-30", "x", "", "2.0", "0x2",
-               "0" * 40 + "3", "0" * 4299 + "2", "0" * 4300 + "2", "0" * 5000 + "1")
-SEED_NOISE = ("0", "7", "-5", "x", "", "1e3", "9" * 40, "9" * 4300, "9" * 5000)
+# Flag noise for validate and morita-check.  A long digit run is mostly
+# zeros before a small depth, so it is a depth of at most 3 at any length,
+# past int()'s 4,300-digit limit too, except LONG_DEPTH, which is run on
+# the graph's edges that climb the vertex order, a graph with no cycle and
+# so a finite window; a seed of any length runs.
+LONG_DEPTH = "9" * 5000
+DEPTH_NOISE = ("0", "1", "2", "3", "-1", "-30", "x", "", "2.0", "0x2", "2_0", " 2",
+               "+2", "1_000", "0" * 40 + "3", "0" * 4299 + "2", "0" * 4300 + "2",
+               "0" * 5000 + "1", "0" * 5000 + "2", LONG_DEPTH)
+SEED_NOISE = ("0", "7", "-5", "x", "", "1e3", "1_000", " 2", "+2", "9" * 40,
+              "9" * 4300, "9" * 5000, "-" + "9" * 5000)
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 9),
@@ -596,6 +655,9 @@ def test_validate_and_morita_check_keep_their_exit_code_contract(
     nothing to stdout; the other exits write nothing to stderr.  Two runs
     print the same bytes."""
     g = sampling.random_graph(sampling.rng_from_seed(seed), max_vertices=4, max_edges=6)
+    if depth == LONG_DEPTH:
+        up = g.vertices.index
+        g = Graph(g.vertices, [e for e in g.edges if up(e.source_vertex) < up(e.range_vertex)])
     path = tmp_path / "graph.txt"
     path.write_text(serialize_graph(g))
     argv = [command, "--graph", str(path), "--format", "kv"]

@@ -22,14 +22,15 @@ from steinalg import (CollapseSpec, Graph, GroupoidProbe, InputError,
 from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
-                               _collapsed_edges, _legs_depth, _transport)
+                               _collapsed_edges, _key_verdict, _legs_depth,
+                               _transport)
 from steinalg.cylinder import (_build, _compose, _flat, _legs_by_source, _minimal,
                                _RangeLegIndex, _window)
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
                             collapsed_preimage, long_line, minimal_pair,
                             path_map_image_report, phi_fin, phi_pair,
-                            probe_window, recording_range_leg_index,
-                            vertex_path)
+                            plan_walk_key_verdict, probe_window,
+                            recording_range_leg_index, vertex_path)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -572,40 +573,35 @@ def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
     assert built == []
 
 
-def walked_pairs(window, minimal):
-    """The positions of the window pairs step (d) walks on an honest
-    certificate whose composites strip nothing: the first pair of each
-    plan key of a minimal pair within each source vertex's group."""
-    seen, walked = set(), []
-    for i, (a, m) in enumerate(zip(window, minimal)):
-        key = (a[2], m[1], m[4])
-        if key not in seen:
-            seen.add(key)
-            walked.append(i)
-    return walked
+def stripping_pairs(F, minimal):
+    """Whether each minimal pair of F's window has a composite with a
+    minimal pair of the window whose two legs end in one edge that is the
+    only edge into its range vertex: the pairs step (d) walks in full on
+    an honest certificate."""
+    sole = F._sole_edge_range
+    return [any(c and c[0] and c[1] and c[0][-1] == c[1][-1] and c[0][-1] in sole
+                for c in (_compose(m, n) for n in minimal))
+            for m in minimal]
 
 
 def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
                                                                  monkeypatch):
     """Step (d) forms its composites from one plan per distinct source leg
-    on each side, and walks a pair's plans only for the first pair of its
-    plan key: the flat composition rule is never called, each side's trie
-    is walked once per distinct source leg, and the composites formed on
-    each side are, with multiplicity, those the rule gives on the
-    combinations of each walked pair that compose there."""
-    cert = collapse(CollapseSpec(outsplit_graph, ["u"]))
-    F = cert.collapsed
-    assert not F._sole_edge_range
-    window = pairs_to_depth(F, _legs_depth(F, 5))
-    minimal = [minimal_pair(a) for a in window]
-    images = [minimal_pair(phi_pair(cert, m)) for m in minimal]
-    sides = [[_flat(p) for p in side] for side in (minimal, images)]
-    walked = walked_pairs([_flat(a) for a in window], sides[0])
-    assert (len(window), len(walked)) == (98, 14)
-    calls, walks, formed = [], [], []
+    on each side, and hands out plans only for the pairs it walks in full:
+    the flat composition rule is never called, and the composites formed
+    on each side are, with multiplicity, those the rule gives on the
+    combinations of each walked pair that compose there.  Outsplit
+    collapsed at u has no edge that is the only edge into its range
+    vertex, so every key is decided off the tries, each side's trie is
+    read once per distinct source leg, and no plan is handed out.  The
+    three-vertex graph has two such edges, and the pairs it walks are
+    those with a composite that strips."""
+    g = Graph(["v1", "v2", "v3"], [("e0", "v1", "v1"), ("e1", "v3", "v1"),
+                                   ("e2", "v2", "v1")])
     module = importlib.import_module("steinalg.collapse")
     kernel = importlib.import_module("steinalg.cylinder")
     compose = kernel._compose
+    calls = []
 
     def counting_compose(p, q):
         calls.append(1)
@@ -613,18 +609,28 @@ def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
 
     monkeypatch.setattr(kernel, "_compose", counting_compose)
     monkeypatch.setattr(module, "_compose", counting_compose, raising=False)
-    monkeypatch.setattr(module, "_RangeLegIndex",
-                        recording_range_leg_index(walks, formed))
-    rep = pointed_groupoid_iso_check(cert, 5)
-    assert rep.ok
-    assert rep.value("multiplicative", "pairs") == str(len(minimal))
-    assert calls == []
-    assert len(walks) == sum(len({(t[1], t[4]) for t in side}) for side in sides)
-    assert len(formed) == 2
-    for got, side in zip(formed, sides):
-        want = Counter(compose(side[i], q) for i in walked for q in side)
-        del want[None]
-        assert Counter(got) == want
+    for t0, graph, depth in ((["u"], outsplit_graph, 5), (["v3"], g, 3)):
+        cert = collapse(CollapseSpec(graph, t0))
+        F = cert.collapsed
+        window = [minimal_pair(a) for a in pairs_to_depth(F, _legs_depth(F, depth))]
+        minimal = [_flat(m) for m in window]
+        sides = [minimal, [_flat(phi_pair(cert, m)) for m in window]]
+        walked = [i for i, strips in enumerate(stripping_pairs(F, minimal)) if strips]
+        assert (len(minimal), len(walked)) == ((98, 0) if t0 == ["u"] else (50, 30))
+        walks, formed = [], []
+        monkeypatch.setattr(module, "_RangeLegIndex",
+                            recording_range_leg_index(walks, formed))
+        rep = pointed_groupoid_iso_check(cert, depth)
+        assert rep.ok
+        assert rep.value("multiplicative", "pairs") == str(len(minimal))
+        assert calls == []
+        if not walked:
+            assert len(walks) == sum(len({(t[1], t[4]) for t in side}) for side in sides)
+        assert len(formed) == 2
+        for got, side in zip(formed, sides):
+            want = Counter(compose(side[i], q) for i in walked for q in side)
+            del want[None]
+            assert Counter(got) == want
 
 
 def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
@@ -895,11 +901,11 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
                                                                      monkeypatch):
     """Collapsing ua and ub leaves no edge that is the only one into its
     range vertex, so step (d) strips no composite.  It then transports each
-    leg of the probe window, each window pair and each distinct left plan's
-    entries once, and no combination.  It composes the transports unminimized, and the
+    leg of the probe window and each window pair once, and no plan entry
+    or combination: every plan key is decided off the tries.  The
     transported left composite equals the right one on each of the 18,675
-    combinations that compose on both sides, so it minimizes nothing in
-    the original graph."""
+    combinations that compose on both sides, so the check minimizes
+    nothing in the original graph."""
     cert = collapse(CollapseSpec(outsplit_graph, ["ua", "ub"]))
     F, g = cert.collapsed, cert.original
     assert not F._sole_edge_range
@@ -915,10 +921,6 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
             both += 1
             differ += _flat(phi_pair(cert, minimal_pair(_build(F, left)))) != right
     assert (both, differ) == (18675, 0)
-    plan_entries = 0
-    for key in {(m[1], m[4]) for m in minimal}:
-        plan_entries += sum(1 for n in minimal
-                            if _compose(((), key[0], None, None, key[1]), n) is not None)
 
     module = importlib.import_module("steinalg.collapse")
     minimized = Counter()
@@ -943,7 +945,7 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
     assert rep.ok
     legs = list(enumerate_paths(F, max_len=5))
     assert rep.value("transport", "probes") == str(len(legs) ** 2)
-    assert len(transported) == len(legs) + len(window) + plan_entries
+    assert len(transported) == len(legs) + len(window)
     assert minimized == {"collapsed": len(window)}
 
 
@@ -1050,16 +1052,16 @@ def test_injectivity_on_outsplit_where_the_cap_falls_mid_group(outsplit_graph,
 
 
 def test_multiplicative_check_walks_each_key_once():
-    """Step (d) keeps one verdict per plan key of a minimal pair, within
-    the window pair's source vertex group, and walks each key once for it.
-    A pair one of whose composites has both legs ending in one edge that is
-    the only edge into its range vertex is walked again in full; no other
-    pair is.  So the left plans handed out are the first pair of each key
-    and each such pair.  In the three-vertex graph e0 and e2 are such
-    edges, and the key of the unit at v1 recurs with first legs ending in
-    no edge, in e0 and in e2; collapsing ua leaves rb the one edge into ub.
-    On outsplit one walk per key and last edge of the first leg hands out
-    72 plans at each depth, against 50 here.  The report is the
+    """Step (d) reads one verdict per plan key of a minimal pair off the two
+    tries, within the window pair's source vertex group, and hands out
+    plans only for the pairs it walks in full.  On an honest certificate
+    every key is clean, so those are the pairs one of whose composites has
+    both legs ending in one edge that is the only edge into its range
+    vertex, and the left plans handed out are theirs alone.  In the
+    three-vertex graph e0 and e2 are such edges, and the key of the unit
+    at v1 recurs with first legs ending in no edge, in e0 and in e2;
+    collapsing ua leaves rb the one edge into ub.  A plan walk per key
+    handed out 9, 21, 39, 50 and 50 plans here.  The report is the
     element-level oracle's at each depth."""
     g = Graph(["v1", "v2", "v3"], [("e0", "v1", "v1"), ("e1", "v3", "v1"),
                                    ("e2", "v2", "v1")])
@@ -1070,25 +1072,19 @@ def test_multiplicative_check_walks_each_key_once():
     handed_out = []
     for cert, depths in ((three, (1, 2, 3)), (outsplit, (3, 5))):
         F = cert.collapsed
-        sole = F._sole_edge_range
         for depth in depths:
             window = list(_window(F, _legs_depth(F, depth)))
             minimal = [_minimal(F, a) for a in window]
-            keys = [(a[2], m[1], m[4]) for a, m in zip(window, minimal)]
-            stripping = [any(c and c[0] and c[1] and c[0][-1] == c[1][-1]
-                             and c[0][-1] in sole for c in (_compose(m, n) for n in minimal))
-                         for m in minimal]
-            first = {}
-            for i, key in enumerate(keys):
-                first.setdefault(key, i)
-            want = Counter(minimal[i] for i in first.values())
-            want.update(m for m, strips in zip(minimal, stripping) if strips)
-            tags = {(key, m[0][-1:]) for key, m in zip(keys, minimal)}
-            assert len(first) < len(tags)
+            want = Counter(m for m, strips in zip(minimal, stripping_pairs(F, minimal))
+                           if strips)
             assert sum(want.values()) < len(window)
-            walked = []
+            indexes, walked = [], []
 
             class CountingIndex(_RangeLegIndex):
+                def __init__(self, pairs):
+                    super().__init__(pairs)
+                    indexes.append(self)
+
                 def plan(self, p):
                     walked.append((self, p))
                     return super().plan(p)
@@ -1098,10 +1094,9 @@ def test_multiplicative_check_walks_each_key_once():
                 rep = pointed_groupoid_iso_check(cert, depth)
             assert rep.ok
             assert rep.render_kv() == element_level_iso_check(cert, depth, {}).render_kv()
-            left = walked[0][0]
-            assert Counter(p for index, p in walked if index is left) == want
+            assert Counter(p for index, p in walked if index is indexes[0]) == want
             handed_out.append(sum(want.values()))
-    assert handed_out == [9, 21, 39, 50, 50]
+    assert handed_out == [4, 14, 30, 28, 28]
 
 
 def certify_round_checks():
@@ -1116,10 +1111,11 @@ def certify_round_checks():
 
 
 def test_certify_round_decides_each_key_and_leg_once(monkeypatch):
-    """Over one certify round, step (d) hands out 311 left plans of 10,385
-    entries: one per plan key in each group, 285 in all, and 26 for the
-    pairs walked in full, where one walk per key and last edge of the
-    first leg took 842 plans and 33,008 entries.  Step (c) decides 2,663
+    """Over one certify round, step (d) decides 285 plan keys, one per key
+    in each group, off the tries, and hands out 26 left plans of 283
+    entries, for the pairs walked in full.  A plan walk per key took 311
+    plans and 10,385 entries, and one walk per key and last edge of the
+    first leg 842 plans and 33,008 entries.  Step (c) decides 2,663
     window pairs through 403 splits of a leg extended by a first hit, and
     forms no pair: the original graph's window is never generated, and no
     pair is built on a passing round."""
@@ -1166,7 +1162,7 @@ def test_certify_round_decides_each_key_and_leg_once(monkeypatch):
         entries += sum(left)
         pairs += int(rep.value("coverage", "pairs"))
         asked += len(splits)
-    assert (walked, entries, keys) == (311, 10385, 285)
+    assert (walked, entries, keys) == (26, 283, 285)
     assert (pairs, asked) == (2663, 403)
     assert built == []
 
@@ -1222,6 +1218,50 @@ def test_right_plans_are_the_transported_left_plans():
             want = [(j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
                     for j, suffix, leg, source, leg_range in left_index.plan(m)]
             assert right_index.plan(phi_m) == want
+
+
+def verdict_certificates():
+    """Outsplit collapsed at u, ua, ub and ua,ub and the certificates of
+    collapse_corpus seeds 1, 3, 5, 7, 13 and 21, each honest, with each of
+    its first four collapsed edges dropped or duplicated, and with every
+    parallel move: corruptions that well-formedness lets through."""
+    outsplit = load_graph(OUTSPLIT_TEXT)
+    honest = [collapse(CollapseSpec(outsplit, t0))
+              for t0 in (["u"], ["ua"], ["ub"], ["ua", "ub"])]
+    honest += [collapse(spec) for seed in (1, 3, 5, 7, 13, 21) for spec in corpus(seed)]
+    for cert in honest:
+        yield cert
+        for e in cert.collapsed.edges[:4]:
+            yield drop_collapsed_edge(cert, e.id)
+            yield duplicate_collapsed_edge(cert, e)
+        for e, other in parallel_pairs(cert):
+            yield move_collapsed_edge(cert, e, other)
+
+
+def test_key_verdict_is_the_plan_walks():
+    """Step (d) reads a plan key's verdict off the two tries, and it equals
+    the verdict of walking the key's two plans entry by entry on every key
+    of every window at depths 1-4 of the 1,296 certificates above: 55,371
+    keys, of which 11,450 are not clean and 7,692 have strips."""
+    keys, unclean, stripping = 0, 0, 0
+    for cert in verdict_certificates():
+        assert _check_well_formed(cert, Report("well-formed"))
+        F = cert.collapsed
+        sole = F._sole_edge_range
+        transport = _transport(cert.edge_paths)
+        for depth in range(1, 5):
+            minimal = [_minimal(F, a) for a in _window(F, _legs_depth(F, depth))]
+            transported = [transport(m) for m in minimal]
+            left, right = _RangeLegIndex(minimal), _RangeLegIndex(transported)
+            for m, phi_m in dict(((m[1], m[4]), (m, phi_m))
+                                 for m, phi_m in zip(minimal, transported)).values():
+                want = plan_walk_key_verdict(left.plan(m), right.plan(phi_m),
+                                             transport, sole)
+                assert _key_verdict(left, right, minimal, sole, m, phi_m) == want
+                keys += 1
+                unclean += want is None
+                stripping += bool(want)
+    assert (keys, unclean, stripping) == (55371, 11450, 7692)
 
 
 def resourced_outsplit():
