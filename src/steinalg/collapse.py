@@ -23,15 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cylinder import _build, _legs_by_source, _minimal, _RangeLegIndex, _window
+from .cylinder import _build, _compose, _legs_by_source, _minimal, _window
 from .graph import (Edge, Graph, VertexSubset, _as_subset, _flat_paths, _path,
                     _require_vertex, is_acyclic, sources, subgraph)
 from .report import Report
+from .rings import int_text
 
 # Deterministic work caps for the windowed checks; enumeration order is
 # canonical, so capping keeps reports reproducible.
 _COVERAGE_PAIR_CAP = 500
 _INJECTIVITY_PROBE_CAP = 4000
+# Step (d)'s budget caps its combinations, the window's pairs squared, and
+# so also the partners it tries where the edge paths form no prefix code.
 _MULTIPLICATIVE_COMBO_BUDGET = 65536
 
 
@@ -267,11 +270,16 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     Step (c) checks only that each piece has a collapsed preimage; that the
     pieces partition the set follows from the preconditions (and is tested).
     Steps (b) and (c) decide each leg the capped window reaches once and
-    form no pair.  Step (d) decides each plan key of a source vertex once,
-    by counting on both sides the window pairs whose range legs are
-    comparable with the key's source leg, and walks a pair's plans only
-    where that verdict leaves the pair open.
+    form no pair.  Step (d) decides each combination by one rule
+    (``_differs``).  Where the edge paths into each retained vertex form a
+    prefix code, as the first hits ``collapse`` names do, the path map
+    reflects which legs are prefixes of which, so a combination can fail
+    only where the collapsed graph strips its composite, and only those
+    partners are tried; otherwise every partner at the vertex is.  A
+    negative depth raises ValueError.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0, got %s" % int_text(depth))
     rep = Report("pointed groupoid isomorphism")
     if not _check_well_formed(cert, rep):
         return rep
@@ -378,144 +386,59 @@ def pointed_groupoid_iso_check(cert: CollapseCertificate, depth: int) -> Report:
     # The window, its minimal pairs, their transports and the composites are
     # flat pairs (edge-id tuples, see cylinder._flat), and a PathPair is
     # built only to render the defect text from the window's own pairs.  The
-    # minimal window and its transports are indexed by range leg, so for
-    # each a only the b that compose on at least one side are visited, in
-    # ascending order: the first defect is the least b that composes on one
-    # side only or whose two composites disagree, as in the loop over every
-    # combination.  The two sides' plans for a (see _RangeLegIndex.plan)
-    # are walked in lockstep by position, and each composite is formed from
-    # its plan entry, so no combination calls the composition rule.
+    # first defect is the least a, and for it the least b, whose minimal
+    # pairs m and n fail _differs.  The transport keeps each pair's
+    # vertices, so an n whose range leg ranges elsewhere than m's source leg
+    # composes on neither side, and only the n at m's vertex are tried, in
+    # ascending order.  The combination budget bounds that search.
     #
-    # A combination transports a leg only where the collapsed graph strips
-    # its composite, and minimizes in the original graph only where its two
-    # sides differ.  Both are decided per composite:
-    # - phi on a leg is the concatenation of its edges' abbreviated paths
-    #   (_leg_image), so phi(mu + suffix) = phi(mu) + phi(suffix), and the
-    #   well-formedness check above gives each collapsed edge's path the
-    #   edge's own endpoints, so a transported pair keeps the collapsed
-    #   pair's vertices.  So phi of the left composite of a plan entry (j,
-    #   suffix, leg, source, leg_range) is (phi(m[0]) + phi(suffix),
-    #   phi(leg), source, m[3], leg_range).  The transported entry tx = (j,
-    #   phi(suffix), phi(leg), source, leg_range) depends, like the plan,
-    #   only on the plan's key, m's source leg and its range vertex.
-    # - _minimal strips a composite in the collapsed graph exactly when both
-    #   legs end in one edge that is the only edge into its range vertex
-    #   there, and the legs end where suffix (or m[0]) and leg end.  So each
-    #   plan entry decides it, and only a composite that strips is formed.
-    # - equal pairs have equal minimal pairs, so the two sides are compared
-    #   as they are, and both are minimized only when they differ.  Where
-    #   the composite strips nothing, both sides' first legs start with
-    #   phi(m[0]) and range at m[3], so the sides are equal exactly when
-    #   the transported entry equals the right plan's entry, and neither
-    #   side is formed.
-    # - on an honest certificate that comparison ends every combination
-    #   whose composite strips nothing.  There the edge paths from each
-    #   vertex are its first hits, a prefix-free set, so phi keeps the
-    #   prefix order of legs and the right plan of phi(m) equals the
-    #   transported left plan entry for entry.  So each key is clean
-    #   (below), and only the pairs with a composite that strips are walked.
+    # On a certificate whose edge paths into each retained vertex form a
+    # prefix code (_prefix_code) only a few n are tried.  Past
+    # _check_well_formed, phi concatenates on edge tuples, phi(x + s) =
+    # phi(x) + phi(s) (_leg_image), and keeps each pair's vertices.  Then
+    # phi reflects comparability of two legs x and y at one range vertex
+    # (one a prefix of the other; an empty leg is comparable with any):
+    # when both are nonempty and phi(x), phi(y) are comparable, so are the
+    # paths of their first edges, which the prefix code makes one edge,
+    # and induction on the rest of the legs does the remainder.  So m and
+    # n compose on both sides or on neither, and the transport of the left
+    # composite is the right one.  The two sides differ only where _minimal
+    # strips the left composite in the collapsed graph, that is, where its
+    # legs end in one edge that is the only edge into its range vertex.
+    # Where n's range leg extends m's source leg by a nonempty s, the
+    # composite (m[0] + s, n[1]) ends as n does, and where m's source leg
+    # extends n's range leg by a nonempty r, the composite (m[0], n[1] + r)
+    # ends as m does; a minimal pair strips nothing, so neither composite
+    # does.  What is left is n[0] == m[1] at one vertex, with composite
+    # (m[0], n[1]): n[1] ends in m[0][-1], the only edge into its range
+    # vertex.  collapse() names first hits, which form a prefix code, so
+    # an honest certificate always takes this path.
     mult_depth = _legs_depth(F, depth)
     fpairs = list(_window(F, mult_depth))
     rep.add("multiplicative", "legs-depth", mult_depth)
     rep.add("multiplicative", "pairs", len(fpairs))
 
-    flat_minimal = [_minimal(F, a) for a in fpairs]
-    transported = [transport(m) for m in flat_minimal]
-    left_index = _RangeLegIndex(flat_minimal)
-    right_index = _RangeLegIndex(transported)
+    minimal = [_minimal(F, a) for a in fpairs]
     sole = F._sole_edge_range
-
-    # The window is grouped by source vertex, and a plan's key (m's source
-    # leg and its range vertex) recurs in a later group only where the
-    # collapsed graph strips a pair.  So both indexes' plan caches, the
-    # transported plans and the key verdicts are dropped when a group
-    # starts, and the check holds one group's plans at a time; a key that
-    # recurs is decided again, to the same verdict.
-    #
-    # A pair's walk reads m through its plan key, except in two places: the
-    # strip test of an entry with an empty suffix reads m[0][-1:], and the
-    # sides formed once an entry leaves the tx == y path read phi_m[0] and
-    # m[3].  The plans, their lengths, the left images and the one-sided
-    # test are functions of the key.  So a key is called clean when its two
-    # plans have equal length, every entry has tx == y, and no entry with a
-    # nonempty suffix strips; its verdict also keeps the last edges through
-    # which an entry with an empty suffix strips.  A pair of a clean key
-    # whose m[0][-1:] is not among those edges walks every entry to
-    # tx == y, strips nothing and leaves no rest, so it finds no defect and
-    # is not walked.
-    #
-    # The verdict is read off the two tries; no plan is formed for it.
-    # Past _check_well_formed, phi concatenates on edge tuples, phi(x + s) =
-    # phi(x) + phi(s) (_leg_image), maps each edge to a nonempty path and
-    # keeps each pair's vertices.  So for a range leg x comparable with the
-    # key's source leg nu (one a prefix of the other), phi(x) is comparable
-    # with phi(nu) the same way, and the left plan entry of x's pair,
-    # transported, is the right plan's entry of that pair.  So the left
-    # plan's positions are among the right plan's, and the plans match
-    # entry for entry exactly when the left trie files as many pairs
-    # comparable with nu as the right trie files comparable with phi(nu)
-    # (_RangeLegIndex.comparable).
-    #
-    # Only an entry whose second leg ends in a sole edge (the only edge into
-    # its range vertex) can strip, so a graph with none skips the strip
-    # part.  A pair filed at nu's node has an empty suffix and its own
-    # second leg: it adds that leg's last edge to the strips.  One filed
-    # below has a nonempty suffix ending where its range leg ends, so it
-    # strips only when its two legs end in one sole edge, and a minimal
-    # pair never does (_minimal would have stripped that edge).  An entry of a
-    # shorter range leg has an empty suffix and a second leg ending in
-    # nu[-1], so one test of nu[-1] decides them all.  Plans are handed out
-    # only for the pairs walked in full, those of unclean keys and those
-    # that strip, and only for those is a key's left plan transported into
-    # a list, once per key.
-    verdicts = {}
-    transported_plans = {}
+    prefix_code = _prefix_code(cert)
+    # The candidate partners by range leg and range vertex on a prefix code,
+    # else by range vertex alone, each list ascending.
+    partners = {}
+    for j, n in enumerate(minimal):
+        partners.setdefault((n[0], n[3]) if prefix_code else n[3], []).append(j)
     mult_defect = None
-    group = None
-    for i, a in enumerate(fpairs):
-        if a[2] != group:
-            group = a[2]
-            left_index._plans.clear()
-            right_index._plans.clear()
-            transported_plans.clear()
-            verdicts.clear()
-        m, phi_m = flat_minimal[i], transported[i]
-        key = (m[1], m[4])
-        if key not in verdicts:
-            verdicts[key] = _key_verdict(left_index, right_index, flat_minimal, sole, m, phi_m)
-        strips = verdicts[key]
-        if strips is not None and m[0][-1:] not in strips:
-            continue
-        left = left_index.plan(m)
-        left_images = transported_plans.get(key)
-        if left_images is None:
-            left_images = transported_plans[key] = [
-                (j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
-                for j, suffix, leg, source, leg_range in left]
-        right = right_index.plan(phi_m)
-        b = None
-        for x, tx, y in zip(left, left_images, right):
-            if x[0] != y[0]:
-                b = min(x[0], y[0])     # it composes on one side only
-                break
-            if sole and x[2] and x[2][-1] in sole and (x[1] or m[0])[-1:] == x[2][-1:]:
-                _, suffix, leg, source, leg_range = x
-                lhs = transport(_minimal(F, (m[0] + suffix, leg, source, m[3], leg_range)))
-            elif tx == y:
-                continue
-            else:
-                lhs = (phi_m[0] + tx[1], tx[2], tx[3], m[3], tx[4])
-            _, suffix, leg, source, leg_range = y
-            rhs = (phi_m[0] + suffix, leg, source, phi_m[3], leg_range)
-            if lhs != rhs and _minimal(g, lhs) != _minimal(g, rhs):
-                b = x[0]
-                break
+    for i, m in enumerate(minimal):
+        if not prefix_code:
+            found = partners.get(m[4], ())
+        elif m[0] and m[0][-1] in sole:
+            found = [j for j in partners.get((m[1], m[4]), ())
+                     if minimal[j][1][-1:] == m[0][-1:]]
         else:
-            rest = left[len(right):] or right[len(left):]
-            if rest:
-                b = rest[0][0]      # it composes on the longer side only
+            continue
+        b = next((j for j in found if _differs(cert, transport, m, minimal[j])), None)
         if b is not None:
-            mult_defect = "%s then %s" % (_build(F, a).render(), _build(F, fpairs[b]).render())
+            mult_defect = "%s then %s" % (_build(F, fpairs[i]).render(),
+                                          _build(F, fpairs[b]).render())
             break
     rep.check("multiplicative", "transport-multiplicative", mult_defect is None,
               mult_defect or "")
@@ -544,28 +467,33 @@ def _transport(paths):
     return transport
 
 
-def _key_verdict(left_index, right_index, minimal, sole, m, phi_m):
-    """The verdict of step (d) on the plan key of m, whose transport is
-    phi_m, read off the two range leg indexes (see step (d)): None when the
-    key is not clean, else the last edges (as 1-tuples) through which an
-    entry with an empty suffix strips.  The left index files the pairs
-    minimal, and sole maps each edge that is the only edge into its range
-    vertex in the collapsed graph to that vertex."""
-    nu = m[1]
-    shorter, reaching, ending = left_index.comparable(nu, m[4])
-    right_shorter, right_reaching, _ = right_index.comparable(phi_m[1], phi_m[4])
-    if shorter + reaching != right_shorter + right_reaching:
-        return None
-    strips = set()
-    if not sole:
-        return strips
-    if shorter and nu[-1] in sole:
-        strips.add(nu[-1:])
-    for j in ending:
-        second = minimal[j][1]
-        if second and second[-1] in sole:
-            strips.add(second[-1:])
-    return strips
+def _differs(cert, transport, m, n) -> bool:
+    """Whether the combination of the collapsed graph's minimal pairs m
+    then n fails step (d).  The two sides are transport(_minimal(F,
+    _compose(m, n))) and _compose(transport(m), transport(n)).  They differ
+    when exactly one is None, or when they are different pairs whose
+    minimal pairs in the original graph differ too."""
+    left, right = _compose(m, n), _compose(transport(m), transport(n))
+    if left is None or right is None:
+        return left is not right
+    lhs = transport(_minimal(cert.collapsed, left))
+    return lhs != right and _minimal(cert.original, lhs) != _minimal(cert.original, right)
+
+
+def _prefix_code(cert: CollapseCertificate) -> bool:
+    """Whether, at each retained vertex, no edge path of a collapsed edge
+    into it is a prefix of another's, equal paths included.  The paths are
+    those of ``collapsed.edges``; a key of ``edge_paths`` that names no
+    collapsed edge plays no part."""
+    into = {}
+    for fe in cert.collapsed.edges:
+        into.setdefault(fe.range_vertex, []).append(cert.edge_paths[fe.id].edges)
+    # Sorted, the paths that extend a path p come right after it.
+    for paths in into.values():
+        paths.sort()
+        if any(q[:len(p)] == p for p, q in zip(paths, paths[1:])):
+            return False
+    return True
 
 
 def _legs_depth(graph: Graph, depth: int) -> int:

@@ -12,11 +12,10 @@ Inside the package a pair is flat, a tuple of edge ids and vertices (see
 ``_flat``): ``_compose`` is the composition rule, ``_invert`` the inverse,
 ``_minimal`` the minimal-pair rule, and ``_RangeLegIndex`` files flat pairs
 by range leg.  Its plan for a source leg lists the pairs that compose with
-it and the parts of each composite, so ``convolve`` and the collapse move's
-multiplicative check form composites without calling ``_compose``; the
-check decides most plan keys from ``comparable`` alone, with no plan.  The
-pair window (``_window``) is the product of each source vertex's legs
-(``_legs_by_source``), which the checks that decide per leg read directly.
+it and the parts of each composite, so ``convolve`` forms composites
+without calling ``_compose``.  The pair window (``_window``) is the product
+of each source vertex's legs (``_legs_by_source``), which the checks that
+decide per leg read directly.
 
 ``PathPair``, ``BasicBisection`` and ``GroupoidProbe`` are the API's view.
 Their constructors check that both legs live on one graph and share their
@@ -334,25 +333,6 @@ class _RangeLegIndex:
                 plan = sorted(plan + shorter, key=itemgetter(0))
             self._plans[key] = plan
         return plan
-
-    def comparable(self, leg, vertex):
-        """The filed pairs whose range leg at vertex is comparable with leg
-        (one a prefix of the other), which are the pairs ``plan`` lists for
-        a pair whose source leg is leg at vertex, read off one walk of
-        leg's trie path: the number of range legs that stop short of leg,
-        the number that equal or extend it, and the positions, ascending,
-        of those that equal it.  The list is the trie's own and is not to
-        be changed."""
-        node = self._roots.get(vertex)
-        if node is None:
-            return 0, 0, ()
-        shorter = 0
-        for e in leg:
-            shorter += len(node[1])
-            node = node[0].get(e)
-            if node is None:
-                return shorter, 0, ()
-        return shorter, len(node[2]), node[1]
 
 
 def _minimal(graph: Graph, t):

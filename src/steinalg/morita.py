@@ -32,6 +32,7 @@ from .cylinder import (PathPair, _build, _compose, _flat, _invert, _legs_by_sour
                        _minimal, compose_pairs, pairs_to_depth)
 from .graph import Graph, VertexSubset, _as_subset, _path
 from .report import Report
+from .rings import int_text
 from .steinberg import SteinbergElement, add, convolve, zero
 
 
@@ -457,9 +458,11 @@ def morita_report(graph: Graph, t0, ring, depth=2, seed=0, eq_samples=20) -> Rep
     is never listed.  Each side witnesses every target of the window,
     deciding each source vertex with a target once, on the vertex's first
     target (see ``_first_witness_failure``).  ``eq_samples`` random tuples
-    test the psi/phi identities; with none the row is vacuous, and a
-    negative count raises ValueError.
+    test the psi/phi identities; with none the row is vacuous.  A negative
+    depth or count raises ValueError before any work.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0, got %s" % int_text(depth))
     if eq_samples < 0:
         raise ValueError("eq_samples must be >= 0, got %d" % eq_samples)
     spec = CollapseSpec(graph, t0)

@@ -5,8 +5,7 @@ compare against; the pair rules on Path objects that the flat pair kernel
 is compared against, and the kernel's minimal pair and the path map on
 Path and PathPair objects; the path map's image check on Path objects; the
 range leg index that records its trie walks and the composites of its
-plans, and the plan walk that step (d)'s key verdict is compared against;
-probe membership and probe windows, the set semantics the pair operations
+plans; probe membership and probe windows, the set semantics the pair operations
 are compared against; the relaxation that least connectors are compared
 against; the block rule on single pairs and the diagonal embedding; the
 element-level surjectivity witness that the pair-level one is compared
@@ -309,29 +308,6 @@ def plan_composites(p, plan):
     ``_RangeLegIndex.plan(p)`` stand for, in plan order."""
     return [(p[0] + suffix, leg, source, p[3], leg_range)
             for _, suffix, leg, source, leg_range in plan]
-
-
-def plan_walk_key_verdict(left, right, transport, sole):
-    """Step (d)'s verdict on a plan key from its two plans, walked entry by
-    entry: None when the key is not clean, else the last edges (as
-    1-tuples) through which an entry with an empty suffix strips.  A key is
-    clean when the plans have equal length, each entry of the left plan,
-    transported, equals the right plan's entry, and no entry with a
-    nonempty suffix has both legs end in one edge of sole, the edges that
-    are the only edge into their range vertex."""
-    if len(left) != len(right):
-        return None
-    strips = set()
-    for (j, suffix, leg, source, leg_range), y in zip(left, right):
-        if (j, source, leg_range) != (y[0], y[3], y[4]) or (
-                transport((suffix, leg, None, None, None))[:2] != y[1:3]):
-            return None
-        if sole and leg and leg[-1] in sole:
-            if not suffix:
-                strips.add(leg[-1:])
-            elif suffix[-1] == leg[-1]:
-                return None
-    return strips
 
 
 class _CountedRoots(dict):

@@ -22,15 +22,14 @@ from steinalg import (CollapseSpec, Graph, GroupoidProbe, InputError,
 from steinalg import sampling
 from steinalg.collapse import (_COVERAGE_PAIR_CAP, _INJECTIVITY_PROBE_CAP,
                                _MULTIPLICATIVE_COMBO_BUDGET, _check_well_formed,
-                               _collapsed_edges, _key_verdict, _legs_depth,
+                               _collapsed_edges, _legs_depth, _prefix_code,
                                _transport)
 from steinalg.cylinder import (_build, _compose, _flat, _legs_by_source, _minimal,
                                _RangeLegIndex, _window)
 from tests.conftest import (OUTSPLIT_TEXT, ROSE2_TEXT, TWO_CYCLE_TEXT,
                             collapsed_preimage, long_line, minimal_pair,
                             path_map_image_report, phi_fin, phi_pair,
-                            plan_walk_key_verdict, probe_window,
-                            recording_range_leg_index, vertex_path)
+                            probe_window, vertex_path)
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -322,6 +321,18 @@ def test_corrupt_dropped_edge_breaks_coverage(two_cycle):
     assert "first missing e1.e2" in rep.value("bijection", "covers-window")
 
 
+def test_iso_check_refuses_a_negative_depth_first(two_cycle):
+    """A negative depth is refused by name at entry, on an honest
+    certificate and on one that fails well-formedness alike."""
+    cert = collapse(CollapseSpec(two_cycle, ["w"]))
+    for c in (cert, dataclasses.replace(cert, edge_paths={})):
+        with pytest.raises(ValueError) as refused:
+            pointed_groupoid_iso_check(c, -1)
+        assert str(refused.value) == "depth must be >= 0, got -1"
+    assert not pointed_groupoid_iso_check(
+        dataclasses.replace(cert, edge_paths={}), 0).ok
+
+
 def test_iso_check_reports_broken_preconditions(two_cycle):
     cert = collapse(CollapseSpec(two_cycle, ["w"]))
     bad = dataclasses.replace(cert, t0=VertexSubset(two_cycle, ["v", "w"]))
@@ -342,6 +353,30 @@ def test_random_collapses_certify(seed):
     cert = collapse(spec)
     assert check_phi_fin_image(cert, 4).ok
     assert pointed_groupoid_iso_check(cert, 2).ok
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_collapse_certificates_are_prefix_codes(seed):
+    """Every certificate collapse() returns is a prefix code, so step (d)
+    never takes its fallback on an honest certificate: on a random spec,
+    and on its graph with an edge added beside each collapsed path of two
+    or more edges, named by that path's render, so that the added edge
+    takes a ~2 name."""
+    rng = sampling.rng_from_seed(seed)
+    g = sampling.random_graph(rng)
+    spec = sampling.random_collapse_spec(rng, g)
+    assume(spec is not None)
+    cert = collapse(spec)
+    assert _prefix_code(cert)
+    beside = [(".".join(p.edges), p.range_vertex, p.source_vertex)
+              for p in cert.edge_paths.values() if len(p) > 1]
+    assume(beside)
+    dotted = Graph(g.vertices, [(e.id, e.range_vertex, e.source_vertex)
+                                for e in g.edges] + beside)
+    suffixed = collapse(CollapseSpec(dotted, list(spec.t0)))
+    assert _prefix_code(suffixed)
+    assert {name + "~2" for name, _, _ in beside} <= suffixed.edge_paths.keys()
 
 
 # -- the multiplicative check against the element-level oracle -----------------------
@@ -573,64 +608,63 @@ def test_multiplicative_check_builds_no_elements(outsplit_graph, monkeypatch):
     assert built == []
 
 
-def stripping_pairs(F, minimal):
-    """Whether each minimal pair of F's window has a composite with a
-    minimal pair of the window whose two legs end in one edge that is the
-    only edge into its range vertex: the pairs step (d) walks in full on
-    an honest certificate."""
+def meeting_partners(F, minimal):
+    """For each minimal pair m of F's window, the positions of the minimal
+    pairs n that meet it (see step (d)): n's range leg is m's source leg at
+    m's vertex, and n's second leg ends in the last edge of m's first leg,
+    an edge that is the only edge into its range vertex."""
     sole = F._sole_edge_range
-    return [any(c and c[0] and c[1] and c[0][-1] == c[1][-1] and c[0][-1] in sole
-                for c in (_compose(m, n) for n in minimal))
+    return [[j for j, n in enumerate(minimal)
+             if m[0] and m[0][-1] in sole and n[0] == m[1] and n[3] == m[4]
+             and n[1][-1:] == m[0][-1:]]
             for m in minimal]
 
 
 def test_multiplicative_check_composes_only_the_pairs_that_meet(outsplit_graph,
                                                                  monkeypatch):
-    """Step (d) forms its composites from one plan per distinct source leg
-    on each side, and hands out plans only for the pairs it walks in full:
-    the flat composition rule is never called, and the composites formed
-    on each side are, with multiplicity, those the rule gives on the
-    combinations of each walked pair that compose there.  Outsplit
-    collapsed at u has no edge that is the only edge into its range
-    vertex, so every key is decided off the tries, each side's trie is
-    read once per distinct source leg, and no plan is handed out.  The
-    three-vertex graph has two such edges, and the pairs it walks are
-    those with a composite that strips."""
+    """On a certificate whose edge paths form a prefix code, step (d) tries
+    only the partners that meet a pair: it calls _differs once for each
+    minimal pair m and each n that meets it, in window order, and the flat
+    composition rule is called there alone, on m and n and on their
+    transports.  Outsplit collapsed at u has no edge that is the only edge
+    into its range vertex, so nothing is composed.  The three-vertex graph
+    has two such edges, e0 and e2; 30 of its 50 minimal pairs meet a
+    partner, in 190 combinations."""
     g = Graph(["v1", "v2", "v3"], [("e0", "v1", "v1"), ("e1", "v3", "v1"),
                                    ("e2", "v2", "v1")])
     module = importlib.import_module("steinalg.collapse")
-    kernel = importlib.import_module("steinalg.cylinder")
-    compose = kernel._compose
-    calls = []
+    compose, differs = module._compose, module._differs
+    composed, tried = [], []
 
-    def counting_compose(p, q):
-        calls.append(1)
+    def recording_compose(p, q):
+        composed.append((p, q))
         return compose(p, q)
 
-    monkeypatch.setattr(kernel, "_compose", counting_compose)
-    monkeypatch.setattr(module, "_compose", counting_compose, raising=False)
+    def recording_differs(cert, transport, m, n):
+        tried.append((m, n))
+        return differs(cert, transport, m, n)
+
+    monkeypatch.setattr(module, "_compose", recording_compose)
+    monkeypatch.setattr(module, "_differs", recording_differs)
+    counts = []
     for t0, graph, depth in ((["u"], outsplit_graph, 5), (["v3"], g, 3)):
         cert = collapse(CollapseSpec(graph, t0))
         F = cert.collapsed
-        window = [minimal_pair(a) for a in pairs_to_depth(F, _legs_depth(F, depth))]
-        minimal = [_flat(m) for m in window]
-        sides = [minimal, [_flat(phi_pair(cert, m)) for m in window]]
-        walked = [i for i, strips in enumerate(stripping_pairs(F, minimal)) if strips]
-        assert (len(minimal), len(walked)) == ((98, 0) if t0 == ["u"] else (50, 30))
-        walks, formed = [], []
-        monkeypatch.setattr(module, "_RangeLegIndex",
-                            recording_range_leg_index(walks, formed))
+        assert _prefix_code(cert)
+        minimal = [_minimal(F, a) for a in _window(F, _legs_depth(F, depth))]
+        meeting = meeting_partners(F, minimal)
+        want = [(m, minimal[j]) for m, js in zip(minimal, meeting) for j in js]
+        transport = _transport(cert.edge_paths)
+        composed.clear()
+        tried.clear()
         rep = pointed_groupoid_iso_check(cert, depth)
         assert rep.ok
         assert rep.value("multiplicative", "pairs") == str(len(minimal))
-        assert calls == []
-        if not walked:
-            assert len(walks) == sum(len({(t[1], t[4]) for t in side}) for side in sides)
-        assert len(formed) == 2
-        for got, side in zip(formed, sides):
-            want = Counter(compose(side[i], q) for i in walked for q in side)
-            del want[None]
-            assert Counter(got) == want
+        assert tried == want
+        assert composed == [c for m, n in want
+                            for c in ((m, n), (transport(m), transport(n)))]
+        counts.append((len(minimal), sum(map(bool, meeting)), len(want)))
+    assert counts == [(98, 0, 0), (50, 30, 190)]
 
 
 def test_iso_check_builds_the_retained_set_once_per_object(outsplit_graph,
@@ -900,12 +934,11 @@ def test_coverage_defects_the_cap_cuts_match_the_element_oracle():
 def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_graph,
                                                                      monkeypatch):
     """Collapsing ua and ub leaves no edge that is the only one into its
-    range vertex, so step (d) strips no composite.  It then transports each
-    leg of the probe window and each window pair once, and no plan entry
-    or combination: every plan key is decided off the tries.  The
-    transported left composite equals the right one on each of the 18,675
-    combinations that compose on both sides, so the check minimizes
-    nothing in the original graph."""
+    range vertex, so step (d) strips no composite.  No partner meets a
+    window pair then, and the check transports each leg of the probe
+    window once and nothing else.  The transported left composite equals
+    the right one on each of the 18,675 combinations that compose on both
+    sides, so the check minimizes nothing in the original graph."""
     cert = collapse(CollapseSpec(outsplit_graph, ["ua", "ub"]))
     F, g = cert.collapsed, cert.original
     assert not F._sole_edge_range
@@ -945,7 +978,7 @@ def test_multiplicative_check_minimizes_only_where_the_sides_differ(outsplit_gra
     assert rep.ok
     legs = list(enumerate_paths(F, max_len=5))
     assert rep.value("transport", "probes") == str(len(legs) ** 2)
-    assert len(transported) == len(legs) + len(window)
+    assert len(transported) == len(legs)
     assert minimized == {"collapsed": len(window)}
 
 
@@ -1051,52 +1084,55 @@ def test_injectivity_on_outsplit_where_the_cap_falls_mid_group(outsplit_graph,
     assert assert_injectivity_rows(monkeypatch, cert, 5, caps) == {"pass"}
 
 
-def test_multiplicative_check_walks_each_key_once():
-    """Step (d) reads one verdict per plan key of a minimal pair off the two
-    tries, within the window pair's source vertex group, and hands out
-    plans only for the pairs it walks in full.  On an honest certificate
-    every key is clean, so those are the pairs one of whose composites has
-    both legs ending in one edge that is the only edge into its range
-    vertex, and the left plans handed out are theirs alone.  In the
-    three-vertex graph e0 and e2 are such edges, and the key of the unit
-    at v1 recurs with first legs ending in no edge, in e0 and in e2;
-    collapsing ua leaves rb the one edge into ub.  A plan walk per key
-    handed out 9, 21, 39, 50 and 50 plans here.  The report is the
-    element-level oracle's at each depth."""
+def scanned_multiplicative_row(cert, depth):
+    """Step (d)'s verdict by its definition: the first combination (a, b)
+    of the window, in order, whose minimal pairs compose on one side only,
+    or on both into composites whose minimal pairs in the original graph
+    differ, the left composite minimized in the collapsed graph before it
+    is transported."""
+    F, g = cert.collapsed, cert.original
+    transport = _transport(cert.edge_paths)
+    window = list(_window(F, _legs_depth(F, depth)))
+    sides = [(a, _minimal(F, a)) for a in window]
+    for a, m in sides:
+        for b, n in sides:
+            left, right = _compose(m, n), _compose(transport(m), transport(n))
+            if left is None and right is None:
+                continue
+            if (left is None or right is None
+                    or _minimal(g, transport(_minimal(F, left))) != _minimal(g, right)):
+                return "fail (%s then %s)" % (_build(F, a).render(), _build(F, b).render())
+    return "pass"
+
+
+def test_multiplicative_row_is_the_scan_over_every_combination():
+    """Step (d)'s row equals the scan over every combination of its window,
+    on the three-vertex graph collapsed at v3 (e0 and e2 the only edges
+    into their range vertices) at depths 1-3, on outsplit collapsed at u,
+    ua, ub and ua,ub at depth 3, and on the acceptance corpus at depth 2,
+    each honest, with each of its first two collapsed edges dropped or
+    duplicated, and with every parallel move.  The checks are counted by
+    path (prefix code or not) and by whether the row passes."""
     g = Graph(["v1", "v2", "v3"], [("e0", "v1", "v1"), ("e1", "v3", "v1"),
                                    ("e2", "v2", "v1")])
-    three = collapse(CollapseSpec(g, ["v3"]))
-    assert three.collapsed._sole_edge_range == {"e0": "v1", "e2": "v2"}
-    outsplit = collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["ua"]))
-    module = importlib.import_module("steinalg.collapse")
-    handed_out = []
-    for cert, depths in ((three, (1, 2, 3)), (outsplit, (3, 5))):
-        F = cert.collapsed
-        for depth in depths:
-            window = list(_window(F, _legs_depth(F, depth)))
-            minimal = [_minimal(F, a) for a in window]
-            want = Counter(m for m, strips in zip(minimal, stripping_pairs(F, minimal))
-                           if strips)
-            assert sum(want.values()) < len(window)
-            indexes, walked = [], []
-
-            class CountingIndex(_RangeLegIndex):
-                def __init__(self, pairs):
-                    super().__init__(pairs)
-                    indexes.append(self)
-
-                def plan(self, p):
-                    walked.append((self, p))
-                    return super().plan(p)
-
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                monkeypatch.setattr(module, "_RangeLegIndex", CountingIndex)
-                rep = pointed_groupoid_iso_check(cert, depth)
-            assert rep.ok
-            assert rep.render_kv() == element_level_iso_check(cert, depth, {}).render_kv()
-            assert Counter(p for index, p in walked if index is indexes[0]) == want
-            handed_out.append(sum(want.values()))
-    assert handed_out == [4, 14, 30, 28, 28]
+    outsplit = load_graph(OUTSPLIT_TEXT)
+    honest = [(collapse(CollapseSpec(g, ["v3"])), (1, 2, 3))]
+    honest += [(collapse(CollapseSpec(outsplit, t0)), (3,))
+               for t0 in (["u"], ["ua"], ["ub"], ["ua", "ub"])]
+    honest += [(collapse(spec), (2,)) for spec in corpus(13)]
+    checks = Counter()
+    for cert, depths in honest:
+        variants = [cert]
+        for e in cert.collapsed.edges[:2]:
+            variants += [drop_collapsed_edge(cert, e.id), duplicate_collapsed_edge(cert, e)]
+        variants += [move_collapsed_edge(cert, e, other) for e, other in parallel_pairs(cert)]
+        for variant in variants:
+            for depth in depths:
+                row = pointed_groupoid_iso_check(variant, depth).value(
+                    "multiplicative", "transport-multiplicative")
+                assert row == scanned_multiplicative_row(variant, depth)
+                checks[_prefix_code(variant), row == "pass"] += 1
+    assert checks == {(True, True): 57, (True, False): 10, (False, False): 82}
 
 
 def certify_round_checks():
@@ -1110,25 +1146,27 @@ def certify_round_checks():
     return checks + [(collapse(spec), 2 + i % 2) for i, spec in enumerate(corpus(13))]
 
 
-def test_certify_round_decides_each_key_and_leg_once(monkeypatch):
-    """Over one certify round, step (d) decides 285 plan keys, one per key
-    in each group, off the tries, and hands out 26 left plans of 283
-    entries, for the pairs walked in full.  A plan walk per key took 311
-    plans and 10,385 entries, and one walk per key and last edge of the
-    first leg 842 plans and 33,008 entries.  Step (c) decides 2,663
-    window pairs through 403 splits of a leg extended by a first hit, and
-    forms no pair: the original graph's window is never generated, and no
-    pair is built on a passing round."""
+def test_certify_round_decides_each_leg_and_stripping_partner_once(monkeypatch):
+    """Over one certify round, every certificate is a prefix code, and step
+    (d) calls _differs 104 times, once per minimal pair and partner that
+    meets it, and builds no range leg index.  A plan walk per key took 311
+    plans and 10,385 entries, and the key verdicts read off two tries per
+    check 26 plans and 283 entries.  Step (c) decides 2,663 window pairs
+    through 403 splits of a leg extended by a first hit, and forms no
+    pair: the original graph's window is never generated, and no pair is
+    built on a passing round."""
     module = importlib.import_module("steinalg.collapse")
-    plans, windows, built = [], [], []
-    splits = []
+    indexes, windows, built, splits, tried = [], [], [], [], []
     split, window, build = module._collapsed_edges, module._window, module._build
+    differs, index_init = module._differs, _RangeLegIndex.__init__
 
-    class CountingIndex(_RangeLegIndex):
-        def plan(self, p):
-            entries = super().plan(p)
-            plans.append((self, len(entries)))
-            return entries
+    def counting_index_init(self, pairs):
+        indexes.append(pairs)
+        index_init(self, pairs)
+
+    def counting_differs(*args):
+        tried.append(args)
+        return differs(*args)
 
     def counting_split(cert, edges):
         splits.append(edges)
@@ -1142,29 +1180,27 @@ def test_certify_round_decides_each_key_and_leg_once(monkeypatch):
         built.append(t)
         return build(g, t)
 
-    monkeypatch.setattr(module, "_RangeLegIndex", CountingIndex)
+    monkeypatch.setattr(_RangeLegIndex, "__init__", counting_index_init)
+    monkeypatch.setattr(module, "_differs", counting_differs)
     monkeypatch.setattr(module, "_collapsed_edges", counting_split)
     monkeypatch.setattr(module, "_window", recording_window)
     monkeypatch.setattr(module, "_build", counting_build)
-    walked = entries = pairs = keys = asked = 0
+    pairs = asked = meeting = 0
     for cert, depth in certify_round_checks():
-        plans.clear()
         windows.clear()
         splits.clear()
+        assert _prefix_code(cert)
         rep = pointed_groupoid_iso_check(cert, depth)
         assert rep.ok
         assert windows == [cert.collapsed]
         F = cert.collapsed
-        keys += len({(a[2], m[1], m[4]) for a in _window(F, _legs_depth(F, depth))
-                     for m in [_minimal(F, a)]})
-        left = [n for index, n in plans if index is plans[0][0]]
-        walked += len(left)
-        entries += sum(left)
+        minimal = [_minimal(F, a) for a in window(F, _legs_depth(F, depth))]
+        meeting += sum(map(len, meeting_partners(F, minimal)))
         pairs += int(rep.value("coverage", "pairs"))
         asked += len(splits)
-    assert (walked, entries, keys) == (26, 283, 285)
+    assert len(tried) == meeting == 104
     assert (pairs, asked) == (2663, 403)
-    assert built == []
+    assert indexes == built == []
 
 
 # -- the memoized transport ----------------------------------------------------------
@@ -1198,28 +1234,6 @@ def test_transport_matches_phi_pair_on_windows_and_composites():
                     assert transport(c) == _flat(phi_pair(cert, _build(F, c)))
 
 
-def test_right_plans_are_the_transported_left_plans():
-    """The fact behind step (d)'s fast path: on a well-formed certificate
-    each vertex's edge paths are its first hits, so the path map keeps the
-    prefix order of legs, and the plan of each window pair's transport,
-    over the transports, equals its left plan with every entry
-    transported."""
-    certs = honest_certificates()
-    certs.append((collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["ua", "ub"])), 5))
-    for cert, depth in certs:
-        F = cert.collapsed
-        transport = _transport(cert.edge_paths)
-        minimal = [_minimal(F, _flat(a))
-                   for a in pairs_to_depth(F, _legs_depth(F, depth))]
-        transported = [transport(m) for m in minimal]
-        left_index = _RangeLegIndex(minimal)
-        right_index = _RangeLegIndex(transported)
-        for m, phi_m in zip(minimal, transported):
-            want = [(j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
-                    for j, suffix, leg, source, leg_range in left_index.plan(m)]
-            assert right_index.plan(phi_m) == want
-
-
 def verdict_certificates():
     """Outsplit collapsed at u, ua, ub and ua,ub and the certificates of
     collapse_corpus seeds 1, 3, 5, 7, 13 and 21, each honest, with each of
@@ -1238,30 +1252,43 @@ def verdict_certificates():
             yield move_collapsed_edge(cert, e, other)
 
 
-def test_key_verdict_is_the_plan_walks():
-    """Step (d) reads a plan key's verdict off the two tries, and it equals
-    the verdict of walking the key's two plans entry by entry on every key
-    of every window at depths 1-4 of the 1,296 certificates above: 55,371
-    keys, of which 11,450 are not clean and 7,692 have strips."""
-    keys, unclean, stripping = 0, 0, 0
+def test_prefix_code_certificates_compose_alike_on_both_sides():
+    """The lemma behind step (d), on the 1,296 certificates above at depths
+    1-4.  Where the edge paths into each retained vertex form a prefix
+    code, the path map reflects which legs are prefixes of which, so any
+    two minimal pairs of the window compose on both sides or on neither,
+    and the transport of the left composite is the right one.  Every pair
+    of minimal pairs of the window at depth 4 is checked, and the windows
+    at depths 1-3 lie inside it.  The transport keeps each pair's vertices,
+    so two pairs that meet at different vertices compose on neither side.
+    Of the 5,184 checks, 1,776 take the prefix-code path and 3,408 the
+    other; the prefix-code windows hold 1,563,045 combinations that
+    compose."""
+    paths = Counter()
+    composing = 0
     for cert in verdict_certificates():
         assert _check_well_formed(cert, Report("well-formed"))
+        prefix_code = _prefix_code(cert)
+        paths[prefix_code] += 4
+        if not prefix_code:
+            continue
         F = cert.collapsed
-        sole = F._sole_edge_range
         transport = _transport(cert.edge_paths)
-        for depth in range(1, 5):
-            minimal = [_minimal(F, a) for a in _window(F, _legs_depth(F, depth))]
-            transported = [transport(m) for m in minimal]
-            left, right = _RangeLegIndex(minimal), _RangeLegIndex(transported)
-            for m, phi_m in dict(((m[1], m[4]), (m, phi_m))
-                                 for m, phi_m in zip(minimal, transported)).values():
-                want = plan_walk_key_verdict(left.plan(m), right.plan(phi_m),
-                                             transport, sole)
-                assert _key_verdict(left, right, minimal, sole, m, phi_m) == want
-                keys += 1
-                unclean += want is None
-                stripping += bool(want)
-    assert (keys, unclean, stripping) == (55371, 11450, 7692)
+        at = {}
+        for m in dict.fromkeys(_minimal(F, a) for a in _window(F, _legs_depth(F, 4))):
+            phi_m = transport(m)
+            assert phi_m[2:] == m[2:]
+            at.setdefault(m[3], []).append((m, phi_m))
+        for group in at.values():
+            for m, phi_m in group:
+                for n, phi_n in at.get(m[4], ()):
+                    left, right = _compose(m, n), _compose(phi_m, phi_n)
+                    if left is None:
+                        assert right is None
+                    else:
+                        assert transport(left) == right
+                        composing += 1
+    assert (paths[True], paths[False], composing) == (1776, 3408, 1563045)
 
 
 def resourced_outsplit():

@@ -826,6 +826,16 @@ def test_morita_report_without_eq_samples_is_vacuous(two_cycle, zring):
         morita_report(two_cycle, ["w"], zring, depth=2, eq_samples=-1)
 
 
+def test_morita_report_refuses_a_negative_depth_first(two_cycle, loop_graph, zring):
+    """A negative depth is refused by name at entry, before the collapse is
+    built: on an instance whose collapse would fail too, the depth is what
+    the error names."""
+    for graph, t0 in ((two_cycle, ["w"]), (loop_graph, ["v"])):
+        with pytest.raises(ValueError) as refused:
+            morita_report(graph, t0, zring, depth=-1)
+        assert str(refused.value) == "depth must be >= 0, got -1"
+
+
 def test_morita_report_rejects_bad_collapse(loop_graph, zring):
     with pytest.raises(ValueError, match="collapse preconditions failed"):
         morita_report(loop_graph, ["v"], zring)

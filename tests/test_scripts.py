@@ -164,3 +164,13 @@ def test_object_helpers_are_read_only_at_the_boundary():
         if extra:
             outside[p.stem] = sorted(extra)
     assert outside == {}
+
+
+def test_only_steinberg_reads_the_range_leg_index():
+    """``cylinder._RangeLegIndex`` serves ``convolve`` alone: no other
+    package module imports it or reads it as an attribute, so a second
+    index-based path cannot grow back into the collapse move's checks."""
+    readers = sorted(p.stem for p in (ROOT / "src" / "steinalg").glob("*.py")
+                     if p.stem != "cylinder"
+                     and "_RangeLegIndex" in referenced_names(p))
+    assert readers == ["steinberg"]
