@@ -1234,6 +1234,29 @@ def test_transport_matches_phi_pair_on_windows_and_composites():
                     assert transport(c) == _flat(phi_pair(cert, _build(F, c)))
 
 
+def test_right_plans_are_the_transported_left_plans():
+    """The prefix-code fact step (d) rests on, read through convolve's
+    range-leg index: on a well-formed certificate each vertex's edge paths
+    are its first hits, so the path map keeps the prefix order of legs, and
+    the plan of each window pair's transport, over the transports, equals
+    its left plan with every entry transported."""
+    certs = honest_certificates()
+    certs.append((collapse(CollapseSpec(load_graph(OUTSPLIT_TEXT), ["ua", "ub"])), 5))
+    for cert, depth in certs:
+        assert _prefix_code(cert)
+        F = cert.collapsed
+        transport = _transport(cert.edge_paths)
+        minimal = [_minimal(F, _flat(a))
+                   for a in pairs_to_depth(F, _legs_depth(F, depth))]
+        transported = [transport(m) for m in minimal]
+        left_index = _RangeLegIndex(minimal)
+        right_index = _RangeLegIndex(transported)
+        for m, phi_m in zip(minimal, transported):
+            want = [(j, *transport((suffix, leg, None, None, None))[:2], source, leg_range)
+                    for j, suffix, leg, source, leg_range in left_index.plan(m)]
+            assert right_index.plan(phi_m) == want
+
+
 def verdict_certificates():
     """Outsplit collapsed at u, ua, ub and ua,ub and the certificates of
     collapse_corpus seeds 1, 3, 5, 7, 13 and 21, each honest, with each of
